@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, solve, validate, compare.  Exit codes: 0 success /
-valid, 1 invalid solution, 2 usage or format error, 3 size-budget refusal.
+valid, 1 invalid solution, 2 usage or format error, 3 size-budget refusal,
+4 LP solver breakdown.
 All timing lives under the solution "meta" key; everything else in the
 output is deterministic for a fixed input and seed.
 """
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_SOLVER = 4
 
 ALGOS = ("exact", "kcenter", "kcwo", "kcwo-greedy", "two-radii", "guess-q", "bicriteria")
 
@@ -172,6 +174,9 @@ def cmd_validate(args) -> int:
         count_factor=count_factor,
         radius_factor=radius_factor,
     )
+    for p in outliers:
+        if not (0 <= p < instance.n):
+            raise ValueError(f"outlier {p} is not a point id in [0, {instance.n})")
     # Points listed as outliers are excused from coverage.
     uncovered = [p for p in report.uncovered if p not in set(outliers)]
     ok = not (uncovered or report.radius_violations or report.count_violations)
@@ -300,6 +305,9 @@ def main(argv=None) -> int:
     except SizeBudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except lp.LpSolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (UsageError, fileio.FormatError, InfeasibleInstanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -48,7 +48,13 @@ def instance_from_obj(obj: dict) -> NukcInstance:
     if has_coords and has_matrix:
         raise FormatError('points must carry "coords" or "matrix", not both')
     if has_coords:
-        space = MetricSpace.from_coords(np.asarray(points["coords"], dtype=float))
+        coords = np.asarray(points["coords"], dtype=float)
+        if not np.isfinite(coords).all():
+            raise FormatError("coords must be finite numbers")
+        with np.errstate(over="ignore"):
+            space = MetricSpace.from_coords(coords)
+        if not np.isfinite(space.dist).all():
+            raise FormatError("coords too large: their distances overflow")
     elif has_matrix:
         space = MetricSpace(np.asarray(points["matrix"], dtype=float), check=True)
     else:

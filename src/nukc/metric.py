@@ -7,6 +7,7 @@ the ball of radius r around c when d(c, q) <= r + COVER_TOL.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 COVER_TOL = 1e-9
 METRIC_TOL = 1e-9
@@ -23,15 +24,28 @@ class MetricError(ValueError):
 
 
 def validate_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> list:
-    """Check symmetry, zero diagonal, non-negativity and the triangle
-    inequality.  Returns a list of violation tuples, empty when the matrix
-    is a metric.  The triangle check is the full O(n^3) scan.
+    """Check finiteness, symmetry, zero diagonal, non-negativity and the
+    triangle inequality.  Returns a list of violation tuples, empty when
+    the matrix is a metric.  A matrix with NaN or inf entries gets only its
+    ("nonfinite", i, j) violations.
+
+    When the other checks pass and every entry is >= 0, one compiled
+    Floyd-Warshall closure certifies the triangle inequality:
+    closure[i,j] <= fl(d[i,k] + d[k,j]) holds for every k, so
+    d - closure <= tol implies every one-step slack is <= tol.  Only when
+    the certificate fails, or does not apply, does the O(n^3) per-k scan
+    run; it alone lists triangle violations, in (k, i, j) order.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {dist.shape}")
     n = dist.shape[0]
-    violations = []
+    violations = [
+        ("nonfinite", int(i), int(j)) for i, j in np.argwhere(~np.isfinite(dist))
+    ]
+    if violations:
+        # NaN and inf make the other axioms meaningless (inf - inf is NaN).
+        return violations
     for i in range(n):
         if abs(dist[i, i]) > tol:
             violations.append(("diagonal", i, dist[i, i]))
@@ -42,6 +56,13 @@ def validate_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> list:
     neg = np.argwhere(dist < -tol)
     for i, j in neg:
         violations.append(("negative", int(i), int(j)))
+    # Zero entries are edges (duplicate points), so csgraph must not read
+    # them as missing; entries in (-tol, 0) would make it raise on a
+    # negative cycle, so the certificate needs every entry >= 0.
+    if not violations and n and (dist >= 0).all():
+        closure = floyd_warshall(csgraph_from_dense(dist, null_value=np.inf))
+        if not ((dist - closure) > tol).any():
+            return []
     # d[i, j] <= d[i, k] + d[k, j] for all i, j, k.
     for k in range(n):
         slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
@@ -95,10 +116,6 @@ class MetricSpace:
         dist = (dist + dist.T) / 2.0
         np.fill_diagonal(dist, 0.0)
         return cls(dist, check=check)
-
-
-def ball(space: MetricSpace, center: int, radius: float) -> list:
-    return space.ball(center, radius)
 
 
 def gonzalez_kcenter(space: MetricSpace, k: int):

@@ -29,8 +29,8 @@ class RadiusClass:
     def __post_init__(self):
         if self.multiplicity < 1:
             raise ValueError(f"class multiplicity must be >= 1, got {self.multiplicity}")
-        if self.radius < 0:
-            raise ValueError(f"class radius must be >= 0, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius >= 0):
+            raise ValueError(f"class radius must be finite and >= 0, got {self.radius}")
 
 
 class NukcInstance:
@@ -271,6 +271,10 @@ def validate_solution(
     for idx, b in enumerate(solution.balls):
         if not (0 <= b.class_index < h):
             raise ValueError(f"ball {idx} refers to unknown class {b.class_index}")
+        if not (0 <= b.center < n):
+            raise ValueError(
+                f"ball {idx} has center {b.center}, not a point id in [0, {n})"
+            )
         limit = radius_factor * instance.radii[b.class_index]
         if b.radius_used > limit + tol:
             report.radius_violations.append((idx, b.radius_used, limit))

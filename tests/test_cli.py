@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from nukc import fileio
-from nukc.cli import main
+from nukc import fileio, lp
+from nukc.cli import EXIT_SOLVER, main
 
 
 def run(args, capsys=None):
@@ -104,6 +104,71 @@ class TestSolveValidate:
         oa, ob = json.loads(a.read_text()), json.loads(b.read_text())
         oa.pop("meta"), ob.pop("meta")
         assert oa == ob
+
+    def edit(self, path, change):
+        obj = json.loads(path.read_text())
+        change(obj)
+        path.write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda o: o["points"]["coords"][0].__setitem__(0, float("nan")),
+            lambda o: o["classes"][0].__setitem__("r", float("nan")),
+            lambda o: o["classes"][1].__setitem__("r", float("inf")),
+        ],
+        ids=["nan-coord", "nan-radius", "inf-radius"],
+    )
+    def test_nonfinite_instance_is_usage_error(self, tmp_path, capsys, change):
+        inst = self.make_instance(tmp_path)
+        self.edit(inst, change)
+        code = run(["solve", "--algo", "kcenter", "--input", str(inst),
+                    "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and err.count("\n") == 1
+
+    def test_nonfinite_matrix_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        run(["generate", "--kind", "random-metric", "--n", "5", "--seed", "1",
+             "--out", str(inst)])
+        self.edit(inst, lambda o: o["points"]["matrix"][1].__setitem__(3, float("inf")))
+        code = run(["solve", "--algo", "kcenter", "--input", str(inst),
+                    "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "nonfinite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda o: o["balls"][0].__setitem__("center", -1),
+            lambda o: o["balls"][0].__setitem__("center", 99),
+            lambda o: o.__setitem__("outliers", [8]),
+            lambda o: o.__setitem__("outliers", [-1]),
+        ],
+        ids=["center-minus-one", "center-99", "outlier-n", "outlier-minus-one"],
+    )
+    def test_point_id_out_of_range_is_usage_error(self, tmp_path, capsys, change):
+        inst = self.make_instance(tmp_path)
+        sol = tmp_path / "sol.json"
+        run(["solve", "--algo", "kcenter", "--input", str(inst), "--out", str(sol)])
+        self.edit(sol, change)
+        code = run(["validate", "--instance", str(inst), "--solution", str(sol)])
+        assert code == 2
+        assert "not a point id" in capsys.readouterr().err
+
+    def test_solver_breakdown_exit_code(self, tmp_path, capsys, monkeypatch):
+        inst = self.make_instance(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise lp.LpSolverError("singular basis matrix")
+
+        monkeypatch.setattr(lp, "solve", broken)
+        code = run(["solve", "--algo", "guess-q", "--input", str(inst),
+                    "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_SOLVER == 4
+        assert capsys.readouterr().err == "solver error: singular basis matrix\n"
 
     def test_malformed_instance_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -36,6 +36,19 @@ class TestInstanceRoundTrip:
         with pytest.raises(fileio.FormatError):
             fileio.instance_from_obj({"classes": [{"k": 1, "r": 1.0}]})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_coords_rejected(self, bad):
+        obj = {"points": {"coords": [[0.0], [bad]]}, "classes": [{"k": 1, "r": 1.0}]}
+        with pytest.raises(fileio.FormatError, match="finite"):
+            fileio.instance_from_obj(obj)
+
+    def test_overflowing_coords_rejected(self):
+        # Finite coords whose squared differences overflow give inf
+        # distances, which a ball of radius inf would "cover".
+        obj = {"points": {"coords": [[0.0], [1e200]]}, "classes": [{"k": 1, "r": 1.0}]}
+        with pytest.raises(fileio.FormatError, match="overflow"):
+            fileio.instance_from_obj(obj)
+
     def test_bad_class_entry_rejected(self):
         obj = {"points": {"matrix": [[0.0]]}, "classes": [{"k": "one"}]}
         with pytest.raises(fileio.FormatError):

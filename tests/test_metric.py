@@ -14,6 +14,26 @@ from nukc.metric import (
 )
 
 
+def per_k_scan(dist, tol=1e-9):
+    """The reference check: every axiom, and the triangle inequality by the
+    full O(n^3) scan over k, listing violations in (k, i, j) order."""
+    n = dist.shape[0]
+    violations = []
+    for i in range(n):
+        if abs(dist[i, i]) > tol:
+            violations.append(("diagonal", i, dist[i, i]))
+    for i, j in np.argwhere(np.abs(dist - dist.T) > tol):
+        if i < j:
+            violations.append(("asymmetry", int(i), int(j)))
+    for i, j in np.argwhere(dist < -tol):
+        violations.append(("negative", int(i), int(j)))
+    for k in range(n):
+        slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
+        for i, j in np.argwhere(slack > tol):
+            violations.append(("triangle", int(i), int(j), int(k)))
+    return violations
+
+
 class TestValidateMetric:
     def test_valid_matrix_has_no_violations(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
@@ -46,6 +66,53 @@ class TestValidateMetric:
     def test_constructor_rejects_bad_metric(self):
         with pytest.raises(MetricError):
             MetricSpace([[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_reported(self, bad):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        d[0, 2] = d[2, 0] = bad
+        assert validate_metric(d) == [("nonfinite", 0, 2), ("nonfinite", 2, 0)]
+
+    def test_zero_distance_edges_are_kept(self):
+        # Points 0 and 1 coincide, so d(1,2) = 5 > d(1,0) + d(0,2) = 1.  A
+        # closure that read the zero entries as missing edges would miss it.
+        d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
+        assert validate_metric(d) == [("triangle", 1, 2, 0), ("triangle", 2, 1, 0)]
+
+    def test_tiny_negative_entries_do_not_raise(self):
+        # Entries in (-tol, 0) pass the negativity check; a shortest-path
+        # closure over them would report a negative cycle.
+        d = np.array([[0.0, -5e-10, 1.0], [-5e-10, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert validate_metric(d) == []
+        d[0, 2] = d[2, 0] = 3.0
+        assert validate_metric(d) == per_k_scan(d)
+        assert ("triangle", 0, 2, 1) in validate_metric(d)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8),
+        st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.sampled_from([1e-10, -1e-10, 2e-9, -2e-9, -5e-10]),
+                st.booleans(),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_k_scan(self, pts, nudges):
+        # Grid points give duplicate points and exact ties; the nudges sit
+        # just inside and just outside the tolerance.
+        pts = np.array(pts, dtype=float)
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        n = len(pts)
+        for i, j, eps, symmetric in nudges:
+            i, j = i % n, j % n
+            d[i, j] += eps
+            if symmetric or eps == -5e-10:
+                d[j, i] = d[i, j]
+        assert validate_metric(d) == per_k_scan(d)
 
 
 class TestMetricSpace:

@@ -41,6 +41,11 @@ class TestInstance:
         with pytest.raises(ValueError):
             NukcInstance(line_space, [(1, -1.0)])
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, line_space, radius):
+        with pytest.raises(ValueError, match="finite"):
+            NukcInstance(line_space, [(1, radius)])
+
     def test_scaled(self, line_instance):
         doubled = line_instance.scaled(2.0)
         assert doubled.radii == [4.0, 2.0]
@@ -125,6 +130,12 @@ class TestValidation:
         assert report.radius_violations  # 5.0 > 2.0
         assert report.count_violations  # two class-0 balls, budget 1
         assert "uncovered" in str(report)
+
+    @pytest.mark.parametrize("center", [-1, 5])
+    def test_center_outside_point_ids_rejected(self, line_instance, center):
+        sol = NukcSolution([Ball(center, 0, 2.0)])
+        with pytest.raises(ValueError, match="not a point id"):
+            validate_solution(line_instance, sol)
 
     def test_zero_radius_dilation_only_at_distance_zero(self, line_space):
         inst = NukcInstance(line_space, [(1, 0.0)])
