@@ -8,7 +8,6 @@ from .model import (
     RadiusClass,
     achieved_dilation,
     build_nukc_lp,
-    club_radii,
     compress_radii,
     coverage,
     lift_compressed_solution,

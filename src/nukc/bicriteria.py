@@ -26,16 +26,21 @@ from .model import (
     NukcInstance,
     NukcSolution,
     achieved_dilation,
+    build_nukc_lp,
     compress_radii,
     coverage,
     lift_compressed_solution,
     min_feasible_dilation,
-    validate_solution,
-    var_index,
 )
 from .embed import embed_basic
 from .oracle import SizeBudgetError
-from .solvers import ilog, round_bottom_heavy, solve_guess_q, zero_dilation_solution
+from .solvers import (
+    HALF_MASS_TOL,
+    ilog,
+    round_bottom_heavy,
+    solve_guess_q,
+    zero_dilation_solution,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -82,28 +87,10 @@ def build_guess_lp(points, pair: GuessPair, instance: NukcInstance) -> lp.LpProb
     for `points` starting at their min_level, budget rows over all points,
     affirmative tuples pinned to 1, negative tuples pinned to 0 (A wins on
     collision)."""
-    n, h = instance.n, instance.num_classes
-    dist = instance.space.dist
-    radii = instance.radii
-    prob = lp.LpProblem(num_vars=n * h)
-    bounds = [(0.0, 1.0)] * (n * h)
-    for (q, t) in sorted(pair.negative):
-        bounds[var_index(q, t, h)] = (0.0, 0.0)
-    for (q, t) in sorted(pair.affirmative):
-        bounds[var_index(q, t, h)] = (1.0, 1.0)
-    prob.bounds = bounds
-    for p in sorted(points):
-        row = np.zeros(n * h)
-        for t in range(min_level(pair, instance, p), h):
-            for q in np.nonzero(dist[p] <= radii[t] + COVER_TOL)[0]:
-                row[var_index(int(q), t, h)] = 1.0
-        prob.add_constraint(row, lp.GE, 1.0)
-    for t in range(h):
-        row = np.zeros(n * h)
-        for p in range(n):
-            row[var_index(p, t, h)] = 1.0
-        prob.add_constraint(row, lp.LE, float(instance.classes[t].multiplicity))
-    return prob
+    pinned = dict.fromkeys(pair.negative, 0.0)
+    pinned.update(dict.fromkeys(pair.affirmative, 1.0))
+    start = {p: min_level(pair, instance, p) for p in points}
+    return build_nukc_lp(instance, 1.0, points=points, start=start, pinned=pinned)
 
 
 @dataclass
@@ -218,7 +205,7 @@ def enum_solve(
             return None
         x_star = sol.values.reshape(n, h)
         prof = coverage(scaled, x_star)
-        x_b = [p for p in rest if prof.suffix(p, tau) >= 0.5 - 1e-7]
+        x_b = [p for p in rest if prof.suffix(p, tau) >= 0.5 - HALF_MASS_TOL]
         x_t = [p for p in rest if p not in set(x_b)]
         balls_a = [
             Ball(p, t, GATHER_FACTOR * radii[t]) for (p, t) in sorted(pair.affirmative)

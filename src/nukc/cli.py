@@ -25,7 +25,7 @@ from .gadgets import (
     random_layered_tree,
     random_metric,
 )
-from .metric import COVER_TOL, gonzalez_kcenter
+from .metric import gonzalez_kcenter
 from .model import (
     Ball,
     InfeasibleInstanceError,

@@ -43,9 +43,6 @@ class EmbedResult:
     leaf_node_of: dict = field(default_factory=dict)  # point -> leaf node id
     y: dict = field(default_factory=dict)
 
-    def winner_nodes(self, level: int) -> list:
-        return list(self.tree.levels[level])
-
 
 def _audit_barrier(result: EmbedResult) -> None:
     """Hard postcondition: every ancestor at level t sits within 8*r_t of

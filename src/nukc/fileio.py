@@ -20,6 +20,14 @@ class FormatError(ValueError):
     """Malformed instance or solution document."""
 
 
+def _integral(value, what: str) -> int:
+    """A JSON number with an integral value, as an int; anything else
+    (booleans, strings, null, 1.5) is a FormatError."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise FormatError(f"{what} must be an integer, got {value!r}")
+
+
 def instance_to_obj(instance: NukcInstance, coords=None) -> dict:
     points = (
         {"coords": [list(map(float, row)) for row in coords]}
@@ -61,6 +69,8 @@ def instance_from_obj(obj: dict) -> NukcInstance:
         raise FormatError('points must carry "coords" or "matrix"')
     labels = obj.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise FormatError('"labels" must be a list')
         space.labels = list(labels)
         if len(space.labels) != space.n:
             raise FormatError("labels length must match the number of points")
@@ -95,15 +105,18 @@ def solution_from_obj(obj: dict):
     balls = []
     for i, b in enumerate(obj["balls"]):
         try:
-            balls.append(Ball(int(b["center"]), int(b["class"]), float(b["radius"])))
+            center, cls, radius = b["center"], b["class"], float(b["radius"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 f'ball {i} needs "center", "class" and "radius"'
             ) from exc
+        balls.append(Ball(
+            _integral(center, f"ball {i} center"), _integral(cls, f"ball {i} class"), radius
+        ))
     outliers = obj.get("outliers", [])
     if not isinstance(outliers, list):
         raise FormatError('"outliers" must be a list of point ids')
-    return NukcSolution(balls), [int(p) for p in outliers]
+    return NukcSolution(balls), [_integral(p, "outlier id") for p in outliers]
 
 
 def tree_to_obj(tree: RootedTree) -> dict:

@@ -9,6 +9,7 @@ count (balls per class versus k_t) and radius (used radius versus r_t).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,40 +119,30 @@ def build_nukc_lp(
     instance: NukcInstance,
     dilation: float,
     points=None,
-    class_window=None,
+    start=0,
+    pinned=None,
 ) -> lp.LpProblem:
     """The fractional relaxation at a given dilation.
 
     Variables x[p, t] in [0, 1].  One covering row per point in `points`
-    (default: all), one budget row per class.  `class_window` (lo, hi)
-    restricts which classes may carry mass (others are pinned to 0).
+    (default: all), in ascending order, and one budget row per class.  The
+    row of point p holds classes from `start` on: one level for every
+    point, or a mapping from point to level.  `pinned` maps (point, class)
+    to the value that variable is fixed at.
     """
     n, h = instance.n, instance.num_classes
-    radii = instance.radii
     prob = lp.LpProblem(num_vars=n * h)
-    bounds = [(0.0, 1.0)] * (n * h)
-    if class_window is not None:
-        wlo, whi = class_window
-        for p in range(n):
-            for t in range(h):
-                if not (wlo <= t <= whi):
-                    bounds[var_index(p, t, h)] = (0.0, 0.0)
-    prob.bounds = bounds
-    pts = range(n) if points is None else points
-    dist = instance.space.dist
-    for p in pts:
-        row = np.zeros(n * h)
-        for t in range(h):
-            if class_window is not None and not (class_window[0] <= t <= class_window[1]):
-                continue
-            reach = dilation * radii[t] + COVER_TOL
-            for q in np.nonzero(dist[p] <= reach)[0]:
-                row[var_index(int(q), t, h)] = 1.0
+    prob.bounds = [(0.0, 1.0)] * (n * h)
+    for (q, t), value in (pinned or {}).items():
+        prob.bounds[var_index(q, t, h)] = (float(value), float(value))
+    pts = list(range(n)) if points is None else sorted(points)
+    first = [start[p] for p in pts] if isinstance(start, Mapping) else start
+    reach = dilation * np.asarray(instance.radii, dtype=float) + COVER_TOL
+    rows = instance.space.dist[pts][:, :, None] <= reach  # rows[i, q, t]
+    rows &= np.arange(h) >= np.reshape(first, (-1, 1, 1))
+    for row in rows.reshape(len(pts), n * h).astype(float):
         prob.add_constraint(row, lp.GE, 1.0)
-    for t in range(h):
-        row = np.zeros(n * h)
-        for p in range(n):
-            row[var_index(p, t, h)] = 1.0
+    for t, row in enumerate(np.tile(np.eye(h), n)):
         prob.add_constraint(row, lp.LE, float(instance.classes[t].multiplicity))
     return prob
 
@@ -165,18 +156,41 @@ def solve_fractional(instance: NukcInstance, dilation: float, **kwargs):
     return sol.values.reshape(instance.n, instance.num_classes)
 
 
+def candidate_values(dist: np.ndarray, radii) -> list:
+    """Sorted distinct values d(p, q) / r over pairs p < q and positive
+    radii r, plus 0."""
+    upper = dist[np.triu_indices(len(dist), 1)]
+    return np.unique(np.concatenate([[0.0]] + [upper / r for r in radii if r > 0])).tolist()
+
+
 def candidate_dilations(instance: NukcInstance) -> list:
     """All values the optimal dilation can take: pairwise distance over
     positive class radius, plus 0."""
-    vals = {0.0}
-    dist = instance.space.dist
-    n = instance.n
-    for r in instance.radii:
-        if r > 0:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    vals.add(dist[i, j] / r)
-    return sorted(vals)
+    return candidate_values(instance.space.dist, instance.radii)
+
+
+def smallest_feasible(cands, probe):
+    """Smallest candidate whose probe hits, for a probe monotone along the
+    sorted `cands` (a miss returns None).  Probes the largest candidate, then
+    the smallest, then bisects.  Returns (candidate, hit), or None when the
+    largest candidate misses."""
+    hi = len(cands) - 1
+    hit = probe(cands[hi])
+    if hit is None:
+        return None
+    if hi > 0:
+        first = probe(cands[0])
+        if first is not None:
+            return cands[0], first
+    lo = 0  # cands[lo] misses, cands[hi] hits with `hit`
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        got = probe(cands[mid])
+        if got is None:
+            lo = mid
+        else:
+            hi, hit = mid, got
+    return cands[hi], hit
 
 
 def min_feasible_dilation(instance: NukcInstance):
@@ -184,22 +198,13 @@ def min_feasible_dilation(instance: NukcInstance):
     feasible, together with a basic feasible x.  Feasibility is monotone in
     the dilation, so binary search applies."""
     cands = candidate_dilations(instance)
-    if solve_fractional(instance, cands[-1]) is None:
+    found = smallest_feasible(cands, lambda d: solve_fractional(instance, d))
+    if found is None:
         raise InfeasibleInstanceError(
             "relaxation infeasible at the largest candidate dilation "
             f"({cands[-1]:g}); not enough balls to cover the points"
         )
-    losol = solve_fractional(instance, cands[0])
-    if losol is not None:
-        return cands[0], losol
-    lo, hi = 0, len(cands) - 1  # cands[lo] infeasible, cands[hi] feasible
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if solve_fractional(instance, cands[mid]) is None:
-            lo = mid
-        else:
-            hi = mid
-    return cands[hi], solve_fractional(instance, cands[hi])
+    return found
 
 
 @dataclass
@@ -309,46 +314,8 @@ def achieved_dilation(instance: NukcInstance, solution: NukcSolution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Radius preprocessing: power-of-two clubbing and doubling compression.
+# Radius preprocessing: doubling compression.
 # ---------------------------------------------------------------------------
-
-
-def club_radii(instance: NukcInstance):
-    """Round every positive radius up to the nearest power of two.
-
-    Returns (clubbed instance, mapping) where mapping[t_clubbed] is the list
-    of (original class index, multiplicity) folded into clubbed class t.
-    Any (a, b) solution of the clubbed instance is an (a, 2b) solution of
-    the original, since each radius grew by a factor less than 2.
-    """
-    clubbed: dict[float, list] = {}
-    for t, cls in enumerate(instance.classes):
-        r = cls.radius
-        if r > 0:
-            r = 2.0 ** math.ceil(math.log2(r) - 1e-12)
-        clubbed.setdefault(r, []).append((t, cls.multiplicity))
-    order = sorted(clubbed, reverse=True)
-    new_classes = [(sum(m for _, m in clubbed[r]), r) for r in order]
-    mapping = [clubbed[r] for r in order]
-    return NukcInstance(instance.space, new_classes), mapping
-
-
-def lift_clubbed_solution(
-    clubbed_solution: NukcSolution, mapping, original: NukcInstance
-) -> NukcSolution:
-    """Reassign balls of each clubbed class round-robin over the original
-    classes it absorbed, weighted by multiplicity.  Preserves used radii,
-    so an (a, b) clubbed solution validates at (a, 2b) on the original."""
-    balls = []
-    for tc, targets in enumerate(mapping):
-        slots = []
-        for t_orig, mult in targets:
-            slots.extend([t_orig] * mult)
-        cballs = [b for b in clubbed_solution.balls if b.class_index == tc]
-        for i, b in enumerate(cballs):
-            t_orig = slots[i % len(slots)]
-            balls.append(Ball(b.center, t_orig, b.radius_used))
-    return NukcSolution(balls)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .metric import COVER_TOL
-from .model import Ball, NukcInstance, NukcSolution, candidate_dilations
+from .model import Ball, NukcInstance, NukcSolution, candidate_dilations, smallest_feasible
 
 
 class SizeBudgetError(ValueError):
@@ -70,24 +70,13 @@ def exact_nukc(
             f"got n = {instance.n}, k = {instance.total_k}"
         )
     cands = candidate_dilations(instance)
-    if _coverable(instance, cands[-1]) is None:
+    found = smallest_feasible(cands, lambda alpha: _coverable(instance, alpha))
+    if found is None:
         raise SizeBudgetError(
             "instance is uncoverable at every candidate dilation "
             f"(largest tried: {cands[-1]:g})"
         )
-    if _coverable(instance, cands[0]) is not None:
-        lo_ok = 0
-    else:
-        lo, hi = 0, len(cands) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _coverable(instance, cands[mid]) is None:
-                lo = mid
-            else:
-                hi = mid
-        lo_ok = hi
-    alpha = cands[lo_ok]
-    placement = _coverable(instance, alpha)
+    alpha, placement = found
     balls = [
         Ball(center, t, alpha * instance.radii[t]) for center, t in placement
     ]

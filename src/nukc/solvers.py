@@ -18,7 +18,6 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from . import lp
 from .embed import embed_barrier, embed_basic, lift_tree_solution
 from .metric import COVER_TOL, MetricSpace, gonzalez_kcenter
 from .model import (
@@ -26,18 +25,22 @@ from .model import (
     CompressedInstance,
     NukcInstance,
     NukcSolution,
-    build_nukc_lp,
     candidate_dilations,
+    candidate_values,
     coverage,
     min_feasible_dilation,
+    smallest_feasible,
     solve_fractional,
-    var_index,
 )
 from .oracle import SizeBudgetError
 from .rmfct import FirefighterSolution, round_depth2, round_loose, solve_rmfct_lp
 
 THETA = (math.sqrt(5.0) + 1.0) / 2.0
 TWO_RADII_FACTOR = 1.0 + math.sqrt(5.0)
+# Slack on the mass tests of bottom-heavy rounding.  Callers that pick the
+# points to round must use the same slack: round_bottom_heavy raises on a
+# point it finds below half mass.
+HALF_MASS_TOL = 1e-7
 
 
 def ilog(value: float) -> int:
@@ -102,32 +105,19 @@ def solve_kcwo(space: MetricSpace, k: int, l: int) -> KcwoResult:
         if len(outliers) <= l:
             return KcwoResult(centers, outliers, 0.0)
 
-    cands = sorted({float(d) for d in space.dist[np.triu_indices(n, 1)]} | {0.0})
-
     def fractional(r: float):
         inst = NukcInstance(space, [(k, r), (l, 0)] if l > 0 else [(k, r)])
         if inst.num_classes != (2 if l > 0 else 1):
-            return None, None  # r == 0 merged the classes; handled above
-        return inst, solve_fractional(inst, 1.0)
+            return None  # r == 0 merged the classes; handled above
+        x = solve_fractional(inst, 1.0)
+        return None if x is None else (inst, x)
 
-    lo, hi = 0, len(cands) - 1
-    inst_hi, x_hi = fractional(cands[hi])
-    if x_hi is None:
+    found = smallest_feasible(candidate_values(space.dist, [1.0]), fractional)
+    if found is None:
         raise ValueError("relaxation infeasible even at the metric diameter")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        inst_mid, x_mid = fractional(cands[mid])
-        if x_mid is None:
-            lo = mid
-        else:
-            hi, inst_hi, x_hi = mid, inst_mid, x_mid
-    if lo == 0:
-        inst0, x0 = fractional(cands[0])
-        if x0 is not None:
-            hi, inst_hi, x_hi = 0, inst0, x0
-    r = cands[hi]
+    r, (inst, x) = found
 
-    emb = embed_basic(inst_hi, x_hi)
+    emb = embed_basic(inst, x)
     if l > 0:
         ff = round_depth2(emb.tree, emb.y)
         top = set(emb.tree.levels[0])
@@ -172,12 +162,11 @@ def charikar_kcwo(space: MetricSpace, k: int, l: int, r: float) -> KcwoResult | 
 
 
 def charikar_kcwo_search(space: MetricSpace, k: int, l: int) -> KcwoResult:
-    """Smallest candidate radius at which the greedy succeeds."""
+    """Smallest candidate radius at which the greedy succeeds.  A first-hit
+    scan, not a bisection: the greedy is not known to be monotone in r."""
     if l >= space.n:
         return KcwoResult([], list(range(space.n)), 0.0)
-    n = space.n
-    cands = sorted({float(d) for d in space.dist[np.triu_indices(n, 1)]} | {0.0})
-    for r in cands:
+    for r in candidate_values(space.dist, [1.0]):
         res = charikar_kcwo(space, k, l, r)
         if res is not None:
             return res
@@ -254,7 +243,6 @@ def round_bottom_heavy(
     x: np.ndarray,
     tau: int,
     points=None,
-    tol: float = 1e-7,
 ) -> BottomHeavyResult:
     """Round x on the points drawing coverage >= 1/2 from classes >= tau.
 
@@ -269,18 +257,18 @@ def round_bottom_heavy(
     if not (0 <= tau <= L):
         raise ValueError(f"tau must lie in [0, {L}], got {tau}")
     prof = coverage(instance, x)
-    eligible = [p for p in range(n) if prof.suffix(p, tau) >= 0.5 - tol]
+    eligible = [p for p in range(n) if prof.suffix(p, tau) >= 0.5 - HALF_MASS_TOL]
     if points is None:
         pts = eligible
     else:
         pts = sorted(points)
-        bad = [p for p in pts if prof.suffix(p, tau) < 0.5 - tol]
+        bad = [p for p in pts if prof.suffix(p, tau) < 0.5 - HALF_MASS_TOL]
         if bad:
             raise ValueError(
                 f"points {bad} draw less than half their coverage from classes >= {tau}"
             )
     mid = min(L, max(tau, ilog(L)))
-    upper = [p for p in pts if prof.window(p, tau, mid) >= 0.25 - tol]
+    upper = [p for p in pts if prof.window(p, tau, mid) >= 0.25 - HALF_MASS_TOL]
     lower = [p for p in pts if p not in set(upper)]
     balls = []
     parts = []
@@ -322,7 +310,7 @@ class GuessQResult:
     guess: list  # the enumerated (center, class) pairs
 
 
-def _window_lp_feasible(instance, alpha, tau, fixed_balls, tol=1e-9):
+def _window_lp_feasible(instance, alpha, tau, fixed_balls):
     """Cover the points missed by `fixed_balls` using classes >= tau only,
     at dilation alpha.  Returns (x, uncovered) or (None, uncovered)."""
     n, h = instance.n, instance.num_classes
@@ -334,9 +322,8 @@ def _window_lp_feasible(instance, alpha, tau, fixed_balls, tol=1e-9):
     uncovered = [int(p) for p in np.nonzero(~covered)[0]]
     if not uncovered:
         return np.zeros((n, h)), uncovered
-    x = solve_fractional(
-        instance, alpha, points=uncovered, class_window=(tau, h - 1)
-    )
+    below_tau = {(p, t): 0.0 for p in range(n) for t in range(tau)}
+    x = solve_fractional(instance, alpha, points=uncovered, start=tau, pinned=below_tau)
     return x, uncovered
 
 
@@ -374,8 +361,6 @@ def solve_guess_q(
         for combo in product(*per_class)
     ] or [[]]
 
-    cands = candidate_dilations(instance)
-
     def first_feasible(alpha):
         for guess in guesses:
             x, uncovered = _window_lp_feasible(instance, alpha, tau, guess)
@@ -383,23 +368,10 @@ def solve_guess_q(
                 return guess, x, uncovered
         return None
 
-    hit_hi = first_feasible(cands[-1])
-    if hit_hi is None:
+    found = smallest_feasible(candidate_dilations(instance), first_feasible)
+    if found is None:
         raise ValueError("no guess admits a cover at the largest candidate dilation")
-    lo, hi = 0, len(cands) - 1
-    hit0 = first_feasible(cands[0])
-    if hit0 is not None:
-        hi, hit_hi = 0, hit0
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            hit = first_feasible(cands[mid])
-            if hit is None:
-                lo = mid
-            else:
-                hi, hit_hi = mid, hit
-    alpha = cands[hi]
-    guess, x, uncovered = hit_hi
+    alpha, (guess, x, uncovered) = found
 
     balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in guess]
     if uncovered:

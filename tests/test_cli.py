@@ -158,6 +158,28 @@ class TestSolveValidate:
         assert code == 2
         assert "not a point id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc,change",
+        [
+            ("inst", lambda o: o.__setitem__("labels", 5)),
+            ("sol", lambda o: o.__setitem__("outliers", [None])),
+            ("sol", lambda o: o.__setitem__("outliers", [1.5])),
+            ("sol", lambda o: o["balls"][0].__setitem__("center", 1.7)),
+        ],
+        ids=["labels-5", "outlier-null", "outlier-1.5", "center-1.7"],
+    )
+    def test_non_integer_ids_are_usage_errors(self, tmp_path, capsys, doc, change):
+        paths = {"inst": self.make_instance(tmp_path), "sol": tmp_path / "sol.json"}
+        run(["solve", "--algo", "kcenter", "--input", str(paths["inst"]),
+             "--out", str(paths["sol"])])
+        self.edit(paths[doc], change)
+        capsys.readouterr()
+        code = run(["validate", "--instance", str(paths["inst"]),
+                    "--solution", str(paths["sol"])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_solver_breakdown_exit_code(self, tmp_path, capsys, monkeypatch):
         inst = self.make_instance(tmp_path)
 

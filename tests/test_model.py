@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nukc.metric import MetricSpace
+from nukc import model
+from nukc.bicriteria import GuessPair, build_guess_lp, min_level
+from nukc.metric import COVER_TOL, MetricSpace
 from nukc.model import (
     Ball,
     InfeasibleInstanceError,
@@ -12,18 +14,113 @@ from nukc.model import (
     achieved_dilation,
     build_nukc_lp,
     candidate_dilations,
-    club_radii,
     compress_radii,
     coverage,
-    lift_clubbed_solution,
     lift_compressed_solution,
     min_feasible_dilation,
+    smallest_feasible,
     solve_fractional,
     validate_solution,
+    var_index,
 )
 from nukc import lp
 from nukc.gadgets import random_instance
 from nukc.oracle import exact_nukc
+from nukc.solvers import _window_lp_feasible
+
+
+# Reference implementations: the per-entry loop builders and the candidate
+# loop that the vectorised code replaced, kept to pin its output.
+
+
+def reference_nukc_lp(instance, dilation, points=None, class_window=None):
+    n, h = instance.n, instance.num_classes
+    radii = instance.radii
+    prob = lp.LpProblem(num_vars=n * h)
+    bounds = [(0.0, 1.0)] * (n * h)
+    if class_window is not None:
+        wlo, whi = class_window
+        for p in range(n):
+            for t in range(h):
+                if not (wlo <= t <= whi):
+                    bounds[var_index(p, t, h)] = (0.0, 0.0)
+    prob.bounds = bounds
+    pts = range(n) if points is None else points
+    dist = instance.space.dist
+    for p in pts:
+        row = np.zeros(n * h)
+        for t in range(h):
+            if class_window is not None and not (class_window[0] <= t <= class_window[1]):
+                continue
+            reach = dilation * radii[t] + COVER_TOL
+            for q in np.nonzero(dist[p] <= reach)[0]:
+                row[var_index(int(q), t, h)] = 1.0
+        prob.add_constraint(row, lp.GE, 1.0)
+    for t in range(h):
+        row = np.zeros(n * h)
+        for p in range(n):
+            row[var_index(p, t, h)] = 1.0
+        prob.add_constraint(row, lp.LE, float(instance.classes[t].multiplicity))
+    return prob
+
+
+def reference_guess_lp(points, pair, instance):
+    n, h = instance.n, instance.num_classes
+    dist = instance.space.dist
+    radii = instance.radii
+    prob = lp.LpProblem(num_vars=n * h)
+    bounds = [(0.0, 1.0)] * (n * h)
+    for (q, t) in sorted(pair.negative):
+        bounds[var_index(q, t, h)] = (0.0, 0.0)
+    for (q, t) in sorted(pair.affirmative):
+        bounds[var_index(q, t, h)] = (1.0, 1.0)
+    prob.bounds = bounds
+    for p in sorted(points):
+        row = np.zeros(n * h)
+        for t in range(min_level(pair, instance, p), h):
+            for q in np.nonzero(dist[p] <= radii[t] + COVER_TOL)[0]:
+                row[var_index(int(q), t, h)] = 1.0
+        prob.add_constraint(row, lp.GE, 1.0)
+    for t in range(h):
+        row = np.zeros(n * h)
+        for p in range(n):
+            row[var_index(p, t, h)] = 1.0
+        prob.add_constraint(row, lp.LE, float(instance.classes[t].multiplicity))
+    return prob
+
+
+def reference_candidates(instance):
+    vals = {0.0}
+    dist = instance.space.dist
+    for r in instance.radii:
+        if r > 0:
+            for i in range(instance.n):
+                for j in range(i + 1, instance.n):
+                    vals.add(dist[i, j] / r)
+    return sorted(vals)
+
+
+def assert_same_lp(got, want):
+    """Same rows in the same order, same bounds, same dtype, bit for bit."""
+    assert got.num_vars == want.num_vars
+    assert repr(got.bounds) == repr(want.bounds)
+    assert got.objective is None and want.objective is None
+    assert len(got.constraints) == len(want.constraints)
+    for (cg, rg, bg), (cw, rw, bw) in zip(got.constraints, want.constraints):
+        assert cg.dtype == cw.dtype and cg.shape == cw.shape
+        assert cg.tobytes() == cw.tobytes()
+        assert (rg, repr(bg)) == (rw, repr(bw))
+
+
+def seeded_case(seed):
+    """A random instance, a dilation from its candidate set and a random
+    ascending subset of its points."""
+    rng = np.random.RandomState(seed)
+    inst = random_instance(1 + seed % 9, seed=seed, max_classes=4)
+    cands = candidate_dilations(inst)
+    dilation = cands[rng.randint(len(cands))]
+    points = sorted(int(p) for p in np.nonzero(rng.rand(inst.n) < 0.6)[0])
+    return rng, inst, dilation, points
 
 
 class TestInstance:
@@ -95,12 +192,109 @@ class TestFractional:
         with pytest.raises(InfeasibleInstanceError):
             min_feasible_dilation(inst)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_candidates_match_reference(self, seed):
+        inst = random_instance(1 + seed % 9, seed=seed, max_classes=4)
+        assert candidate_dilations(inst) == reference_candidates(inst)
+
+    def test_min_feasible_dilation_solves_each_probe_once(self, monkeypatch):
+        solves, probes = [], []
+        real_solve, real_fractional = lp.solve, model.solve_fractional
+
+        def counting_solve(problem):
+            solves.append(problem)
+            return real_solve(problem)
+
+        def recording_fractional(instance, dilation, **kwargs):
+            probes.append(dilation)
+            return real_fractional(instance, dilation, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        monkeypatch.setattr(model, "solve_fractional", recording_fractional)
+        for seed in range(10):
+            inst = random_instance(8, seed=seed)
+            solves.clear(), probes.clear()
+            alpha, x = min_feasible_dilation(inst)
+            assert len(solves) == len(probes) == len(set(probes))
+            assert np.array_equal(x, real_fractional(inst, alpha))
+
     def test_lp_shape(self, line_instance):
         prob = build_nukc_lp(line_instance, 1.0)
         n, h = line_instance.n, line_instance.num_classes
         assert prob.num_vars == n * h
         # n covering rows + h budget rows
         assert len(prob.constraints) == n + h
+
+
+class TestBuilder:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_plain_rows_match_reference(self, seed):
+        _, inst, dilation, points = seeded_case(seed)
+        assert_same_lp(build_nukc_lp(inst, dilation), reference_nukc_lp(inst, dilation))
+        assert_same_lp(
+            build_nukc_lp(inst, dilation, points=points),
+            reference_nukc_lp(inst, dilation, points=points),
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_window_rows_match_reference(self, seed, monkeypatch):
+        rng, inst, dilation, _ = seeded_case(seed)
+        h = inst.num_classes
+        tau = int(rng.randint(h))
+        fixed = [(int(rng.randint(inst.n)), int(rng.randint(h)))]
+        built = []
+        monkeypatch.setattr(
+            lp, "solve", lambda prob: built.append(prob) or lp.LpSolution("infeasible")
+        )
+        x, uncovered = _window_lp_feasible(inst, dilation, tau, fixed)
+        if not uncovered:
+            assert not built and not x.any()
+            return
+        assert x is None and len(built) == 1
+        want = reference_nukc_lp(inst, dilation, points=uncovered, class_window=(tau, h - 1))
+        assert_same_lp(built[0], want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_guess_rows_match_reference(self, seed):
+        rng, inst, _, points = seeded_case(seed)
+        n, h = inst.n, inst.num_classes
+        tuples = [(q, t) for q in range(n) for t in range(h)]
+        draw = rng.rand(len(tuples))
+        negative = [tup for tup, u in zip(tuples, draw) if u < 0.5]
+        affirmative = [tup for tup, u in zip(tuples, draw) if u > 0.8]
+        if negative:  # an A/D collision: A must win
+            affirmative.append(negative[0])
+        pair = GuessPair(frozenset(affirmative), frozenset(negative))
+        want = reference_guess_lp(points, pair, inst)
+        assert_same_lp(build_guess_lp(points, pair, inst), want)
+
+    def test_start_mapping_and_pins(self, line_instance):
+        prob = build_nukc_lp(line_instance, 1.0, points=[4, 0], start={0: 1, 4: 0},
+                             pinned={(2, 1): 1.0})
+        rows = [c for c, rel, _ in prob.constraints if rel == lp.GE]
+        # Ascending point order; point 0's row holds class 1 only.
+        assert rows[0][0::2].sum() == 0 and rows[0][1::2].sum() == 2
+        assert rows[1][0::2].sum() == 2 and rows[1][1::2].sum() == 2
+        assert prob.bounds[var_index(2, 1, 2)] == (1.0, 1.0)
+
+
+class TestSmallestFeasible:
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 16])
+    def test_matches_linear_scan(self, length):
+        cands = [0.5 * i for i in range(length)]
+        for threshold in range(length + 1):  # threshold == length: none holds
+            probed = []
+
+            def probe(c):
+                probed.append(c)
+                return ("hit", c) if c >= 0.5 * threshold else None
+
+            scan = next(((c, ("hit", c)) for c in cands if c >= 0.5 * threshold), None)
+            assert smallest_feasible(cands, probe) == scan
+            assert probed[0] == cands[-1]
+            assert len(probed) == len(set(probed))
+            if scan is not None and length > 1:
+                assert probed[1] == cands[0]
 
 
 class TestCoverage:
@@ -142,41 +336,6 @@ class TestValidation:
         sol = NukcSolution([Ball(3, 0, 0.0)])
         # Zero-radius balls cover only their own point, at any dilation.
         assert achieved_dilation(inst, sol) == math.inf
-
-
-class TestClubbing:
-    def test_powers_of_two(self, line_space):
-        inst = NukcInstance(line_space, [(1, 5.0), (1, 3.0), (1, 1.0)])
-        clubbed, mapping = club_radii(inst)
-        assert clubbed.radii == [8.0, 4.0, 1.0]
-        assert [c.multiplicity for c in clubbed.classes] == [1, 1, 1]
-
-    def test_equal_results_merge(self, line_space):
-        inst = NukcInstance(line_space, [(1, 4.0), (1, 3.0), (1, 1.0)])
-        clubbed, mapping = club_radii(inst)
-        assert clubbed.radii == [4.0, 1.0]
-        assert clubbed.budgets == [2, 1]
-
-    def test_zero_radius_preserved(self, line_space):
-        inst = NukcInstance(line_space, [(1, 3.0), (2, 0.0)])
-        clubbed, _ = club_radii(inst)
-        assert clubbed.radii == [4.0, 0.0]
-
-    def test_clubbed_optimum_not_worse(self):
-        for seed in range(15):
-            inst = random_instance(8, seed=seed)
-            clubbed, _ = club_radii(inst)
-            a_orig, _ = min_feasible_dilation(inst)
-            a_club, _ = min_feasible_dilation(clubbed)
-            assert a_club <= a_orig + 1e-9
-
-    def test_lift_maps_back_with_doubled_radii(self, line_space):
-        inst = NukcInstance(line_space, [(1, 5.0), (1, 3.0)])
-        clubbed, mapping = club_radii(inst)  # radii 8, 4
-        csol = NukcSolution([Ball(1, 0, 8.0), Ball(3, 1, 4.0)])
-        lifted = lift_clubbed_solution(csol, mapping, inst)
-        report = validate_solution(inst, lifted, 1.0, 2.0)
-        assert report.ok
 
 
 class TestCompression:
