@@ -206,7 +206,8 @@ def enum_solve(
         x_star = sol.values.reshape(n, h)
         prof = coverage(scaled, x_star)
         x_b = [p for p in rest if prof.suffix(p, tau) >= 0.5 - HALF_MASS_TOL]
-        x_t = [p for p in rest if p not in set(x_b)]
+        in_b = set(x_b)
+        x_t = [p for p in rest if p not in in_b]
         balls_a = [
             Ball(p, t, GATHER_FACTOR * radii[t]) for (p, t) in sorted(pair.affirmative)
         ]

@@ -14,7 +14,6 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fileio, lp
@@ -178,7 +177,8 @@ def cmd_validate(args) -> int:
         if not (0 <= p < instance.n):
             raise ValueError(f"outlier {p} is not a point id in [0, {instance.n})")
     # Points listed as outliers are excused from coverage.
-    uncovered = [p for p in report.uncovered if p not in set(outliers)]
+    excused = set(outliers)
+    uncovered = [p for p in report.uncovered if p not in excused]
     ok = not (uncovered or report.radius_violations or report.count_violations)
     if ok:
         print("valid")
@@ -192,40 +192,34 @@ def cmd_validate(args) -> int:
     return EXIT_INVALID
 
 
-def _compare_row(path: str, algo: str):
+def _compare_rows(path: str, algos) -> list:
+    """One CSV row per algorithm on the instance at `path`, each against
+    the instance's fractional lower bound."""
     instance = fileio.instance_from_obj(fileio.load(path))
-    started = time.perf_counter()
-    try:
-        solution, _, _ = _solve_one(instance, algo)
-        dilation = achieved_dilation(instance, solution)
-    except (SizeBudgetError, UsageError, ValueError) as exc:
-        return {
-            "instance": path,
-            "algo": algo,
-            "dilation": "",
-            "lower_bound": "",
-            "ratio": "",
-            "seconds": f"{time.perf_counter() - started:.6f}",
-            "note": str(exc),
-        }
     try:
         lower, _ = min_feasible_dilation(instance)
     except InfeasibleInstanceError:
         lower = None
-    ratio = ""
-    if lower:
-        ratio = f"{dilation / lower:.6f}"
-    elif lower == 0.0 and dilation == 0.0:
-        ratio = "1.000000"
-    return {
-        "instance": path,
-        "algo": algo,
-        "dilation": f"{dilation:.6f}",
-        "lower_bound": "" if lower is None else f"{lower:.6f}",
-        "ratio": ratio,
-        "seconds": f"{time.perf_counter() - started:.6f}",
-        "note": "",
-    }
+    rows = []
+    for algo in algos:
+        started = time.perf_counter()
+        row = {"instance": path, "algo": algo, "dilation": "", "lower_bound": "",
+               "ratio": "", "note": ""}
+        try:
+            solution, _, _ = _solve_one(instance, algo)
+            dilation = achieved_dilation(instance, solution)
+        except (SizeBudgetError, UsageError, ValueError) as exc:
+            row["note"] = str(exc)
+        else:
+            row["dilation"] = f"{dilation:.6f}"
+            row["lower_bound"] = "" if lower is None else f"{lower:.6f}"
+            if lower:
+                row["ratio"] = f"{dilation / lower:.6f}"
+            elif lower == 0.0 and dilation == 0.0:
+                row["ratio"] = "1.000000"
+        row["seconds"] = f"{time.perf_counter() - started:.6f}"
+        rows.append(row)
+    return rows
 
 
 def cmd_compare(args) -> int:
@@ -236,17 +230,12 @@ def cmd_compare(args) -> int:
     for a in algos:
         if a not in ALGOS:
             raise UsageError(f"unknown algorithm {a}")
-    jobs = [(p, a) for p in paths for a in algos]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda j: _compare_row(*j), jobs))
-    else:
-        rows = [_compare_row(*j) for j in jobs]
     fields = ["instance", "algo", "dilation", "lower_bound", "ratio", "seconds", "note"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        writer.writerows(rows)  # input order, regardless of completion order
+        for path in paths:
+            writer.writerows(_compare_rows(path, algos))
     return EXIT_OK
 
 
@@ -289,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instances", required=True, help="directory of instance .json files")
     c.add_argument("--algos", required=True, help="comma-separated algorithm list")
     c.add_argument("--out", required=True, help="CSV report path")
-    c.add_argument("--jobs", type=int, default=1)
     c.set_defaults(func=cmd_compare)
     return parser
 

@@ -75,7 +75,6 @@ def embed(
     x: np.ndarray,
     mode: str = "basic",
     points=None,
-    audit: bool = True,
 ) -> EmbedResult:
     """Embed a fractional solution x (feasible at dilation 1, covering at
     least the points in `points`) into a layered tree.  Winner selection
@@ -168,7 +167,7 @@ def embed(
         leaf_node_of=leaf_node_of,
         y={v: float(val) for v, val in yval.items()},
     )
-    if mode == "barrier" and audit:
+    if mode == "barrier":
         _audit_barrier(result)
     return result
 
@@ -177,8 +176,8 @@ def embed_basic(instance, x, points=None) -> EmbedResult:
     return embed(instance, x, mode="basic", points=points)
 
 
-def embed_barrier(instance, x, points=None, audit: bool = True) -> EmbedResult:
-    return embed(instance, x, mode="barrier", points=points, audit=audit)
+def embed_barrier(instance, x, points=None) -> EmbedResult:
+    return embed(instance, x, mode="barrier", points=points)
 
 
 def lift_radius(result: EmbedResult, level: int) -> float:

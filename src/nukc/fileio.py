@@ -80,8 +80,11 @@ def instance_from_obj(obj: dict) -> NukcInstance:
     parsed = []
     for i, c in enumerate(classes):
         try:
-            parsed.append((int(c["k"]), float(c["r"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            k, r = c["k"], c["r"]
+            if type(r) not in (int, float):  # bool, strings and null are not radii
+                raise TypeError(r)
+            parsed.append((_integral(k, f'class {i} "k"'), float(r)))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f'class {i} needs integer "k" and numeric "r"') from exc
     return NukcInstance(space, parsed)
 

@@ -8,15 +8,12 @@ rounding routines in this package rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-7
-
-LE = "<="
-GE = ">="
 
 
 class LpSolverError(RuntimeError):
@@ -27,19 +24,20 @@ class LpSolverError(RuntimeError):
 class LpProblem:
     """minimize objective . x subject to row constraints and box bounds.
 
-    Constraints are (coeffs, rel, rhs) with rel in {"<=", ">="}.
-    Bounds are per-variable (lo, hi); hi may be math.inf.
+    `constraints` is an (m, n) matrix: row i reads constraints[i] . x >=
+    rhs[i] where ge[i], and <= rhs[i] elsewhere.  `bounds` is (n, 2), one
+    (lo, hi) per variable; hi may be inf.
     """
 
-    num_vars: int
-    constraints: list = field(default_factory=list)
-    bounds: list | None = None
+    constraints: np.ndarray
+    ge: np.ndarray
+    rhs: np.ndarray
+    bounds: np.ndarray
     objective: np.ndarray | None = None
 
-    def add_constraint(self, coeffs, rel: str, rhs: float) -> None:
-        if rel not in (LE, GE):
-            raise ValueError(f"unknown relation {rel!r}")
-        self.constraints.append((np.asarray(coeffs, dtype=float), rel, float(rhs)))
+    @property
+    def num_vars(self) -> int:
+        return self.constraints.shape[1]
 
 
 @dataclass
@@ -73,11 +71,12 @@ def format_lp(problem: LpProblem) -> str:
     )
     lines.append(" obj: " + row(obj))
     lines.append("Subject To")
-    for i, (coeffs, rel, rhs) in enumerate(problem.constraints):
-        lines.append(f" c{i}: " + row(coeffs) + f" {rel} {rhs:g}")
+    for i, (coeffs, ge, rhs) in enumerate(
+        zip(problem.constraints, problem.ge, problem.rhs)
+    ):
+        lines.append(f" c{i}: " + row(coeffs) + f" {'>=' if ge else '<='} {rhs:g}")
     lines.append("Bounds")
-    bounds = problem.bounds or [(0.0, np.inf)] * problem.num_vars
-    for j, (lo, hi) in enumerate(bounds):
+    for j, (lo, hi) in enumerate(problem.bounds):
         hi_s = "+inf" if np.isinf(hi) else f"{hi:g}"
         lines.append(f" {lo:g} <= x{j} <= {hi_s}")
     lines.append("End")
@@ -91,6 +90,7 @@ def _pivot_loop(A, b, cost, lo, hi, basis, x, max_iters):
     m, ncols = A.shape
     in_basis = np.zeros(ncols, dtype=bool)
     in_basis[basis] = True
+    movable = lo != hi
     for _ in range(max_iters):
         B = A[:, basis]
         try:
@@ -98,20 +98,13 @@ def _pivot_loop(A, b, cost, lo, hi, basis, x, max_iters):
         except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
             raise LpSolverError("singular basis matrix") from exc
         reduced = cost - lam @ A
-        entering = -1
-        direction = 0
-        for j in range(ncols):  # Bland: lowest eligible index enters
-            if in_basis[j] or lo[j] == hi[j]:
-                continue
-            at_lower = x[j] <= lo[j] + FEAS_TOL
-            if at_lower and reduced[j] < -PIVOT_TOL:
-                entering, direction = j, 1
-                break
-            if not at_lower and reduced[j] > PIVOT_TOL:
-                entering, direction = j, -1
-                break
-        if entering < 0:
+        at_lower = x <= lo + FEAS_TOL
+        improving = np.where(at_lower, reduced < -PIVOT_TOL, reduced > PIVOT_TOL)
+        eligible = np.flatnonzero(improving & movable & ~in_basis)
+        if not eligible.size:
             return "optimal"
+        entering = eligible[0]  # Bland: lowest eligible index enters
+        direction = 1 if at_lower[entering] else -1
         w = np.linalg.solve(B, A[:, entering])
         t_max = hi[entering] - lo[entering]
         blocking = -1
@@ -133,8 +126,7 @@ def _pivot_loop(A, b, cost, lo, hi, basis, x, max_iters):
             return "unbounded"
         t_max = max(t_max, 0.0)
         x[entering] += direction * t_max
-        for i in range(m):
-            x[basis[i]] -= direction * w[i] * t_max
+        x[basis] -= direction * w * t_max
         if blocking >= 0:
             leave = basis[blocking]
             # Snap the leaving variable onto whichever bound it hit.
@@ -155,106 +147,71 @@ def solve(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
     """Solve an LpProblem.  Deterministic: identical input gives identical
     pivot sequences and output.
     """
-    n = problem.num_vars
-    m = len(problem.constraints)
-    bounds = problem.bounds or [(0.0, np.inf)] * n
-    if len(bounds) != n:
-        raise ValueError("bounds length must equal num_vars")
-    for j, (blo, bhi) in enumerate(bounds):
-        if blo > bhi:
-            raise ValueError(f"variable {j} has empty bound interval [{blo}, {bhi}]")
-
-    ncols = n + m  # structural + one slack per row
-    A = np.zeros((max(m, 1), ncols))
-    b = np.zeros(max(m, 1))
-    lo = np.zeros(ncols)
-    hi = np.full(ncols, np.inf)
-    for j, (blo, bhi) in enumerate(bounds):
-        lo[j], hi[j] = float(blo), float(bhi)
-
-    x = np.zeros(ncols)
-    x[:n] = lo[:n]
-
-    if m == 0:
-        vals = x[:n].copy()
-        obj = problem.objective
-        return LpSolution(
-            status="optimal" if obj is not None else "feasible",
-            values=vals,
-            objective_value=float(obj @ vals) if obj is not None else None,
-            is_basic=True,
+    C = np.asarray(problem.constraints, dtype=float)
+    ge = np.asarray(problem.ge, dtype=bool)
+    rhs = np.asarray(problem.rhs, dtype=float)
+    bounds = np.asarray(problem.bounds, dtype=float)
+    m, n = C.shape
+    if ge.shape != (m,) or rhs.shape != (m,):
+        raise ValueError(f"ge and rhs need one entry per row ({m}), got "
+                         f"{ge.shape} and {rhs.shape}")
+    if bounds.shape != (n, 2):
+        raise ValueError(f"bounds must be ({n}, 2), got {bounds.shape}")
+    empty = np.flatnonzero(bounds[:, 0] > bounds[:, 1])
+    if empty.size:
+        j = empty[0]
+        raise ValueError(
+            f"variable {j} has empty bound interval [{bounds[j, 0]}, {bounds[j, 1]}]"
         )
+    has_obj = problem.objective is not None
+    obj = np.asarray(problem.objective if has_obj else np.zeros(n), dtype=float)
+    if obj.shape != (n,):
+        raise ValueError("objective has wrong width")
 
-    basis = []
-    art_cols = []
-    for i, (coeffs, rel, rhs) in enumerate(problem.constraints):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (n,):
-            raise ValueError(f"constraint {i} has wrong width {coeffs.shape}")
-        A[i, :n] = coeffs
-        b[i] = rhs
-        sl = n + i
-        A[i, sl] = 1.0 if rel == LE else -1.0
-        resid = rhs - coeffs @ x[:n]
-        sval = resid if rel == LE else -resid
-        if sval >= 0.0:
-            x[sl] = sval
-            basis.append(sl)
-        else:
-            x[sl] = 0.0
-            art_cols.append(i)
-            basis.append(-1)  # placeholder, filled below
-
-    if art_cols:
-        extra = np.zeros((m, len(art_cols)))
-        for a_idx, i in enumerate(art_cols):
-            resid = b[i] - A[i, :ncols] @ x
-            extra[i, a_idx] = 1.0 if resid >= 0 else -1.0
-        A = np.hstack([A, extra])
-        lo = np.concatenate([lo, np.zeros(len(art_cols))])
-        hi = np.concatenate([hi, np.full(len(art_cols), np.inf)])
-        xa = np.zeros(len(art_cols))
-        for a_idx, i in enumerate(art_cols):
-            resid = b[i] - A[i, :ncols] @ x
-            xa[a_idx] = abs(resid)
-            basis[i] = ncols + a_idx
-        x = np.concatenate([x, xa])
-        phase1 = np.zeros(A.shape[1])
-        phase1[ncols:] = 1.0
-        iters = max_iters or 200 * (m + A.shape[1])
-        status = _pivot_loop(A, b, phase1, lo, hi, basis, x, iters)
+    # One slack per row makes it an equation (+1 on <= rows, -1 on >= rows);
+    # a row whose slack would start negative also gets an artificial column.
+    sign = np.where(ge, -1.0, 1.0)
+    resid = rhs - C @ bounds[:, 0]
+    slack = sign * resid
+    fits = slack >= 0.0
+    art = np.flatnonzero(~fits)
+    ncols = n + m  # structural and slack columns; artificials follow
+    extra = np.zeros((m, art.size))
+    extra[art, np.arange(art.size)] = np.where(resid[art] >= 0, 1.0, -1.0)
+    A = np.hstack([C, np.diag(sign), extra])
+    lo = np.concatenate([bounds[:, 0], np.zeros(m + art.size)])
+    hi = np.concatenate([bounds[:, 1], np.full(m + art.size, np.inf)])
+    x = np.concatenate([bounds[:, 0], np.where(fits, slack, 0.0), np.abs(resid[art])])
+    basis = np.arange(n, ncols)
+    basis[art] = ncols + np.arange(art.size)
+    tol = FEAS_TOL * np.abs(rhs).max(initial=1.0)
+    iters = max_iters or 200 * (m + A.shape[1])
+    if art.size:
+        phase1 = (np.arange(A.shape[1]) >= ncols).astype(float)
+        status = _pivot_loop(A, rhs, phase1, lo, hi, basis, x, iters)
         if status == "unbounded":  # pragma: no cover - phase 1 is bounded below
             raise LpSolverError("phase one reported unbounded")
-        if float(phase1 @ x) > FEAS_TOL * max(1.0, np.abs(b).max()):
+        if float(phase1 @ x) > tol:
             return LpSolution(status="infeasible")
         hi[ncols:] = 0.0  # freeze artificials at zero for phase two
         x[ncols:] = 0.0
 
-    cost = np.zeros(A.shape[1])
-    if problem.objective is not None:
-        obj = np.asarray(problem.objective, dtype=float)
-        if obj.shape != (n,):
-            raise ValueError("objective has wrong width")
-        cost[:n] = obj
-    iters = max_iters or 200 * (m + A.shape[1])
-    status = _pivot_loop(A, b, cost, lo, hi, basis, x, iters)
-    if status == "unbounded":
+    cost = np.concatenate([obj, np.zeros(A.shape[1] - n)])
+    if _pivot_loop(A, rhs, cost, lo, hi, basis, x, iters) == "unbounded":
         return LpSolution(status="unbounded")
 
     vals = x[:n].copy()
     # Safety recheck against the original rows.
-    scale = max(1.0, np.abs(b).max())
-    for i, (coeffs, rel, rhs) in enumerate(problem.constraints):
-        lhs = float(np.asarray(coeffs, dtype=float) @ vals)
-        if rel == LE and lhs > rhs + FEAS_TOL * scale:
-            raise LpSolverError(f"row {i} violated after solve: {lhs} > {rhs}")
-        if rel == GE and lhs < rhs - FEAS_TOL * scale:
-            raise LpSolverError(f"row {i} violated after solve: {lhs} < {rhs}")
+    lhs = C @ vals
+    bad = np.flatnonzero(np.where(ge, lhs < rhs - tol, lhs > rhs + tol))
+    if bad.size:
+        i = bad[0]
+        op = "<" if ge[i] else ">"
+        raise LpSolverError(f"row {i} violated after solve: {lhs[i]} {op} {rhs[i]}")
     np.clip(vals, lo[:n], hi[:n], out=vals)
-    has_obj = problem.objective is not None
     return LpSolution(
         status="optimal" if has_obj else "feasible",
         values=vals,
-        objective_value=float(cost[:n] @ vals) if has_obj else None,
+        objective_value=float(obj @ vals) if has_obj else None,
         is_basic=True,
     )

@@ -101,9 +101,6 @@ class Ball:
 class NukcSolution:
     balls: list
 
-    def centers_of_class(self, t: int) -> list:
-        return [b.center for b in self.balls if b.class_index == t]
-
     def class_counts(self, num_classes: int) -> list:
         counts = [0] * num_classes
         for b in self.balls:
@@ -131,20 +128,20 @@ def build_nukc_lp(
     to the value that variable is fixed at.
     """
     n, h = instance.n, instance.num_classes
-    prob = lp.LpProblem(num_vars=n * h)
-    prob.bounds = [(0.0, 1.0)] * (n * h)
+    bounds = np.full((n * h, 2), (0.0, 1.0))
     for (q, t), value in (pinned or {}).items():
-        prob.bounds[var_index(q, t, h)] = (float(value), float(value))
+        bounds[var_index(q, t, h)] = value
     pts = list(range(n)) if points is None else sorted(points)
     first = [start[p] for p in pts] if isinstance(start, Mapping) else start
     reach = dilation * np.asarray(instance.radii, dtype=float) + COVER_TOL
     rows = instance.space.dist[pts][:, :, None] <= reach  # rows[i, q, t]
     rows &= np.arange(h) >= np.reshape(first, (-1, 1, 1))
-    for row in rows.reshape(len(pts), n * h).astype(float):
-        prob.add_constraint(row, lp.GE, 1.0)
-    for t, row in enumerate(np.tile(np.eye(h), n)):
-        prob.add_constraint(row, lp.LE, float(instance.classes[t].multiplicity))
-    return prob
+    return lp.LpProblem(
+        constraints=np.vstack([rows.reshape(len(pts), n * h), np.tile(np.eye(h), n)]),
+        ge=np.arange(len(pts) + h) < len(pts),
+        rhs=np.concatenate([np.ones(len(pts)), instance.budgets]),
+        bounds=bounds,
+    )
 
 
 def solve_fractional(instance: NukcInstance, dilation: float, **kwargs):

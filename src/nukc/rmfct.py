@@ -108,19 +108,19 @@ def build_rmfct_lp(tree: LayeredTree, alpha: float = 1.0) -> lp.LpProblem:
     leaf, level sums <= alpha * budget."""
     nodes = sorted(tree.level_of)
     idx = {v: i for i, v in enumerate(nodes)}
-    prob = lp.LpProblem(num_vars=len(nodes))
-    prob.bounds = [(0.0, 1.0)] * len(nodes)
-    for leaf in tree.leaves:
-        row = np.zeros(len(nodes))
-        for v in tree.path_to_root(leaf):
-            row[idx[v]] = 1.0
-        prob.add_constraint(row, lp.GE, 1.0)
-    for i, lv in enumerate(tree.levels):
-        row = np.zeros(len(nodes))
-        for v in lv:
-            row[idx[v]] = 1.0
-        prob.add_constraint(row, lp.LE, alpha * tree.budgets[i])
-    return prob
+    leaves, h = len(tree.leaves), tree.num_levels
+    # Every leaf sits on the last level, so each root path holds h nodes.
+    paths = [idx[v] for leaf in tree.leaves for v in tree.path_to_root(leaf)]
+    levels = np.array([tree.level_of[v] for v in nodes], dtype=int)
+    rows = np.zeros((leaves + h, len(nodes)))
+    rows[np.repeat(np.arange(leaves), h), paths] = 1.0
+    rows[leaves + levels, np.arange(len(nodes))] = 1.0
+    return lp.LpProblem(
+        constraints=rows,
+        ge=np.arange(leaves + h) < leaves,
+        rhs=np.concatenate([np.ones(leaves), alpha * np.array(tree.budgets)]),
+        bounds=np.full((len(nodes), 2), (0.0, 1.0)),
+    )
 
 
 def solve_rmfct_lp(tree: LayeredTree, alpha: float = 1.0):

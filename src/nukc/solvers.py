@@ -269,7 +269,8 @@ def round_bottom_heavy(
             )
     mid = min(L, max(tau, ilog(L)))
     upper = [p for p in pts if prof.window(p, tau, mid) >= 0.25 - HALF_MASS_TOL]
-    lower = [p for p in pts if p not in set(upper)]
+    in_upper = set(upper)
+    lower = [p for p in pts if p not in in_upper]
     balls = []
     parts = []
     for window, part in (((tau, mid), upper), ((mid + 1, L), lower)):

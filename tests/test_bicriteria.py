@@ -62,7 +62,7 @@ class TestGuessLp:
         inst = NukcInstance(line_space, [(1, 2.0), (1, 1.0)])
         pair = GuessPair.empty().with_negative([(1, 0)])
         prob = build_guess_lp(list(range(5)), pair, inst)
-        assert prob.bounds[var_index(1, 0, 2)] == (0.0, 0.0)
+        assert prob.bounds[var_index(1, 0, 2)].tolist() == [0.0, 0.0]
 
 
 class TestEnumSolve:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from nukc import fileio, lp
+from nukc import cli, fileio, lp
 from nukc.cli import EXIT_SOLVER, main
 
 
@@ -165,8 +165,12 @@ class TestSolveValidate:
             ("sol", lambda o: o.__setitem__("outliers", [None])),
             ("sol", lambda o: o.__setitem__("outliers", [1.5])),
             ("sol", lambda o: o["balls"][0].__setitem__("center", 1.7)),
+            ("inst", lambda o: o["classes"][0].__setitem__("k", 2.5)),
+            ("inst", lambda o: o["classes"][0].__setitem__("r", "0.5")),
+            ("inst", lambda o: o["classes"][0].__setitem__("r", True)),
         ],
-        ids=["labels-5", "outlier-null", "outlier-1.5", "center-1.7"],
+        ids=["labels-5", "outlier-null", "outlier-1.5", "center-1.7", "k-2.5",
+             "r-string", "r-true"],
     )
     def test_non_integer_ids_are_usage_errors(self, tmp_path, capsys, doc, change):
         paths = {"inst": self.make_instance(tmp_path), "sol": tmp_path / "sol.json"}
@@ -208,12 +212,33 @@ class TestCompare:
                  "--classes", "1:0.4,1:0.1", "--out", str(inst_dir / f"i{seed}.json")])
         out = tmp_path / "cmp.csv"
         assert run(["compare", "--instances", str(inst_dir),
-                    "--algos", "exact,two-radii", "--out", str(out), "--jobs", "2"]) == 0
+                    "--algos", "exact,two-radii", "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 6
         assert {r["algo"] for r in rows} == {"exact", "two-radii"}
         # Ratios against the fractional lower bound are recorded.
         assert all(r["ratio"] for r in rows)
+
+    def test_lower_bound_once_per_instance(self, tmp_path, monkeypatch):
+        inst_dir = tmp_path / "inst"
+        inst_dir.mkdir()
+        for seed in range(2):
+            run(["generate", "--kind", "euclidean", "--n", "7", "--seed", str(seed),
+                 "--out", str(inst_dir / f"i{seed}.json")])
+        calls = []
+        real = cli.min_feasible_dilation
+        monkeypatch.setattr(cli, "min_feasible_dilation",
+                            lambda instance: calls.append(instance) or real(instance))
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--instances", str(inst_dir),
+                    "--algos", "kcenter,two-radii", "--out", str(out)]) == 0
+        assert len(calls) == 2
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["instance"][-7:], r["algo"]) for r in rows] == [
+            ("i0.json", "kcenter"), ("i0.json", "two-radii"),
+            ("i1.json", "kcenter"), ("i1.json", "two-radii"),
+        ]
+        assert all(r["lower_bound"] and r["ratio"] for r in rows)
 
     def test_empty_dir_is_usage_error(self, tmp_path):
         empty = tmp_path / "none"

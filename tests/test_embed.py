@@ -87,7 +87,7 @@ class TestBarrierAudit:
         if pair is None:
             return
         inst, x = pair
-        res = embed_barrier(inst, x)  # audit=True raises on violation
+        res = embed_barrier(inst, x)  # the built-in audit raises on violation
         # Re-verify here independently of the built-in audit.
         dist, radii = inst.space.dist, inst.radii
         tree = res.tree

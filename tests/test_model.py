@@ -33,10 +33,28 @@ from nukc.solvers import _window_lp_feasible
 # loop that the vectorised code replaced, kept to pin its output.
 
 
+def reference_problem(instance, bounds, cover_rows):
+    """Covering rows, then one budget row per class, as an LpProblem."""
+    n, h = instance.n, instance.num_classes
+    budget_rows = []
+    for t in range(h):
+        row = np.zeros(n * h)
+        for p in range(n):
+            row[var_index(p, t, h)] = 1.0
+        budget_rows.append(row)
+    rows = cover_rows + budget_rows
+    return lp.LpProblem(
+        constraints=np.array(rows).reshape(len(rows), n * h),
+        ge=np.array([True] * len(cover_rows) + [False] * h),
+        rhs=np.array([1.0] * len(cover_rows)
+                     + [float(c.multiplicity) for c in instance.classes]),
+        bounds=np.array(bounds),
+    )
+
+
 def reference_nukc_lp(instance, dilation, points=None, class_window=None):
     n, h = instance.n, instance.num_classes
     radii = instance.radii
-    prob = lp.LpProblem(num_vars=n * h)
     bounds = [(0.0, 1.0)] * (n * h)
     if class_window is not None:
         wlo, whi = class_window
@@ -44,9 +62,9 @@ def reference_nukc_lp(instance, dilation, points=None, class_window=None):
             for t in range(h):
                 if not (wlo <= t <= whi):
                     bounds[var_index(p, t, h)] = (0.0, 0.0)
-    prob.bounds = bounds
     pts = range(n) if points is None else points
     dist = instance.space.dist
+    rows = []
     for p in pts:
         row = np.zeros(n * h)
         for t in range(h):
@@ -55,38 +73,27 @@ def reference_nukc_lp(instance, dilation, points=None, class_window=None):
             reach = dilation * radii[t] + COVER_TOL
             for q in np.nonzero(dist[p] <= reach)[0]:
                 row[var_index(int(q), t, h)] = 1.0
-        prob.add_constraint(row, lp.GE, 1.0)
-    for t in range(h):
-        row = np.zeros(n * h)
-        for p in range(n):
-            row[var_index(p, t, h)] = 1.0
-        prob.add_constraint(row, lp.LE, float(instance.classes[t].multiplicity))
-    return prob
+        rows.append(row)
+    return reference_problem(instance, bounds, rows)
 
 
 def reference_guess_lp(points, pair, instance):
     n, h = instance.n, instance.num_classes
     dist = instance.space.dist
     radii = instance.radii
-    prob = lp.LpProblem(num_vars=n * h)
     bounds = [(0.0, 1.0)] * (n * h)
     for (q, t) in sorted(pair.negative):
         bounds[var_index(q, t, h)] = (0.0, 0.0)
     for (q, t) in sorted(pair.affirmative):
         bounds[var_index(q, t, h)] = (1.0, 1.0)
-    prob.bounds = bounds
+    rows = []
     for p in sorted(points):
         row = np.zeros(n * h)
         for t in range(min_level(pair, instance, p), h):
             for q in np.nonzero(dist[p] <= radii[t] + COVER_TOL)[0]:
                 row[var_index(int(q), t, h)] = 1.0
-        prob.add_constraint(row, lp.GE, 1.0)
-    for t in range(h):
-        row = np.zeros(n * h)
-        for p in range(n):
-            row[var_index(p, t, h)] = 1.0
-        prob.add_constraint(row, lp.LE, float(instance.classes[t].multiplicity))
-    return prob
+        rows.append(row)
+    return reference_problem(instance, bounds, rows)
 
 
 def reference_candidates(instance):
@@ -101,15 +108,14 @@ def reference_candidates(instance):
 
 
 def assert_same_lp(got, want):
-    """Same rows in the same order, same bounds, same dtype, bit for bit."""
+    """Same rows in the same order, same relations, rhs and bounds, same
+    dtypes and shapes, bit for bit."""
     assert got.num_vars == want.num_vars
-    assert repr(got.bounds) == repr(want.bounds)
     assert got.objective is None and want.objective is None
-    assert len(got.constraints) == len(want.constraints)
-    for (cg, rg, bg), (cw, rw, bw) in zip(got.constraints, want.constraints):
-        assert cg.dtype == cw.dtype and cg.shape == cw.shape
-        assert cg.tobytes() == cw.tobytes()
-        assert (rg, repr(bg)) == (rw, repr(bw))
+    for field in ("constraints", "ge", "rhs", "bounds"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), field
+        assert g.tobytes() == w.tobytes(), field
 
 
 def seeded_case(seed):
@@ -271,11 +277,11 @@ class TestBuilder:
     def test_start_mapping_and_pins(self, line_instance):
         prob = build_nukc_lp(line_instance, 1.0, points=[4, 0], start={0: 1, 4: 0},
                              pinned={(2, 1): 1.0})
-        rows = [c for c, rel, _ in prob.constraints if rel == lp.GE]
+        rows = prob.constraints[prob.ge]
         # Ascending point order; point 0's row holds class 1 only.
         assert rows[0][0::2].sum() == 0 and rows[0][1::2].sum() == 2
         assert rows[1][0::2].sum() == 2 and rows[1][1::2].sum() == 2
-        assert prob.bounds[var_index(2, 1, 2)] == (1.0, 1.0)
+        assert prob.bounds[var_index(2, 1, 2)].tolist() == [1.0, 1.0]
 
 
 class TestSmallestFeasible:

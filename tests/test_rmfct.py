@@ -30,6 +30,44 @@ def binary_tree():
     return LayeredTree(levels, parent, [1, 1])
 
 
+def reference_rmfct_lp(tree, alpha):
+    """The per-entry loop builder the indexed one replaced."""
+    nodes = sorted(tree.level_of)
+    idx = {v: i for i, v in enumerate(nodes)}
+    rows, rhs = [], []
+    for leaf in tree.leaves:
+        row = np.zeros(len(nodes))
+        for v in tree.path_to_root(leaf):
+            row[idx[v]] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for i, lv in enumerate(tree.levels):
+        row = np.zeros(len(nodes))
+        for v in lv:
+            row[idx[v]] = 1.0
+        rows.append(row)
+        rhs.append(alpha * tree.budgets[i])
+    return lp.LpProblem(
+        constraints=np.array(rows).reshape(len(rows), len(nodes)),
+        ge=np.arange(len(rows)) < len(tree.leaves),
+        rhs=np.array(rhs),
+        bounds=np.array([(0.0, 1.0)] * len(nodes)),
+    )
+
+
+def relabelled(tree, seed):
+    """The tree with shuffled node ids and random budgets, so that id order
+    and level order disagree."""
+    rng = np.random.RandomState(seed)
+    nodes = sorted(tree.level_of)
+    new = {v: 3 * int(i) + 5 for v, i in zip(nodes, rng.permutation(len(nodes)))}
+    return LayeredTree(
+        [[new[v] for v in lv] for lv in tree.levels],
+        {new[v]: None if p is None else new[p] for v, p in tree.parent.items()},
+        rng.randint(0, 4, size=tree.num_levels),
+    )
+
+
 def brute_force_value(tree):
     """Independent reference: try all node subsets (small trees only)."""
     nodes = sorted(tree.level_of)
@@ -79,6 +117,16 @@ class TestLp:
         prob = build_rmfct_lp(tree, 1.0)
         # 4 leaf path rows + 2 level rows.
         assert len(prob.constraints) == 6
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_match_reference(self, seed):
+        tree = relabelled(random_layered_tree(1 + seed % 4, 3, seed=seed).to_layered(), seed)
+        alpha = 1.0 + seed / 7.0
+        got, want = build_rmfct_lp(tree, alpha), reference_rmfct_lp(tree, alpha)
+        for field in ("constraints", "ge", "rhs", "bounds"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), field
+            assert g.tobytes() == w.tobytes(), field
 
     def test_binary_tree_fractional_threshold(self):
         # With y = a on the top nodes and 1 - a on leaves, the budgets
