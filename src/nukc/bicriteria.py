@@ -47,6 +47,7 @@ logger = logging.getLogger(__name__)
 GATHER_FACTOR = 22.0  # affirmative guesses serve points within 22 * r_t
 EXCLUDE_FACTOR = 11.0  # negative guesses ban centers within 11 * r_t
 SHORT_CIRCUIT_K = 16
+GUESS_Q_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class EnumResult:
     used_fallback: bool = False
     nodes_explored: int = 0
     count_bound: list = field(default_factory=list)  # per compressed class
-    radius_factor_bound: float = GATHER_FACTOR
     dilation_ratio: float = 0.0  # achieved dilation / alpha
 
 
@@ -120,11 +120,7 @@ def enum_parameters(L: int, total_k: int) -> tuple[int, int]:
     return tau, gamma0
 
 
-def enum_solve(
-    instance: NukcInstance,
-    force_full: bool = False,
-    fallback_q: int = 1,
-) -> EnumResult:
+def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     """Full pipeline: compress, search, lift back, measure.
 
     Instances with at most SHORT_CIRCUIT_K total balls short-circuit to the
@@ -134,8 +130,7 @@ def enum_solve(
     compressed = compress_radii(instance)
     cinst = compressed.instance
     n, h = cinst.n, cinst.num_classes
-    L = h - 1
-    tau, gamma0 = enum_parameters(L, instance.total_k)
+    tau, gamma0 = enum_parameters(h - 1, instance.total_k)
     alpha, _ = min_feasible_dilation(cinst)
 
     def finish(csol: NukcSolution, short_circuit, used_fallback, nodes):
@@ -160,7 +155,6 @@ def enum_solve(
             used_fallback=used_fallback,
             nodes_explored=nodes,
             count_bound=bound,
-            radius_factor_bound=GATHER_FACTOR,
         )
         ach = achieved_dilation(instance, lifted)
         res.dilation_ratio = ach / alpha if alpha > 0 else (0.0 if ach == 0 else math.inf)
@@ -170,14 +164,13 @@ def enum_solve(
         return finish(zero_dilation_solution(cinst), True, False, 0)
 
     if instance.total_k <= SHORT_CIRCUIT_K and not force_full:
-        gq = _guess_q_auto(compressed, fallback_q)
-        return finish(gq.solution, True, False, 0)
+        return finish(_guess_q_auto(compressed).solution, True, False, 0)
 
-    scaled = cinst if alpha == 0 else cinst.scaled(alpha)
+    scaled = cinst.scaled(alpha)
     radii = scaled.radii
     dist = scaled.space.dist
     all_points = list(range(n))
-    winner_cap = 2.0 * sum(cinst.classes[s].multiplicity for s in range(min(tau, L) + 1))
+    winner_cap = 2.0 * sum(cinst.classes[s].multiplicity for s in range(tau + 1))
     memo: dict = {}
     nodes = [0]
 
@@ -204,18 +197,14 @@ def enum_solve(
             memo[key] = None
             return None
         x_star = sol.values.reshape(n, h)
-        prof = coverage(scaled, x_star)
-        x_b = [p for p in rest if prof.suffix(p, tau) >= 0.5 - HALF_MASS_TOL]
+        cov = coverage(scaled, x_star)
+        x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - HALF_MASS_TOL]
         in_b = set(x_b)
         x_t = [p for p in rest if p not in in_b]
         balls_a = [
             Ball(p, t, GATHER_FACTOR * radii[t]) for (p, t) in sorted(pair.affirmative)
         ]
-        bh_b = (
-            round_bottom_heavy(scaled, x_star, tau, points=x_b).solution.balls
-            if x_b
-            else []
-        )
+        bh_b = round_bottom_heavy(scaled, x_star, tau, points=x_b).balls if x_b else []
         if not x_t:
             result = NukcSolution(balls_a + bh_b)
             memo[key] = result
@@ -226,14 +215,14 @@ def enum_solve(
         sol_t = lp.solve(build_guess_lp(x_t, pair_f, scaled))
         if sol_t.ok:
             x_small = sol_t.values.reshape(n, h)
-            bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).solution.balls
+            bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).balls
             result = NukcSolution(balls_a + bh_b + bh_t)
             memo[key] = result
             return result
         if gamma <= 0:
             memo[key] = None
             return None
-        for t in range(min(tau, L) + 1):
+        for t in range(tau + 1):
             c_t = [p for p in x_t if min_level(pair, scaled, p) == t]
             if not c_t:
                 continue
@@ -267,16 +256,15 @@ def enum_solve(
     csol = recurse(GuessPair.empty(), gamma0)
     if csol is not None:
         return finish(csol, False, False, nodes[0])
-    gq = _guess_q_auto(compressed, fallback_q)
-    return finish(gq.solution, False, True, nodes[0])
+    return finish(_guess_q_auto(compressed).solution, False, True, nodes[0])
 
 
-def _guess_q_auto(compressed: CompressedInstance, q0: int, q_max: int = 12):
-    """Smallest q whose guess enumeration fits the size budget (tau_q
-    shrinks as q grows)."""
-    for q in range(q0, q_max + 1):
+def _guess_q_auto(compressed: CompressedInstance):
+    """Smallest q from 1 to GUESS_Q_MAX whose guess enumeration fits the
+    size budget (tau_q shrinks as q grows)."""
+    for q in range(1, GUESS_Q_MAX + 1):
         try:
             return solve_guess_q(compressed, q)
         except SizeBudgetError:
             continue
-    raise SizeBudgetError(f"guess enumeration over budget even at q = {q_max}")
+    raise SizeBudgetError(f"guess enumeration over budget even at q = {GUESS_Q_MAX}")

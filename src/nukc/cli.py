@@ -26,13 +26,13 @@ from .gadgets import (
 )
 from .metric import gonzalez_kcenter
 from .model import (
-    Ball,
     InfeasibleInstanceError,
     NukcInstance,
-    NukcSolution,
     achieved_dilation,
+    balls_in_budget_order,
     build_nukc_lp,
     compress_radii,
+    lift_compressed_solution,
     min_feasible_dilation,
     validate_solution,
 )
@@ -44,8 +44,6 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_SOLVER = 4
-
-ALGOS = ("exact", "kcenter", "kcwo", "kcwo-greedy", "two-radii", "guess-q", "bicriteria")
 
 
 class UsageError(Exception):
@@ -90,58 +88,64 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(instance: NukcInstance, algo: str, q: int = 1):
-    """Returns (solution, outliers, extras)."""
-    if algo == "exact":
-        dilation, sol = exact_nukc(instance)
-        return sol, [], {"dilation": dilation}
-    if algo == "kcenter":
-        centers, radius = gonzalez_kcenter(instance.space, instance.total_k)
-        balls = []
-        remaining = [c.multiplicity for c in instance.classes]
-        t = 0
-        for c in centers:
-            while remaining[t] == 0:
-                t += 1
-            balls.append(Ball(c, t, radius))
-            remaining[t] -= 1
-        return NukcSolution(balls), [], {}
-    if algo in ("kcwo", "kcwo-greedy"):
-        if instance.num_classes != 2 or instance.classes[1].radius != 0:
-            raise UsageError(
-                f"--algo {algo} needs exactly two classes with the second of radius 0"
-            )
-        k = instance.classes[0].multiplicity
-        l = instance.classes[1].multiplicity
-        if algo == "kcwo":
-            res = solve_kcwo(instance.space, k, l)
-        else:
-            res = charikar_kcwo_search(instance.space, k, l)
-        return res.to_solution(k, l), res.outliers, {"radius": res.radius}
-    if algo == "two-radii":
-        if instance.num_classes != 2:
-            raise UsageError("--algo two-radii needs exactly two distinct radii")
-        c1, c2 = instance.classes
-        sol = solve_two_radii(
-            instance.space, (c1.multiplicity, c1.radius), (c2.multiplicity, c2.radius)
-        )
-        return sol, [], {}
-    if algo == "guess-q":
-        compressed = compress_radii(instance)
-        gq = solve_guess_q(compressed, q)
-        from .model import lift_compressed_solution
+def _exact(instance, q):
+    dilation, sol = exact_nukc(instance)
+    return sol, [], {"dilation": dilation}
 
-        sol = lift_compressed_solution(gq.solution, compressed, instance)
-        return sol, [], {"tau": gq.tau, "compressed_dilation": gq.dilation}
-    if algo == "bicriteria":
-        res = enum_solve(instance)
-        return res.solution, [], {
-            "lower_bound": res.alpha,
-            "dilation_ratio": res.dilation_ratio,
-            "fallback": res.used_fallback,
-            "short_circuit": res.short_circuit,
-        }
-    raise UsageError(f"unknown algorithm {algo}")  # pragma: no cover
+
+def _kcenter(instance, q):
+    centers, radius = gonzalez_kcenter(instance.space, instance.total_k)
+    return balls_in_budget_order(instance, centers, radius), [], {}
+
+
+def _kcwo(instance, search, algo):
+    if instance.num_classes != 2 or instance.classes[1].radius != 0:
+        raise UsageError(
+            f"--algo {algo} needs exactly two classes with the second of radius 0"
+        )
+    res = search(instance.space, *instance.budgets)
+    return res.to_solution(), res.outliers, {"radius": res.radius}
+
+
+def _two_radii(instance, q):
+    if instance.num_classes != 2:
+        raise UsageError("--algo two-radii needs exactly two distinct radii")
+    c1, c2 = instance.classes
+    sol = solve_two_radii(
+        instance.space, (c1.multiplicity, c1.radius), (c2.multiplicity, c2.radius)
+    )
+    return sol, [], {}
+
+
+def _guess_q(instance, q):
+    compressed = compress_radii(instance)
+    gq = solve_guess_q(compressed, q)
+    sol = lift_compressed_solution(gq.solution, compressed, instance)
+    return sol, [], {"tau": gq.tau, "compressed_dilation": gq.dilation}
+
+
+def _bicriteria(instance, q):
+    res = enum_solve(instance)
+    return res.solution, [], {
+        "lower_bound": res.alpha,
+        "dilation_ratio": res.dilation_ratio,
+        "fallback": res.used_fallback,
+        "short_circuit": res.short_circuit,
+    }
+
+
+# Algorithm name -> runner(instance, q) returning (solution, outliers, meta
+# extras).  The kcwo entries look their solver up when called, so a patched
+# module attribute takes effect.
+ALGOS = {
+    "exact": _exact,
+    "kcenter": _kcenter,
+    "kcwo": lambda instance, q: _kcwo(instance, solve_kcwo, "kcwo"),
+    "kcwo-greedy": lambda instance, q: _kcwo(instance, charikar_kcwo_search, "kcwo-greedy"),
+    "two-radii": _two_radii,
+    "guess-q": _guess_q,
+    "bicriteria": _bicriteria,
+}
 
 
 def cmd_solve(args) -> int:
@@ -150,7 +154,7 @@ def cmd_solve(args) -> int:
         problem = build_nukc_lp(instance, args.dump_lp_dilation)
         Path(args.dump_lp).write_text(lp.format_lp(problem) + "\n")
     started = time.perf_counter()
-    solution, outliers, extras = _solve_one(instance, args.algo, q=args.q)
+    solution, outliers, extras = ALGOS[args.algo](instance, args.q)
     elapsed = time.perf_counter() - started
     meta = {"algo": args.algo, "seconds": elapsed, **extras}
     dil = achieved_dilation(instance, solution)
@@ -178,23 +182,15 @@ def cmd_validate(args) -> int:
             raise ValueError(f"outlier {p} is not a point id in [0, {instance.n})")
     # Points listed as outliers are excused from coverage.
     excused = set(outliers)
-    uncovered = [p for p in report.uncovered if p not in excused]
-    ok = not (uncovered or report.radius_violations or report.count_violations)
-    if ok:
-        print("valid")
-        return EXIT_OK
-    if uncovered:
-        print(f"uncovered points: {uncovered}")
-    if report.radius_violations:
-        print(f"radius violations: {report.radius_violations}")
-    if report.count_violations:
-        print(f"count violations: {report.count_violations}")
-    return EXIT_INVALID
+    report.uncovered = [p for p in report.uncovered if p not in excused]
+    print(report)
+    return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def _compare_rows(path: str, algos) -> list:
     """One CSV row per algorithm on the instance at `path`, each against
-    the instance's fractional lower bound."""
+    the instance's fractional lower bound.  count_factor is max_t
+    count_t / k_t: a ratio below 1 can come from opening more balls."""
     instance = fileio.instance_from_obj(fileio.load(path))
     try:
         lower, _ = min_feasible_dilation(instance)
@@ -204,9 +200,9 @@ def _compare_rows(path: str, algos) -> list:
     for algo in algos:
         started = time.perf_counter()
         row = {"instance": path, "algo": algo, "dilation": "", "lower_bound": "",
-               "ratio": "", "note": ""}
+               "ratio": "", "count_factor": "", "note": ""}
         try:
-            solution, _, _ = _solve_one(instance, algo)
+            solution, _, _ = ALGOS[algo](instance, 1)
             dilation = achieved_dilation(instance, solution)
         except (SizeBudgetError, UsageError, ValueError) as exc:
             row["note"] = str(exc)
@@ -217,6 +213,8 @@ def _compare_rows(path: str, algos) -> list:
                 row["ratio"] = f"{dilation / lower:.6f}"
             elif lower == 0.0 and dilation == 0.0:
                 row["ratio"] = "1.000000"
+            counts = zip(solution.class_counts(instance.num_classes), instance.budgets)
+            row["count_factor"] = f"{max(c / k for c, k in counts):.6f}"
         row["seconds"] = f"{time.perf_counter() - started:.6f}"
         rows.append(row)
     return rows
@@ -230,7 +228,8 @@ def cmd_compare(args) -> int:
     for a in algos:
         if a not in ALGOS:
             raise UsageError(f"unknown algorithm {a}")
-    fields = ["instance", "algo", "dilation", "lower_bound", "ratio", "seconds", "note"]
+    fields = ["instance", "algo", "dilation", "lower_bound", "ratio", "count_factor",
+              "seconds", "note"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

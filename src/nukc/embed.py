@@ -39,8 +39,6 @@ class EmbedResult:
     instance: NukcInstance
     leaf_points: list
     winners: list  # per level 0..h-1, the mapped winner points in pick order
-    barrier_levels: list = field(default_factory=list)  # span-top levels
-    leaf_node_of: dict = field(default_factory=dict)  # point -> leaf node id
     y: dict = field(default_factory=dict)
 
 
@@ -88,11 +86,7 @@ def embed(
     pts = sorted(range(n)) if points is None else sorted(points)
     if not pts:
         raise ValueError("cannot embed an empty point set")
-    prof = coverage(instance, x)
-
-    def suffix(p, level):
-        return prof.suffix(p, level)
-
+    cov = coverage(instance, x)
     next_node = 0
 
     def new_node():
@@ -104,18 +98,15 @@ def embed(
     parent = {}
     psi = {}
     yval = {}
-    leaf_node_of = {}
     # Leaf level h: identity on the embedded points.
     node_of = {}  # point -> its current top node
     for p in pts:
         v = new_node()
         levels[h].append(v)
         psi[v] = p
-        leaf_node_of[p] = v
         node_of[p] = v
 
     winners_at = [[] for _ in range(h)]
-    barrier_tops = []
     cur = h  # current top level already built
     while cur >= 1:
         if mode == "basic":
@@ -135,14 +126,14 @@ def embed(
         while active:
             # Winner: minimal suffix coverage at the current level, ties to
             # the lowest point id (`active` is sorted).
-            p = min(active, key=lambda q: (suffix(q, cur), q))
+            p = min(active, key=lambda q: (cov[q, cur:].sum(), q))
             group = [q for q in active if dist[p, q] <= gather + COVER_TOL]
             chain_child = [node_of[q] for q in group]
             for lvl in range(cur - 1, span_top - 1, -1):
                 w = new_node()
                 levels[lvl].append(w)
                 psi[w] = p
-                yval[w] = prof.cov[p, lvl]
+                yval[w] = cov[p, lvl]
                 for cnode in chain_child:
                     parent[cnode] = w
                 chain_child = [w]
@@ -150,7 +141,6 @@ def embed(
             new_node_of[p] = chain_child[0]
             active = [q for q in active if q not in group]
         node_of = new_node_of
-        barrier_tops.append(span_top)
         cur = span_top
     for v in levels[0]:
         parent[v] = None
@@ -163,8 +153,6 @@ def embed(
         instance=instance,
         leaf_points=pts,
         winners=winners_at,
-        barrier_levels=sorted(barrier_tops) if mode == "barrier" else [],
-        leaf_node_of=leaf_node_of,
         y={v: float(val) for v, val in yval.items()},
     )
     if mode == "barrier":

@@ -28,6 +28,20 @@ def _integral(value, what: str) -> int:
     raise FormatError(f"{what} must be an integer, got {value!r}")
 
 
+def _point_array(points: dict, key: str) -> np.ndarray:
+    """points[key] as a float array: a list of equal-length lists of
+    numbers, or a FormatError naming the key."""
+    rows = points[key]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError(f'points "{key}" must be a list of lists of numbers')
+    if len({len(row) for row in rows}) > 1:
+        raise FormatError(f'points "{key}" rows must all have the same length')
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f'points "{key}" must hold only numbers') from exc
+
+
 def instance_to_obj(instance: NukcInstance, coords=None) -> dict:
     points = (
         {"coords": [list(map(float, row)) for row in coords]}
@@ -56,7 +70,7 @@ def instance_from_obj(obj: dict) -> NukcInstance:
     if has_coords and has_matrix:
         raise FormatError('points must carry "coords" or "matrix", not both')
     if has_coords:
-        coords = np.asarray(points["coords"], dtype=float)
+        coords = _point_array(points, "coords")
         if not np.isfinite(coords).all():
             raise FormatError("coords must be finite numbers")
         with np.errstate(over="ignore"):
@@ -64,7 +78,7 @@ def instance_from_obj(obj: dict) -> NukcInstance:
         if not np.isfinite(space.dist).all():
             raise FormatError("coords too large: their distances overflow")
     elif has_matrix:
-        space = MetricSpace(np.asarray(points["matrix"], dtype=float), check=True)
+        space = MetricSpace(_point_array(points, "matrix"), check=True)
     else:
         raise FormatError('points must carry "coords" or "matrix"')
     labels = obj.get("labels")

@@ -1,9 +1,11 @@
-"""A small dense linear-programming engine.
+"""A small dense feasibility engine for linear programs.
 
-Bounded-variable primal simplex with Bland's anti-cycling rule and a
-phase-one artificial start.  Solutions are always basic: at most one
-variable per constraint row sits strictly between its bounds, which the
-rounding routines in this package rely on.
+Every LP in this package only asks whether its rows and box bounds admit a
+point, so the engine is the phase one of a bounded-variable primal simplex
+with Bland's anti-cycling rule: it drives artificial columns to zero.
+Solutions are always basic: at most one variable per constraint row sits
+strictly between its bounds, which the rounding routines in this package
+rely on.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class LpSolverError(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """minimize objective . x subject to row constraints and box bounds.
+    """Find x within box bounds satisfying row constraints.
 
     `constraints` is an (m, n) matrix: row i reads constraints[i] . x >=
     rhs[i] where ge[i], and <= rhs[i] elsewhere.  `bounds` is (n, 2), one
@@ -33,7 +35,6 @@ class LpProblem:
     ge: np.ndarray
     rhs: np.ndarray
     bounds: np.ndarray
-    objective: np.ndarray | None = None
 
     @property
     def num_vars(self) -> int:
@@ -42,14 +43,13 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "feasible" | "infeasible" | "unbounded"
+    status: str  # "feasible" | "infeasible"
     values: np.ndarray | None = None
-    objective_value: float | None = None
     is_basic: bool = False
 
     @property
     def ok(self) -> bool:
-        return self.status in ("optimal", "feasible")
+        return self.status == "feasible"
 
 
 def format_lp(problem: LpProblem) -> str:
@@ -63,14 +63,7 @@ def format_lp(problem: LpProblem) -> str:
         ]
         return " ".join(terms) if terms else "0"
 
-    lines = ["Minimize"]
-    obj = (
-        problem.objective
-        if problem.objective is not None
-        else np.zeros(problem.num_vars)
-    )
-    lines.append(" obj: " + row(obj))
-    lines.append("Subject To")
+    lines = ["Minimize", " obj: 0", "Subject To"]
     for i, (coeffs, ge, rhs) in enumerate(
         zip(problem.constraints, problem.ge, problem.rhs)
     ):
@@ -83,14 +76,15 @@ def format_lp(problem: LpProblem) -> str:
     return "\n".join(lines)
 
 
-def _pivot_loop(A, b, cost, lo, hi, basis, x, max_iters):
-    """Run bounded-variable simplex on A x = b, x in [lo, hi], minimizing
-    cost.  Mutates basis and x in place.  Returns "optimal" or "unbounded".
-    """
+def _phase_one(A, cost, lo, hi, basis, x):
+    """Run bounded-variable simplex on A x = const, x in [lo, hi],
+    minimizing cost, the sum of the artificial columns.  Mutates basis and
+    x in place."""
     m, ncols = A.shape
     in_basis = np.zeros(ncols, dtype=bool)
     in_basis[basis] = True
     movable = lo != hi
+    max_iters = 200 * (m + ncols)
     for _ in range(max_iters):
         B = A[:, basis]
         try:
@@ -102,7 +96,7 @@ def _pivot_loop(A, b, cost, lo, hi, basis, x, max_iters):
         improving = np.where(at_lower, reduced < -PIVOT_TOL, reduced > PIVOT_TOL)
         eligible = np.flatnonzero(improving & movable & ~in_basis)
         if not eligible.size:
-            return "optimal"
+            return
         entering = eligible[0]  # Bland: lowest eligible index enters
         direction = 1 if at_lower[entering] else -1
         w = np.linalg.solve(B, A[:, entering])
@@ -122,8 +116,8 @@ def _pivot_loop(A, b, cost, lo, hi, basis, x, max_iters):
                 blocking = i
             elif step <= t_max + PIVOT_TOL and blocking >= 0 and v < basis[blocking]:
                 blocking = i  # Bland: lowest variable index leaves
-        if not np.isfinite(t_max):
-            return "unbounded"
+        if not np.isfinite(t_max):  # pragma: no cover - the cost is bounded below
+            raise LpSolverError("phase one reported unbounded")
         t_max = max(t_max, 0.0)
         x[entering] += direction * t_max
         x[basis] -= direction * w * t_max
@@ -143,9 +137,10 @@ def _pivot_loop(A, b, cost, lo, hi, basis, x, max_iters):
     raise LpSolverError(f"pivot budget exhausted after {max_iters} iterations")
 
 
-def solve(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
-    """Solve an LpProblem.  Deterministic: identical input gives identical
-    pivot sequences and output.
+def solve(problem: LpProblem) -> LpSolution:
+    """A basic feasible point of an LpProblem, or status "infeasible".
+    Deterministic: identical input gives identical pivot sequences and
+    output.
     """
     C = np.asarray(problem.constraints, dtype=float)
     ge = np.asarray(problem.ge, dtype=bool)
@@ -163,10 +158,6 @@ def solve(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
         raise ValueError(
             f"variable {j} has empty bound interval [{bounds[j, 0]}, {bounds[j, 1]}]"
         )
-    has_obj = problem.objective is not None
-    obj = np.asarray(problem.objective if has_obj else np.zeros(n), dtype=float)
-    if obj.shape != (n,):
-        raise ValueError("objective has wrong width")
 
     # One slack per row makes it an equation (+1 on <= rows, -1 on >= rows);
     # a row whose slack would start negative also gets an artificial column.
@@ -185,20 +176,11 @@ def solve(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
     basis = np.arange(n, ncols)
     basis[art] = ncols + np.arange(art.size)
     tol = FEAS_TOL * np.abs(rhs).max(initial=1.0)
-    iters = max_iters or 200 * (m + A.shape[1])
     if art.size:
-        phase1 = (np.arange(A.shape[1]) >= ncols).astype(float)
-        status = _pivot_loop(A, rhs, phase1, lo, hi, basis, x, iters)
-        if status == "unbounded":  # pragma: no cover - phase 1 is bounded below
-            raise LpSolverError("phase one reported unbounded")
-        if float(phase1 @ x) > tol:
+        cost = (np.arange(A.shape[1]) >= ncols).astype(float)
+        _phase_one(A, cost, lo, hi, basis, x)
+        if float(cost @ x) > tol:
             return LpSolution(status="infeasible")
-        hi[ncols:] = 0.0  # freeze artificials at zero for phase two
-        x[ncols:] = 0.0
-
-    cost = np.concatenate([obj, np.zeros(A.shape[1] - n)])
-    if _pivot_loop(A, rhs, cost, lo, hi, basis, x, iters) == "unbounded":
-        return LpSolution(status="unbounded")
 
     vals = x[:n].copy()
     # Safety recheck against the original rows.
@@ -209,9 +191,4 @@ def solve(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
         op = "<" if ge[i] else ">"
         raise LpSolverError(f"row {i} violated after solve: {lhs[i]} {op} {rhs[i]}")
     np.clip(vals, lo[:n], hi[:n], out=vals)
-    return LpSolution(
-        status="optimal" if has_obj else "feasible",
-        values=vals,
-        objective_value=float(obj @ vals) if has_obj else None,
-        is_basic=True,
-    )
+    return LpSolution(status="feasible", values=vals, is_basic=True)

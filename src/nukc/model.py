@@ -108,6 +108,16 @@ class NukcSolution:
         return counts
 
 
+def balls_in_budget_order(instance: NukcInstance, centers, radius: float) -> NukcSolution:
+    """One ball of `radius` per center, charged to the classes in budget
+    order: the first k_0 centers to class 0, the next k_1 to class 1, and
+    so on."""
+    slots = instance.expand_radii()
+    if len(centers) > len(slots):
+        raise ValueError(f"not enough balls: {len(centers)} centers, {len(slots)} balls")
+    return NukcSolution([Ball(c, t, radius) for c, (_, t) in zip(centers, slots)])
+
+
 def var_index(p: int, t: int, num_classes: int) -> int:
     return p * num_classes + t
 
@@ -204,32 +214,15 @@ def min_feasible_dilation(instance: NukcInstance):
     return found
 
 
-@dataclass
-class CoverageProfile:
-    """cov[p, t] = total x-mass of class t within reach of point p;
-    suffix(p, t) sums classes t..h-1."""
-
-    cov: np.ndarray
-
-    def suffix(self, p: int, t: int) -> float:
-        h = self.cov.shape[1]
-        if t >= h:
-            return 0.0
-        return float(self.cov[p, t:].sum())
-
-    def window(self, p: int, a: int, b: int) -> float:
-        return float(self.cov[p, a : b + 1].sum())
-
-
-def coverage(instance: NukcInstance, x: np.ndarray, dilation: float = 1.0) -> CoverageProfile:
+def coverage(instance: NukcInstance, x: np.ndarray) -> np.ndarray:
+    """cov[p, t]: the x-mass of class t within r_t of point p, shape (n, h)."""
     n, h = instance.n, instance.num_classes
     x = np.asarray(x, dtype=float).reshape(n, h)
     dist = instance.space.dist
     cov = np.zeros((n, h))
     for t, r in enumerate(instance.radii):
-        within = dist <= dilation * r + COVER_TOL
-        cov[:, t] = within @ x[:, t]
-    return CoverageProfile(cov)
+        cov[:, t] = (dist <= r + COVER_TOL) @ x[:, t]
+    return cov
 
 
 @dataclass
@@ -252,7 +245,7 @@ class ValidationReport:
             parts.append(f"radius violations: {self.radius_violations}")
         if self.count_violations:
             parts.append(f"count violations: {self.count_violations}")
-        return "; ".join(parts)
+        return "\n".join(parts)
 
 
 def validate_solution(
@@ -260,12 +253,14 @@ def validate_solution(
     solution: NukcSolution,
     count_factor: float = 1.0,
     radius_factor: float = 1.0,
-    tol: float = 1e-9,
 ) -> ValidationReport:
     """Check a solution as an (count_factor, radius_factor) bicriteria
     answer: every point covered, each ball's used radius at most
     radius_factor * r_t, and per-class ball counts at most
-    ceil(count_factor * k_t)."""
+    ceil(count_factor * k_t).  NaN factors are refused: every comparison
+    with them is false, so they would pass any solution."""
+    if math.isnan(count_factor) or math.isnan(radius_factor):
+        raise ValueError("count and radius factors must be numbers, not NaN")
     report = ValidationReport()
     n, h = instance.n, instance.num_classes
     dist = instance.space.dist
@@ -278,7 +273,7 @@ def validate_solution(
                 f"ball {idx} has center {b.center}, not a point id in [0, {n})"
             )
         limit = radius_factor * instance.radii[b.class_index]
-        if b.radius_used > limit + tol:
+        if b.radius_used > limit + COVER_TOL:
             report.radius_violations.append((idx, b.radius_used, limit))
         covered |= dist[b.center] <= b.radius_used + COVER_TOL
     report.uncovered = [int(p) for p in np.nonzero(~covered)[0]]
@@ -330,11 +325,8 @@ class CompressedInstance:
     # balls are distributed over (bucket i targets [2^(i-1), 2^i); bucket 0
     # targets index 1)
     lift_targets: list = field(default_factory=list)
-    # per compressed class: the barrier levels i merged into it
-    barrier_levels: list = field(default_factory=list)
     # 1-based original index -> original class index
     index_class: list = field(default_factory=list)
-    num_barriers: int = 0
 
 
 def compress_radii(original: NukcInstance) -> CompressedInstance:
@@ -342,31 +334,18 @@ def compress_radii(original: NukcInstance) -> CompressedInstance:
     instance's k individual radii."""
     expanded = original.expand_radii()  # sorted non-increasing
     k = len(expanded)
-    levels = int(math.floor(math.log2(k))) if k > 0 else 0
-    buckets = []  # (i, rounded radius, multiplicity, target original indices)
-    for i in range(levels + 1):
-        start = 2**i  # 1-based
-        stop = min(2 ** (i + 1) - 1, k)
-        if start > k:
-            break
-        r_hat = expanded[start - 1][0]
-        mult = stop - start + 1
-        targets = [1] if i == 0 else list(range(2 ** (i - 1), 2**i))
-        buckets.append((i, r_hat, mult, targets))
     merged: dict[float, dict] = {}
-    for i, r_hat, mult, targets in buckets:
-        entry = merged.setdefault(r_hat, {"mult": 0, "targets": [], "levels": []})
-        entry["mult"] += mult
-        entry["targets"].extend(targets)
-        entry["levels"].append(i)
+    for i in range(k.bit_length()):  # bucket i starts at 1-based index 2^i <= k
+        start = 2**i
+        entry = merged.setdefault(expanded[start - 1][0], {"mult": 0, "targets": []})
+        entry["mult"] += min(2 ** (i + 1) - 1, k) - start + 1
+        entry["targets"].extend([1] if i == 0 else range(2 ** (i - 1), 2**i))
     order = sorted(merged, reverse=True)
     inst = NukcInstance(original.space, [(merged[r]["mult"], r) for r in order])
     return CompressedInstance(
         instance=inst,
         lift_targets=[sorted(merged[r]["targets"]) for r in order],
-        barrier_levels=[merged[r]["levels"] for r in order],
         index_class=[t for _, t in expanded],
-        num_barriers=len(buckets),
     )
 
 

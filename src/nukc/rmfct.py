@@ -76,14 +76,6 @@ class LayeredTree:
             v = self.parent[v]
         return out
 
-    def to_text(self) -> str:
-        lines = []
-        for i, lv in enumerate(self.levels):
-            for v in lv:
-                psi = "" if self.psi is None else f" psi={self.psi.get(v)}"
-                lines.append(f"node={v} level={i} parent={self.parent[v]}{psi}")
-        return "\n".join(lines)
-
 
 @dataclass
 class FirefighterSolution:
@@ -153,7 +145,7 @@ def _depth2_levels(tree: LayeredTree):
     )
 
 
-def round_depth2(tree: LayeredTree, y: dict, tol: float = ROUND_TOL) -> FirefighterSolution:
+def round_depth2(tree: LayeredTree, y: dict) -> FirefighterSolution:
     """Round a feasible fractional y on a height-two tree to an integral
     solution within the same integer budgets.
 
@@ -167,17 +159,17 @@ def round_depth2(tree: LayeredTree, y: dict, tol: float = ROUND_TOL) -> Firefigh
     top, second = _depth2_levels(tree)
     k1 = tree.budgets[0]
     k2 = tree.budgets[1]
-    if abs(k1 - round(k1)) > tol or abs(k2 - round(k2)) > tol:
+    if abs(k1 - round(k1)) > ROUND_TOL or abs(k2 - round(k2)) > ROUND_TOL:
         raise ValueError(f"round_depth2 needs integer budgets, got {k1}, {k2}")
     k1, k2 = int(round(k1)), int(round(k2))
     y = dict(y)
     for v in second:
         pathsum = y.get(v, 0.0) + y.get(tree.parent[v], 0.0)
-        if pathsum < 1.0 - tol:
+        if pathsum < 1.0 - ROUND_TOL:
             raise ValueError(f"input y infeasible at node {v}: path sum {pathsum}")
 
     def fractional_top():
-        return [w for w in sorted(top) if tol < y.get(w, 0.0) < 1.0 - tol]
+        return [w for w in sorted(top) if ROUND_TOL < y.get(w, 0.0) < 1.0 - ROUND_TOL]
 
     max_steps = 4 * (len(top) + len(second) + 1) ** 2
     for _ in range(max_steps):
@@ -201,30 +193,30 @@ def round_depth2(tree: LayeredTree, y: dict, tol: float = ROUND_TOL) -> Firefigh
         for c in cup:
             eps = min(eps, y.get(c, 0.0))
         for c in cdown:
-            if y.get(c, 0.0) < 1.0 - tol:
+            if y.get(c, 0.0) < 1.0 - ROUND_TOL:
                 eps = min(eps, 1.0 - y.get(c, 0.0))
-        if eps <= tol:
+        if eps <= ROUND_TOL:
             raise RuntimeError("shifting step stalled; input y was not feasible")
         y[up] += eps
         y[down] -= eps
         for c in cup:
             y[c] = y.get(c, 0.0) - eps
         for c in cdown:
-            if y.get(c, 0.0) < 1.0 - tol:
+            if y.get(c, 0.0) < 1.0 - ROUND_TOL:
                 y[c] = y.get(c, 0.0) + eps
         for v in (up, down, *cup, *cdown):
-            if y[v] < tol:
+            if y[v] < ROUND_TOL:
                 y[v] = 0.0
-            elif y[v] > 1.0 - tol:
+            elif y[v] > 1.0 - ROUND_TOL:
                 y[v] = 1.0
     else:
         raise RuntimeError("round_depth2 did not terminate within its step budget")
 
-    chosen = {w for w in top if y.get(w, 0.0) >= 1.0 - tol}
+    chosen = {w for w in top if y.get(w, 0.0) >= 1.0 - ROUND_TOL}
     for v in second:
         if tree.parent[v] in chosen:
             continue
-        if y.get(v, 0.0) < 1.0 - tol:
+        if y.get(v, 0.0) < 1.0 - ROUND_TOL:
             raise RuntimeError(f"rounded y leaves node {v} uncovered")
         chosen.add(v)
     sol = FirefighterSolution(chosen=chosen)
@@ -239,9 +231,7 @@ def round_depth2(tree: LayeredTree, y: dict, tol: float = ROUND_TOL) -> Firefigh
 # ---------------------------------------------------------------------------
 
 
-def round_loose(
-    tree: LayeredTree, y: dict, is_basic: bool = True, tol: float = ROUND_TOL
-) -> FirefighterSolution:
+def round_loose(tree: LayeredTree, y: dict) -> FirefighterSolution:
     """Select every integral vertex plus every loose vertex: y_v > 0 and
     the inclusive root-prefix sum above v is below 1.  The topmost positive
     vertex of any root-leaf path is integral or loose, so the selection is
@@ -256,9 +246,9 @@ def round_loose(
         val = y.get(v, 0.0)
         acc = acc + val
         prefix[v] = acc
-        if val >= 1.0 - tol:
+        if val >= 1.0 - ROUND_TOL:
             integral.add(v)
-        elif val > tol and acc < 1.0 - tol:
+        elif val > ROUND_TOL and acc < 1.0 - ROUND_TOL:
             loose.add(v)
         for c in tree.children[v]:
             walk(c, acc)
@@ -268,14 +258,9 @@ def round_loose(
 
     height = tree.num_levels
     if len(loose) > height:
-        if not is_basic:
-            raise ValueError(
-                f"{len(loose)} loose vertices exceed the tree height {height}; "
-                "the input y is not basic — re-solve the relaxation to a basic "
-                "solution before rounding"
-            )
         raise RuntimeError(
-            f"basic y produced {len(loose)} loose vertices (> height {height})"
+            f"{len(loose)} loose vertices exceed the tree height {height}: "
+            "y is not a basic solution"
         )
     chosen = integral | loose
     missed = is_feasible_set(tree, chosen)

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -25,6 +25,7 @@ from .model import (
     CompressedInstance,
     NukcInstance,
     NukcSolution,
+    balls_in_budget_order,
     candidate_dilations,
     candidate_values,
     coverage,
@@ -61,7 +62,7 @@ class KcwoResult:
     outliers: list
     radius: float
 
-    def to_solution(self, k: int, l: int) -> NukcSolution:
+    def to_solution(self) -> NukcSolution:
         """As a two-class ball solution: centers carry class 0, excused
         points get zero-radius balls of class 1."""
         balls = [Ball(c, 0, self.radius) for c in self.centers]
@@ -187,11 +188,7 @@ def solve_two_radii(space: MetricSpace, class1, class2) -> NukcSolution:
     instance = NukcInstance(space, [(k1, r1), (k2, r2)])
     if r2 > 0 and r1 < THETA * r2:
         centers, radius = gonzalez_kcenter(space, k1 + k2)
-        balls = []
-        for i, c in enumerate(centers):
-            cls = 0 if i < k1 else min(1, instance.num_classes - 1)
-            balls.append(Ball(c, cls, radius))
-        return NukcSolution(balls)
+        return balls_in_budget_order(instance, centers, radius)
 
     alpha, x = min_feasible_dilation(instance)
     if alpha == 0.0:
@@ -211,19 +208,7 @@ def zero_dilation_solution(instance: NukcInstance) -> NukcSolution:
     """Cover at dilation zero: one zero-radius ball per distance-zero
     equivalence class, distributed over the classes in budget order.  Only
     valid when the total budget covers the number of such classes."""
-    reps = _duplicate_classes(instance.space)
-    balls = []
-    t = 0
-    used = 0
-    for p in reps:
-        while used >= instance.classes[t].multiplicity:
-            t += 1
-            used = 0
-            if t >= instance.num_classes:
-                raise ValueError("not enough balls for a zero-dilation cover")
-        balls.append(Ball(p, t, 0.0))
-        used += 1
-    return NukcSolution(balls)
+    return balls_in_budget_order(instance, _duplicate_classes(instance.space), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +216,12 @@ def zero_dilation_solution(instance: NukcInstance) -> NukcSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BottomHeavyResult:
-    solution: NukcSolution
-    covered: list
-    parts: list = field(default_factory=list)  # (window, points) actually used
-
-
 def round_bottom_heavy(
     instance: NukcInstance,
     x: np.ndarray,
     tau: int,
     points=None,
-) -> BottomHeavyResult:
+) -> NukcSolution:
     """Round x on the points drawing coverage >= 1/2 from classes >= tau.
 
     The points split by where that mass sits — the window [tau, mid] with
@@ -256,23 +234,21 @@ def round_bottom_heavy(
     L = h - 1
     if not (0 <= tau <= L):
         raise ValueError(f"tau must lie in [0, {L}], got {tau}")
-    prof = coverage(instance, x)
-    eligible = [p for p in range(n) if prof.suffix(p, tau) >= 0.5 - HALF_MASS_TOL]
+    cov = coverage(instance, x)
     if points is None:
-        pts = eligible
+        pts = [p for p in range(n) if cov[p, tau:].sum() >= 0.5 - HALF_MASS_TOL]
     else:
         pts = sorted(points)
-        bad = [p for p in pts if prof.suffix(p, tau) < 0.5 - HALF_MASS_TOL]
+        bad = [p for p in pts if cov[p, tau:].sum() < 0.5 - HALF_MASS_TOL]
         if bad:
             raise ValueError(
                 f"points {bad} draw less than half their coverage from classes >= {tau}"
             )
     mid = min(L, max(tau, ilog(L)))
-    upper = [p for p in pts if prof.window(p, tau, mid) >= 0.25 - HALF_MASS_TOL]
+    upper = [p for p in pts if cov[p, tau : mid + 1].sum() >= 0.25 - HALF_MASS_TOL]
     in_upper = set(upper)
     lower = [p for p in pts if p not in in_upper]
     balls = []
-    parts = []
     for window, part in (((tau, mid), upper), ((mid + 1, L), lower)):
         if not part:
             continue
@@ -289,13 +265,10 @@ def round_bottom_heavy(
         y = solve_rmfct_lp(emb.tree, alpha=1.0)
         if y is None:
             raise RuntimeError("re-solved firefighter relaxation was infeasible")
-        ff = round_loose(emb.tree, y, is_basic=True)
-        part_sol = lift_tree_solution(emb, ff)
-        balls.extend(part_sol.balls)
-        parts.append((window, part))
+        balls.extend(lift_tree_solution(emb, round_loose(emb.tree, y)).balls)
     if any(b.class_index < tau for b in balls):
         raise RuntimeError("bottom-heavy rounding opened a ball below tau")
-    return BottomHeavyResult(NukcSolution(balls), covered=pts, parts=parts)
+    return NukcSolution(balls)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +281,6 @@ class GuessQResult:
     solution: NukcSolution
     dilation: float  # candidate dilation the pipeline locked onto
     tau: int
-    guess: list  # the enumerated (center, class) pairs
 
 
 def _window_lp_feasible(instance, alpha, tau, fixed_balls):
@@ -377,6 +349,5 @@ def solve_guess_q(
     balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in guess]
     if uncovered:
         scaled = instance if alpha == 0 else instance.scaled(alpha)
-        bh = round_bottom_heavy(scaled, x, tau, points=uncovered)
-        balls.extend(bh.solution.balls)
-    return GuessQResult(NukcSolution(balls), dilation=alpha, tau=tau, guess=guess)
+        balls.extend(round_bottom_heavy(scaled, x, tau, points=uncovered).balls)
+    return GuessQResult(NukcSolution(balls), dilation=alpha, tau=tau)

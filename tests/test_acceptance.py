@@ -170,7 +170,6 @@ def test_criterion_05_depth2_rounding():
         tree = random_layered_tree(2, max_branching=4, seed=seed).to_layered(
             budgets=[float(rng.randint(1, 4)), float(rng.randint(1, 4))]
         )
-        # Vary the LP vertex with a random objective to diversify inputs.
         y = solve_rmfct_lp(tree, 1.0)
         if y is None:
             return None
@@ -206,7 +205,7 @@ def test_criterion_06_loose_vertex_rounding():
 
     failures = []
     for tree, y in corpus(200, make):
-        ff = round_loose(tree, y, is_basic=True)
+        ff = round_loose(tree, y)
         if is_feasible_set(tree, ff.chosen):
             failures.append("uncovered leaf")
         height = tree.num_levels

@@ -196,6 +196,73 @@ class TestSolveValidate:
         assert code == EXIT_SOLVER == 4
         assert capsys.readouterr().err == "solver error: singular basis matrix\n"
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            {"coords": {"a": 1}},
+            {"matrix": {"a": 1}},
+            {"coords": [[0.0, 1.0], [2.0]]},
+            {"matrix": [[0.0, 1.0], [1.0]]},
+        ],
+        ids=["dict-coords", "dict-matrix", "ragged-coords", "ragged-matrix"],
+    )
+    def test_malformed_points_are_usage_errors(self, tmp_path, capsys, points):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"points": points, "classes": [{"k": 1, "r": 1.0}]}))
+        code = run(["solve", "--algo", "kcenter", "--input", str(inst),
+                    "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: points ") and err.count("\n") == 1
+
+    def write_line_case(self, tmp_path, balls, outliers=()):
+        """Points 0, 1, 2, 10, 11 on a line, classes (1, 2.0) and (1, 1.0)."""
+        inst, sol = tmp_path / "line.json", tmp_path / "line-sol.json"
+        inst.write_text(json.dumps({
+            "points": {"coords": [[0.0], [1.0], [2.0], [10.0], [11.0]]},
+            "classes": [{"k": 1, "r": 2.0}, {"k": 1, "r": 1.0}],
+        }))
+        sol.write_text(json.dumps({
+            "balls": [{"center": c, "class": t, "radius": r} for c, t, r in balls],
+            "outliers": list(outliers),
+        }))
+        return inst, sol
+
+    def test_validate_report_text(self, tmp_path, capsys):
+        inst, sol = self.write_line_case(
+            tmp_path, [(1, 0, 3.0), (1, 0, 1.0)], outliers=[4]
+        )
+        capsys.readouterr()
+        code = run(["validate", "--instance", str(inst), "--solution", str(sol),
+                    "--count-factor", "1", "--radius-factor", "1"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "uncovered points: [3]\n"
+            "radius violations: [(0, 3.0, 2.0)]\n"
+            "count violations: [(0, 2, 1)]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "factors",
+        [("nan", "1"), ("1", "nan"), ("nan", "nan")],
+        ids=["count-nan", "radius-nan", "both-nan"],
+    )
+    def test_nan_factors_are_usage_errors(self, tmp_path, capsys, factors):
+        inst = self.make_instance(tmp_path, n=6, classes="1:0.3,1:0.1", seed=0)
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({
+            "balls": [{"center": c, "class": 0, "radius": 5.0} for c in range(3)],
+            "outliers": [],
+        }))
+        base = ["validate", "--instance", str(inst), "--solution", str(sol)]
+        assert run([*base, "--count-factor", "1", "--radius-factor", "1"]) == 1
+        capsys.readouterr()
+        code = run([*base, "--count-factor", factors[0], "--radius-factor", factors[1]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_malformed_instance_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -218,6 +285,20 @@ class TestCompare:
         assert {r["algo"] for r in rows} == {"exact", "two-radii"}
         # Ratios against the fractional lower bound are recorded.
         assert all(r["ratio"] for r in rows)
+
+    def test_ratio_below_one_shows_count_factor(self, tmp_path):
+        inst_dir = tmp_path / "inst"
+        inst_dir.mkdir()
+        run(["generate", "--kind", "euclidean", "--n", "12", "--seed", "0",
+             "--classes", "1:0.4,2:0.15,3:0.05", "--out", str(inst_dir / "i0.json")])
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--instances", str(inst_dir),
+                    "--algos", "kcenter,guess-q,bicriteria", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        below = [r for r in rows if float(r["ratio"]) < 1.0]
+        assert below and all(float(r["count_factor"]) > 1.0 for r in below)
+        # kcenter opens at most k_t balls per class.
+        assert float(rows[0]["count_factor"]) <= 1.0
 
     def test_lower_bound_once_per_instance(self, tmp_path, monkeypatch):
         inst_dir = tmp_path / "inst"

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nukc import lp
+from nukc.gadgets import random_instance
+from nukc.model import build_nukc_lp, candidate_dilations
 
 
 def scipy_reference(problem):
-    """Independent solve of the same problem via scipy's HiGHS backend."""
-    n = problem.num_vars
-    c = problem.objective if problem.objective is not None else np.zeros(n)
+    """Independent feasibility check of the same problem via scipy's HiGHS
+    backend, with a zero objective."""
+    c = np.zeros(problem.num_vars)
     flip = np.where(problem.ge, -1.0, 1.0)  # every row as <=
     a_ub = flip[:, None] * problem.constraints
     b_ub = flip * problem.rhs
@@ -16,14 +20,18 @@ def scipy_reference(problem):
     return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
 
-def make_problem(rows, ge, rhs, bounds, objective=None):
+def make_problem(rows, ge, rhs, bounds):
     return lp.LpProblem(
         constraints=np.array(rows, dtype=float).reshape(len(rows), len(bounds)),
         ge=np.array(ge, dtype=bool),
         rhs=np.array(rhs, dtype=float),
         bounds=np.array(bounds, dtype=float),
-        objective=None if objective is None else np.array(objective, dtype=float),
     )
+
+
+def rows_hold(problem, values, tol=1e-6):
+    lhs = problem.constraints @ values
+    return np.all(np.where(problem.ge, lhs >= problem.rhs - tol, lhs <= problem.rhs + tol))
 
 
 def random_problem(seed):
@@ -36,17 +44,10 @@ def random_problem(seed):
         rows.append(rng.uniform(-1, 2, size=n))
         ge.append(rng.rand() >= 0.5)
         rhs.append(rng.uniform(-1, 3))
-    return make_problem(rows, ge, rhs, bounds, objective=rng.uniform(-2, 2, size=n))
+    return make_problem(rows, ge, rhs, bounds)
 
 
 class TestSolveKnown:
-    def test_simple_minimization(self):
-        # min x0 + x1 s.t. x0 + x1 >= 1, 0 <= x <= 1 -> objective 1.
-        prob = make_problem([[1.0, 1.0]], [True], [1.0], [(0.0, 1.0)] * 2, [1.0, 1.0])
-        sol = lp.solve(prob)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-8)
-
     def test_feasibility_only_problem(self):
         prob = make_problem([[1.0, 1.0]], [True], [1.5], [(0.0, 1.0)] * 2)
         sol = lp.solve(prob)
@@ -60,24 +61,24 @@ class TestSolveKnown:
         assert not sol.ok
 
     def test_binding_upper_bounds(self):
-        # max x0 + 2 x1 (as min of the negative) with x <= (1, 2), sum <= 2.
-        prob = make_problem([[1.0, 1.0]], [False], [2.0], [(0.0, 1.0), (0.0, 2.0)],
-                            [-1.0, -2.0])
+        # x0 + x1 >= 3 with x <= (1, 2): only the corner (1, 2) is feasible.
+        prob = make_problem([[1.0, 1.0]], [True], [3.0], [(0.0, 1.0), (0.0, 2.0)])
         sol = lp.solve(prob)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(-4.0, abs=1e-8)
-        assert sol.values == pytest.approx([0.0, 2.0], abs=1e-8)
+        assert sol.status == "feasible"
+        assert sol.values == pytest.approx([1.0, 2.0], abs=1e-8)
 
     def test_no_rows(self):
         bounds = [(0.5, 1.0), (-1.0, 2.0)]
         assert lp.solve(make_problem([], [], [], bounds)).values.tolist() == [0.5, -1.0]
-        sol = lp.solve(make_problem([], [], [], bounds, [1.0, -1.0]))
-        assert sol.status == "optimal"
-        assert sol.values.tolist() == [0.5, 2.0] and sol.objective_value == -1.5
 
     def test_unbounded(self):
-        prob = make_problem([[1.0, -1.0]], [False], [1.0], [(0.0, np.inf)] * 2, [0.0, -1.0])
-        assert lp.solve(prob).status == "unbounded"
+        # Variables without an upper bound: x0 >= 5 and x0 - x1 <= 1 need x1 >= 4.
+        prob = make_problem([[1.0, 0.0], [1.0, -1.0]], [True, False], [5.0, 1.0],
+                            [(0.0, np.inf)] * 2)
+        sol = lp.solve(prob)
+        assert sol.status == "feasible"
+        assert rows_hold(prob, sol.values)
+        assert sol.values[1] >= 4.0 - 1e-8
 
     @pytest.mark.parametrize(
         "change,match",
@@ -87,14 +88,12 @@ class TestSolveKnown:
             (lambda p: setattr(p, "bounds", p.bounds[:1]), "bounds must be"),
             (lambda p: setattr(p, "bounds", p.bounds[:, :1]), "bounds must be"),
             (lambda p: p.bounds.__setitem__(1, (2.0, 1.0)), "variable 1 has empty bound"),
-            (lambda p: setattr(p, "objective", np.ones(3)), "objective has wrong width"),
         ],
-        ids=["ge-short", "rhs-long", "bounds-rows", "bounds-cols", "empty-interval",
-             "objective-width"],
+        ids=["ge-short", "rhs-long", "bounds-rows", "bounds-cols", "empty-interval"],
     )
     def test_malformed_problem_rejected(self, change, match):
         prob = make_problem([[1.0, 1.0], [1.0, 0.0]], [True, False], [1.0, 1.0],
-                            [(0.0, 1.0)] * 2, [1.0, 1.0])
+                            [(0.0, 1.0)] * 2)
         change(prob)
         with pytest.raises(ValueError, match=match):
             lp.solve(prob)
@@ -103,18 +102,44 @@ class TestSolveKnown:
 class TestSolveAgainstScipy:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_reference_objective(self, seed):
+        """Same feasibility verdict as HiGHS with a zero objective, and the
+        returned point satisfies every row."""
         prob = random_problem(seed)
         ours = lp.solve(prob)
         ref = scipy_reference(prob)
-        if ref.status == 2:  # infeasible
-            assert ours.status == "infeasible"
-            return
-        assert ref.status == 0
-        assert ours.status == "optimal"
-        assert ours.objective_value == pytest.approx(ref.fun, abs=1e-6)
-        # Returned point satisfies every row.
-        lhs = prob.constraints @ ours.values
-        assert np.all(np.where(prob.ge, lhs >= prob.rhs - 1e-6, lhs <= prob.rhs + 1e-6))
+        assert ref.status in (0, 2)  # feasible or infeasible
+        assert ours.status == ("feasible" if ref.status == 0 else "infeasible")
+        if ours.ok:
+            assert rows_hold(prob, ours.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 7),
+        st.data(),
+    )
+    def test_covering_lps_match_reference(self, seed, n, data):
+        """On covering LPs from build_nukc_lp with per-point start levels and
+        pinned variables, the simplex finds a point exactly when HiGHS does."""
+        inst = random_instance(n, seed=seed, max_classes=3)
+        h = inst.num_classes
+        cands = candidate_dilations(inst)
+        dilation = cands[data.draw(st.integers(0, len(cands) - 1), label="candidate")]
+        points = data.draw(st.sets(st.integers(0, n - 1)), label="points")
+        start = {p: data.draw(st.integers(0, h), label=f"start {p}") for p in points}
+        pinned = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, n - 1), st.integers(0, h - 1)),
+                st.sampled_from([0.0, 1.0]),
+                max_size=n * h,
+            ),
+            label="pinned",
+        )
+        prob = build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned)
+        ours = lp.solve(prob)
+        assert ours.ok == (scipy_reference(prob).status == 0)
+        if ours.ok:
+            assert rows_hold(prob, ours.values)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_solutions_are_basic(self, seed):

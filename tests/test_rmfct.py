@@ -106,10 +106,6 @@ class TestLayeredTree:
         assert tree.path_to_root(5) == [5, 2]
         assert tree.leaves == [3, 4, 5, 6]
 
-    def test_to_text_lists_every_node(self):
-        text = binary_tree().to_text()
-        assert text.count("node=") == 6
-
 
 class TestLp:
     def test_lp_rows(self):

@@ -6,6 +6,7 @@ import pytest
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
 from nukc.model import (
+    Ball,
     NukcInstance,
     achieved_dilation,
     compress_radii,
@@ -121,6 +122,20 @@ class TestZeroDilation:
         assert achieved_dilation(inst, sol) == 0.0
         assert validate_solution(inst, sol, 1.0, 1.0).ok
 
+    def duplicate_space(self):
+        """Four distance-zero classes: {0, 1}, {2, 3}, {4}, {5}."""
+        return MetricSpace.from_coords(np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [5.0]]))
+
+    def test_classes_in_budget_order_across_budgets(self):
+        inst = NukcInstance(self.duplicate_space(), [(2, 2.0), (3, 1.0)])
+        sol = zero_dilation_solution(inst)
+        assert sol.balls == [Ball(0, 0, 0.0), Ball(2, 0, 0.0), Ball(4, 1, 0.0), Ball(5, 1, 0.0)]
+
+    def test_not_enough_balls(self):
+        inst = NukcInstance(self.duplicate_space(), [(1, 2.0), (2, 1.0)])
+        with pytest.raises(ValueError, match="not enough balls"):
+            zero_dilation_solution(inst)
+
 
 class TestBottomHeavy:
     def make(self, seed):
@@ -140,12 +155,10 @@ class TestBottomHeavy:
         inst, x = pair
         L = inst.num_classes - 1
         tau = 0  # every point draws all coverage from classes >= 0
-        res = round_bottom_heavy(inst, x, tau)
-        assert sorted(res.covered) == list(range(inst.n))
-        sol = res.solution
+        sol = round_bottom_heavy(inst, x, tau)
         dist = inst.space.dist
-        # Coverage of the eligible points.
-        for p in res.covered:
+        # At tau = 0 every point is eligible and must be covered.
+        for p in range(inst.n):
             assert any(
                 dist[p, b.center] <= b.radius_used + 1e-9 for b in sol.balls
             )
