@@ -25,6 +25,7 @@ from .model import (
     CompressedInstance,
     NukcInstance,
     NukcSolution,
+    _settle,
     achieved_dilation,
     build_nukc_lp,
     compress_radii,
@@ -192,11 +193,11 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
             covered_by_A |= dist[p] <= GATHER_FACTOR * radii[t] + COVER_TOL
         x_g = [int(p) for p in np.nonzero(covered_by_A)[0]]
         rest = [p for p in all_points if not covered_by_A[p]]
-        sol = lp.solve(build_guess_lp(rest, pair, scaled))
-        if not sol.ok:
+        solve = _settle(build_guess_lp(rest, pair, scaled), h)
+        if solve is None:
             memo[key] = None
             return None
-        x_star = sol.values.reshape(n, h)
+        x_star = solve()
         cov = coverage(scaled, x_star)
         x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - HALF_MASS_TOL]
         in_b = set(x_b)
@@ -212,9 +213,9 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         # Can the remainder be covered by levels above tau alone?
         forced = {(p, t) for p in all_points for t in range(tau + 1)}
         pair_f = pair.with_negative(forced)
-        sol_t = lp.solve(build_guess_lp(x_t, pair_f, scaled))
-        if sol_t.ok:
-            x_small = sol_t.values.reshape(n, h)
+        solve_t = _settle(build_guess_lp(x_t, pair_f, scaled), h)
+        if solve_t is not None:
+            x_small = solve_t()
             bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).balls
             result = NukcSolution(balls_a + bh_b + bh_t)
             memo[key] = result

@@ -8,6 +8,7 @@ everything outside it is deterministic.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -29,17 +30,16 @@ def _integral(value, what: str) -> int:
 
 
 def _point_array(points: dict, key: str) -> np.ndarray:
-    """points[key] as a float array: a list of equal-length lists of
-    numbers, or a FormatError naming the key."""
+    """points[key] as a float array: a list of equal-length lists of JSON
+    numbers (not strings or booleans), or a FormatError naming the key."""
     rows = points[key]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError(f'points "{key}" must be a list of lists of numbers')
     if len({len(row) for row in rows}) > 1:
         raise FormatError(f'points "{key}" rows must all have the same length')
-    try:
-        return np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f'points "{key}" must hold only numbers') from exc
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise FormatError(f'points "{key}" must hold only numbers')
+    return np.array(rows, dtype=float)
 
 
 def instance_to_obj(instance: NukcInstance, coords=None) -> dict:

@@ -154,13 +154,95 @@ def build_nukc_lp(
     )
 
 
-def solve_fractional(instance: NukcInstance, dilation: float, **kwargs):
-    """Solve the relaxation at `dilation`; returns x of shape (n, h) or
-    None when infeasible."""
-    sol = lp.solve(build_nukc_lp(instance, dilation, **kwargs))
-    if not sol.ok:
+# Needs and capacities are integers when pins are 0/1, so a refutation asks
+# the need to exceed the supply by this margin, far above float error.
+CERT_MARGIN = 0.5
+
+
+def _certify(problem: lp.LpProblem, h: int):
+    """Settle a covering LP from build_nukc_lp (h classes) without pivoting:
+    False when a packing bound refutes it, True when an integral greedy
+    choice satisfies it, None when neither does.
+
+    Refutation: covering rows whose free supports are pairwise disjoint
+    (picked smallest support first) need the sum of their residuals from
+    the union U of those supports, and U holds at most sum_t min(cap_t,
+    |U in class t|) with cap_t the budget left after the pins: weak duality
+    with y = 1 on the rows and z = 1 on the budget rows.
+    It needs 0/1 coefficients, [0, 1] free bounds and one budget row per
+    class, which build_nukc_lp guarantees; it is never run inside lp.solve.
+    """
+    C, rhs, bounds = problem.constraints, problem.rhs, problem.bounds
+    m = len(C) - h
+    free = bounds[:, 0] < bounds[:, 1]
+    fixed = np.where(free, 0.0, bounds[:, 0])
+    need = rhs[:m] - C[:m] @ fixed
+    cap = rhs[m:] - fixed.reshape(-1, h).sum(axis=0)
+    supp = (C[:m] > 0) & free
+    rows = np.flatnonzero(need > 0)
+    rows = rows[np.argsort(supp[rows].sum(axis=1), kind="stable")]
+    sets = supp[rows].astype(float)
+    clash = (sets @ sets.T > 0).tolist()
+    picked = []
+    for i in range(len(rows)):
+        if not any(clash[i][j] for j in picked):
+            picked.append(i)
+    # Every prefix of the picked rows is such a set; the empty prefix
+    # refutes pins that overrun a budget.
+    per_class = sets[picked].reshape(len(picked), len(free) // h, h).sum(axis=1)
+    union = np.cumsum(np.vstack([np.zeros(h), per_class]), axis=0)
+    needs = np.cumsum(np.concatenate([[0.0], need[rows[picked]]]))
+    if np.any(needs > np.minimum(cap, union).sum(axis=1) + CERT_MARGIN):
+        return False
+
+    # Greedy: open the free variable meeting the most unmet rows, within
+    # the remaining budgets, until every row is met or none helps.
+    x = fixed.copy()
+    unmet = need > 0
+    gain = supp[unmet].sum(axis=0)
+    cls = np.arange(len(x)) % h
+    while unmet.any():
+        score = gain * (cap[cls] >= 1)
+        j = int(np.argmax(score))
+        if score[j] == 0:
+            return None
+        x[j] = 1.0
+        cap[j % h] -= 1
+        met = unmet & supp[:, j]
+        unmet &= ~met
+        gain -= supp[met].sum(axis=0)
+    lhs = C @ x
+    return True if np.all(np.where(problem.ge, lhs >= rhs, lhs <= rhs)) else None
+
+
+def _settle(problem: lp.LpProblem, h: int):
+    """None when the covering LP `problem` (from build_nukc_lp, h classes)
+    is infeasible, else a zero-argument callable returning its basic
+    feasible x, shape (n, h).  A refuted LP is never solved; a confirmed one
+    is solved only when the callable runs, so a search solves just its
+    winner.  Either way x is the simplex's, so it does not depend on which
+    certificate fired."""
+    verdict = _certify(problem, h)
+    if verdict is False:
         return None
-    return sol.values.reshape(instance.n, instance.num_classes)
+    if verdict is None:
+        sol = lp.solve(problem)
+        return (lambda: sol.values.reshape(-1, h)) if sol.ok else None
+
+    def solve():
+        sol = lp.solve(problem)
+        if not sol.ok:
+            raise lp.LpSolverError("simplex refuted an LP the greedy cover satisfies")
+        return sol.values.reshape(-1, h)
+
+    return solve
+
+
+def solve_fractional(instance: NukcInstance, dilation: float, **kwargs):
+    """The relaxation at `dilation` as a search probe: None when it is
+    infeasible, else a zero-argument callable returning a basic feasible x
+    of shape (n, h) (see `_settle`)."""
+    return _settle(build_nukc_lp(instance, dilation, **kwargs), instance.num_classes)
 
 
 def candidate_values(dist: np.ndarray, radii) -> list:
@@ -178,8 +260,10 @@ def candidate_dilations(instance: NukcInstance) -> list:
 
 def smallest_feasible(cands, probe):
     """Smallest candidate whose probe hits, for a probe monotone along the
-    sorted `cands` (a miss returns None).  Probes the largest candidate, then
-    the smallest, then bisects.  Returns (candidate, hit), or None when the
+    sorted `cands`.  A probe returns None on a miss and a zero-argument
+    callable on a hit; only the winner's callable runs, once.  Probes the
+    largest candidate, then the smallest, then bisects.  Returns
+    (candidate, what the winner's callable returns), or None when the
     largest candidate misses."""
     hi = len(cands) - 1
     hit = probe(cands[hi])
@@ -188,7 +272,7 @@ def smallest_feasible(cands, probe):
     if hi > 0:
         first = probe(cands[0])
         if first is not None:
-            return cands[0], first
+            return cands[0], first()
     lo = 0  # cands[lo] misses, cands[hi] hits with `hit`
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -197,7 +281,7 @@ def smallest_feasible(cands, probe):
             lo = mid
         else:
             hi, hit = mid, got
-    return cands[hi], hit
+    return cands[hi], hit()
 
 
 def min_feasible_dilation(instance: NukcInstance):

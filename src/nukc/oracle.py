@@ -12,7 +12,14 @@ from itertools import combinations
 import numpy as np
 
 from .metric import COVER_TOL
-from .model import Ball, NukcInstance, NukcSolution, candidate_dilations, smallest_feasible
+from .model import (
+    Ball,
+    InfeasibleInstanceError,
+    NukcInstance,
+    NukcSolution,
+    candidate_dilations,
+    smallest_feasible,
+)
 
 
 class SizeBudgetError(ValueError):
@@ -63,16 +70,22 @@ def exact_nukc(
     {d(p, q) / r_t} plus 0, with a feasibility DFS per candidate.
 
     Returns (dilation, solution); the solution's balls use radius
-    dilation * r_t.  Raises SizeBudgetError above the stated limits."""
+    dilation * r_t.  Raises SizeBudgetError above the stated limits and
+    InfeasibleInstanceError when no candidate dilation admits a cover."""
     if instance.n > max_n or instance.total_k > max_k:
         raise SizeBudgetError(
             f"exact_nukc budget is n <= {max_n}, total k <= {max_k}; "
             f"got n = {instance.n}, k = {instance.total_k}"
         )
     cands = candidate_dilations(instance)
-    found = smallest_feasible(cands, lambda alpha: _coverable(instance, alpha))
+
+    def probe(alpha):
+        placement = _coverable(instance, alpha)
+        return None if placement is None else lambda: placement
+
+    found = smallest_feasible(cands, probe)
     if found is None:
-        raise SizeBudgetError(
+        raise InfeasibleInstanceError(
             "instance is uncoverable at every candidate dilation "
             f"(largest tried: {cands[-1]:g})"
         )

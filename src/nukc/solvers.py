@@ -111,7 +111,7 @@ def solve_kcwo(space: MetricSpace, k: int, l: int) -> KcwoResult:
         if inst.num_classes != (2 if l > 0 else 1):
             return None  # r == 0 merged the classes; handled above
         x = solve_fractional(inst, 1.0)
-        return None if x is None else (inst, x)
+        return None if x is None else lambda: (inst, x())
 
     found = smallest_feasible(candidate_values(space.dist, [1.0]), fractional)
     if found is None:
@@ -285,7 +285,8 @@ class GuessQResult:
 
 def _window_lp_feasible(instance, alpha, tau, fixed_balls):
     """Cover the points missed by `fixed_balls` using classes >= tau only,
-    at dilation alpha.  Returns (x, uncovered) or (None, uncovered)."""
+    at dilation alpha.  Returns (x, uncovered), x None when infeasible and
+    otherwise a zero-argument callable returning the fractional cover."""
     n, h = instance.n, instance.num_classes
     dist = instance.space.dist
     radii = instance.radii
@@ -294,7 +295,7 @@ def _window_lp_feasible(instance, alpha, tau, fixed_balls):
         covered |= dist[center] <= alpha * radii[t] + COVER_TOL
     uncovered = [int(p) for p in np.nonzero(~covered)[0]]
     if not uncovered:
-        return np.zeros((n, h)), uncovered
+        return (lambda: np.zeros((n, h))), uncovered
     below_tau = {(p, t): 0.0 for p in range(n) for t in range(tau)}
     x = solve_fractional(instance, alpha, points=uncovered, start=tau, pinned=below_tau)
     return x, uncovered
@@ -338,7 +339,7 @@ def solve_guess_q(
         for guess in guesses:
             x, uncovered = _window_lp_feasible(instance, alpha, tau, guess)
             if x is not None:
-                return guess, x, uncovered
+                return lambda: (guess, x(), uncovered)
         return None
 
     found = smallest_feasible(candidate_dilations(instance), first_feasible)

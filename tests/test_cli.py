@@ -43,6 +43,15 @@ class TestGenerate:
         inst = fileio.instance_from_obj(fileio.load(out))
         assert inst.budgets == [2, 1]
 
+    @pytest.mark.parametrize("kind", ["euclidean", "random-metric"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_point_count_below_one_is_usage_error(self, tmp_path, capsys, kind, n):
+        out = tmp_path / "x.json"
+        assert run(["generate", "--kind", kind, "--n", n, "--seed", "0",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+        assert not out.exists()
+
 
 class TestSolveValidate:
     def make_instance(self, tmp_path, n=8, classes="1:0.4,2:0.15", seed=2):
@@ -203,8 +212,12 @@ class TestSolveValidate:
             {"matrix": {"a": 1}},
             {"coords": [[0.0, 1.0], [2.0]]},
             {"matrix": [[0.0, 1.0], [1.0]]},
+            {"coords": [["0"], ["1"], ["5"]]},
+            {"matrix": [[0, "1"], ["1", 0]]},
+            {"coords": [[True], [False]]},
         ],
-        ids=["dict-coords", "dict-matrix", "ragged-coords", "ragged-matrix"],
+        ids=["dict-coords", "dict-matrix", "ragged-coords", "ragged-matrix",
+             "string-coords", "string-matrix", "bool-coords"],
     )
     def test_malformed_points_are_usage_errors(self, tmp_path, capsys, points):
         inst = tmp_path / "inst.json"
@@ -214,6 +227,17 @@ class TestSolveValidate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: points ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("algo", ["exact", "guess-q", "bicriteria"])
+    def test_uncoverable_instance_is_usage_error(self, tmp_path, capsys, algo):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"points": {"coords": [[0], [1], [5]]},
+                                    "classes": [{"k": 1, "r": 0.0}]}))
+        code = run(["solve", "--algo", algo, "--input", str(inst),
+                    "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def write_line_case(self, tmp_path, balls, outliers=()):
         """Points 0, 1, 2, 10, 11 on a line, classes (1, 2.0) and (1, 1.0)."""

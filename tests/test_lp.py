@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from nukc import lp
+from nukc import lp, model
 from nukc.gadgets import random_instance
 from nukc.model import build_nukc_lp, candidate_dilations
 
@@ -120,7 +120,8 @@ class TestSolveAgainstScipy:
     )
     def test_covering_lps_match_reference(self, seed, n, data):
         """On covering LPs from build_nukc_lp with per-point start levels and
-        pinned variables, the simplex finds a point exactly when HiGHS does."""
+        pinned variables, the simplex finds a point exactly when HiGHS does,
+        and the certificates never contradict HiGHS."""
         inst = random_instance(n, seed=seed, max_classes=3)
         h = inst.num_classes
         cands = candidate_dilations(inst)
@@ -137,7 +138,10 @@ class TestSolveAgainstScipy:
         )
         prob = build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned)
         ours = lp.solve(prob)
-        assert ours.ok == (scipy_reference(prob).status == 0)
+        feasible = scipy_reference(prob).status == 0
+        assert ours.ok == feasible
+        verdict = model._certify(prob, h)
+        assert verdict is None or verdict == feasible
         if ours.ok:
             assert rows_hold(prob, ours.values)
 

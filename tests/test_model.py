@@ -220,8 +220,12 @@ class TestFractional:
             inst = random_instance(8, seed=seed)
             solves.clear(), probes.clear()
             alpha, x = min_feasible_dilation(inst)
-            assert len(solves) == len(probes) == len(set(probes))
-            assert np.array_equal(x, real_fractional(inst, alpha))
+            # Certified probes skip the simplex; the winner's LP is solved
+            # once, whether at its probe or deferred.
+            assert len(probes) == len(set(probes))
+            assert len({id(p) for p in solves}) == len(solves) <= len(probes)
+            direct = real_solve(build_nukc_lp(inst, alpha)).values
+            assert np.array_equal(x, direct.reshape(inst.n, inst.num_classes))
 
     def test_lp_shape(self, line_instance):
         prob = build_nukc_lp(line_instance, 1.0)
@@ -248,14 +252,18 @@ class TestBuilder:
         tau = int(rng.randint(h))
         fixed = [(int(rng.randint(inst.n)), int(rng.randint(h)))]
         built = []
-        monkeypatch.setattr(
-            lp, "solve", lambda prob: built.append(prob) or lp.LpSolution("infeasible")
-        )
+        real_build = model.build_nukc_lp
+
+        def recording_build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(model, "build_nukc_lp", recording_build)
         x, uncovered = _window_lp_feasible(inst, dilation, tau, fixed)
         if not uncovered:
-            assert not built and not x.any()
+            assert not built and not x().any()
             return
-        assert x is None and len(built) == 1
+        assert len(built) == 1
         want = reference_nukc_lp(inst, dilation, points=uncovered, class_window=(tau, h - 1))
         assert_same_lp(built[0], want)
 
@@ -288,18 +296,68 @@ class TestSmallestFeasible:
     def test_matches_linear_scan(self, length):
         cands = [0.5 * i for i in range(length)]
         for threshold in range(length + 1):  # threshold == length: none holds
-            probed = []
+            probed, ran = [], []
 
             def probe(c):
                 probed.append(c)
-                return ("hit", c) if c >= 0.5 * threshold else None
+                return (lambda: ran.append(c) or ("hit", c)) if c >= 0.5 * threshold else None
 
             scan = next(((c, ("hit", c)) for c in cands if c >= 0.5 * threshold), None)
             assert smallest_feasible(cands, probe) == scan
             assert probed[0] == cands[-1]
             assert len(probed) == len(set(probed))
+            assert ran == ([] if scan is None else [scan[0]])
             if scan is not None and length > 1:
                 assert probed[1] == cands[0]
+
+
+class TestCertificate:
+    """model._certify: False refutes a covering LP, True confirms it."""
+
+    def line(self, coords, classes):
+        return NukcInstance(MetricSpace.from_coords(np.array(coords, dtype=float)), classes)
+
+    def test_need_equal_to_supply_is_not_refuted(self):
+        # Two far points, two unit balls: the disjoint rows need 2 and
+        # their supports supply exactly 2.
+        inst = self.line([[0], [10]], [(2, 1.0)])
+        assert model._certify(build_nukc_lp(inst, 1.0), 1) is True
+
+    def test_packing_refutes_far_points(self, line_space):
+        inst = NukcInstance(line_space, [(1, 1.0)])
+        assert model._certify(build_nukc_lp(inst, 1.0), 1) is False
+
+    def test_pin_that_uses_up_a_budget(self):
+        inst = self.line([[0], [10]], [(1, 2.0), (1, 1.0)])
+        # The one big ball sits at point 0; point 1 needs the small one.
+        pinned = {(0, 0): 1.0}
+        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned), 2) is True
+        blocked = build_nukc_lp(inst, 1.0, pinned={**pinned, (1, 1): 0.0})
+        assert model._certify(blocked, 2) is False
+        # Pins alone overrun the big ball's budget.
+        over = build_nukc_lp(inst, 1.0, points=[], pinned={(0, 0): 1.0, (1, 0): 1.0})
+        assert model._certify(over, 2) is False
+
+    def test_start_level_h_is_an_empty_row(self, line_instance):
+        h = line_instance.num_classes
+        empty = build_nukc_lp(line_instance, 100.0, points=[3], start=h)
+        assert not empty.constraints[0].any()
+        assert model._certify(empty, h) is False
+
+    def test_duplicate_points(self):
+        # Rows of duplicate points overlap, so only one of them counts.
+        inst = self.line([[0], [0], [0], [5]], [(2, 1.0)])
+        assert model._certify(build_nukc_lp(inst, 1.0), 1) is True
+        lone = self.line([[0], [0], [5]], [(1, 1.0)])
+        assert model._certify(build_nukc_lp(lone, 1.0), 1) is False
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_search_with_and_without_certificates(self, seed, monkeypatch):
+        inst = random_instance(7, seed=seed)
+        alpha, x = min_feasible_dilation(inst)
+        monkeypatch.setattr(model, "_certify", lambda problem, h: None)
+        want_alpha, want_x = min_feasible_dilation(inst)
+        assert alpha == want_alpha and np.array_equal(x, want_x)
 
 
 class TestCoverage:
