@@ -98,10 +98,7 @@ def build_guess_lp(points, pair: GuessPair, instance: NukcInstance) -> lp.LpProb
 @dataclass
 class EnumResult:
     solution: NukcSolution  # on the original instance
-    compressed_solution: NukcSolution
     alpha: float  # fractional lower bound (compressed = also valid for original)
-    tau: int
-    gamma0: int
     short_circuit: bool = False
     used_fallback: bool = False
     nodes_explored: int = 0
@@ -148,10 +145,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
                 bound[compressed.index_class[j - 1]] += per_index
         res = EnumResult(
             solution=lifted,
-            compressed_solution=csol,
             alpha=alpha,
-            tau=tau,
-            gamma0=gamma0,
             short_circuit=short_circuit,
             used_fallback=used_fallback,
             nodes_explored=nodes,
@@ -191,7 +185,6 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         covered_by_A = np.zeros(n, dtype=bool)
         for (p, t) in pair.affirmative:
             covered_by_A |= dist[p] <= GATHER_FACTOR * radii[t] + COVER_TOL
-        x_g = [int(p) for p in np.nonzero(covered_by_A)[0]]
         rest = [p for p in all_points if not covered_by_A[p]]
         solve = _settle(build_guess_lp(rest, pair, scaled), h)
         if solve is None:
@@ -229,7 +222,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
                 continue
             emb = embed_basic(scaled, x_star, points=c_t)
             winners = emb.winners[t]
-            if len(winners) > winner_cap + 1e-9:
+            if len(winners) > winner_cap:
                 raise RuntimeError(
                     f"level-{t} winner count {len(winners)} exceeds the "
                     f"half-mass cap {winner_cap}"

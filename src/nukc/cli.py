@@ -64,6 +64,8 @@ def _parse_classes(spec: str):
 def cmd_generate(args) -> int:
     if args.kind in ("euclidean", "random-metric") and args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
+    if args.kind == "euclidean" and args.dim < 1:
+        raise UsageError(f"--dim must be at least 1, got {args.dim}")
     if args.kind == "euclidean":
         space, coords = random_euclidean(args.n, args.dim, args.seed)
         classes = _parse_classes(args.classes or "2:0.3,3:0.1")

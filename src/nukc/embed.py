@@ -29,8 +29,6 @@ from .metric import COVER_TOL
 from .model import Ball, NukcInstance, NukcSolution, coverage
 from .rmfct import FirefighterInfeasibleError, FirefighterSolution, LayeredTree
 
-AUDIT_TOL = 1e-9
-
 
 @dataclass
 class EmbedResult:
@@ -54,7 +52,7 @@ def _audit_barrier(result: EmbedResult) -> None:
     def walk(v, ancestors):
         for (lvl, pt) in ancestors:
             d = dist[pt, psi[v]]
-            if d > 8.0 * radii[lvl] + AUDIT_TOL:
+            if d > 8.0 * radii[lvl] + COVER_TOL:
                 raise RuntimeError(
                     f"barrier audit failed: ancestor at level {lvl} (point {pt}) "
                     f"is {d:g} > 8*{radii[lvl]:g} from descendant point {psi[v]}"

@@ -122,13 +122,15 @@ def solution_from_obj(obj: dict):
     balls = []
     for i, b in enumerate(obj["balls"]):
         try:
-            center, cls, radius = b["center"], b["class"], float(b["radius"])
-        except (KeyError, TypeError, ValueError) as exc:
+            center, cls, radius = b["center"], b["class"], b["radius"]
+            if type(radius) not in (int, float):  # bool, strings and null are not radii
+                raise TypeError(radius)
+        except (KeyError, TypeError) as exc:
             raise FormatError(
                 f'ball {i} needs "center", "class" and "radius"'
             ) from exc
         balls.append(Ball(
-            _integral(center, f"ball {i} center"), _integral(cls, f"ball {i} class"), radius
+            _integral(center, f"ball {i} center"), _integral(cls, f"ball {i} class"), float(radius)
         ))
     outliers = obj.get("outliers", [])
     if not isinstance(outliers, list):

@@ -83,52 +83,25 @@ def solve_kcwo(space: MetricSpace, k: int, l: int) -> KcwoResult:
     """Cover all but at most l points with k balls of a common radius at
     most twice the optimum.
 
-    Binary-searches the smallest pairwise distance r whose two-class
-    relaxation ((k, r), (l, 0)) is fractionally feasible — a lower bound on
-    the optimum — then rounds the height-two tree embedding integrally and
-    opens balls of radius 2r."""
+    kCwO is two radii with r2 = 0: the instance ((k, 1), (l, 0)) goes
+    through the two-class relax-embed-round-lift path, and its class-0
+    balls, of radius 2 * alpha, are the centers.  Excused points are
+    counted as the radius-0 class counts them: one point per distance-zero
+    group that no center reaches."""
     n = space.n
     if k < 0 or l < 0 or k + l < 1:
         raise ValueError("solve_kcwo needs k >= 0, l >= 0, k + l >= 1")
     if l >= n:
         return KcwoResult([], list(range(n)), 0.0)
-    reps = _duplicate_classes(space)
     if k == 0:
         raise ValueError(f"k = 0 cannot cover {n} points with only {l} excused")
-    if len(reps) <= k + l:
-        # Radius zero suffices: cover duplicate classes directly.
-        centers = reps[:k]
-        outliers = [
-            p
-            for p in range(n)
-            if not any(space.dist[p, c] <= COVER_TOL for c in centers)
-        ]
-        if len(outliers) <= l:
-            return KcwoResult(centers, outliers, 0.0)
-
-    def fractional(r: float):
-        inst = NukcInstance(space, [(k, r), (l, 0)] if l > 0 else [(k, r)])
-        if inst.num_classes != (2 if l > 0 else 1):
-            return None  # r == 0 merged the classes; handled above
-        x = solve_fractional(inst, 1.0)
-        return None if x is None else lambda: (inst, x())
-
-    found = smallest_feasible(candidate_values(space.dist, [1.0]), fractional)
-    if found is None:
-        raise ValueError("relaxation infeasible even at the metric diameter")
-    r, (inst, x) = found
-
-    emb = embed_basic(inst, x)
-    if l > 0:
-        ff = round_depth2(emb.tree, emb.y)
-        top = set(emb.tree.levels[0])
-        centers = sorted(emb.tree.psi[v] for v in ff.chosen & top)
-    else:
-        centers = sorted(emb.tree.psi[v] for v in emb.tree.levels[0])
-    radius = 2.0 * r
+    instance = NukcInstance(space, [(k, 1.0), (l, 0.0)] if l > 0 else [(k, 1.0)])
+    alpha, cover = _relax_embed_round_lift(instance)
+    centers = sorted(b.center for b in cover.balls if b.class_index == 0)
+    radius = 2.0 * alpha
     outliers = [
         p
-        for p in range(n)
+        for p in _duplicate_classes(space)
         if not any(space.dist[p, c] <= radius + COVER_TOL for c in centers)
     ]
     if len(centers) > k or len(outliers) > l:
@@ -190,9 +163,16 @@ def solve_two_radii(space: MetricSpace, class1, class2) -> NukcSolution:
         centers, radius = gonzalez_kcenter(space, k1 + k2)
         return balls_in_budget_order(instance, centers, radius)
 
+    return _relax_embed_round_lift(instance)[1]
+
+
+def _relax_embed_round_lift(instance: NukcInstance):
+    """(alpha, cover) for one or two classes: alpha the smallest candidate
+    dilation with a feasible relaxation, the cover its height-two rounding,
+    lifted with radii 2*alpha*(r_t + ... + r_{h-1})."""
     alpha, x = min_feasible_dilation(instance)
     if alpha == 0.0:
-        return zero_dilation_solution(instance)
+        return alpha, zero_dilation_solution(instance)
     scaled = instance.scaled(alpha)
     # The relaxation rows at (instance, alpha) and (scaled, 1) coincide, so
     # x stays feasible for the scaled instance at dilation 1.
@@ -201,7 +181,7 @@ def solve_two_radii(space: MetricSpace, class1, class2) -> NukcSolution:
         chosen = set(emb.tree.levels[0])
     else:
         chosen = round_depth2(emb.tree, emb.y).chosen
-    return lift_tree_solution(emb, FirefighterSolution(chosen=chosen))
+    return alpha, lift_tree_solution(emb, FirefighterSolution(chosen=chosen))
 
 
 def zero_dilation_solution(instance: NukcInstance) -> NukcSolution:

@@ -52,6 +52,14 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_is_usage_error(self, tmp_path, capsys, dim):
+        out = tmp_path / "x.json"
+        assert run(["generate", "--kind", "euclidean", "--dim", dim, "--seed", "0",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --dim must be at least 1, got {dim}\n"
+        assert not out.exists()
+
 
 class TestSolveValidate:
     def make_instance(self, tmp_path, n=8, classes="1:0.4,2:0.15", seed=2):
@@ -82,6 +90,18 @@ class TestSolveValidate:
         sol = tmp_path / "sol.json"
         assert run(["solve", "--algo", "kcwo", "--input", str(inst), "--out", str(sol)]) == 0
         assert run(["validate", "--instance", str(inst), "--solution", str(sol)]) == 0
+
+    def test_kcwo_coincident_points(self, tmp_path, capsys):
+        """The two points at 100 are one distance-zero group: a single
+        zero-radius ball excuses both."""
+        inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+        inst.write_text(json.dumps({"points": {"coords": [[0], [1], [100], [100]]},
+                                    "classes": [{"k": 1, "r": 1.0}, {"k": 1, "r": 0.0}]}))
+        assert run(["solve", "--algo", "kcwo", "--input", str(inst), "--out", str(sol)]) == 0
+        capsys.readouterr()
+        assert run(["validate", "--instance", str(inst), "--solution", str(sol),
+                    "--count-factor", "1"]) == 0
+        assert capsys.readouterr().out.startswith("valid")
 
     def test_validate_strict_factors_can_fail(self, tmp_path, capsys):
         inst = self.make_instance(tmp_path)
@@ -177,9 +197,11 @@ class TestSolveValidate:
             ("inst", lambda o: o["classes"][0].__setitem__("k", 2.5)),
             ("inst", lambda o: o["classes"][0].__setitem__("r", "0.5")),
             ("inst", lambda o: o["classes"][0].__setitem__("r", True)),
+            ("sol", lambda o: o["balls"][0].__setitem__("radius", "150")),
+            ("sol", lambda o: o["balls"][0].__setitem__("radius", True)),
         ],
         ids=["labels-5", "outlier-null", "outlier-1.5", "center-1.7", "k-2.5",
-             "r-string", "r-true"],
+             "r-string", "r-true", "radius-string", "radius-true"],
     )
     def test_non_integer_ids_are_usage_errors(self, tmp_path, capsys, doc, change):
         paths = {"inst": self.make_instance(tmp_path), "sol": tmp_path / "sol.json"}

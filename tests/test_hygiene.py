@@ -1,5 +1,5 @@
-"""Source hygiene checks: unused imports, and one algorithm list shared by
-the CLI table, its argparse choices and the README."""
+"""Source hygiene checks: unused imports, dead locals, and one algorithm
+list shared by the CLI table, its argparse choices and the README."""
 
 import argparse
 import ast
@@ -32,6 +32,47 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
+
+
+def outermost_functions(tree):
+    """Module-level functions and class methods; nested defs belong to the
+    function that encloses them."""
+    for node in ast.walk(tree):
+        body = node.body if isinstance(node, (ast.Module, ast.ClassDef)) else []
+        for child in body:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+
+
+def dead_locals(func):
+    """Names bound anywhere inside `func`, nested closures included, that
+    nothing inside `func` reads.  Parameters, `global` names and `_` are
+    exempt."""
+    bound, read, exempt = {}, set(), {"_"}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            else:
+                read.add(node.id)
+        elif isinstance(node, ast.arg):
+            exempt.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not func:
+            bound.setdefault(node.name, node.lineno)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.setdefault(node.name, node.lineno)
+        elif isinstance(node, ast.Global):
+            exempt.update(node.names)
+    return [f"{name} (line {line})" for name, line in bound.items()
+            if name not in read and name not in exempt]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dead_locals(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    dead = [f"{func.name}: {name}" for func in outermost_functions(tree)
+            for name in dead_locals(func)]
+    assert not dead, f"{module} binds locals it never reads: {', '.join(dead)}"
 
 
 def test_algorithm_lists_agree():

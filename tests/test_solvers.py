@@ -61,6 +61,28 @@ class TestKcwo:
         covered[list(res.outliers)] = True
         assert covered.all()
 
+    @pytest.mark.parametrize(
+        "coords,k,l",
+        [([[1], [0], [0]], 1, 1)]
+        + [
+            (rng.randint(0, 4, size=(rng.randint(2, 12), 1)).tolist(),
+             int(rng.randint(1, 4)), int(rng.randint(0, 4)))
+            for rng in map(np.random.RandomState, range(60))
+        ],
+        ids=["1-0-0"] + [f"grid-seed-{seed}" for seed in range(60)],
+    )
+    def test_coincident_points(self, coords, k, l):
+        """On a grid with repeated points the radius-0 class excuses a whole
+        distance-zero group with one ball."""
+        space = MetricSpace.from_coords(np.array(coords, dtype=float))
+        opt, _, _ = exact_kcwo(space, k, l)
+        res = solve_kcwo(space, k, l)
+        assert res.radius <= 2 * opt + 1e-9
+        assert len(res.centers) <= k and len(res.outliers) <= l
+        classes = [(k, res.radius or 1.0)] + ([(l, 0.0)] if l else [])
+        report = validate_solution(NukcInstance(space, classes), res.to_solution(), 1.0, 1.0)
+        assert report.ok, str(report)
+
     def test_all_points_outliers(self):
         space, _ = random_euclidean(4, 2, seed=0)
         res = solve_kcwo(space, 1, 4)
