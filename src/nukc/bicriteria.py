@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .metric import COVER_TOL
+from .metric import covered, within
 from .model import (
     Ball,
     CompressedInstance,
@@ -35,13 +35,8 @@ from .model import (
 )
 from .embed import embed_basic
 from .oracle import SizeBudgetError
-from .solvers import (
-    HALF_MASS_TOL,
-    ilog,
-    round_bottom_heavy,
-    solve_guess_q,
-    zero_dilation_solution,
-)
+from .rmfct import ROUND_TOL
+from .solvers import ilog, round_bottom_heavy, solve_guess_q, zero_dilation_solution
 
 logger = logging.getLogger(__name__)
 
@@ -182,9 +177,8 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
             gamma,
         )
         result = None
-        covered_by_A = np.zeros(n, dtype=bool)
-        for (p, t) in pair.affirmative:
-            covered_by_A |= dist[p] <= GATHER_FACTOR * radii[t] + COVER_TOL
+        covered_by_A = covered(dist, [p for p, _ in pair.affirmative],
+                               [GATHER_FACTOR * radii[t] for _, t in pair.affirmative])
         rest = [p for p in all_points if not covered_by_A[p]]
         solve = _settle(build_guess_lp(rest, pair, scaled), h)
         if solve is None:
@@ -192,7 +186,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
             return None
         x_star = solve()
         cov = coverage(scaled, x_star)
-        x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - HALF_MASS_TOL]
+        x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - ROUND_TOL]
         in_b = set(x_b)
         x_t = [p for p in rest if p not in in_b]
         balls_a = [
@@ -232,12 +226,8 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
                 if hit is not None:
                     result = hit
                     break
-                banned = [
-                    (int(q), t)
-                    for q in np.nonzero(
-                        dist[p] <= EXCLUDE_FACTOR * radii[t] + COVER_TOL
-                    )[0]
-                ]
+                near = within(dist[p], EXCLUDE_FACTOR * radii[t])
+                banned = [(int(q), t) for q in np.flatnonzero(near)]
                 hit = recurse(pair.with_negative(banned), gamma - 1)
                 if hit is not None:
                     result = hit

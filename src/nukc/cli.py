@@ -181,12 +181,10 @@ def cmd_validate(args) -> int:
         count_factor=count_factor,
         radius_factor=radius_factor,
     )
+    # Listed outliers are informational: every point must lie in a ball.
     for p in outliers:
         if not (0 <= p < instance.n):
             raise ValueError(f"outlier {p} is not a point id in [0, {instance.n})")
-    # Points listed as outliers are excused from coverage.
-    excused = set(outliers)
-    report.uncovered = [p for p in report.uncovered if p not in excused]
     print(report)
     return EXIT_OK if report.ok else EXIT_INVALID
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import COVER_TOL
+from .metric import covered, within
 from .model import Ball, NukcInstance, NukcSolution, coverage
 from .rmfct import FirefighterInfeasibleError, FirefighterSolution, LayeredTree
 
@@ -52,7 +52,7 @@ def _audit_barrier(result: EmbedResult) -> None:
     def walk(v, ancestors):
         for (lvl, pt) in ancestors:
             d = dist[pt, psi[v]]
-            if d > 8.0 * radii[lvl] + COVER_TOL:
+            if not within(d, 8.0 * radii[lvl]):
                 raise RuntimeError(
                     f"barrier audit failed: ancestor at level {lvl} (point {pt}) "
                     f"is {d:g} > 8*{radii[lvl]:g} from descendant point {psi[v]}"
@@ -115,7 +115,7 @@ def embed(
             # in one round with gathering radius 2 * r_{span_top}.
             span_top = cur - 1
             for s in range(cur - 1):
-                if radii[s] <= 2.0 * radii[cur - 1] + COVER_TOL:
+                if within(radii[s], 2.0 * radii[cur - 1]):
                     span_top = s
                     break
         gather = 2.0 * radii[span_top]
@@ -125,7 +125,8 @@ def embed(
             # Winner: minimal suffix coverage at the current level, ties to
             # the lowest point id (`active` is sorted).
             p = min(active, key=lambda q: (cov[q, cur:].sum(), q))
-            group = [q for q in active if dist[p, q] <= gather + COVER_TOL]
+            near = within(dist[p], gather)
+            group = [q for q in active if near[q]]
             chain_child = [node_of[q] for q in group]
             for lvl in range(cur - 1, span_top - 1, -1):
                 w = new_node()
@@ -190,12 +191,9 @@ def lift_tree_solution(
                 f"chosen node {v} lies on the leaf level, which carries no class"
             )
         balls.append(Ball(tree.psi[v], lvl, lift_radius(result, lvl)))
-    dist = result.instance.space.dist
-    uncovered = [
-        p
-        for p in result.leaf_points
-        if not any(dist[p, b.center] <= b.radius_used + COVER_TOL for b in balls)
-    ]
+    hit = covered(result.instance.space.dist, [b.center for b in balls],
+                  [b.radius_used for b in balls])
+    uncovered = [p for p in result.leaf_points if not hit[p]]
     if uncovered:
         raise FirefighterInfeasibleError(
             f"firefighter solution leaves {len(uncovered)} embedded points uncovered",

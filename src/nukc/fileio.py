@@ -125,12 +125,15 @@ def solution_from_obj(obj: dict):
             center, cls, radius = b["center"], b["class"], b["radius"]
             if type(radius) not in (int, float):  # bool, strings and null are not radii
                 raise TypeError(radius)
-        except (KeyError, TypeError) as exc:
+            radius = float(radius)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(
                 f'ball {i} needs "center", "class" and "radius"'
             ) from exc
+        if not (np.isfinite(radius) and radius >= 0):
+            raise FormatError(f"ball {i} radius must be finite and >= 0, got {radius}")
         balls.append(Ball(
-            _integral(center, f"ball {i} center"), _integral(cls, f"ball {i} class"), float(radius)
+            _integral(center, f"ball {i} center"), _integral(cls, f"ball {i} class"), radius
         ))
     outliers = obj.get("outliers", [])
     if not isinstance(outliers, list):

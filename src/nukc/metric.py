@@ -1,7 +1,8 @@
 """Finite metric spaces given by explicit distance matrices.
 
-All coverage comparisons in the package are inclusive: a point q belongs to
-the ball of radius r around c when d(c, q) <= r + COVER_TOL.
+The package has one coverage rule, and it lives here: a point q belongs to
+the ball of radius r around c when d(c, q) <= r + COVER_TOL (`within`).
+Every ball-membership test elsewhere goes through `within` or `covered`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,19 @@ from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 COVER_TOL = 1e-9
 METRIC_TOL = 1e-9
+
+
+def within(dist, radius):
+    """The coverage rule, inclusive and elementwise (numpy broadcasting):
+    dist <= radius + COVER_TOL."""
+    return dist <= radius + COVER_TOL
+
+
+def covered(dist, centers, radii) -> np.ndarray:
+    """(n,) mask of the points within radii[i] of centers[i] for some i,
+    given the (n, n) distance matrix; `radii` may be one radius for all."""
+    rows = dist[np.asarray(centers, dtype=int)]
+    return within(rows, np.reshape(radii, (-1, 1))).any(axis=0)
 
 
 class MetricError(ValueError):
@@ -75,14 +89,14 @@ def validate_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> list:
 class MetricSpace:
     """A finite metric space on points 0..n-1."""
 
-    def __init__(self, dist, labels=None, check: bool = True, tol: float = METRIC_TOL):
+    def __init__(self, dist, labels=None, check: bool = True):
         self.dist = np.array(dist, dtype=float)
         if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
             raise ValueError(
                 f"distance matrix must be square, got shape {self.dist.shape}"
             )
         if check:
-            violations = validate_metric(self.dist, tol=tol)
+            violations = validate_metric(self.dist)
             if violations:
                 raise MetricError(violations)
         self.labels = list(labels) if labels is not None else None
@@ -97,15 +111,14 @@ class MetricSpace:
         return float(self.dist[i, j])
 
     def ball(self, center: int, radius: float) -> list:
-        """Points within the closed ball of `radius` around `center`
-        (inclusive comparison with COVER_TOL slack)."""
-        return [int(q) for q in np.nonzero(self.dist[center] <= radius + COVER_TOL)[0]]
+        """Points within the closed ball of `radius` around `center`."""
+        return [int(q) for q in np.nonzero(within(self.dist[center], radius))[0]]
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
     @classmethod
-    def from_coords(cls, coords, check: bool = False) -> "MetricSpace":
+    def from_coords(cls, coords) -> "MetricSpace":
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2:
             raise ValueError("coords must be a 2-d array")
@@ -115,7 +128,7 @@ class MetricSpace:
         # floating noise instead of re-validating.
         dist = (dist + dist.T) / 2.0
         np.fill_diagonal(dist, 0.0)
-        return cls(dist, check=check)
+        return cls(dist, check=False)
 
 
 def gonzalez_kcenter(space: MetricSpace, k: int):
@@ -131,7 +144,7 @@ def gonzalez_kcenter(space: MetricSpace, k: int):
     mind = space.dist[0].copy()
     while len(centers) < k:
         far = int(np.argmax(mind))  # argmax returns the lowest index on ties
-        if mind[far] <= COVER_TOL:
+        if within(mind[far], 0.0):
             break
         centers.append(far)
         mind = np.minimum(mind, space.dist[far])

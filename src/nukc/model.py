@@ -9,13 +9,14 @@ count (balls per class versus k_t) and radius (used radius versus r_t).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
-from .metric import COVER_TOL, MetricSpace
+from .metric import MetricSpace, covered, within
 
 
 class InfeasibleInstanceError(ValueError):
@@ -28,8 +29,10 @@ class RadiusClass:
     radius: float
 
     def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError(f"class multiplicity must be >= 1, got {self.multiplicity}")
+        if not 1 <= self.multiplicity <= sys.maxsize:
+            raise ValueError(
+                f"class multiplicity must lie in [1, {sys.maxsize}], got {self.multiplicity}"
+            )
         if not (math.isfinite(self.radius) and self.radius >= 0):
             raise ValueError(f"class radius must be finite and >= 0, got {self.radius}")
 
@@ -143,8 +146,8 @@ def build_nukc_lp(
         bounds[var_index(q, t, h)] = value
     pts = list(range(n)) if points is None else sorted(points)
     first = [start[p] for p in pts] if isinstance(start, Mapping) else start
-    reach = dilation * np.asarray(instance.radii, dtype=float) + COVER_TOL
-    rows = instance.space.dist[pts][:, :, None] <= reach  # rows[i, q, t]
+    reach = dilation * np.asarray(instance.radii, dtype=float)
+    rows = within(instance.space.dist[pts][:, :, None], reach)  # rows[i, q, t]
     rows &= np.arange(h) >= np.reshape(first, (-1, 1, 1))
     return lp.LpProblem(
         constraints=np.vstack([rows.reshape(len(pts), n * h), np.tile(np.eye(h), n)]),
@@ -305,7 +308,7 @@ def coverage(instance: NukcInstance, x: np.ndarray) -> np.ndarray:
     dist = instance.space.dist
     cov = np.zeros((n, h))
     for t, r in enumerate(instance.radii):
-        cov[:, t] = (dist <= r + COVER_TOL) @ x[:, t]
+        cov[:, t] = within(dist, r) @ x[:, t]
     return cov
 
 
@@ -341,14 +344,12 @@ def validate_solution(
     """Check a solution as an (count_factor, radius_factor) bicriteria
     answer: every point covered, each ball's used radius at most
     radius_factor * r_t, and per-class ball counts at most
-    ceil(count_factor * k_t).  NaN factors are refused: every comparison
-    with them is false, so they would pass any solution."""
-    if math.isnan(count_factor) or math.isnan(radius_factor):
-        raise ValueError("count and radius factors must be numbers, not NaN")
+    ceil(count_factor * k_t).  Factors must be >= 0 (a NaN factor compares
+    false, so it would pass anything); an infinite limit checks nothing."""
+    if not (count_factor >= 0 and radius_factor >= 0):
+        raise ValueError("count and radius factors must be numbers >= 0")
     report = ValidationReport()
     n, h = instance.n, instance.num_classes
-    dist = instance.space.dist
-    covered = np.zeros(n, dtype=bool)
     for idx, b in enumerate(solution.balls):
         if not (0 <= b.class_index < h):
             raise ValueError(f"ball {idx} refers to unknown class {b.class_index}")
@@ -357,10 +358,11 @@ def validate_solution(
                 f"ball {idx} has center {b.center}, not a point id in [0, {n})"
             )
         limit = radius_factor * instance.radii[b.class_index]
-        if b.radius_used > limit + COVER_TOL:
+        if math.isfinite(limit) and not within(b.radius_used, limit):
             report.radius_violations.append((idx, b.radius_used, limit))
-        covered |= dist[b.center] <= b.radius_used + COVER_TOL
-    report.uncovered = [int(p) for p in np.nonzero(~covered)[0]]
+    hit = covered(instance.space.dist, [b.center for b in solution.balls],
+                  [b.radius_used for b in solution.balls])
+    report.uncovered = np.flatnonzero(~hit).tolist()
     counts = solution.class_counts(h)
     if math.isfinite(count_factor):
         for t in range(h):
@@ -374,19 +376,11 @@ def achieved_dilation(instance: NukcInstance, solution: NukcSolution) -> float:
     """max over points of min over balls of d(p, center)/r_t, using each
     ball's class radius.  Zero-radius balls count only for points at
     distance 0.  Returns inf if some point is not covered at any dilation."""
-    dist = instance.space.dist
-    worst = 0.0
-    for p in range(instance.n):
-        best = math.inf
-        for b in solution.balls:
-            d = dist[p, b.center]
-            r = instance.radii[b.class_index]
-            if r > 0:
-                best = min(best, d / r)
-            elif d <= COVER_TOL:
-                best = 0.0
-        worst = max(worst, best)
-    return worst
+    d = instance.space.dist[:, [b.center for b in solution.balls]]  # d[p, ball]
+    r = np.array([instance.radii[b.class_index] for b in solution.balls])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(r > 0, d / r, np.where(within(d, 0.0), 0.0, math.inf))
+    return float(ratio.min(axis=1, initial=math.inf).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

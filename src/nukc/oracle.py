@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .metric import COVER_TOL
+from .metric import within
 from .model import (
     Ball,
     InfeasibleInstanceError,
@@ -34,7 +34,7 @@ def _coverable(instance: NukcInstance, alpha: float) -> list | None:
     n, h = instance.n, instance.num_classes
     dist = instance.space.dist
     radii = instance.radii
-    reach = [dist <= alpha * radii[t] + COVER_TOL for t in range(h)]
+    reach = [within(dist, alpha * radii[t]) for t in range(h)]
     # Max points any single ball of class t can cover.
     max_cover = [int(reach[t].sum(axis=1).max()) for t in range(h)]
     budgets = [c.multiplicity for c in instance.classes]

@@ -15,6 +15,8 @@ import numpy as np
 
 from . import lp
 
+# Slack on LP-derived mass: the thresholds here and the half-mass tests of
+# bottom-heavy rounding, whose callers must pick points with the same slack.
 ROUND_TOL = 1e-7
 
 

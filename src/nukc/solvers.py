@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .embed import embed_barrier, embed_basic, lift_tree_solution
-from .metric import COVER_TOL, MetricSpace, gonzalez_kcenter
+from .metric import MetricSpace, covered, gonzalez_kcenter, within
 from .model import (
     Ball,
     CompressedInstance,
@@ -34,14 +34,10 @@ from .model import (
     solve_fractional,
 )
 from .oracle import SizeBudgetError
-from .rmfct import FirefighterSolution, round_depth2, round_loose, solve_rmfct_lp
+from .rmfct import ROUND_TOL, FirefighterSolution, round_depth2, round_loose, solve_rmfct_lp
 
 THETA = (math.sqrt(5.0) + 1.0) / 2.0
 TWO_RADII_FACTOR = 1.0 + math.sqrt(5.0)
-# Slack on the mass tests of bottom-heavy rounding.  Callers that pick the
-# points to round must use the same slack: round_bottom_heavy raises on a
-# point it finds below half mass.
-HALF_MASS_TOL = 1e-7
 
 
 def ilog(value: float) -> int:
@@ -74,7 +70,7 @@ def _duplicate_classes(space: MetricSpace) -> list:
     """Representatives of the distance-zero equivalence classes."""
     reps = []
     for p in range(space.n):
-        if not any(space.dist[p, r] <= COVER_TOL for r in reps):
+        if not within(space.dist[p, reps], 0.0).any():
             reps.append(p)
     return reps
 
@@ -99,11 +95,8 @@ def solve_kcwo(space: MetricSpace, k: int, l: int) -> KcwoResult:
     alpha, cover = _relax_embed_round_lift(instance)
     centers = sorted(b.center for b in cover.balls if b.class_index == 0)
     radius = 2.0 * alpha
-    outliers = [
-        p
-        for p in _duplicate_classes(space)
-        if not any(space.dist[p, c] <= radius + COVER_TOL for c in centers)
-    ]
+    reached = covered(space.dist, centers, radius)
+    outliers = [p for p in _duplicate_classes(space) if not reached[p]]
     if len(centers) > k or len(outliers) > l:
         raise RuntimeError(
             f"rounding produced {len(centers)} centers / {len(outliers)} excused "
@@ -119,8 +112,8 @@ def charikar_kcwo(space: MetricSpace, k: int, l: int, r: float) -> KcwoResult | 
     refuses when r is the exact optimal radius."""
     n = space.n
     uncovered = np.ones(n, dtype=bool)
-    inner = space.dist <= r + COVER_TOL
-    outer = space.dist <= 3.0 * r + COVER_TOL
+    inner = within(space.dist, r)
+    outer = within(space.dist, 3.0 * r)
     centers = []
     for _ in range(k):
         if not uncovered.any():
@@ -216,16 +209,16 @@ def round_bottom_heavy(
         raise ValueError(f"tau must lie in [0, {L}], got {tau}")
     cov = coverage(instance, x)
     if points is None:
-        pts = [p for p in range(n) if cov[p, tau:].sum() >= 0.5 - HALF_MASS_TOL]
+        pts = [p for p in range(n) if cov[p, tau:].sum() >= 0.5 - ROUND_TOL]
     else:
         pts = sorted(points)
-        bad = [p for p in pts if cov[p, tau:].sum() < 0.5 - HALF_MASS_TOL]
+        bad = [p for p in pts if cov[p, tau:].sum() < 0.5 - ROUND_TOL]
         if bad:
             raise ValueError(
                 f"points {bad} draw less than half their coverage from classes >= {tau}"
             )
     mid = min(L, max(tau, ilog(L)))
-    upper = [p for p in pts if cov[p, tau : mid + 1].sum() >= 0.25 - HALF_MASS_TOL]
+    upper = [p for p in pts if cov[p, tau : mid + 1].sum() >= 0.25 - ROUND_TOL]
     in_upper = set(upper)
     lower = [p for p in pts if p not in in_upper]
     balls = []
@@ -268,12 +261,10 @@ def _window_lp_feasible(instance, alpha, tau, fixed_balls):
     at dilation alpha.  Returns (x, uncovered), x None when infeasible and
     otherwise a zero-argument callable returning the fractional cover."""
     n, h = instance.n, instance.num_classes
-    dist = instance.space.dist
     radii = instance.radii
-    covered = np.zeros(n, dtype=bool)
-    for center, t in fixed_balls:
-        covered |= dist[center] <= alpha * radii[t] + COVER_TOL
-    uncovered = [int(p) for p in np.nonzero(~covered)[0]]
+    hit = covered(instance.space.dist, [c for c, _ in fixed_balls],
+                  [alpha * radii[t] for _, t in fixed_balls])
+    uncovered = np.flatnonzero(~hit).tolist()
     if not uncovered:
         return (lambda: np.zeros((n, h))), uncovered
     below_tau = {(p, t): 0.0 for p in range(n) for t in range(tau)}

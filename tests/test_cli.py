@@ -199,9 +199,14 @@ class TestSolveValidate:
             ("inst", lambda o: o["classes"][0].__setitem__("r", True)),
             ("sol", lambda o: o["balls"][0].__setitem__("radius", "150")),
             ("sol", lambda o: o["balls"][0].__setitem__("radius", True)),
+            ("sol", lambda o: o["balls"][0].__setitem__("radius", float("nan"))),
+            ("sol", lambda o: o["balls"][0].__setitem__("radius", float("inf"))),
+            ("sol", lambda o: o["balls"][0].__setitem__("radius", float("-inf"))),
+            ("sol", lambda o: o["balls"][0].__setitem__("radius", -0.5)),
         ],
         ids=["labels-5", "outlier-null", "outlier-1.5", "center-1.7", "k-2.5",
-             "r-string", "r-true", "radius-string", "radius-true"],
+             "r-string", "r-true", "radius-string", "radius-true", "radius-nan",
+             "radius-inf", "radius-minus-inf", "radius-negative"],
     )
     def test_non_integer_ids_are_usage_errors(self, tmp_path, capsys, doc, change):
         paths = {"inst": self.make_instance(tmp_path), "sol": tmp_path / "sol.json"}
@@ -283,15 +288,40 @@ class TestSolveValidate:
                     "--count-factor", "1", "--radius-factor", "1"])
         assert code == 1
         assert capsys.readouterr().out == (
-            "uncovered points: [3]\n"
+            "uncovered points: [3, 4]\n"
             "radius violations: [(0, 3.0, 2.0)]\n"
             "count violations: [(0, 2, 1)]\n"
         )
 
+    def test_listed_outliers_are_not_excused(self, tmp_path, capsys):
+        inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+        inst.write_text(json.dumps({"points": {"coords": [[0.0], [1.0], [2.0]]},
+                                    "classes": [{"k": 1, "r": 1.0}]}))
+        sol.write_text(json.dumps({"balls": [], "outliers": [0, 1, 2]}))
+        capsys.readouterr()
+        code = run(["validate", "--instance", str(inst), "--solution", str(sol),
+                    "--count-factor", "1", "--radius-factor", "1"])
+        assert code == 1
+        assert capsys.readouterr().out == "uncovered points: [0, 1, 2]\n"
+
+    @pytest.mark.parametrize("k", [1e308, 2**70], ids=["1e308", "2**70"])
+    @pytest.mark.parametrize("algo", list(cli.ALGOS))
+    def test_multiplicity_beyond_an_index_is_usage_error(self, tmp_path, capsys, algo, k):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"points": {"coords": [[0.0], [1.0], [5.0]]},
+                                    "classes": [{"k": k, "r": 1.0}, {"k": 1, "r": 0.0}]}))
+        code = run(["solve", "--algo", algo, "--input", str(inst),
+                    "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: class multiplicity") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "factors",
-        [("nan", "1"), ("1", "nan"), ("nan", "nan")],
-        ids=["count-nan", "radius-nan", "both-nan"],
+        [("nan", "1"), ("1", "nan"), ("nan", "nan"), ("-1", "1"), ("1", "-1"),
+         ("-0.5", "-0.5")],
+        ids=["count-nan", "radius-nan", "both-nan", "count-negative", "radius-negative",
+             "both-negative"],
     )
     def test_nan_factors_are_usage_errors(self, tmp_path, capsys, factors):
         inst = self.make_instance(tmp_path, n=6, classes="1:0.3,1:0.1", seed=0)

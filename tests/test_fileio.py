@@ -72,6 +72,17 @@ class TestSolutionRoundTrip:
         assert back.balls == sol.balls
 
 
+    @pytest.mark.parametrize(
+        "radius",
+        [float("nan"), float("inf"), float("-inf"), -1.0, -1, 10**400],
+        ids=["nan", "inf", "-inf", "-1.0", "-1", "10**400"],
+    )
+    def test_bad_ball_radius_rejected(self, radius):
+        obj = {"balls": [{"center": 0, "class": 0, "radius": radius}]}
+        with pytest.raises(fileio.FormatError, match="ball 0"):
+            fileio.solution_from_obj(obj)
+
+
 class TestTreeRoundTrip:
     def test_round_trip(self):
         rt = RootedTree([None, 0, 0, 1, 1, 2, 2])

@@ -1,5 +1,6 @@
-"""Source hygiene checks: unused imports, dead locals, and one algorithm
-list shared by the CLI table, its argparse choices and the README."""
+"""Source hygiene checks: unused imports, dead locals, one coverage rule,
+and one algorithm list shared by the CLI table, its argparse choices and
+the README."""
 
 import argparse
 import ast
@@ -73,6 +74,14 @@ def test_no_dead_locals(module):
     dead = [f"{func.name}: {name}" for func in outermost_functions(tree)
             for name in dead_locals(func)]
     assert not dead, f"{module} binds locals it never reads: {', '.join(dead)}"
+
+
+def test_cover_tol_named_only_in_metric():
+    """Ball membership goes through metric.within / metric.covered, so no
+    other module restates the comparison with its own copy of the slack."""
+    naming = [m for m in MODULES
+              if m != "metric.py" and re.search(r"\bCOVER_TOL\b", (SRC / m).read_text())]
+    assert not naming, f"modules naming COVER_TOL outside metric: {', '.join(naming)}"
 
 
 def test_algorithm_lists_agree():

@@ -9,8 +9,10 @@ from nukc.metric import (
     COVER_TOL,
     MetricError,
     MetricSpace,
+    covered,
     gonzalez_kcenter,
     validate_metric,
+    within,
 )
 
 
@@ -121,6 +123,27 @@ class TestMetricSpace:
         assert 1 in line_space.ball(0, 1.0)
         assert 1 in line_space.ball(0, 1.0 - COVER_TOL / 2)
         assert 1 not in line_space.ball(0, 0.5)
+
+    def test_within_is_inclusive_and_broadcasts(self):
+        assert within(1.0, 1.0) and within(1.0 + COVER_TOL / 2, 1.0)
+        assert not within(1.0 + 2 * COVER_TOL, 1.0)
+        mask = within(np.array([[0.0], [2.0]]), np.array([1.0, 3.0]))
+        assert mask.tolist() == [[True, True], [False, True]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_covered_matches_ball_union(self, seed):
+        rng = np.random.RandomState(seed)
+        space = MetricSpace.from_coords(rng.rand(9, 2))
+        centers = rng.randint(9, size=rng.randint(4)).tolist()
+        radii = rng.rand(len(centers)).tolist()
+        union = {q for c, r in zip(centers, radii) for q in space.ball(c, r)}
+        assert np.flatnonzero(covered(space.dist, centers, radii)).tolist() == sorted(union)
+        one = {q for c in centers for q in space.ball(c, 0.3)}
+        assert np.flatnonzero(covered(space.dist, centers, 0.3)).tolist() == sorted(one)
+
+    def test_covered_without_balls_is_empty(self, line_space):
+        assert not covered(line_space.dist, [], []).any()
+        assert covered(line_space.dist, [], 1.0).shape == (5,)
 
     def test_ball_zero_radius_contains_center(self, line_space):
         assert line_space.ball(3, 0.0) == [3]

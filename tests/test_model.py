@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from nukc.model import (
     var_index,
 )
 from nukc import lp
-from nukc.gadgets import random_instance
+from nukc.gadgets import random_euclidean, random_instance
 from nukc.oracle import exact_nukc
 from nukc.solvers import _window_lp_feasible
 
@@ -138,6 +139,15 @@ class TestInstance:
     def test_bad_multiplicity_rejected(self, line_space):
         with pytest.raises(ValueError):
             NukcInstance(line_space, [(0, 1.0)])
+
+    @pytest.mark.parametrize("k", [sys.maxsize + 1, 2**70])
+    def test_multiplicity_beyond_an_index_rejected(self, line_space, k):
+        with pytest.raises(ValueError, match="multiplicity"):
+            NukcInstance(line_space, [(k, 1.0)])
+
+    def test_merged_multiplicity_beyond_an_index_rejected(self, line_space):
+        with pytest.raises(ValueError, match="multiplicity"):
+            NukcInstance(line_space, [(sys.maxsize, 1.0), (1, 1.0)])
 
     def test_negative_radius_rejected(self, line_space):
         with pytest.raises(ValueError):
@@ -394,6 +404,36 @@ class TestValidation:
         sol = NukcSolution([Ball(center, 0, 2.0)])
         with pytest.raises(ValueError, match="not a point id"):
             validate_solution(line_instance, sol)
+
+    @pytest.mark.parametrize(
+        "factors", [(-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_negative_or_nan_factors_rejected(self, line_instance, factors):
+        sol = NukcSolution([Ball(1, 0, 2.0), Ball(3, 1, 1.0)])
+        with pytest.raises(ValueError, match=">= 0"):
+            validate_solution(line_instance, sol, *factors)
+
+    def test_infinite_factor_on_zero_radius_checks_nothing(self, line_space):
+        # inf * 0 is NaN: the limit must count as unchecked, not as violated.
+        inst = NukcInstance(line_space, [(1, 0.0)])
+        sol = NukcSolution([Ball(0, 0, 20.0)])
+        assert validate_solution(inst, sol, radius_factor=math.inf).ok
+        assert validate_solution(inst, sol).radius_violations == [(0, 20.0, 0.0)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_achieved_dilation_matches_point_ball_loop(self, seed):
+        rng = np.random.RandomState(seed)
+        inst = NukcInstance(random_euclidean(7, 2, seed)[0], [(2, 0.3), (1, 0.0)])
+        balls = [Ball(int(c), int(t), 0.0) for c, t in
+                 zip(rng.randint(7, size=seed), rng.randint(2, size=seed))]
+        worst = 0.0
+        for p in range(inst.n):
+            best = math.inf
+            for b in balls:
+                d, r = inst.space.dist[p, b.center], inst.radii[b.class_index]
+                best = min(best, d / r) if r > 0 else (0.0 if d <= COVER_TOL else best)
+            worst = max(worst, best)
+        assert achieved_dilation(inst, NukcSolution(balls)) == worst
 
     def test_zero_radius_dilation_only_at_distance_zero(self, line_space):
         inst = NukcInstance(line_space, [(1, 0.0)])
