@@ -31,7 +31,7 @@ from .model import (
     compress_radii,
     coverage,
     lift_compressed_solution,
-    min_feasible_dilation,
+    relaxation_search,
 )
 from .embed import embed_basic
 from .oracle import SizeBudgetError
@@ -124,7 +124,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     cinst = compressed.instance
     n, h = cinst.n, cinst.num_classes
     tau, gamma0 = enum_parameters(h - 1, instance.total_k)
-    alpha, _ = min_feasible_dilation(cinst)
+    alpha, _ = relaxation_search(cinst)
 
     def finish(csol: NukcSolution, short_circuit, used_fallback, nodes):
         lifted = lift_compressed_solution(csol, compressed, instance)
@@ -135,9 +135,10 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         bound = [0] * instance.num_classes
         for ci, targets in enumerate(compressed.lift_targets):
             emitted = 9 * cinst.classes[ci].multiplicity + 2 * (h + 1)
-            per_index = math.ceil(emitted / len(targets))
-            for j in targets:  # 1-based expanded indices
-                bound[compressed.index_class[j - 1]] += per_index
+            per_index = math.ceil(emitted / sum(stop - start for start, stop in targets))
+            for start, stop in targets:  # 1-based original radius indices
+                for t, count in enumerate(instance.class_counts_in(start, stop)):
+                    bound[t] += per_index * count
         res = EnumResult(
             solution=lifted,
             alpha=alpha,
@@ -154,7 +155,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         return finish(zero_dilation_solution(cinst), True, False, 0)
 
     if instance.total_k <= SHORT_CIRCUIT_K and not force_full:
-        return finish(_guess_q_auto(compressed).solution, True, False, 0)
+        return finish(_guess_q_auto(compressed, alpha).solution, True, False, 0)
 
     scaled = cinst.scaled(alpha)
     radii = scaled.radii
@@ -240,15 +241,16 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     csol = recurse(GuessPair.empty(), gamma0)
     if csol is not None:
         return finish(csol, False, False, nodes[0])
-    return finish(_guess_q_auto(compressed).solution, False, True, nodes[0])
+    return finish(_guess_q_auto(compressed, alpha).solution, False, True, nodes[0])
 
 
-def _guess_q_auto(compressed: CompressedInstance):
+def _guess_q_auto(compressed: CompressedInstance, alpha: float):
     """Smallest q from 1 to GUESS_Q_MAX whose guess enumeration fits the
-    size budget (tau_q shrinks as q grows)."""
+    size budget (tau_q shrinks as q grows).  alpha, the relaxation's
+    optimum, is the floor of its dilation search."""
     for q in range(1, GUESS_Q_MAX + 1):
         try:
-            return solve_guess_q(compressed, q)
+            return solve_guess_q(compressed, q, floor=alpha)
         except SizeBudgetError:
             continue
     raise SizeBudgetError(f"guess enumeration over budget even at q = {GUESS_Q_MAX}")

@@ -34,6 +34,7 @@ from .model import (
     compress_radii,
     lift_compressed_solution,
     min_feasible_dilation,
+    relaxation_search,
     validate_solution,
 )
 from .oracle import SizeBudgetError, exact_nukc
@@ -123,7 +124,8 @@ def _two_radii(instance, q):
 
 def _guess_q(instance, q):
     compressed = compress_radii(instance)
-    gq = solve_guess_q(compressed, q)
+    floor, _ = relaxation_search(compressed.instance)
+    gq = solve_guess_q(compressed, q, floor=floor)
     sol = lift_compressed_solution(gq.solution, compressed, instance)
     return sol, [], {"tau": gq.tau, "compressed_dilation": gq.dilation}
 

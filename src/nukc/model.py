@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,11 +88,27 @@ class NukcInstance:
 
     def expand_radii(self) -> list:
         """All radii as individual (sorted, non-increasing) entries, paired
-        with their class index: [(radius, class_index), ...]."""
+        with their class index: [(radius, class_index), ...].  One entry per
+        ball, so only for small k; the solvers read `class_of` and
+        `class_counts_in`, which work from the classes' (radius, count) runs."""
         out = []
         for t, c in enumerate(self.classes):
             out.extend([(c.radius, t)] * c.multiplicity)
         return out
+
+    def class_of(self, j: int) -> int:
+        """The class holding the j-th largest of the k radii (1-based)."""
+        return bisect_left(list(accumulate(self.budgets)), j)
+
+    def class_counts_in(self, start: int, stop: int) -> list:
+        """How many of the 1-based radius positions start..stop-1 (sorted
+        non-increasing) fall in each class."""
+        counts, first = [], 1
+        for c in self.classes:
+            end = first + c.multiplicity
+            counts.append(max(0, min(stop, end) - max(start, first)))
+            first = end
+        return counts
 
 
 @dataclass(frozen=True)
@@ -115,10 +133,11 @@ def balls_in_budget_order(instance: NukcInstance, centers, radius: float) -> Nuk
     """One ball of `radius` per center, charged to the classes in budget
     order: the first k_0 centers to class 0, the next k_1 to class 1, and
     so on."""
-    slots = instance.expand_radii()
-    if len(centers) > len(slots):
-        raise ValueError(f"not enough balls: {len(centers)} centers, {len(slots)} balls")
-    return NukcSolution([Ball(c, t, radius) for c, (_, t) in zip(centers, slots)])
+    if len(centers) > instance.total_k:
+        raise ValueError(f"not enough balls: {len(centers)} centers, {instance.total_k} balls")
+    return NukcSolution(
+        [Ball(c, instance.class_of(j), radius) for j, c in enumerate(centers, start=1)]
+    )
 
 
 def var_index(p: int, t: int, num_classes: int) -> int:
@@ -146,7 +165,8 @@ def build_nukc_lp(
         bounds[var_index(q, t, h)] = value
     pts = list(range(n)) if points is None else sorted(points)
     first = [start[p] for p in pts] if isinstance(start, Mapping) else start
-    reach = dilation * np.asarray(instance.radii, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow to inf reaches every point, as it should
+        reach = dilation * np.asarray(instance.radii, dtype=float)
     rows = within(instance.space.dist[pts][:, :, None], reach)  # rows[i, q, t]
     rows &= np.arange(h) >= np.reshape(first, (-1, 1, 1))
     return lp.LpProblem(
@@ -264,10 +284,10 @@ def candidate_dilations(instance: NukcInstance) -> list:
 def smallest_feasible(cands, probe):
     """Smallest candidate whose probe hits, for a probe monotone along the
     sorted `cands`.  A probe returns None on a miss and a zero-argument
-    callable on a hit; only the winner's callable runs, once.  Probes the
-    largest candidate, then the smallest, then bisects.  Returns
-    (candidate, what the winner's callable returns), or None when the
-    largest candidate misses."""
+    callable on a hit.  Probes the largest candidate, then the smallest,
+    then bisects.  Returns (candidate, the winner's callable), the callable
+    not yet run, so a caller that needs only the candidate never runs it;
+    None when the largest candidate misses."""
     hi = len(cands) - 1
     hit = probe(cands[hi])
     if hit is None:
@@ -275,7 +295,7 @@ def smallest_feasible(cands, probe):
     if hi > 0:
         first = probe(cands[0])
         if first is not None:
-            return cands[0], first()
+            return cands[0], first
     lo = 0  # cands[lo] misses, cands[hi] hits with `hit`
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -284,13 +304,15 @@ def smallest_feasible(cands, probe):
             lo = mid
         else:
             hi, hit = mid, got
-    return cands[hi], hit()
+    return cands[hi], hit
 
 
-def min_feasible_dilation(instance: NukcInstance):
-    """Smallest dilation (over the candidate set) whose relaxation is
-    feasible, together with a basic feasible x.  Feasibility is monotone in
-    the dilation, so binary search applies."""
+def relaxation_search(instance: NukcInstance):
+    """(alpha, solve): alpha the smallest dilation (over the candidate set)
+    whose relaxation is feasible, solve() a basic feasible x there.
+    Feasibility is monotone in the dilation, so binary search applies.  A
+    probe the certificates confirm is not solved until solve() runs, so a
+    caller that needs only alpha never calls it."""
     cands = candidate_dilations(instance)
     found = smallest_feasible(cands, lambda d: solve_fractional(instance, d))
     if found is None:
@@ -299,6 +321,13 @@ def min_feasible_dilation(instance: NukcInstance):
             f"({cands[-1]:g}); not enough balls to cover the points"
         )
     return found
+
+
+def min_feasible_dilation(instance: NukcInstance):
+    """Smallest dilation (over the candidate set) whose relaxation is
+    feasible, together with a basic feasible x (see `relaxation_search`)."""
+    alpha, solve = relaxation_search(instance)
+    return alpha, solve()
 
 
 def coverage(instance: NukcInstance, x: np.ndarray) -> np.ndarray:
@@ -399,32 +428,26 @@ class CompressedInstance:
     """
 
     instance: NukcInstance  # the compressed instance
-    # per compressed class: 1-based original radius indices its lifted
-    # balls are distributed over (bucket i targets [2^(i-1), 2^i); bucket 0
-    # targets index 1)
+    # per compressed class: (start, stop) ranges of the 1-based original
+    # radius indices its lifted balls are distributed over, in ascending
+    # order (bucket i targets [2^(i-1), 2^i); bucket 0 targets index 1)
     lift_targets: list = field(default_factory=list)
-    # 1-based original index -> original class index
-    index_class: list = field(default_factory=list)
 
 
 def compress_radii(original: NukcInstance) -> CompressedInstance:
-    """Build the doubling compression.  Works from the expanded list of the
-    instance's k individual radii."""
-    expanded = original.expand_radii()  # sorted non-increasing
-    k = len(expanded)
+    """Build the doubling compression from the instance's (radius, count)
+    runs: the k individual radii are never listed, so k may be huge."""
+    k = original.total_k
     merged: dict[float, dict] = {}
     for i in range(k.bit_length()):  # bucket i starts at 1-based index 2^i <= k
         start = 2**i
-        entry = merged.setdefault(expanded[start - 1][0], {"mult": 0, "targets": []})
+        radius = original.radii[original.class_of(start)]
+        entry = merged.setdefault(radius, {"mult": 0, "targets": []})
         entry["mult"] += min(2 ** (i + 1) - 1, k) - start + 1
-        entry["targets"].extend([1] if i == 0 else range(2 ** (i - 1), 2**i))
+        entry["targets"].append((1, 2) if i == 0 else (2 ** (i - 1), 2**i))
     order = sorted(merged, reverse=True)
     inst = NukcInstance(original.space, [(merged[r]["mult"], r) for r in order])
-    return CompressedInstance(
-        instance=inst,
-        lift_targets=[sorted(merged[r]["targets"]) for r in order],
-        index_class=[t for _, t in expanded],
-    )
+    return CompressedInstance(instance=inst, lift_targets=[merged[r]["targets"] for r in order])
 
 
 def lift_compressed_solution(
@@ -443,8 +466,12 @@ def lift_compressed_solution(
     balls = []
     for tc, targets in enumerate(compressed.lift_targets):
         cballs = [b for b in compressed_solution.balls if b.class_index == tc]
+        size = sum(stop - start for start, stop in targets)
         for i, b in enumerate(cballs):
-            j = targets[i % len(targets)]  # 1-based original radius index
-            t_orig = compressed.index_class[j - 1]
-            balls.append(Ball(b.center, t_orig, b.radius_used))
+            offset = i % size
+            for start, stop in targets:  # the offset-th target index, 1-based
+                if offset < stop - start:
+                    break
+                offset -= stop - start
+            balls.append(Ball(b.center, original.class_of(start + offset), b.radius_used))
     return NukcSolution(balls)

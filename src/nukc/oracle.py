@@ -91,7 +91,7 @@ def exact_nukc(
         )
     alpha, placement = found
     balls = [
-        Ball(center, t, alpha * instance.radii[t]) for center, t in placement
+        Ball(center, t, alpha * instance.radii[t]) for center, t in placement()
     ]
     return alpha, NukcSolution(balls)
 

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
@@ -276,11 +277,20 @@ def solve_guess_q(
     compressed: CompressedInstance | NukcInstance,
     q: int,
     guess_budget: int = 200_000,
+    floor: float = 0.0,
 ) -> GuessQResult:
     """Enumerate center placements for classes below tau_q (the q-times
     iterated log of L, clamped to [0, L]), LP-cover the remaining points
     with classes >= tau_q, and round bottom-heavy.  The dilation is the
-    smallest candidate at which some guess admits a fractional cover."""
+    smallest candidate at which some guess admits a fractional cover, and
+    the guess is the first in enumeration order to admit one there.
+
+    One pass over the guesses finds them: each guess is probed just below
+    the best dilation found so far and bisected downward only when that
+    probe hits.  No guess fits below the relaxation's optimum (a guess plus
+    its window cover is a point of the full relaxation), so a caller that
+    knows it passes it as `floor`: candidates below it are skipped, and
+    the pass stops once the best reaches it."""
     instance = (
         compressed.instance if isinstance(compressed, CompressedInstance) else compressed
     )
@@ -298,25 +308,34 @@ def solve_guess_q(
             f"guess enumeration needs {combos} placements (> budget {guess_budget})"
         )
     per_class = [
-        list(combinations_with_replacement(range(n), instance.classes[t].multiplicity))
+        combinations_with_replacement(range(n), instance.classes[t].multiplicity)
         for t in guess_classes
     ]
-    guesses = [
+    guesses = (
         [(c, t) for t, picks in zip(guess_classes, combo) for c in picks]
         for combo in product(*per_class)
-    ] or [[]]
+    )
 
-    def first_feasible(alpha):
-        for guess in guesses:
-            x, uncovered = _window_lp_feasible(instance, alpha, tau, guess)
-            if x is not None:
-                return lambda: (guess, x(), uncovered)
-        return None
+    cands = candidate_dilations(instance)
 
-    found = smallest_feasible(candidate_dilations(instance), first_feasible)
-    if found is None:
+    def probe(i, guess):
+        x, uncovered = _window_lp_feasible(instance, cands[i], tau, guess)
+        return None if x is None else (lambda: (x(), uncovered))
+
+    lo, hi = bisect_left(cands, floor), len(cands)
+    best = None  # (guess, its hit at cands[hi])
+    for guess in guesses:
+        if hi == lo:
+            break
+        found = smallest_feasible(range(lo, hi), lambda i: probe(i, guess))
+        if found is not None:
+            hi, hit = found
+            best = guess, hit
+    if best is None:
         raise ValueError("no guess admits a cover at the largest candidate dilation")
-    alpha, (guess, x, uncovered) = found
+    alpha = cands[hi]
+    guess, hit = best
+    x, uncovered = hit()
 
     balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in guess]
     if uncovered:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +348,47 @@ class TestSolveValidate:
         bad.write_text("{}")
         assert run(["solve", "--algo", "exact", "--input", str(bad),
                     "--out", str(tmp_path / "s.json")]) == 2
+
+
+# Solves a 3-point instance with one class of k balls under each algorithm,
+# k = 3 first and then the huge k, in one interpreter; prints per run the
+# exit code, the solve time and the peak RSS so far (KiB), as JSON.
+HUGE_K_SCRIPT = """
+import json, resource, sys, time
+from nukc.cli import main
+out, rows = sys.argv[1], []
+for k in (3, int(sys.argv[2])):
+    path = f"{out}/i{k}.json"
+    with open(path, "w") as fh:
+        json.dump({"points": {"coords": [[0.0], [1.0], [5.0]]},
+                   "classes": [{"k": k, "r": 1.0}]}, fh)
+    for algo in ("guess-q", "bicriteria", "kcenter"):
+        started = time.perf_counter()
+        code = main(["solve", "--input", path, "--algo", algo, "--out", f"{path}.{algo}"])
+        rows.append([k, algo, code, time.perf_counter() - started,
+                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss])
+print(json.dumps(rows))
+"""
+
+
+def test_huge_k_solves_without_a_per_ball_list(tmp_path):
+    """A class of 10^9 balls costs no more memory than one of 3: nothing
+    lists the balls one by one."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", HUGE_K_SCRIPT, str(tmp_path), str(10**9)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    rows = json.loads(done.stdout)
+    small_rss = max(rss for k, _, _, _, rss in rows if k == 3)
+    for k, algo, code, seconds, rss in rows:
+        assert code == 0, (k, algo)
+        assert seconds < 1.0, (k, algo, seconds)
+        assert rss - small_rss <= 20 * 1024, (k, algo, rss, small_rss)
+        if k > 3:
+            assert run(["validate", "--instance", str(tmp_path / f"i{k}.json"),
+                        "--solution", str(tmp_path / f"i{k}.json.{algo}"),
+                        "--count-factor", "1"]) == 0
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nukc.model import (
     coverage,
     lift_compressed_solution,
     min_feasible_dilation,
+    relaxation_search,
     smallest_feasible,
     solve_fractional,
     validate_solution,
@@ -237,6 +239,29 @@ class TestFractional:
             direct = real_solve(build_nukc_lp(inst, alpha)).values
             assert np.array_equal(x, direct.reshape(inst.n, inst.num_classes))
 
+    def test_alpha_only_search_solves_only_open_probes(self, monkeypatch):
+        verdicts, solves = [], []
+        real_certify, real_solve = model._certify, lp.solve
+        monkeypatch.setattr(model, "_certify", lambda problem, h:
+                            verdicts.append(real_certify(problem, h)) or verdicts[-1])
+        monkeypatch.setattr(lp, "solve", lambda problem:
+                            solves.append(problem) or real_solve(problem))
+        deferred = 0
+        for seed in range(20):
+            inst = random_instance(8, seed=seed, max_classes=4)
+            verdicts.clear(), solves.clear()
+            alpha, solve = relaxation_search(inst)
+            # Only probes neither certificate settled reach the simplex.
+            assert len(solves) == verdicts.count(None)
+            before = len(solves)
+            x = solve()
+            deferred += len(solves) - before
+            want_alpha, want_x = min_feasible_dilation(inst)
+            assert alpha == want_alpha and x.tobytes() == want_x.tobytes()
+        # Some winners were confirmed by the greedy cover: the alpha-only
+        # search skipped their solve.
+        assert deferred > 0
+
     def test_lp_shape(self, line_instance):
         prob = build_nukc_lp(line_instance, 1.0)
         n, h = line_instance.n, line_instance.num_classes
@@ -291,6 +316,14 @@ class TestBuilder:
         want = reference_guess_lp(points, pair, inst)
         assert_same_lp(build_guess_lp(points, pair, inst), want)
 
+    def test_huge_radius_reaches_every_point_without_warning(self, line_space):
+        # 10 * 1e308 overflows to inf: every point is within reach.
+        inst = NukcInstance(line_space, [(1, 1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = build_nukc_lp(inst, 10.0)
+        assert prob.constraints[prob.ge].all()
+
     def test_start_mapping_and_pins(self, line_instance):
         prob = build_nukc_lp(line_instance, 1.0, points=[4, 0], start={0: 1, 4: 0},
                              pinned={(2, 1): 1.0})
@@ -313,7 +346,9 @@ class TestSmallestFeasible:
                 return (lambda: ran.append(c) or ("hit", c)) if c >= 0.5 * threshold else None
 
             scan = next(((c, ("hit", c)) for c in cands if c >= 0.5 * threshold), None)
-            assert smallest_feasible(cands, probe) == scan
+            found = smallest_feasible(cands, probe)
+            assert ran == []  # the winner's callable comes back unrun
+            assert (found and (found[0], found[1]())) == scan
             assert probed[0] == cands[-1]
             assert len(probed) == len(set(probed))
             assert ran == ([] if scan is None else [scan[0]])
@@ -442,7 +477,34 @@ class TestValidation:
         assert achieved_dilation(inst, sol) == math.inf
 
 
+def reference_compression(original):
+    """Lift targets (a sorted list of 1-based radius indices per compressed
+    class) and each index's class, from the list of all k radii: the
+    per-ball form the run-based compression replaced."""
+    expanded = original.expand_radii()
+    targets = {}
+    for i in range(len(expanded).bit_length()):
+        radius = expanded[2**i - 1][0]
+        targets.setdefault(radius, []).extend([1] if i == 0 else range(2 ** (i - 1), 2**i))
+    return [sorted(targets[r]) for r in sorted(targets, reverse=True)], [t for _, t in expanded]
+
+
 class TestCompression:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_runs_match_per_ball_reference(self, seed):
+        inst = random_instance(5, seed=seed, max_classes=4, max_k=6)
+        want_targets, want_class = reference_compression(inst)
+        comp = compress_radii(inst)
+        got = [[j for start, stop in ranges for j in range(start, stop)]
+               for ranges in comp.lift_targets]
+        assert got == want_targets
+        assert [inst.class_of(j) for j in range(1, inst.total_k + 1)] == want_class
+        for start in range(1, inst.total_k + 1):
+            for stop in range(start, inst.total_k + 2):
+                counts = inst.class_counts_in(start, stop)
+                assert counts == [want_class[start - 1 : stop - 1].count(t)
+                                  for t in range(inst.num_classes)]
+
     def test_doubling_structure(self, line_space):
         # Expanded radii [8, 5, 4, 2]: barriers at 1-based indices 1, 2, 4.
         inst = NukcInstance(

@@ -1,22 +1,27 @@
 import math
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
+from nukc import solvers
 from nukc.model import (
     Ball,
     NukcInstance,
     achieved_dilation,
+    candidate_dilations,
     compress_radii,
     min_feasible_dilation,
+    smallest_feasible,
     solve_fractional,
     validate_solution,
 )
 from nukc.oracle import SizeBudgetError, exact_kcwo, exact_nukc
 from nukc.solvers import (
     TWO_RADII_FACTOR,
+    _window_lp_feasible,
     charikar_kcwo_search,
     ilog,
     iterated_log,
@@ -252,3 +257,75 @@ class TestGuessQ:
         comp = compress_radii(inst)
         with pytest.raises(SizeBudgetError):
             solve_guess_q(comp, 1, guess_budget=10)
+
+
+def reference_guess_search(instance, tau):
+    """The guess-q search as a per-candidate scan, kept to pin the one-pass
+    search: bisect the candidate dilations, and at each probe take the
+    first guess in enumeration order whose window LP fits.  Returns
+    (dilation, guess, x), x None when the guess covers every point."""
+    per_class = [
+        list(combinations_with_replacement(range(instance.n), instance.classes[t].multiplicity))
+        for t in range(tau)
+    ]
+    guesses = [
+        [(c, t) for t, picks in enumerate(combo) for c in picks]
+        for combo in product(*per_class)
+    ]
+
+    def first_fits(alpha):
+        for guess in guesses:
+            x, uncovered = _window_lp_feasible(instance, alpha, tau, guess)
+            if x is not None:
+                return lambda: (guess, x() if uncovered else None)
+        return None
+
+    alpha, hit = smallest_feasible(candidate_dilations(instance), first_fits)
+    return (alpha, *hit())
+
+
+def guess_corpus():
+    """Seeds whose compressed instance (n 6-10, up to 4 classes) has at
+    least two classes, so guess-q at q = 1 guesses class 0 at least: n or
+    more placements."""
+    cases = []
+    for seed in range(100):
+        comp = compress_radii(random_instance(6 + seed % 5, seed=seed, max_classes=4))
+        if comp.instance.num_classes >= 2:
+            cases.append(seed)
+    return cases
+
+
+GUESS_CASES = guess_corpus()
+
+
+class TestGuessSearch:
+    def test_corpus_size(self):
+        assert len(GUESS_CASES) >= 60
+
+    @pytest.mark.parametrize("seed", GUESS_CASES)
+    def test_one_pass_matches_per_candidate_scan(self, seed, monkeypatch):
+        comp = compress_radii(random_instance(6 + seed % 5, seed=seed, max_classes=4))
+        inst = comp.instance
+        alpha, _ = min_feasible_dilation(inst)
+        rounded = []
+        real_round = solvers.round_bottom_heavy
+        monkeypatch.setattr(solvers, "round_bottom_heavy",
+                            lambda scaled, x, tau, points: rounded.append(x)
+                            or real_round(scaled, x, tau, points=points))
+        L = inst.num_classes - 1
+        tau = min(L, iterated_log(L, 1))
+        want_dilation, want_guess, want_x = reference_guess_search(inst, tau)
+        want_balls = [Ball(c, t, want_dilation * inst.radii[t]) for c, t in want_guess]
+        for floor in (0.0, alpha):
+            rounded.clear()
+            res = solve_guess_q(comp, 1, floor=floor)
+            assert res.tau == tau
+            assert res.dilation == want_dilation
+            # No guess fits below the relaxation's optimum.
+            assert res.dilation >= alpha
+            assert res.solution.balls[: len(want_balls)] == want_balls
+            if want_x is None:
+                assert rounded == []
+            else:
+                assert len(rounded) == 1 and rounded[0].tobytes() == want_x.tobytes()
