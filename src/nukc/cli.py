@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -33,7 +34,6 @@ from .model import (
     build_nukc_lp,
     compress_radii,
     lift_compressed_solution,
-    min_feasible_dilation,
     relaxation_search,
     validate_solution,
 )
@@ -197,7 +197,7 @@ def _compare_rows(path: str, algos) -> list:
     count_t / k_t: a ratio below 1 can come from opening more balls."""
     instance = fileio.instance_from_obj(fileio.load(path))
     try:
-        lower, _ = min_feasible_dilation(instance)
+        lower, _ = relaxation_search(instance)
     except InfeasibleInstanceError:
         lower = None
     rows = []
@@ -242,7 +242,10 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it
+    unchanged, and `--algo`'s choices are the `ALGOS` dict itself."""
     parser = argparse.ArgumentParser(
         prog="nukc", description="Non-uniform ball cover solvers"
     )

@@ -6,6 +6,11 @@ with Bland's anti-cycling rule: it drives artificial columns to zero.
 Solutions are always basic: at most one variable per constraint row sits
 strictly between its bounds, which the rounding routines in this package
 rely on.
+
+`verdict` answers the yes/no question alone, for callers that would drop
+the point: a faster phase one on the same set-up whose answer is checked
+against the LP's arrays, so its pivots need not be Bland's.  Every point
+the package outputs still comes from `solve`.
 """
 
 from __future__ import annotations
@@ -137,10 +142,14 @@ def _phase_one(A, cost, lo, hi, basis, x):
     raise LpSolverError(f"pivot budget exhausted after {max_iters} iterations")
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """A basic feasible point of an LpProblem, or status "infeasible".
-    Deterministic: identical input gives identical pivot sequences and
-    output.
+def _phase_one_setup(problem: LpProblem):
+    """Check `problem`'s shapes and bounds and write it as the phase-one
+    system A x = rhs over structural, slack and artificial columns.
+
+    Returns (C, ge, rhs, A, lo, hi, x, basis, cost, tol): the problem's
+    arrays as floats, the system with its column bounds, a basic starting
+    point and its basis, the phase-one cost (1 on each artificial column)
+    and the infeasibility threshold FEAS_TOL * max|rhs|.
     """
     C = np.asarray(problem.constraints, dtype=float)
     ge = np.asarray(problem.ge, dtype=bool)
@@ -175,9 +184,19 @@ def solve(problem: LpProblem) -> LpSolution:
     x = np.concatenate([bounds[:, 0], np.where(fits, slack, 0.0), np.abs(resid[art])])
     basis = np.arange(n, ncols)
     basis[art] = ncols + np.arange(art.size)
+    cost = (np.arange(A.shape[1]) >= ncols).astype(float)
     tol = FEAS_TOL * np.abs(rhs).max(initial=1.0)
-    if art.size:
-        cost = (np.arange(A.shape[1]) >= ncols).astype(float)
+    return C, ge, rhs, A, lo, hi, x, basis, cost, tol
+
+
+def solve(problem: LpProblem) -> LpSolution:
+    """A basic feasible point of an LpProblem, or status "infeasible".
+    Deterministic: identical input gives identical pivot sequences and
+    output.
+    """
+    C, ge, rhs, A, lo, hi, x, basis, cost, tol = _phase_one_setup(problem)
+    n = C.shape[1]
+    if cost.any():
         _phase_one(A, cost, lo, hi, basis, x)
         if float(cost @ x) > tol:
             return LpSolution(status="infeasible")
@@ -192,3 +211,122 @@ def solve(problem: LpProblem) -> LpSolution:
         raise LpSolverError(f"row {i} violated after solve: {lhs[i]} {op} {rhs[i]}")
     np.clip(vals, lo[:n], hi[:n], out=vals)
     return LpSolution(status="feasible", values=vals, is_basic=True)
+
+
+# verdict's pivoting: Dantzig pricing, switching to Bland's rule after this
+# many degenerate pivots in a row (and back after a step that moves), with
+# the basis inverse rebuilt from scratch every REFACTOR_EVERY iterations.
+DEGENERATE_RUN = 20
+REFACTOR_EVERY = 40
+
+
+def _violation(C, ge, rhs, lo, hi, x) -> float:
+    """Total row violation of x clipped to [lo, hi]."""
+    lhs = C @ np.clip(x, lo, hi)
+    return float(np.maximum(np.where(ge, rhs - lhs, lhs - rhs), 0.0).sum())
+
+
+def _lagrangian_bound(A, cost, lo, hi, rhs, lam, n) -> float:
+    """A lower bound on min cost.x over A x = rhs, lo <= x <= hi: lam.rhs
+    plus, per column, the minimum of its reduced cost times x_j over
+    [lo_j, hi_j].  The columns from n on are unit columns without an upper
+    bound (slacks and artificials), so lam is first clipped just enough to
+    keep their reduced costs >= 0; each such bound on lam_i admits 0."""
+    unit = A[:, n:]
+    rows = np.argmax(unit != 0, axis=0)
+    coef = unit[rows, np.arange(unit.shape[1])]
+    limit = cost[n:] / coef  # c_j - lam_i a_ij >= 0 bounds lam_i by c_j / a_ij
+    upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
+    np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
+    np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
+    lam = np.clip(lam, lower, upper)
+    reduced = cost - lam @ A
+    up, down = reduced < 0, reduced > 0
+    if np.isinf(hi[up]).any():
+        return -np.inf
+    return float(lam @ rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up])
+
+
+def verdict(problem: LpProblem):
+    """Whether `problem` is feasible: True or False when a check against
+    its own arrays proves it, None when neither check does.  Never a point:
+    callers that need x run `solve`.
+
+    The search is the phase one of `solve` priced by Dantzig's rule (Bland's
+    after a run of degenerate pivots), on an explicit basis inverse with
+    rank-one updates.  Its pivots are trusted for nothing.  True means the
+    search's x, clipped to the bounds, leaves a total row violation of at
+    most FEAS_TOL * max|rhs|, the threshold at which `solve` reports
+    infeasible; False means a Lagrangian lower bound on the phase-one
+    objective (`_lagrangian_bound`, from the search's final multipliers)
+    exceeds it.
+    """
+    C, ge, rhs, A, lo, hi, x, basis, cost, tol = _phase_one_setup(problem)
+    n = C.shape[1]
+    m, ncols = A.shape
+    in_basis = np.zeros(ncols, dtype=bool)
+    in_basis[basis] = True
+    movable = lo != hi
+    free = movable & ~in_basis  # nonbasic columns that may enter
+    near_lo = lo + FEAS_TOL
+    degenerate = 0
+    for it in range(200 * (m + ncols)):
+        if cost @ x <= tol and _violation(C, ge, rhs, lo[:n], hi[:n], x[:n]) <= tol:
+            return True
+        if it % REFACTOR_EVERY == 0:
+            try:
+                B_inv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError:  # pragma: no cover - degenerate basis
+                return None
+            x[basis] = B_inv @ (rhs - A[:, ~in_basis] @ x[~in_basis])
+        lam = cost[basis] @ B_inv
+        reduced = cost - lam @ A
+        at_lower = x <= near_lo
+        gain = np.where(at_lower, -reduced, reduced)  # cost drop per unit of move
+        gain *= free
+        bland = degenerate >= DEGENERATE_RUN
+        if bland:  # lowest eligible index enters
+            eligible = np.flatnonzero(gain > PIVOT_TOL)
+            if not eligible.size:
+                break
+            entering = int(eligible[0])
+        else:  # the steepest reduced cost enters
+            entering = int(np.argmax(gain))
+            if gain[entering] <= PIVOT_TOL:
+                break
+        w = B_inv @ A[:, entering]
+        delta = w if at_lower[entering] else -w  # basic variables fall by delta * t
+        xb = x[basis]
+        room = np.where(delta > 0, xb - lo[basis], hi[basis] - xb)
+        size = np.abs(delta)
+        step = np.divide(room, size, out=np.full(m, np.inf), where=size > PIVOT_TOL)
+        t = max(float(step.min(initial=np.inf)), 0.0)
+        flip = hi[entering] - lo[entering]
+        if flip <= t:
+            if not np.isfinite(flip):  # pragma: no cover - the cost is bounded below
+                return None
+            t = flip
+        degenerate = degenerate + 1 if t <= PIVOT_TOL else 0
+        x[entering] += t if at_lower[entering] else -t
+        x[basis] -= delta * t
+        if t == flip:  # the entering variable crossed its box: no basis change
+            x[entering] = hi[entering] if at_lower[entering] else lo[entering]
+            continue
+        ties = np.flatnonzero(step <= t + PIVOT_TOL)
+        if bland:  # lowest variable index leaves
+            r = int(ties[np.argmin(basis[ties])])
+        else:  # the largest pivot among the ties, for stability
+            r = int(ties[np.argmax(size[ties])])
+        leave = basis[r]
+        x[leave] = lo[leave] if delta[r] > 0 else hi[leave]
+        in_basis[leave], free[leave] = False, movable[leave]
+        basis[r] = entering
+        in_basis[entering], free[entering] = True, False
+        row = B_inv[r] / w[r]
+        B_inv -= w[:, None] * row
+        B_inv[r] = row
+    if _violation(C, ge, rhs, lo[:n], hi[:n], x[:n]) <= tol:
+        return True
+    if _lagrangian_bound(A, cost, lo, hi, rhs, lam, n) > tol:
+        return False
+    return None

@@ -62,7 +62,7 @@ def validate_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> list:
         return violations
     for i in range(n):
         if abs(dist[i, i]) > tol:
-            violations.append(("diagonal", i, dist[i, i]))
+            violations.append(("diagonal", i, float(dist[i, i])))
     asym = np.argwhere(np.abs(dist - dist.T) > tol)
     for i, j in asym:
         if i < j:
@@ -77,9 +77,11 @@ def validate_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> list:
         closure = floyd_warshall(csgraph_from_dense(dist, null_value=np.inf))
         if not ((dist - closure) > tol).any():
             return []
-    # d[i, j] <= d[i, k] + d[k, j] for all i, j, k.
+    # d[i, j] <= d[i, k] + d[k, j] for all i, j, k.  Near-max entries can
+    # sum to inf, and an infinite right-hand side satisfies the inequality.
     for k in range(n):
-        slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
+        with np.errstate(over="ignore"):
+            slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
         bad = np.argwhere(slack > tol)
         for i, j in bad:
             violations.append(("triangle", int(i), int(j), int(k)))

@@ -241,11 +241,14 @@ def _certify(problem: lp.LpProblem, h: int):
 def _settle(problem: lp.LpProblem, h: int):
     """None when the covering LP `problem` (from build_nukc_lp, h classes)
     is infeasible, else a zero-argument callable returning its basic
-    feasible x, shape (n, h).  A refuted LP is never solved; a confirmed one
-    is solved only when the callable runs, so a search solves just its
-    winner.  Either way x is the simplex's, so it does not depend on which
-    certificate fired."""
+    feasible x, shape (n, h).  The certificates answer first, then
+    `lp.verdict`; the simplex runs at once only when neither can tell.  A
+    refuted LP is never solved; a confirmed one is solved only when the
+    callable runs, so a search solves just its winner.  Either way x is the
+    simplex's, so it does not depend on which check fired."""
     verdict = _certify(problem, h)
+    if verdict is None:
+        verdict = lp.verdict(problem)
     if verdict is False:
         return None
     if verdict is None:
@@ -255,7 +258,7 @@ def _settle(problem: lp.LpProblem, h: int):
     def solve():
         sol = lp.solve(problem)
         if not sol.ok:
-            raise lp.LpSolverError("simplex refuted an LP the greedy cover satisfies")
+            raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
         return sol.values.reshape(-1, h)
 
     return solve

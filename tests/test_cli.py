@@ -428,8 +428,8 @@ class TestCompare:
             run(["generate", "--kind", "euclidean", "--n", "7", "--seed", str(seed),
                  "--out", str(inst_dir / f"i{seed}.json")])
         calls = []
-        real = cli.min_feasible_dilation
-        monkeypatch.setattr(cli, "min_feasible_dilation",
+        real = cli.relaxation_search
+        monkeypatch.setattr(cli, "relaxation_search",
                             lambda instance: calls.append(instance) or real(instance))
         out = tmp_path / "cmp.csv"
         assert run(["compare", "--instances", str(inst_dir),

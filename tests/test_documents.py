@@ -79,11 +79,14 @@ def document_pairs(draw):
 
 # A "k" beyond an index once escaped as an OverflowError traceback.
 HUGE_K = [(replaced(INSTANCES[0], ("classes", 0, "k"), k), SOLUTION) for k in (1e308, 2**70)]
+# A near-max diagonal entry once overflowed the triangle scan into a warning.
+HUGE_DIAGONAL = (replaced(INSTANCES[1], ("points", "matrix", 0, 0), 1e308), SOLUTION)
 
 
 @settings(max_examples=200, deadline=None)
 @example(HUGE_K[0], "kcenter", [])
 @example(HUGE_K[1], "bicriteria", [])
+@example(HUGE_DIAGONAL, "exact", [])
 @given(document_pairs(), st.sampled_from(list(cli.ALGOS)), st.sampled_from(FACTORS))
 def test_hostile_node_gives_a_defined_exit_code(docs, algo, factors):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,6 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
-and one algorithm list shared by the CLI table, its argparse choices and
-the README."""
+no `scipy.optimize`, and one algorithm list shared by the CLI table, its
+argparse choices and the README."""
 
 import argparse
 import ast
@@ -82,6 +82,28 @@ def test_cover_tol_named_only_in_metric():
     naming = [m for m in MODULES
               if m != "metric.py" and re.search(r"\bCOVER_TOL\b", (SRC / m).read_text())]
     assert not naming, f"modules naming COVER_TOL outside metric: {', '.join(naming)}"
+
+
+def imported_modules(tree):
+    """Dotted name of every module an import statement loads, with
+    `from a import b` giving both a and a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_scipy_optimize(module):
+    """Importing scipy.optimize (HiGHS, linprog) costs about 17 MB of peak
+    RSS and 0.2 s per process, beyond the benchmark's 10% `peak_rss_mb`
+    bound; the LPs are settled by `nukc.lp` instead."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    loaded = [name for name in imported_modules(tree)
+              if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+    assert not loaded, f"{module} imports {', '.join(loaded)}"
 
 
 def test_algorithm_lists_agree():

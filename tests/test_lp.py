@@ -47,6 +47,39 @@ def random_problem(seed):
     return make_problem(rows, ge, rhs, bounds)
 
 
+@st.composite
+def covering_lps(draw, max_n=7):
+    """(problem, h): a covering LP from build_nukc_lp at a candidate
+    dilation, with per-point start levels and 0/1 pins, and its class count."""
+    n = draw(st.integers(1, max_n), label="n")
+    inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
+    h = inst.num_classes
+    cands = candidate_dilations(inst)
+    dilation = cands[draw(st.integers(0, len(cands) - 1), label="candidate")]
+    points = draw(st.sets(st.integers(0, n - 1)), label="points")
+    start = {p: draw(st.integers(0, h), label=f"start {p}") for p in points}
+    pinned = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, h - 1)),
+            st.sampled_from([0.0, 1.0]),
+            max_size=n * h,
+        ),
+        label="pinned",
+    )
+    return build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned), h
+
+
+def mixed_sign_problem(seed):
+    """A small LP with mixed-sign rows, like random_problem's, whose
+    variables may also start below 0 or have no upper bound."""
+    rng = np.random.RandomState(seed)
+    n, m = rng.randint(1, 7), rng.randint(1, 6)
+    bounds = [(0.0, float(rng.uniform(0.5, 3.0))) if rng.rand() < 0.7
+              else (float(rng.uniform(-1.0, 0.0)), np.inf) for _ in range(n)]
+    return make_problem(rng.uniform(-1, 2, size=(m, n)), rng.rand(m) >= 0.5,
+                        rng.uniform(-1, 3, size=m), bounds)
+
+
 class TestSolveKnown:
     def test_feasibility_only_problem(self):
         prob = make_problem([[1.0, 1.0]], [True], [1.5], [(0.0, 1.0)] * 2)
@@ -113,30 +146,12 @@ class TestSolveAgainstScipy:
             assert rows_hold(prob, ours.values)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(0, 10_000),
-        st.integers(1, 7),
-        st.data(),
-    )
-    def test_covering_lps_match_reference(self, seed, n, data):
+    @given(st.data())
+    def test_covering_lps_match_reference(self, data):
         """On covering LPs from build_nukc_lp with per-point start levels and
         pinned variables, the simplex finds a point exactly when HiGHS does,
         and the certificates never contradict HiGHS."""
-        inst = random_instance(n, seed=seed, max_classes=3)
-        h = inst.num_classes
-        cands = candidate_dilations(inst)
-        dilation = cands[data.draw(st.integers(0, len(cands) - 1), label="candidate")]
-        points = data.draw(st.sets(st.integers(0, n - 1)), label="points")
-        start = {p: data.draw(st.integers(0, h), label=f"start {p}") for p in points}
-        pinned = data.draw(
-            st.dictionaries(
-                st.tuples(st.integers(0, n - 1), st.integers(0, h - 1)),
-                st.sampled_from([0.0, 1.0]),
-                max_size=n * h,
-            ),
-            label="pinned",
-        )
-        prob = build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned)
+        prob, h = data.draw(covering_lps())
         ours = lp.solve(prob)
         feasible = scipy_reference(prob).status == 0
         assert ours.ok == feasible
@@ -168,3 +183,57 @@ class TestFormat:
         assert "Subject To" in text
         assert "Bounds" in text
         assert ">= 0.5" in text
+
+
+class TestVerdict:
+    """lp.verdict answers True or False only where its own check proves it,
+    so it never contradicts the simplex."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(covering_lps(max_n=12))
+    def test_covering_lps_agree_with_simplex(self, case):
+        prob, _ = case
+        verdict = lp.verdict(prob)
+        assert verdict is None or verdict == lp.solve(prob).ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_mixed_sign_lps_agree_with_simplex(self, seed):
+        prob = mixed_sign_problem(seed)
+        verdict = lp.verdict(prob)
+        assert verdict is None or verdict == lp.solve(prob).ok
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bounded_lps_are_settled(self, seed):
+        # With every variable boxed, the final multipliers prove every
+        # infeasible verdict.
+        prob = random_problem(seed)
+        assert lp.verdict(prob) == lp.solve(prob).ok
+
+    def test_known_problems(self):
+        assert lp.verdict(make_problem([[1.0, 1.0]], [True], [1.5], [(0.0, 1.0)] * 2))
+        assert lp.verdict(make_problem([[1.0]], [True], [2.0], [(0.0, 1.0)])) is False
+        corner = make_problem([[1.0, 1.0]], [True], [3.0], [(0.0, 1.0), (0.0, 2.0)])
+        assert lp.verdict(corner) is True
+        assert lp.verdict(make_problem([], [], [], [(0.5, 1.0)])) is True
+
+    def test_budget_multiplier_beyond_one_is_kept(self):
+        # x0 covers rows 0-2, x1..x3 one row each, x4 only row 3; one unit
+        # of budget leaves a row short.  The multipliers (1, 1, 1, 1, -3)
+        # prove it; the budget row's -3 must survive the clip, since with
+        # it clipped into [0, 1] the bound drops to -3.
+        prob = make_problem(
+            [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+             [1, 1, 1, 1, 1]],
+            [True] * 4 + [False], [1] * 5, [(0.0, 1.0)] * 5)
+        _, _, rhs, A, lo, hi, _, _, cost, tol = lp._phase_one_setup(prob)
+        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([1, 1, 1, 1, -3.0]), 5) == 1.0
+        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([1, 1, 1, 1, 0.0]), 5) < tol
+        assert not lp.solve(prob).ok
+        assert lp.verdict(prob) is False
+
+    def test_malformed_problem_rejected(self):
+        prob = make_problem([[1.0]], [True], [1.0], [(0.0, 1.0)])
+        prob.bounds[0] = (2.0, 1.0)
+        with pytest.raises(ValueError, match="empty bound"):
+            lp.verdict(prob)

@@ -75,6 +75,15 @@ class TestValidateMetric:
         d[0, 2] = d[2, 0] = bad
         assert validate_metric(d) == [("nonfinite", 0, 2), ("nonfinite", 2, 0)]
 
+    def test_near_max_entries_list_violations_without_warning(self):
+        # d[0, 0] + d[0, j] overflows to inf, which satisfies the triangle
+        # inequality; the scan must not warn (pytest fails on a warning).
+        d = np.array([[1e308, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        violations = validate_metric(d)
+        assert violations == [("diagonal", 0, 1e308), ("triangle", 0, 0, 1), ("triangle", 0, 0, 2)]
+        assert type(violations[0][2]) is float
+        assert "np.float64" not in str(MetricError(violations))
+
     def test_zero_distance_edges_are_kept(self):
         # Points 0 and 1 coincide, so d(1,2) = 5 > d(1,0) + d(0,2) = 1.  A
         # closure that read the zero entries as missing edges would miss it.

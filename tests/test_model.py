@@ -240,27 +240,31 @@ class TestFractional:
             assert np.array_equal(x, direct.reshape(inst.n, inst.num_classes))
 
     def test_alpha_only_search_solves_only_open_probes(self, monkeypatch):
+        # A probe reaches the simplex only when neither the certificates nor
+        # lp.verdict settle it; a confirmed winner is solved only when its
+        # callable runs.
         verdicts, solves = [], []
-        real_certify, real_solve = model._certify, lp.solve
-        monkeypatch.setattr(model, "_certify", lambda problem, h:
-                            verdicts.append(real_certify(problem, h)) or verdicts[-1])
+        real_verdict, real_solve = lp.verdict, lp.solve
+        monkeypatch.setattr(lp, "verdict", lambda problem:
+                            verdicts.append(real_verdict(problem)) or verdicts[-1])
         monkeypatch.setattr(lp, "solve", lambda problem:
                             solves.append(problem) or real_solve(problem))
-        deferred = 0
+        deferred = settled = 0
         for seed in range(20):
             inst = random_instance(8, seed=seed, max_classes=4)
             verdicts.clear(), solves.clear()
             alpha, solve = relaxation_search(inst)
-            # Only probes neither certificate settled reach the simplex.
             assert len(solves) == verdicts.count(None)
+            settled += len(verdicts) - verdicts.count(None)
             before = len(solves)
             x = solve()
             deferred += len(solves) - before
+            assert len(solves) - before <= 1
             want_alpha, want_x = min_feasible_dilation(inst)
             assert alpha == want_alpha and x.tobytes() == want_x.tobytes()
-        # Some winners were confirmed by the greedy cover: the alpha-only
-        # search skipped their solve.
-        assert deferred > 0
+        # Some winners were confirmed without a solve, and lp.verdict
+        # settled some probes the certificates left open.
+        assert deferred > 0 and settled > 0
 
     def test_lp_shape(self, line_instance):
         prob = build_nukc_lp(line_instance, 1.0)

@@ -6,7 +6,7 @@ import pytest
 
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
-from nukc import solvers
+from nukc import lp, solvers
 from nukc.model import (
     Ball,
     NukcInstance,
@@ -136,6 +136,22 @@ class TestTwoRadii:
     def test_degenerate_enough_centers(self, line_space):
         sol = solve_two_radii(line_space, (3, 1.0), (2, 0.5))
         assert achieved_dilation(line_space_instance(line_space), sol) == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simplex_runs_only_on_the_winner(self, seed, monkeypatch):
+        # n = 40 with r1 / r2 = 4: the LP branch, whose search probes are
+        # settled by certificates and verdicts, so the one dense solve is
+        # the winner's.
+        solves, verdicts = [], []
+        real_solve, real_verdict = lp.solve, lp.verdict
+        monkeypatch.setattr(lp, "solve", lambda problem:
+                            solves.append(problem) or real_solve(problem))
+        monkeypatch.setattr(lp, "verdict", lambda problem:
+                            verdicts.append(real_verdict(problem)) or verdicts[-1])
+        space, _ = random_euclidean(40, 2, seed)
+        solve_two_radii(space, (2, 0.4), (4, 0.1))
+        assert verdicts and None not in verdicts
+        assert len(solves) == 1
 
 
 def line_space_instance(space):
