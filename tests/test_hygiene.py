@@ -97,9 +97,9 @@ def imported_modules(tree):
 
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_no_scipy_optimize(module):
-    """Importing scipy.optimize (HiGHS, linprog) costs about 17 MB of peak
-    RSS and 0.2 s per process, beyond the benchmark's 10% `peak_rss_mb`
-    bound; the LPs are settled by `nukc.lp` instead."""
+    """Importing scipy.optimize (HiGHS, linprog) adds about 16 MB of peak
+    RSS and 0.15 s to `import nukc.cli`, beyond the benchmark's 10%
+    `peak_rss_mb` bound; the LPs are settled by `nukc.lp` instead."""
     tree = ast.parse((SRC / module).read_text(), filename=module)
     loaded = [name for name in imported_modules(tree)
               if name == "scipy.optimize" or name.startswith("scipy.optimize.")]

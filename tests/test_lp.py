@@ -229,8 +229,18 @@ class TestVerdict:
         _, _, rhs, A, lo, hi, _, _, cost, tol = lp._phase_one_setup(prob)
         assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([1, 1, 1, 1, -3.0]), 5) == 1.0
         assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([1, 1, 1, 1, 0.0]), 5) < tol
+        # A covering row's 3 exceeds its artificial's cost of 1: clipped to 1.
+        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([3, 1, 1, 1, -3.0]), 5) == 1.0
         assert not lp.solve(prob).ok
         assert lp.verdict(prob) is False
+
+    def test_unbounded_column_with_negative_reduced_cost(self):
+        # x0 >= 1 with x0 in [0, inf): lam = 0.5 prices x0 at -0.5, so the
+        # Lagrangian is -inf, never a refutation.
+        prob = make_problem([[1.0]], [True], [1.0], [(0.0, np.inf)])
+        _, _, rhs, A, lo, hi, _, _, cost, _ = lp._phase_one_setup(prob)
+        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([0.5]), 1) == -np.inf
+        assert lp.verdict(prob) is True
 
     def test_malformed_problem_rejected(self):
         prob = make_problem([[1.0]], [True], [1.0], [(0.0, 1.0)])
