@@ -46,47 +46,24 @@ SHORT_CIRCUIT_K = 16
 GUESS_Q_MAX = 12
 
 
-@dataclass(frozen=True)
-class GuessPair:
-    """Affirmative tuples A (point, level, pinned to 1) and negative
-    tuples D (pinned to 0 and feeding min_level).  A wins on collisions."""
-
-    affirmative: frozenset
-    negative: frozenset
-
-    @staticmethod
-    def empty() -> "GuessPair":
-        return GuessPair(frozenset(), frozenset())
-
-    def with_affirmative(self, tup) -> "GuessPair":
-        return GuessPair(self.affirmative | {tup}, self.negative)
-
-    def with_negative(self, tuples) -> "GuessPair":
-        return GuessPair(self.affirmative, self.negative | set(tuples))
+def min_level(neg: np.ndarray, instance: NukcInstance) -> np.ndarray:
+    """Per point p, one more than the largest level t whose whole ball
+    B(p, r_t) is negatively guessed at level t, 0 when there is none: an
+    (n,) array over the (n, h) mask `neg`.  Covering rows for p start at
+    this level."""
+    inside = within(instance.space.dist[:, :, None], np.asarray(instance.radii))  # [p, q, t]
+    banned = ~(inside & ~neg).any(axis=1)  # [p, t]
+    return (banned * np.arange(1, instance.num_classes + 1)).max(axis=1)
 
 
-def min_level(pair: GuessPair, instance: NukcInstance, p: int) -> int:
-    """One more than the largest level t whose whole ball B(p, r_t) is
-    negatively guessed at level t; 0 when there is none.  Covering rows for
-    p start at this level."""
-    h = instance.num_classes
-    neg = pair.negative
-    best = -1
-    for t in range(h):
-        ball_pts = instance.space.ball(p, instance.radii[t])
-        if all((q, t) in neg for q in ball_pts):
-            best = t
-    return best + 1
-
-
-def build_guess_lp(points, pair: GuessPair, instance: NukcInstance) -> lp.LpProblem:
-    """Relaxation at dilation 1 restricted by a guess pair: covering rows
-    for `points` starting at their min_level, budget rows over all points,
-    affirmative tuples pinned to 1, negative tuples pinned to 0 (A wins on
-    collision)."""
-    pinned = dict.fromkeys(pair.negative, 0.0)
-    pinned.update(dict.fromkeys(pair.affirmative, 1.0))
-    start = {p: min_level(pair, instance, p) for p in points}
+def build_guess_lp(points, aff: np.ndarray, neg: np.ndarray,
+                   instance: NukcInstance) -> lp.LpProblem:
+    """Relaxation at dilation 1 restricted by a guess: covering rows for
+    `points` starting at their min_level, budget rows over all points,
+    the cells of the (n, h) mask `aff` pinned to 1 and those of `neg`
+    pinned to 0 (`aff` wins a collision)."""
+    pinned = np.where(aff, 1.0, np.where(neg, 0.0, np.nan))
+    start = min_level(neg, instance)[sorted(points)]
     return build_nukc_lp(instance, 1.0, points=points, start=start, pinned=pinned)
 
 
@@ -160,28 +137,24 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     scaled = cinst.scaled(alpha)
     radii = scaled.radii
     dist = scaled.space.dist
-    all_points = list(range(n))
     winner_cap = 2.0 * sum(cinst.classes[s].multiplicity for s in range(tau + 1))
     memo: dict = {}
     nodes = [0]
 
-    def recurse(pair: GuessPair, gamma: int):
-        key = (pair.affirmative, pair.negative)
+    def recurse(aff: np.ndarray, neg: np.ndarray, gamma: int):
+        key = (aff.tobytes(), neg.tobytes())
         if key in memo:
             return memo[key]
         nodes[0] += 1
-        logger.debug(
-            "enum node %d: |A|=%d |D|=%d gamma=%d",
-            nodes[0],
-            len(pair.affirmative),
-            len(pair.negative),
-            gamma,
-        )
+        logger.debug("enum node %d: |A|=%d |D|=%d gamma=%d",
+                     nodes[0], aff.sum(), neg.sum(), gamma)
         result = None
-        covered_by_A = covered(dist, [p for p, _ in pair.affirmative],
-                               [GATHER_FACTOR * radii[t] for _, t in pair.affirmative])
-        rest = [p for p in all_points if not covered_by_A[p]]
-        solve = _settle(build_guess_lp(rest, pair, scaled), h)
+        placed = np.argwhere(aff).tolist()  # [p, t] in ascending order
+        balls_a = [Ball(p, t, GATHER_FACTOR * radii[t]) for p, t in placed]
+        covered_by_A = covered(dist, [b.center for b in balls_a],
+                               [b.radius_used for b in balls_a])
+        rest = np.flatnonzero(~covered_by_A).tolist()
+        solve = _settle(build_guess_lp(rest, aff, neg, scaled), h)
         if solve is None:
             memo[key] = None
             return None
@@ -190,18 +163,14 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - ROUND_TOL]
         in_b = set(x_b)
         x_t = [p for p in rest if p not in in_b]
-        balls_a = [
-            Ball(p, t, GATHER_FACTOR * radii[t]) for (p, t) in sorted(pair.affirmative)
-        ]
         bh_b = round_bottom_heavy(scaled, x_star, tau, points=x_b).balls if x_b else []
         if not x_t:
             result = NukcSolution(balls_a + bh_b)
             memo[key] = result
             return result
         # Can the remainder be covered by levels above tau alone?
-        forced = {(p, t) for p in all_points for t in range(tau + 1)}
-        pair_f = pair.with_negative(forced)
-        solve_t = _settle(build_guess_lp(x_t, pair_f, scaled), h)
+        forced = neg | (np.arange(h) <= tau)
+        solve_t = _settle(build_guess_lp(x_t, aff, forced, scaled), h)
         if solve_t is not None:
             x_small = solve_t()
             bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).balls
@@ -211,8 +180,9 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         if gamma <= 0:
             memo[key] = None
             return None
+        level = min_level(neg, scaled)
         for t in range(tau + 1):
-            c_t = [p for p in x_t if min_level(pair, scaled, p) == t]
+            c_t = [p for p in x_t if level[p] == t]
             if not c_t:
                 continue
             emb = embed_basic(scaled, x_star, points=c_t)
@@ -223,13 +193,15 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
                     f"half-mass cap {winner_cap}"
                 )
             for p in winners:
-                hit = recurse(pair.with_affirmative((p, t)), gamma - 1)
+                aff_p = aff.copy()
+                aff_p[p, t] = True
+                hit = recurse(aff_p, neg, gamma - 1)
                 if hit is not None:
                     result = hit
                     break
-                near = within(dist[p], EXCLUDE_FACTOR * radii[t])
-                banned = [(int(q), t) for q in np.flatnonzero(near)]
-                hit = recurse(pair.with_negative(banned), gamma - 1)
+                neg_p = neg.copy()
+                neg_p[:, t] |= within(dist[p], EXCLUDE_FACTOR * radii[t])
+                hit = recurse(aff, neg_p, gamma - 1)
                 if hit is not None:
                     result = hit
                     break
@@ -238,7 +210,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         memo[key] = result
         return result
 
-    csol = recurse(GuessPair.empty(), gamma0)
+    csol = recurse(np.zeros((n, h), dtype=bool), np.zeros((n, h), dtype=bool), gamma0)
     if csol is not None:
         return finish(csol, False, False, nodes[0])
     return finish(_guess_q_auto(compressed, alpha).solution, False, True, nodes[0])

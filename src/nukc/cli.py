@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, solve, validate, compare.  Exit codes: 0 success /
-valid, 1 invalid solution, 2 usage or format error, 3 size-budget refusal,
-4 LP solver breakdown.
+valid, 1 invalid solution, 2 usage, format or file error, 3 size-budget
+refusal, 4 LP solver breakdown.
 All timing lives under the solution "meta" key; everything else in the
 output is deterministic for a fixed input and seed.
 """
@@ -302,7 +302,8 @@ def main(argv=None) -> int:
     except lp.LpSolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (UsageError, fileio.FormatError, InfeasibleInstanceError, ValueError) as exc:
+    except (UsageError, fileio.FormatError, InfeasibleInstanceError, ValueError,
+            OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,8 @@ from .metric import MetricSpace
 from .model import NukcInstance
 from .rmfct import LayeredTree
 
+GADGET_TOL = 1e-9  # rounding of a radius's exact integer sum to float
+
 
 @dataclass
 class RootedTree:
@@ -115,7 +117,7 @@ def hardness_gadget(tree: RootedTree, c: float) -> NukcInstance:
                 tree.depth_of[v] for v in anc[leaves[b]] if v in seta
             )
             d = float(radii[lca_depth])
-            if abs(d - 2 * sum(base**j for j in range(1, h - lca_depth + 1))) > 1e-9:
+            if abs(d - 2 * sum(base**j for j in range(1, h - lca_depth + 1))) > GADGET_TOL:
                 raise AssertionError("gadget distance identity violated")
             dist[a, b] = dist[b, a] = d
     space = MetricSpace(dist, check=True)

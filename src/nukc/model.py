@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -19,6 +18,8 @@ import numpy as np
 
 from . import lp
 from .metric import MetricSpace, covered, within
+
+COUNT_SLACK = 1e-9  # float error in count_factor * k_t: 1.1 * 10 is 11.000000000000002
 
 
 class InfeasibleInstanceError(ValueError):
@@ -140,10 +141,6 @@ def balls_in_budget_order(instance: NukcInstance, centers, radius: float) -> Nuk
     )
 
 
-def var_index(p: int, t: int, num_classes: int) -> int:
-    return p * num_classes + t
-
-
 def build_nukc_lp(
     instance: NukcInstance,
     dilation: float,
@@ -156,19 +153,20 @@ def build_nukc_lp(
     Variables x[p, t] in [0, 1].  One covering row per point in `points`
     (default: all), in ascending order, and one budget row per class.  The
     row of point p holds classes from `start` on: one level for every
-    point, or a mapping from point to level.  `pinned` maps (point, class)
-    to the value that variable is fixed at.
+    point, or one level per row, in the rows' ascending point order.
+    `pinned`, an (n, h) array, fixes x[q, t] at pinned[q, t] wherever that
+    is not NaN.
     """
     n, h = instance.n, instance.num_classes
     bounds = np.full((n * h, 2), (0.0, 1.0))
-    for (q, t), value in (pinned or {}).items():
-        bounds[var_index(q, t, h)] = value
+    if pinned is not None:
+        pins = np.reshape(pinned, (-1, 1))
+        bounds = np.where(np.isnan(pins), bounds, pins)
     pts = list(range(n)) if points is None else sorted(points)
-    first = [start[p] for p in pts] if isinstance(start, Mapping) else start
     with np.errstate(over="ignore"):  # an overflow to inf reaches every point, as it should
         reach = dilation * np.asarray(instance.radii, dtype=float)
     rows = within(instance.space.dist[pts][:, :, None], reach)  # rows[i, q, t]
-    rows &= np.arange(h) >= np.reshape(first, (-1, 1, 1))
+    rows &= np.arange(h) >= np.reshape(start, (-1, 1, 1))
     return lp.LpProblem(
         constraints=np.vstack([rows.reshape(len(pts), n * h), np.tile(np.eye(h), n)]),
         ge=np.arange(len(pts) + h) < len(pts),
@@ -398,7 +396,7 @@ def validate_solution(
     counts = solution.class_counts(h)
     if math.isfinite(count_factor):
         for t in range(h):
-            limit = math.ceil(count_factor * instance.classes[t].multiplicity - 1e-9)
+            limit = math.ceil(count_factor * instance.classes[t].multiplicity - COUNT_SLACK)
             if counts[t] > limit:
                 report.count_violations.append((t, counts[t], limit))
     return report

@@ -21,6 +21,8 @@ from .model import (
     smallest_feasible,
 )
 
+TIE_TOL = 1e-15  # distances this close are a tie in exact_kcwo
+
 
 class SizeBudgetError(ValueError):
     """Instance exceeds the oracle's search budget."""
@@ -118,7 +120,7 @@ def exact_kcwo(space, k: int, l: int, max_n: int = 12, max_k: int = 4):
         d = space.dist[list(subset)].min(axis=0)
         order = np.argsort(-d, kind="stable")
         radius = float(d[order[l]])
-        if radius < best[0] - 1e-15:
-            outliers = sorted(int(i) for i in order[:l] if d[order[l]] < d[i] - 1e-15)
+        if radius < best[0] - TIE_TOL:
+            outliers = sorted(int(i) for i in order[:l] if d[order[l]] < d[i] - TIE_TOL)
             best = (radius, list(subset), outliers)
     return best

@@ -39,11 +39,12 @@ from .rmfct import ROUND_TOL, FirefighterSolution, round_depth2, round_loose, so
 
 THETA = (math.sqrt(5.0) + 1.0) / 2.0
 TWO_RADII_FACTOR = 1.0 + math.sqrt(5.0)
+LOG_SLACK = 1e-12  # log2 of a power of two may land a hair above the integer
 
 
 def ilog(value: float) -> int:
     """ceil(log2(max(value, 2))): the iterated-log step used throughout."""
-    return int(math.ceil(math.log2(max(value, 2)) - 1e-12))
+    return int(math.ceil(math.log2(max(value, 2)) - LOG_SLACK))
 
 
 def iterated_log(value: int, times: int) -> int:
@@ -268,7 +269,7 @@ def _window_lp_feasible(instance, alpha, tau, fixed_balls):
     uncovered = np.flatnonzero(~hit).tolist()
     if not uncovered:
         return (lambda: np.zeros((n, h))), uncovered
-    below_tau = {(p, t): 0.0 for p in range(n) for t in range(tau)}
+    below_tau = np.where(np.arange(h) < tau, np.zeros((n, h)), np.nan)
     x = solve_fractional(instance, alpha, points=uncovered, start=tau, pinned=below_tau)
     return x, uncovered
 

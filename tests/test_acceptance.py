@@ -5,6 +5,8 @@ captured output on failure) and asserts the property with its stated
 tolerance over the stated corpus size.
 """
 
+import hashlib
+import json
 import math
 import time
 
@@ -42,6 +44,11 @@ from nukc.solvers import TWO_RADII_FACTOR, solve_kcwo
 # (criterion 9): measured worst case over this exact corpus was 2.18.
 ENUM_RATIO_BOUND = 3.0
 ENUM_RADIUS_FACTOR = 22.0
+# The same corpus through the recursion itself (criterion 11): measured
+# worst ratio 8.681.  The digest is the SHA-256 of the JSON list of the 100
+# solutions' [center, class, radius] lists, so any output change shows.
+FORCED_RATIO_BOUND = 8.7
+FORCED_DIGEST = "c821737da884173f1e8015c850b6a5a38ee2bd6caf36706e821874027b2a7193"
 
 
 def report(num, name, ok, detail=""):
@@ -317,18 +324,26 @@ def test_criterion_08_hardness_gadget():
     )
 
 
-def test_criterion_09_end_to_end_bicriteria():
+def _bicriteria_corpus():
     def make(seed):
         inst = random_instance(12, seed=seed, max_classes=3)
         if compress_radii(inst).instance.num_classes > 3:
             return None
         return inst
 
+    return corpus(100, make)
+
+
+def _bicriteria_run(ratio_bound, force_full=False):
+    """enum_solve over criterion 9's corpus: (failures, worst ratio,
+    solutions as [center, class, radius] lists)."""
     failures = []
     worst_ratio = 0.0
-    for inst in corpus(100, make):
-        res = enum_solve(inst)
+    solutions = []
+    for inst in _bicriteria_corpus():
+        res = enum_solve(inst, force_full=force_full)
         sol = res.solution
+        solutions.append([[b.center, b.class_index, b.radius_used] for b in sol.balls])
         dist = inst.space.dist
         if any(
             not any(dist[p, b.center] <= b.radius_used + 1e-9 for b in sol.balls)
@@ -342,7 +357,7 @@ def test_criterion_09_end_to_end_bicriteria():
             continue
         if res.alpha > 0:
             worst_ratio = max(worst_ratio, res.dilation_ratio)
-            if res.dilation_ratio > ENUM_RATIO_BOUND:
+            if res.dilation_ratio > ratio_bound:
                 failures.append(("ratio", res.dilation_ratio))
         if any(
             b.radius_used
@@ -353,6 +368,11 @@ def test_criterion_09_end_to_end_bicriteria():
             for b in sol.balls
         ):
             failures.append("radius factor")
+    return failures, worst_ratio, solutions
+
+
+def test_criterion_09_end_to_end_bicriteria():
+    failures, worst_ratio, _ = _bicriteria_run(ENUM_RATIO_BOUND)
     report(
         9,
         "bi-criteria enumeration covers with frozen constant bounds",
@@ -384,4 +404,20 @@ def test_criterion_10_oracle_sanity():
         "fractional bound <= exact optimum; oracle solutions validate at (1,1)",
         not failures,
         f"{len(failures)} failures",
+    )
+
+
+def test_criterion_11_forced_recursion():
+    """Criterion 9's corpus under force_full: the guess recursion runs in
+    place of the guess-q short circuit (total k <= 16 on this corpus)."""
+    failures, worst_ratio, solutions = _bicriteria_run(FORCED_RATIO_BOUND, force_full=True)
+    digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
+    if digest != FORCED_DIGEST:
+        failures.append(("digest", digest))
+    report(
+        11,
+        "forced recursion covers with frozen constant bounds and fixed output",
+        not failures,
+        f"worst ratio {worst_ratio:.3f} <= {FORCED_RATIO_BOUND}, "
+        f"radius factor <= {ENUM_RADIUS_FACTOR}, {len(failures)} failures",
     )

@@ -3,7 +3,6 @@ import pytest
 
 from nukc import lp
 from nukc.bicriteria import (
-    GuessPair,
     build_guess_lp,
     enum_parameters,
     enum_solve,
@@ -11,7 +10,7 @@ from nukc.bicriteria import (
 )
 from nukc.gadgets import random_instance
 from nukc.metric import MetricSpace
-from nukc.model import NukcInstance, min_feasible_dilation, var_index
+from nukc.model import NukcInstance, min_feasible_dilation
 
 
 class TestParameters:
@@ -27,42 +26,31 @@ class TestParameters:
         assert g_big >= g_small
 
 
-class TestGuessPair:
-    def test_immutable_updates(self):
-        pair = GuessPair.empty()
-        p2 = pair.with_affirmative((3, 0))
-        assert (3, 0) in p2.affirmative
-        assert (3, 0) not in pair.affirmative
-        p3 = p2.with_negative([(1, 0), (2, 0)])
-        assert (1, 0) in p3.negative
-
-
 class TestMinLevel:
     def test_fully_banned_ball_raises_start_level(self, line_space):
         inst = NukcInstance(line_space, [(1, 2.0), (1, 1.0)])
-        # Ball around point 0 at the top radius 2 is {0, 1, 2}.
-        pair = GuessPair.empty().with_negative([(0, 0), (1, 0), (2, 0)])
-        assert min_level(pair, inst, 0) == 1
-        assert min_level(GuessPair.empty(), inst, 0) == 0
+        # At the top radius 2, points 0, 1 and 2 each have the ball {0, 1, 2}.
+        neg = np.zeros((5, 2), dtype=bool)
+        neg[[0, 1, 2], 0] = True
+        assert min_level(neg, inst).tolist() == [1, 1, 1, 0, 0]
+        assert min_level(np.zeros((5, 2), dtype=bool), inst).tolist() == [0] * 5
 
 
 class TestGuessLp:
     def test_affirmative_wins_pin_collisions(self, line_space):
         inst = NukcInstance(line_space, [(1, 2.0), (1, 1.0)])
-        pair = (
-            GuessPair.empty()
-            .with_negative([(1, 0)])
-            .with_affirmative((1, 0))
-        )
-        prob = build_guess_lp(list(range(5)), pair, inst)
-        lo, hi = prob.bounds[var_index(1, 0, 2)]
+        neg = np.zeros((5, 2), dtype=bool)
+        neg[1, 0] = True
+        prob = build_guess_lp(list(range(5)), neg.copy(), neg, inst)
+        lo, hi = prob.bounds.reshape(5, 2, 2)[1, 0]
         assert (lo, hi) == (1.0, 1.0)
 
     def test_negative_pins_zero(self, line_space):
         inst = NukcInstance(line_space, [(1, 2.0), (1, 1.0)])
-        pair = GuessPair.empty().with_negative([(1, 0)])
-        prob = build_guess_lp(list(range(5)), pair, inst)
-        assert prob.bounds[var_index(1, 0, 2)].tolist() == [0.0, 0.0]
+        neg = np.zeros((5, 2), dtype=bool)
+        neg[1, 0] = True
+        prob = build_guess_lp(list(range(5)), np.zeros_like(neg), neg, inst)
+        assert prob.bounds.reshape(5, 2, 2)[1, 0].tolist() == [0.0, 0.0]
 
 
 class TestEnumSolve:

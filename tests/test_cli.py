@@ -349,6 +349,33 @@ class TestSolveValidate:
         assert run(["solve", "--algo", "exact", "--input", str(bad),
                     "--out", str(tmp_path / "s.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "case",
+        ["missing-input", "input-is-directory", "out-in-missing-dir",
+         "dump-lp-in-missing-dir", "missing-solution", "compare-out-in-missing-dir"],
+    )
+    def test_file_errors_are_usage_errors(self, tmp_path, capsys, case):
+        inst = self.make_instance(tmp_path)
+        missing = tmp_path / "no-such-dir"
+        solve = ["solve", "--algo", "kcenter", "--input", str(inst),
+                 "--out", str(tmp_path / "s.json")]
+        args = {
+            "missing-input": [*solve, "--input", str(missing / "i.json")],
+            "input-is-directory": [*solve, "--input", str(tmp_path)],
+            "out-in-missing-dir": [*solve, "--out", str(missing / "s.json")],
+            "dump-lp-in-missing-dir": [*solve, "--dump-lp", str(missing / "r.lp")],
+            "missing-solution": ["validate", "--instance", str(inst),
+                                 "--solution", str(missing / "s.json")],
+            "compare-out-in-missing-dir": ["compare", "--instances", str(tmp_path),
+                                           "--algos", "kcenter",
+                                           "--out", str(missing / "r.csv")],
+        }[case]
+        capsys.readouterr()
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 # Solves a 3-point instance with one class of k balls under each algorithm,
 # k = 3 first and then the huge k, in one interpreter; prints per run the

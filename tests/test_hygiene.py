@@ -1,6 +1,6 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
-no `scipy.optimize`, and one algorithm list shared by the CLI table, its
-argparse choices and the README."""
+named float guards, no `scipy.optimize`, and one algorithm list shared by
+the CLI table, its argparse choices and the README."""
 
 import argparse
 import ast
@@ -82,6 +82,33 @@ def test_cover_tol_named_only_in_metric():
     naming = [m for m in MODULES
               if m != "metric.py" and re.search(r"\bCOVER_TOL\b", (SRC / m).read_text())]
     assert not naming, f"modules naming COVER_TOL outside metric: {', '.join(naming)}"
+
+
+def bare_float_guards(tree):
+    """Line of every float literal v with 0 < |v| < 1e-5 that is not the
+    whole value of a module-level assignment to UPPER_CASE names."""
+    named = {
+        id(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and all(isinstance(t, ast.Name) and t.id.isupper() for t in node.targets)
+    }
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-5 and id(node) not in named]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_float_guards_are_named(module):
+    """A tiny float is a tolerance, so it gets a module constant whose
+    comment says which error it absorbs, not a bare literal in the code."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    lines = bare_float_guards(tree)
+    assert not lines, f"{module} has bare float guards on lines {lines}"
+
+
+def test_bare_float_guard_is_caught():
+    source = "X = 1e-9\ny = 1e-9\nZ = (1e-9, 0.5)\ndef f(v):\n    return v - 1e-12\n"
+    assert bare_float_guards(ast.parse(source)) == [2, 3, 5]
 
 
 def imported_modules(tree):

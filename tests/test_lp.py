@@ -56,9 +56,9 @@ def covering_lps(draw, max_n=7):
     h = inst.num_classes
     cands = candidate_dilations(inst)
     dilation = cands[draw(st.integers(0, len(cands) - 1), label="candidate")]
-    points = draw(st.sets(st.integers(0, n - 1)), label="points")
-    start = {p: draw(st.integers(0, h), label=f"start {p}") for p in points}
-    pinned = draw(
+    points = sorted(draw(st.sets(st.integers(0, n - 1)), label="points"))
+    start = [draw(st.integers(0, h), label=f"start {p}") for p in points]
+    pins = draw(
         st.dictionaries(
             st.tuples(st.integers(0, n - 1), st.integers(0, h - 1)),
             st.sampled_from([0.0, 1.0]),
@@ -66,6 +66,9 @@ def covering_lps(draw, max_n=7):
         ),
         label="pinned",
     )
+    pinned = np.full((n, h), np.nan)  # NaN: free
+    for cell, value in pins.items():
+        pinned[cell] = value
     return build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned), h
 
 

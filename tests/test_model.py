@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nukc import model
-from nukc.bicriteria import GuessPair, build_guess_lp, min_level
+from nukc.bicriteria import build_guess_lp
 from nukc.metric import COVER_TOL, MetricSpace
 from nukc.model import (
     Ball,
@@ -24,7 +24,6 @@ from nukc.model import (
     smallest_feasible,
     solve_fractional,
     validate_solution,
-    var_index,
 )
 from nukc import lp
 from nukc.gadgets import random_euclidean, random_instance
@@ -32,8 +31,14 @@ from nukc.oracle import exact_nukc
 from nukc.solvers import _window_lp_feasible
 
 
-# Reference implementations: the per-entry loop builders and the candidate
-# loop that the vectorised code replaced, kept to pin its output.
+# Reference implementations: the per-entry loop builders, the per-point
+# start-level loop and the candidate loop that the vectorised code replaced,
+# kept to pin its output.
+
+
+def var_index(p, t, num_classes):
+    """Column of x[p, t] in an LP over n * h variables."""
+    return p * num_classes + t
 
 
 def reference_problem(instance, bounds, cover_rows):
@@ -80,19 +85,29 @@ def reference_nukc_lp(instance, dilation, points=None, class_window=None):
     return reference_problem(instance, bounds, rows)
 
 
-def reference_guess_lp(points, pair, instance):
+def reference_min_level(neg, instance, p):
+    """One more than the largest level t whose whole ball B(p, r_t) is
+    negatively guessed at level t; 0 when there is none."""
+    best = -1
+    for t in range(instance.num_classes):
+        if all(neg[q, t] for q in instance.space.ball(p, instance.radii[t])):
+            best = t
+    return best + 1
+
+
+def reference_guess_lp(points, aff, neg, instance):
     n, h = instance.n, instance.num_classes
     dist = instance.space.dist
     radii = instance.radii
     bounds = [(0.0, 1.0)] * (n * h)
-    for (q, t) in sorted(pair.negative):
+    for q, t in np.argwhere(neg):
         bounds[var_index(q, t, h)] = (0.0, 0.0)
-    for (q, t) in sorted(pair.affirmative):
+    for q, t in np.argwhere(aff):
         bounds[var_index(q, t, h)] = (1.0, 1.0)
     rows = []
     for p in sorted(points):
         row = np.zeros(n * h)
-        for t in range(min_level(pair, instance, p), h):
+        for t in range(reference_min_level(neg, instance, p), h):
             for q in np.nonzero(dist[p] <= radii[t] + COVER_TOL)[0]:
                 row[var_index(int(q), t, h)] = 1.0
         rows.append(row)
@@ -309,16 +324,12 @@ class TestBuilder:
     @pytest.mark.parametrize("seed", range(40))
     def test_guess_rows_match_reference(self, seed):
         rng, inst, _, points = seeded_case(seed)
-        n, h = inst.n, inst.num_classes
-        tuples = [(q, t) for q in range(n) for t in range(h)]
-        draw = rng.rand(len(tuples))
-        negative = [tup for tup, u in zip(tuples, draw) if u < 0.5]
-        affirmative = [tup for tup, u in zip(tuples, draw) if u > 0.8]
-        if negative:  # an A/D collision: A must win
-            affirmative.append(negative[0])
-        pair = GuessPair(frozenset(affirmative), frozenset(negative))
-        want = reference_guess_lp(points, pair, inst)
-        assert_same_lp(build_guess_lp(points, pair, inst), want)
+        draw = rng.rand(inst.n, inst.num_classes)
+        neg, aff = draw < 0.5, draw > 0.8
+        if neg.any():  # an A/D collision: A must win
+            aff.flat[np.argmax(neg)] = True
+        want = reference_guess_lp(points, aff, neg, inst)
+        assert_same_lp(build_guess_lp(points, aff, neg, inst), want)
 
     def test_huge_radius_reaches_every_point_without_warning(self, line_space):
         # 10 * 1e308 overflows to inf: every point is within reach.
@@ -328,9 +339,12 @@ class TestBuilder:
             prob = build_nukc_lp(inst, 10.0)
         assert prob.constraints[prob.ge].all()
 
-    def test_start_mapping_and_pins(self, line_instance):
-        prob = build_nukc_lp(line_instance, 1.0, points=[4, 0], start={0: 1, 4: 0},
-                             pinned={(2, 1): 1.0})
+    def test_start_levels_and_pins(self, line_instance):
+        pinned = np.full((line_instance.n, 2), np.nan)
+        pinned[2, 1] = 1.0
+        # One start level per row, rows in ascending point order: 0, then 4.
+        prob = build_nukc_lp(line_instance, 1.0, points=[4, 0], start=[1, 0],
+                             pinned=pinned)
         rows = prob.constraints[prob.ge]
         # Ascending point order; point 0's row holds class 1 only.
         assert rows[0][0::2].sum() == 0 and rows[0][1::2].sum() == 2
@@ -379,12 +393,14 @@ class TestCertificate:
     def test_pin_that_uses_up_a_budget(self):
         inst = self.line([[0], [10]], [(1, 2.0), (1, 1.0)])
         # The one big ball sits at point 0; point 1 needs the small one.
-        pinned = {(0, 0): 1.0}
+        pinned = np.full((2, 2), np.nan)
+        pinned[0, 0] = 1.0
         assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned), 2) is True
-        blocked = build_nukc_lp(inst, 1.0, pinned={**pinned, (1, 1): 0.0})
-        assert model._certify(blocked, 2) is False
+        pinned[1, 1] = 0.0
+        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned), 2) is False
         # Pins alone overrun the big ball's budget.
-        over = build_nukc_lp(inst, 1.0, points=[], pinned={(0, 0): 1.0, (1, 0): 1.0})
+        pinned[1] = (1.0, np.nan)
+        over = build_nukc_lp(inst, 1.0, points=[], pinned=pinned)
         assert model._certify(over, 2) is False
 
     def test_start_level_h_is_an_empty_row(self, line_instance):
