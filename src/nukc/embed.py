@@ -27,7 +27,7 @@ import numpy as np
 
 from .metric import covered, within
 from .model import Ball, NukcInstance, NukcSolution, coverage
-from .rmfct import FirefighterInfeasibleError, FirefighterSolution, LayeredTree
+from .rmfct import ROUND_TOL, FirefighterInfeasibleError, FirefighterSolution, LayeredTree
 
 
 @dataclass
@@ -75,7 +75,7 @@ def embed(
     """Embed a fractional solution x (feasible at dilation 1, covering at
     least the points in `points`) into a layered tree.  Winner selection
     minimizes the suffix coverage at the current level, ties to the lowest
-    point id."""
+    point id, where coverages within ROUND_TOL of each other tie."""
     if mode not in ("basic", "barrier"):
         raise ValueError(f"unknown embed mode {mode!r}")
     n, h = instance.n, instance.num_classes
@@ -122,9 +122,10 @@ def embed(
         active = sorted(node_of)  # points owning a node at level `cur`
         new_node_of = {}
         while active:
-            # Winner: minimal suffix coverage at the current level, ties to
-            # the lowest point id (`active` is sorted).
-            p = min(active, key=lambda q: (cov[q, cur:].sum(), q))
+            # Winner: minimal suffix coverage at the current level, within
+            # ROUND_TOL, ties to the lowest point id (`active` is sorted).
+            suffix = cov[active, cur:].sum(axis=1)
+            p = active[int(np.argmax(suffix <= suffix.min() + ROUND_TOL))]
             near = within(dist[p], gather)
             group = [q for q in active if near[q]]
             chain_child = [node_of[q] for q in group]

@@ -149,7 +149,10 @@ def tree_from_obj(obj: dict) -> RootedTree:
     if not isinstance(obj, dict) or not isinstance(obj.get("parents"), list):
         raise FormatError('tree document needs a "parents" list')
     parents = obj["parents"]
-    return RootedTree([None] + [int(p) for p in parents[1:]])
+    if not parents or parents[0] is not None:
+        raise FormatError("tree parents[0] must be null (the root)")
+    return RootedTree([None] + [_integral(p, f"parent of node {v}")
+                                for v, p in enumerate(parents[1:], 1)])
 
 
 def dump(obj, path) -> None:

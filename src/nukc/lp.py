@@ -1,20 +1,21 @@
 """A small dense feasibility engine for linear programs.
 
 Every LP in this package only asks whether its rows and box bounds admit a
-point, so the engine is the phase one of a bounded-variable primal simplex
-with Bland's anti-cycling rule: it drives artificial columns to zero.
-Solutions are always basic: at most one variable per constraint row sits
-strictly between its bounds, which the rounding routines in this package
-rely on.
+point, so the engine is the phase one of a bounded-variable primal simplex:
+one pivot loop drives artificial columns toward zero until its point meets
+every row, each within its threshold FEAS_TOL * max(1, |rhs_i|).
 
+`solve` returns that point, so it prices by Bland's anti-cycling rule.  Its
+solutions are basic: at most one variable per constraint row sits strictly
+between its bounds, which the rounding routines in this package rely on.
 `verdict` answers the yes/no question alone, for callers that would drop
-the point: a faster phase one on the same set-up whose answer is checked
-against the LP's arrays, so its pivots need not be Bland's.  Every point
-the package outputs still comes from `solve`.
+the point: it prices by Dantzig's rule, and its answer is checked against
+the LP's arrays.  Every point the package outputs comes from `solve`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,75 +82,18 @@ def format_lp(problem: LpProblem) -> str:
     return "\n".join(lines)
 
 
-def _phase_one(A, cost, lo, hi, basis, x):
-    """Run bounded-variable simplex on A x = const, x in [lo, hi],
-    minimizing cost, the sum of the artificial columns.  Mutates basis and
-    x in place."""
-    m, ncols = A.shape
-    in_basis = np.zeros(ncols, dtype=bool)
-    in_basis[basis] = True
-    movable = lo != hi
-    max_iters = 200 * (m + ncols)
-    for _ in range(max_iters):
-        B = A[:, basis]
-        try:
-            lam = np.linalg.solve(B.T, cost[basis])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
-            raise LpSolverError("singular basis matrix") from exc
-        reduced = cost - lam @ A
-        at_lower = x <= lo + FEAS_TOL
-        improving = np.where(at_lower, reduced < -PIVOT_TOL, reduced > PIVOT_TOL)
-        eligible = np.flatnonzero(improving & movable & ~in_basis)
-        if not eligible.size:
-            return
-        entering = eligible[0]  # Bland: lowest eligible index enters
-        direction = 1 if at_lower[entering] else -1
-        w = np.linalg.solve(B, A[:, entering])
-        t_max = hi[entering] - lo[entering]
-        blocking = -1
-        for i in range(m):
-            delta = direction * w[i]
-            v = basis[i]
-            if delta > PIVOT_TOL:
-                step = (x[v] - lo[v]) / delta
-            elif delta < -PIVOT_TOL:
-                step = (hi[v] - x[v]) / (-delta)
-            else:
-                continue
-            if step < t_max - PIVOT_TOL:
-                t_max = step
-                blocking = i
-            elif step <= t_max + PIVOT_TOL and blocking >= 0 and v < basis[blocking]:
-                blocking = i  # Bland: lowest variable index leaves
-        if not np.isfinite(t_max):  # pragma: no cover - the cost is bounded below
-            raise LpSolverError("phase one reported unbounded")
-        t_max = max(t_max, 0.0)
-        x[entering] += direction * t_max
-        x[basis] -= direction * w * t_max
-        if blocking >= 0:
-            leave = basis[blocking]
-            # Snap the leaving variable onto whichever bound it hit.
-            if abs(x[leave] - lo[leave]) <= abs(x[leave] - hi[leave]):
-                x[leave] = lo[leave]
-            else:
-                x[leave] = hi[leave]
-            in_basis[leave] = False
-            basis[blocking] = entering
-            in_basis[entering] = True
-        else:
-            # Bound flip: the entering variable hit its opposite bound.
-            x[entering] = hi[entering] if direction > 0 else lo[entering]
-    raise LpSolverError(f"pivot budget exhausted after {max_iters} iterations")
+_System = namedtuple("_System", "C ge rhs A lo hi x basis cost row_tol art_tol")
 
 
-def _phase_one_setup(problem: LpProblem):
+def _phase_one_setup(problem: LpProblem) -> _System:
     """Check `problem`'s shapes and bounds and write it as the phase-one
     system A x = rhs over structural, slack and artificial columns.
 
-    Returns (C, ge, rhs, A, lo, hi, x, basis, cost, tol): the problem's
-    arrays as floats, the system with its column bounds, a basic starting
-    point and its basis, the phase-one cost (1 on each artificial column)
-    and the infeasibility threshold FEAS_TOL * max|rhs|.
+    The `_System` holds the problem's arrays as floats (C, ge, rhs), the
+    system with its column bounds (A, lo, hi), a basic starting point and
+    its basis (x, basis, which the pivot loop updates in place), the
+    phase-one cost (1 on each artificial column), each row's threshold and
+    the sum of the thresholds of the rows that carry artificials.
     """
     C = np.asarray(problem.constraints, dtype=float)
     ge = np.asarray(problem.ge, dtype=bool)
@@ -185,115 +129,66 @@ def _phase_one_setup(problem: LpProblem):
     basis = np.arange(n, ncols)
     basis[art] = ncols + np.arange(art.size)
     cost = (np.arange(A.shape[1]) >= ncols).astype(float)
-    tol = FEAS_TOL * np.abs(rhs).max(initial=1.0)
-    return C, ge, rhs, A, lo, hi, x, basis, cost, tol
+    row_tol = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
+    return _System(C, ge, rhs, A, lo, hi, x, basis, cost, row_tol, float(row_tol[art].sum()))
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """A basic feasible point of an LpProblem, or status "infeasible".
-    Deterministic: identical input gives identical pivot sequences and
-    output.
-    """
-    C, ge, rhs, A, lo, hi, x, basis, cost, tol = _phase_one_setup(problem)
-    n = C.shape[1]
-    if cost.any():
-        _phase_one(A, cost, lo, hi, basis, x)
-        if float(cost @ x) > tol:
-            return LpSolution(status="infeasible")
-
-    vals = x[:n].copy()
-    # Safety recheck against the original rows.
-    lhs = C @ vals
-    bad = np.flatnonzero(np.where(ge, lhs < rhs - tol, lhs > rhs + tol))
-    if bad.size:
-        i = bad[0]
-        op = "<" if ge[i] else ">"
-        raise LpSolverError(f"row {i} violated after solve: {lhs[i]} {op} {rhs[i]}")
-    np.clip(vals, lo[:n], hi[:n], out=vals)
-    return LpSolution(status="feasible", values=vals, is_basic=True)
+def _meets_rows(s: _System) -> bool:
+    """Whether s.x, clipped to its bounds, misses no row by more than the
+    row's threshold."""
+    n = s.C.shape[1]
+    lhs = s.C @ np.clip(s.x[:n], s.lo[:n], s.hi[:n])
+    return bool(np.all(np.where(s.ge, s.rhs - lhs, lhs - s.rhs) <= s.row_tol))
 
 
-# verdict's pivoting: Dantzig pricing, switching to Bland's rule after this
-# many degenerate pivots in a row (and back after a step that moves), with
-# the basis inverse rebuilt from scratch every REFACTOR_EVERY iterations.
+# verdict's pricing: Dantzig's rule, switching to Bland's after this many
+# degenerate pivots in a row (and back after a step that moves).  The loop
+# rebuilds its basis inverse from scratch every REFACTOR_EVERY iterations.
 DEGENERATE_RUN = 20
 REFACTOR_EVERY = 40
 
 
-def _violation(C, ge, rhs, lo, hi, x) -> float:
-    """Total row violation of x clipped to [lo, hi]."""
-    lhs = C @ np.clip(x, lo, hi)
-    return float(np.maximum(np.where(ge, rhs - lhs, lhs - rhs), 0.0).sum())
-
-
-def _lagrangian_bound(A, cost, lo, hi, rhs, lam, n) -> float:
-    """A lower bound on min cost.x over A x = rhs, lo <= x <= hi: lam.rhs
-    plus, per column, the minimum of its reduced cost times x_j over
-    [lo_j, hi_j].  The columns from n on are unit columns without an upper
-    bound (slacks and artificials), so lam is first clipped just enough to
-    keep their reduced costs >= 0; each such bound on lam_i admits 0."""
-    unit = A[:, n:]
-    rows = np.argmax(unit != 0, axis=0)
-    coef = unit[rows, np.arange(unit.shape[1])]
-    limit = cost[n:] / coef  # c_j - lam_i a_ij >= 0 bounds lam_i by c_j / a_ij
-    upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
-    np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
-    np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
-    lam = np.clip(lam, lower, upper)
-    reduced = cost - lam @ A
-    up, down = reduced < 0, reduced > 0
-    if np.isinf(hi[up]).any():
-        return -np.inf
-    return float(lam @ rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up])
-
-
-def verdict(problem: LpProblem):
-    """Whether `problem` is feasible: True or False when a check against
-    its own arrays proves it, None when neither check does.  Never a point:
-    callers that need x run `solve`.
-
-    The search is the phase one of `solve` priced by Dantzig's rule (Bland's
-    after a run of degenerate pivots), on an explicit basis inverse with
-    rank-one updates.  Its pivots are trusted for nothing.  True means the
-    search's x, clipped to the bounds, leaves a total row violation of at
-    most FEAS_TOL * max|rhs|, the threshold at which `solve` reports
-    infeasible; False means a Lagrangian lower bound on the phase-one
-    objective (`_lagrangian_bound`, from the search's final multipliers)
-    exceeds it.
+def _phase_one(s: _System, run: int):
+    """Pivot s.x and s.basis in place, on a basis inverse with rank-one
+    updates, until x meets every row.  Pricing is Dantzig's rule, switching
+    to Bland's after `run` degenerate pivots in a row; run=0 is Bland's rule
+    throughout.  Returns (outcome, lam): outcome is "feasible", "optimal"
+    (no column prices in), "budget", "singular" or "unbounded"; lam holds
+    the last simplex multipliers (None if x met every row at the start).
     """
-    C, ge, rhs, A, lo, hi, x, basis, cost, tol = _phase_one_setup(problem)
-    n = C.shape[1]
+    A, lo, hi, x, basis, cost = s.A, s.lo, s.hi, s.x, s.basis, s.cost
     m, ncols = A.shape
     in_basis = np.zeros(ncols, dtype=bool)
     in_basis[basis] = True
     movable = lo != hi
     free = movable & ~in_basis  # nonbasic columns that may enter
     near_lo = lo + FEAS_TOL
-    degenerate = 0
+    degenerate, lam, outcome = 0, None, "budget"
     for it in range(200 * (m + ncols)):
-        if cost @ x <= tol and _violation(C, ge, rhs, lo[:n], hi[:n], x[:n]) <= tol:
-            return True
+        if cost @ x <= s.art_tol and _meets_rows(s):
+            return "feasible", lam
         if it % REFACTOR_EVERY == 0:
             try:
                 B_inv = np.linalg.inv(A[:, basis])
             except np.linalg.LinAlgError:  # pragma: no cover - degenerate basis
-                return None
-            x[basis] = B_inv @ (rhs - A[:, ~in_basis] @ x[~in_basis])
+                return "singular", lam
+            x[basis] = B_inv @ (s.rhs - A[:, ~in_basis] @ x[~in_basis])
         lam = cost[basis] @ B_inv
         reduced = cost - lam @ A
         at_lower = x <= near_lo
         gain = np.where(at_lower, -reduced, reduced)  # cost drop per unit of move
         gain *= free
-        bland = degenerate >= DEGENERATE_RUN
+        bland = degenerate >= run
         if bland:  # lowest eligible index enters
             eligible = np.flatnonzero(gain > PIVOT_TOL)
-            if not eligible.size:
-                break
-            entering = int(eligible[0])
+            entering = int(eligible[0]) if eligible.size else -1
         else:  # the steepest reduced cost enters
             entering = int(np.argmax(gain))
             if gain[entering] <= PIVOT_TOL:
-                break
+                entering = -1
+        if entering < 0:
+            outcome = "optimal"
+            break
         w = B_inv @ A[:, entering]
         delta = w if at_lower[entering] else -w  # basic variables fall by delta * t
         xb = x[basis]
@@ -304,7 +199,7 @@ def verdict(problem: LpProblem):
         flip = hi[entering] - lo[entering]
         if flip <= t:
             if not np.isfinite(flip):  # pragma: no cover - the cost is bounded below
-                return None
+                return "unbounded", lam
             t = flip
         degenerate = degenerate + 1 if t <= PIVOT_TOL else 0
         x[entering] += t if at_lower[entering] else -t
@@ -325,8 +220,66 @@ def verdict(problem: LpProblem):
         row = B_inv[r] / w[r]
         B_inv -= w[:, None] * row
         B_inv[r] = row
-    if _violation(C, ge, rhs, lo[:n], hi[:n], x[:n]) <= tol:
+    return ("feasible" if _meets_rows(s) else outcome), lam
+
+
+def solve(problem: LpProblem) -> LpSolution:
+    """A basic feasible point of an LpProblem, or status "infeasible" when
+    the phase-one optimum exceeds the artificial rows' thresholds.
+    Deterministic: identical input gives identical pivot sequences and
+    output.
+    """
+    s = _phase_one_setup(problem)
+    outcome, _ = _phase_one(s, run=0)
+    if outcome == "optimal" and s.cost @ s.x > s.art_tol:
+        return LpSolution(status="infeasible")
+    if outcome != "feasible":
+        raise LpSolverError(f"phase one stopped ({outcome}) at a point that misses a row")
+    n = s.C.shape[1]
+    return LpSolution("feasible", np.clip(s.x[:n], s.lo[:n], s.hi[:n]), is_basic=True)
+
+
+def _lagrangian_bound(s: _System, lam) -> float:
+    """A lower bound on min cost.x over A x = rhs, lo <= x <= hi: lam.rhs
+    plus, per column, the minimum of its reduced cost times x_j over
+    [lo_j, hi_j].  The columns after the structural ones are unit columns
+    without an upper bound (slacks and artificials), so lam is first clipped
+    just enough to keep their reduced costs >= 0; each such bound on lam_i
+    admits 0."""
+    A, cost, lo, hi = s.A, s.cost, s.lo, s.hi
+    n = s.C.shape[1]
+    unit = A[:, n:]
+    rows = np.argmax(unit != 0, axis=0)
+    coef = unit[rows, np.arange(unit.shape[1])]
+    limit = cost[n:] / coef  # c_j - lam_i a_ij >= 0 bounds lam_i by c_j / a_ij
+    upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
+    np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
+    np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
+    lam = np.clip(lam, lower, upper)
+    reduced = cost - lam @ A
+    up, down = reduced < 0, reduced > 0
+    if np.isinf(hi[up]).any():
+        return -np.inf
+    return float(lam @ s.rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up])
+
+
+def verdict(problem: LpProblem):
+    """Whether `problem` is feasible: True or False when a check against
+    its own arrays proves it, None when neither check does.  Never a point:
+    callers that need x run `solve`.
+
+    The search is `solve`'s pivot loop priced by Dantzig's rule (Bland's
+    after DEGENERATE_RUN degenerate pivots in a row), and its pivots are
+    trusted for nothing.  True means its x, clipped to the bounds, meets
+    every row within the row's threshold; False means a Lagrangian lower
+    bound on the phase-one objective (`_lagrangian_bound`, from the search's
+    last multipliers) exceeds the thresholds of the rows that carry
+    artificials, where `solve` reports infeasible.
+    """
+    s = _phase_one_setup(problem)
+    outcome, lam = _phase_one(s, DEGENERATE_RUN)
+    if outcome == "feasible":
         return True
-    if _lagrangian_bound(A, cost, lo, hi, rhs, lam, n) > tol:
+    if _lagrangian_bound(s, lam) > s.art_tol:
         return False
     return None

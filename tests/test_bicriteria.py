@@ -52,6 +52,13 @@ class TestGuessLp:
         prob = build_guess_lp(list(range(5)), np.zeros_like(neg), neg, inst)
         assert prob.bounds.reshape(5, 2, 2)[1, 0].tolist() == [0.0, 0.0]
 
+    def test_every_center_banned_is_infeasible_at_huge_k(self, line_space):
+        inst = NukcInstance(MetricSpace(line_space.dist[:3, :3]), [(10**9, 1.0)])
+        neg = np.ones((3, 1), dtype=bool)
+        prob = build_guess_lp(list(range(3)), np.zeros_like(neg), neg, inst)
+        assert not lp.solve(prob).ok
+        assert lp.verdict(prob) is False
+
 
 class TestEnumSolve:
     @pytest.mark.parametrize("seed", range(25))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nukc import fileio
+from nukc.cli import main
 from nukc.embed import embed, embed_barrier, embed_basic, lift_radius, lift_tree_solution
 from nukc.gadgets import random_instance
 from nukc.metric import MetricSpace
@@ -58,6 +60,24 @@ class TestEmbedStructure:
         pts = list(range(0, inst.n, 2))
         res = embed_basic(inst, x, points=pts)
         assert res.leaf_points == pts
+
+    def test_winner_ties_ignore_lp_residue(self, tmp_path):
+        # A kCwO instance at its relaxation's alpha: x is 0/1, so its
+        # suffix coverages tie exactly, and residue of 3e-16 in a few
+        # entries (what a simplex's rank-one updates leave) must not
+        # break the ties differently.
+        path = tmp_path / "inst.json"
+        main(["generate", "--kind", "euclidean", "--n", "40", "--seed", "4",
+              "--classes", "3:0.1,2:0", "--out", str(path)])
+        inst = NukcInstance(fileio.instance_from_obj(fileio.load(path)).space,
+                            [(3, 1.0), (2, 0.0)])
+        alpha, x = min_feasible_dilation(inst)
+        clean = np.round(x)
+        noisy = clean.copy()
+        noisy[[1, 3, 6, 11], 1] = 3e-16
+        winners = embed_basic(inst.scaled(alpha), clean).winners[0]
+        assert winners == [1, 4]
+        assert embed_basic(inst.scaled(alpha), noisy).winners[0] == winners
 
 
 class TestFeasibilityResiduals:

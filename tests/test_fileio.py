@@ -90,6 +90,15 @@ class TestTreeRoundTrip:
         back = fileio.tree_from_obj(obj)
         assert back.parents == rt.parents
 
+    @pytest.mark.parametrize(
+        "parents",
+        [[None, 0.5, 0.9], [None, "0"], [None, None], [5, 0], []],
+        ids=["fractional", "string", "null-parent", "root-with-parent", "empty"],
+    )
+    def test_bad_parents_rejected(self, parents):
+        with pytest.raises(fileio.FormatError):
+            fileio.tree_from_obj({"parents": parents})
+
 
 class TestFiles:
     def test_dump_load(self, tmp_path, line_instance):

@@ -1,6 +1,7 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
-named float guards, no `scipy.optimize`, and one algorithm list shared by
-the CLI table, its argparse choices and the README."""
+LP row thresholds only in `lp`, named float guards, no `scipy.optimize`,
+and one algorithm list shared by the CLI table, its argparse choices and
+the README."""
 
 import argparse
 import ast
@@ -76,12 +77,24 @@ def test_no_dead_locals(module):
     assert not dead, f"{module} binds locals it never reads: {', '.join(dead)}"
 
 
+def modules_naming(name, home):
+    """Modules other than `home` whose source names `name`."""
+    return [m for m in MODULES
+            if m != home and re.search(rf"\b{name}\b", (SRC / m).read_text())]
+
+
 def test_cover_tol_named_only_in_metric():
     """Ball membership goes through metric.within / metric.covered, so no
     other module restates the comparison with its own copy of the slack."""
-    naming = [m for m in MODULES
-              if m != "metric.py" and re.search(r"\bCOVER_TOL\b", (SRC / m).read_text())]
+    naming = modules_naming("COVER_TOL", "metric.py")
     assert not naming, f"modules naming COVER_TOL outside metric: {', '.join(naming)}"
+
+
+def test_feas_tol_named_only_in_lp():
+    """Row thresholds are lp's alone: lp.solve and lp.verdict apply them, so
+    no other module judges an LP point with its own copy of the slack."""
+    naming = modules_naming("FEAS_TOL", "lp.py")
+    assert not naming, f"modules naming FEAS_TOL outside lp: {', '.join(naming)}"
 
 
 def bare_float_guards(tree):

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from nukc import lp, model
 from nukc.gadgets import random_instance
-from nukc.model import build_nukc_lp, candidate_dilations
+from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations
 
 
 def scipy_reference(problem):
@@ -50,9 +50,14 @@ def random_problem(seed):
 @st.composite
 def covering_lps(draw, max_n=7):
     """(problem, h): a covering LP from build_nukc_lp at a candidate
-    dilation, with per-point start levels and 0/1 pins, and its class count."""
+    dilation, with per-point start levels, 0/1 pins and class budgets up to
+    10^9, and its class count."""
     n = draw(st.integers(1, max_n), label="n")
     inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
+    inst = NukcInstance(inst.space, [
+        (draw(st.sampled_from([c.multiplicity, 10**6, 10**9]), label=f"k {t}"), c.radius)
+        for t, c in enumerate(inst.classes)
+    ])
     h = inst.num_classes
     cands = candidate_dilations(inst)
     dilation = cands[draw(st.integers(0, len(cands) - 1), label="candidate")]
@@ -219,6 +224,11 @@ class TestVerdict:
         corner = make_problem([[1.0, 1.0]], [True], [3.0], [(0.0, 1.0), (0.0, 2.0)])
         assert lp.verdict(corner) is True
         assert lp.verdict(make_problem([], [], [], [(0.5, 1.0)])) is True
+        # x0 >= 1 with x0 fixed at 0: a slack budget row x0 <= 10^7 must not
+        # widen the covering row's threshold.
+        budget = make_problem([[1.0], [1.0]], [True, False], [1.0, 1e7], [(0.0, 0.0)])
+        assert lp.verdict(budget) is False
+        assert not lp.solve(budget).ok
 
     def test_budget_multiplier_beyond_one_is_kept(self):
         # x0 covers rows 0-2, x1..x3 one row each, x4 only row 3; one unit
@@ -229,11 +239,12 @@ class TestVerdict:
             [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 1],
              [1, 1, 1, 1, 1]],
             [True] * 4 + [False], [1] * 5, [(0.0, 1.0)] * 5)
-        _, _, rhs, A, lo, hi, _, _, cost, tol = lp._phase_one_setup(prob)
-        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([1, 1, 1, 1, -3.0]), 5) == 1.0
-        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([1, 1, 1, 1, 0.0]), 5) < tol
+        s = lp._phase_one_setup(prob)
+        assert s.art_tol == pytest.approx(4e-7)  # four covering rows of rhs 1
+        assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, -3.0])) == 1.0
+        assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, 0.0])) < s.art_tol
         # A covering row's 3 exceeds its artificial's cost of 1: clipped to 1.
-        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([3, 1, 1, 1, -3.0]), 5) == 1.0
+        assert lp._lagrangian_bound(s, np.array([3, 1, 1, 1, -3.0])) == 1.0
         assert not lp.solve(prob).ok
         assert lp.verdict(prob) is False
 
@@ -241,8 +252,7 @@ class TestVerdict:
         # x0 >= 1 with x0 in [0, inf): lam = 0.5 prices x0 at -0.5, so the
         # Lagrangian is -inf, never a refutation.
         prob = make_problem([[1.0]], [True], [1.0], [(0.0, np.inf)])
-        _, _, rhs, A, lo, hi, _, _, cost, _ = lp._phase_one_setup(prob)
-        assert lp._lagrangian_bound(A, cost, lo, hi, rhs, np.array([0.5]), 1) == -np.inf
+        assert lp._lagrangian_bound(lp._phase_one_setup(prob), np.array([0.5])) == -np.inf
         assert lp.verdict(prob) is True
 
     def test_malformed_problem_rejected(self):
