@@ -155,6 +155,9 @@ ALGOS = {
 
 
 def cmd_solve(args) -> int:
+    if not (math.isfinite(args.dump_lp_dilation) and args.dump_lp_dilation >= 0):
+        raise UsageError(f"--dump-lp-dilation must be a finite number >= 0, "
+                         f"got {args.dump_lp_dilation}")
     instance = fileio.instance_from_obj(fileio.load(args.input))
     if args.dump_lp:
         problem = build_nukc_lp(instance, args.dump_lp_dilation)

@@ -89,7 +89,7 @@ def hardness_gadget(tree: RootedTree, c: float) -> NukcInstance:
       leaf at any dilation), so a cover there is one pick per level.  For
       t < h, r_{t-1} / r_t = (2c+1) + 2(2c+1) / r_t exceeds 2c+1.
       At depth 2 the optimum is exactly r_0 / r_1 = 2c+2."""
-    if c < 1:
+    if not c >= 1:  # NaN fails this too
         raise ValueError(f"gadget needs c >= 1, got {c}")
     h = tree.depth
     base = 2 * c + 1

@@ -9,8 +9,9 @@ every row, each within its threshold FEAS_TOL * max(1, |rhs_i|).
 solutions are basic: at most one variable per constraint row sits strictly
 between its bounds, which the rounding routines in this package rely on.
 `verdict` answers the yes/no question alone, for callers that would drop
-the point: it prices by Dantzig's rule, and its answer is checked against
-the LP's arrays.  Every point the package outputs comes from `solve`.
+the point: it may start from any vertex of the box, it prices by Dantzig's
+rule, and its answer is checked against the LP's arrays.  Every point the
+package outputs comes from `solve`.
 """
 
 from __future__ import annotations
@@ -85,9 +86,13 @@ def format_lp(problem: LpProblem) -> str:
 _System = namedtuple("_System", "C ge rhs A lo hi x basis cost row_tol art_tol")
 
 
-def _phase_one_setup(problem: LpProblem) -> _System:
+def _phase_one_setup(problem: LpProblem, start=None) -> _System:
     """Check `problem`'s shapes and bounds and write it as the phase-one
     system A x = rhs over structural, slack and artificial columns.
+
+    The structural columns start nonbasic at `start`, a vertex of the box
+    (each entry one of its variable's bounds; default: the lower bounds),
+    and only the rows that `start` leaves unmet get an artificial column.
 
     The `_System` holds the problem's arrays as floats (C, ge, rhs), the
     system with its column bounds (A, lo, hi), a basic starting point and
@@ -111,11 +116,21 @@ def _phase_one_setup(problem: LpProblem) -> _System:
         raise ValueError(
             f"variable {j} has empty bound interval [{bounds[j, 0]}, {bounds[j, 1]}]"
         )
+    if start is None:
+        x0 = bounds[:, 0]
+    else:
+        x0 = np.asarray(start, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"start must be ({n},), got {x0.shape}")
+        off = np.flatnonzero(~np.isfinite(x0) | ((x0 != bounds[:, 0]) & (x0 != bounds[:, 1])))
+        if off.size:
+            j = off[0]
+            raise ValueError(f"start of variable {j} is {x0[j]}, not a finite bound")
 
     # One slack per row makes it an equation (+1 on <= rows, -1 on >= rows);
     # a row whose slack would start negative also gets an artificial column.
     sign = np.where(ge, -1.0, 1.0)
-    resid = rhs - C @ bounds[:, 0]
+    resid = rhs - C @ x0
     slack = sign * resid
     fits = slack >= 0.0
     art = np.flatnonzero(~fits)
@@ -125,7 +140,7 @@ def _phase_one_setup(problem: LpProblem) -> _System:
     A = np.hstack([C, np.diag(sign), extra])
     lo = np.concatenate([bounds[:, 0], np.zeros(m + art.size)])
     hi = np.concatenate([bounds[:, 1], np.full(m + art.size, np.inf)])
-    x = np.concatenate([bounds[:, 0], np.where(fits, slack, 0.0), np.abs(resid[art])])
+    x = np.concatenate([x0, np.where(fits, slack, 0.0), np.abs(resid[art])])
     basis = np.arange(n, ncols)
     basis[art] = ncols + np.arange(art.size)
     cost = (np.arange(A.shape[1]) >= ncols).astype(float)
@@ -239,13 +254,16 @@ def solve(problem: LpProblem) -> LpSolution:
     return LpSolution("feasible", np.clip(s.x[:n], s.lo[:n], s.hi[:n]), is_basic=True)
 
 
-def _lagrangian_bound(s: _System, lam) -> float:
-    """A lower bound on min cost.x over A x = rhs, lo <= x <= hi: lam.rhs
-    plus, per column, the minimum of its reduced cost times x_j over
-    [lo_j, hi_j].  The columns after the structural ones are unit columns
-    without an upper bound (slacks and artificials), so lam is first clipped
-    just enough to keep their reduced costs >= 0; each such bound on lam_i
-    admits 0."""
+def _lagrangian_bound(s: _System, lam):
+    """(L, tol) for the multipliers lam, first clipped just enough to keep
+    the slack and artificial reduced costs >= 0 (those columns are unit
+    columns without an upper bound, and each clip on lam_i admits 0).
+
+    L = min over the box of lam.(rhs - C x), and tol = sum_i |lam_i| *
+    row_tol_i.  The clip gives lam_i >= 0 on >= rows and <= 0 on <= rows,
+    so a point that misses no row by more than its threshold has
+    lam.(rhs - C x) <= tol: L > tol proves that no such point exists,
+    whatever the start."""
     A, cost, lo, hi = s.A, s.cost, s.lo, s.hi
     n = s.C.shape[1]
     unit = A[:, n:]
@@ -256,30 +274,33 @@ def _lagrangian_bound(s: _System, lam) -> float:
     np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
     np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
     lam = np.clip(lam, lower, upper)
+    tol = float(np.abs(lam) @ s.row_tol)
     reduced = cost - lam @ A
     up, down = reduced < 0, reduced > 0
     if np.isinf(hi[up]).any():
-        return -np.inf
-    return float(lam @ s.rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up])
+        return -np.inf, tol
+    return float(lam @ s.rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up]), tol
 
 
-def verdict(problem: LpProblem):
+def verdict(problem: LpProblem, start=None):
     """Whether `problem` is feasible: True or False when a check against
     its own arrays proves it, None when neither check does.  Never a point:
     callers that need x run `solve`.
 
     The search is `solve`'s pivot loop priced by Dantzig's rule (Bland's
-    after DEGENERATE_RUN degenerate pivots in a row), and its pivots are
-    trusted for nothing.  True means its x, clipped to the bounds, meets
-    every row within the row's threshold; False means a Lagrangian lower
-    bound on the phase-one objective (`_lagrangian_bound`, from the search's
-    last multipliers) exceeds the thresholds of the rows that carry
-    artificials, where `solve` reports infeasible.
+    after DEGENERATE_RUN degenerate pivots in a row), started at `start`, a
+    vertex of the box (default: the lower bounds; see `_phase_one_setup`),
+    and its pivots are trusted for nothing.  True means its x, clipped to
+    the bounds, meets every row within the row's threshold; False means a
+    Lagrangian bound from the search's last multipliers proves that no
+    point of the box does (`_lagrangian_bound`), so `solve` cannot return
+    one.
     """
-    s = _phase_one_setup(problem)
+    s = _phase_one_setup(problem, start)
     outcome, lam = _phase_one(s, DEGENERATE_RUN)
     if outcome == "feasible":
         return True
-    if _lagrangian_bound(s, lam) > s.art_tol:
+    bound, tol = _lagrangian_bound(s, lam)
+    if bound > tol:
         return False
     return None

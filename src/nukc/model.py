@@ -183,7 +183,8 @@ CERT_MARGIN = 0.5
 def _certify(problem: lp.LpProblem, h: int):
     """Settle a covering LP from build_nukc_lp (h classes) without pivoting:
     False when a packing bound refutes it, True when an integral greedy
-    choice satisfies it, None when neither does.
+    choice satisfies it.  When neither does, the greedy's choice: a vertex
+    of the box within every class budget, for `lp.verdict` to start from.
 
     Refutation: covering rows whose free supports are pairwise disjoint
     (picked smallest support first) need the sum of their residuals from
@@ -226,27 +227,28 @@ def _certify(problem: lp.LpProblem, h: int):
         score = gain * (cap[cls] >= 1)
         j = int(np.argmax(score))
         if score[j] == 0:
-            return None
+            return x
         x[j] = 1.0
         cap[j % h] -= 1
         met = unmet & supp[:, j]
         unmet &= ~met
         gain -= supp[met].sum(axis=0)
     lhs = C @ x
-    return True if np.all(np.where(problem.ge, lhs >= rhs, lhs <= rhs)) else None
+    return True if np.all(np.where(problem.ge, lhs >= rhs, lhs <= rhs)) else x
 
 
 def _settle(problem: lp.LpProblem, h: int):
     """None when the covering LP `problem` (from build_nukc_lp, h classes)
     is infeasible, else a zero-argument callable returning its basic
     feasible x, shape (n, h).  The certificates answer first, then
-    `lp.verdict`; the simplex runs at once only when neither can tell.  A
-    refuted LP is never solved; a confirmed one is solved only when the
-    callable runs, so a search solves just its winner.  Either way x is the
-    simplex's, so it does not depend on which check fired."""
+    `lp.verdict`, started from the greedy's vertex; the simplex runs at
+    once only when neither can tell.  A refuted LP is never solved; a
+    confirmed one is solved only when the callable runs, so a search solves
+    just its winner.  Either way x is the simplex's, so it does not depend
+    on which check fired."""
     verdict = _certify(problem, h)
-    if verdict is None:
-        verdict = lp.verdict(problem)
+    if not isinstance(verdict, bool):
+        verdict = lp.verdict(problem, verdict)
     if verdict is False:
         return None
     if verdict is None:

@@ -292,12 +292,14 @@ def solve_guess_q(
     its window cover is a point of the full relaxation), so a caller that
     knows it passes it as `floor`: candidates below it are skipped, and
     the pass stops once the best reaches it."""
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
     instance = (
         compressed.instance if isinstance(compressed, CompressedInstance) else compressed
     )
     n, h = instance.n, instance.num_classes
     L = h - 1
-    tau = max(0, min(L, iterated_log(L, max(q, 1))))
+    tau = max(0, min(L, iterated_log(L, q)))
 
     guess_classes = list(range(tau))
     combos = 1

@@ -65,6 +65,16 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("c", ["nan", "0.5", "0"])
+    def test_gadget_c_below_one_is_usage_error(self, tmp_path, capsys, c):
+        # NaN used to pass the c < 1 test and fail later as "not a metric".
+        out = tmp_path / "x.json"
+        assert run(["generate", "--kind", "hardness-gadget", "--c", c, "--seed", "0",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: gadget needs c >= 1, got {float(c)}\n"
+        assert not out.exists()
+
+
 class TestSolveValidate:
     def make_instance(self, tmp_path, n=8, classes="1:0.4,2:0.15", seed=2):
         out = tmp_path / "inst.json"
@@ -128,6 +138,35 @@ class TestSolveValidate:
         run(["solve", "--algo", "kcenter", "--input", str(inst), "--out", str(sol),
              "--dump-lp", str(lp_path)])
         assert "Subject To" in lp_path.read_text()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-0.5"])
+    def test_dump_lp_dilation_must_be_finite_and_nonnegative(self, tmp_path, capsys, value):
+        # nan or -1 wrote an LP whose every covering row read 0 >= 1.
+        inst = self.make_instance(tmp_path)
+        sol, lp_path = tmp_path / "sol.json", tmp_path / "relax.lp"
+        assert run(["solve", "--algo", "kcenter", "--input", str(inst), "--out", str(sol),
+                    "--dump-lp", str(lp_path), "--dump-lp-dilation", value]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: --dump-lp-dilation must be a finite number >= 0, "
+                       f"got {float(value)}\n")
+        assert not lp_path.exists() and not sol.exists()
+
+    def test_dump_lp_dilation_zero_is_accepted(self, tmp_path):
+        inst = self.make_instance(tmp_path)
+        sol, lp_path = tmp_path / "sol.json", tmp_path / "relax.lp"
+        assert run(["solve", "--algo", "kcenter", "--input", str(inst), "--out", str(sol),
+                    "--dump-lp", str(lp_path), "--dump-lp-dilation", "0"]) == 0
+        assert "Subject To" in lp_path.read_text()
+
+    @pytest.mark.parametrize("q", ["0", "-2"])
+    def test_guess_q_below_one_is_usage_error(self, tmp_path, capsys, q):
+        # q < 1 ran silently as q = 1.
+        inst = self.make_instance(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert run(["solve", "--algo", "guess-q", "--input", str(inst), "--out", str(sol),
+                    "--q", q]) == 2
+        assert capsys.readouterr().err == f"error: q must be at least 1, got {q}\n"
+        assert not sol.exists()
 
     def test_solution_deterministic_apart_from_meta(self, tmp_path):
         inst = self.make_instance(tmp_path)

@@ -79,6 +79,11 @@ class TestGadgetArithmetic:
         with pytest.raises(ValueError):
             hardness_gadget(complete_binary(2), c=0.5)
 
+    def test_nan_c_rejected_with_its_own_message(self):
+        # NaN fails `c < 1` too, so it once reached the metric check.
+        with pytest.raises(ValueError, match=r"^gadget needs c >= 1, got nan$"):
+            hardness_gadget(complete_binary(2), c=float("nan"))
+
     def test_overflow_guard(self):
         deep = complete_binary(2)
         with pytest.raises(ValueError, match="overflow|62"):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nukc import lp, model
 from nukc.gadgets import random_instance
-from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations
+from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations, relaxation_search
 
 
 def scipy_reference(problem):
@@ -75,6 +75,34 @@ def covering_lps(draw, max_n=7):
     for cell, value in pins.items():
         pinned[cell] = value
     return build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned), h
+
+
+@st.composite
+def open_covering_lps(draw):
+    """(problem, h, vertex): the covering LP from build_nukc_lp nearest its
+    instance's relaxation optimum, among the 12 nearest candidates, that
+    neither certificate of model._certify settles; its class count; and
+    the greedy's vertex.  (covering_lps almost never draws such an LP.)"""
+    n = draw(st.integers(12, 16), label="n")
+    inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
+    h = inst.num_classes
+    cands = candidate_dilations(inst)
+    at = cands.index(relaxation_search(inst)[0])
+    for i in sorted(range(len(cands)), key=lambda i: abs(i - at))[:12]:
+        prob = build_nukc_lp(inst, cands[i])
+        vertex = model._certify(prob, h)
+        if not isinstance(vertex, bool):
+            return prob, h, vertex
+    assume(False)
+
+
+def box_vertex(data, problem):
+    """A vertex of the problem's box drawn from `data`: each variable at
+    its lower or its (finite) upper bound."""
+    lo, hi = problem.bounds.T
+    at_upper = data.draw(st.lists(st.booleans(), min_size=len(lo), max_size=len(lo)),
+                         label="at upper")
+    return np.where(np.array(at_upper, dtype=bool) & np.isfinite(hi), hi, lo)
 
 
 def mixed_sign_problem(seed):
@@ -164,7 +192,7 @@ class TestSolveAgainstScipy:
         feasible = scipy_reference(prob).status == 0
         assert ours.ok == feasible
         verdict = model._certify(prob, h)
-        assert verdict is None or verdict == feasible
+        assert not isinstance(verdict, bool) or verdict == feasible
         if ours.ok:
             assert rows_hold(prob, ours.values)
 
@@ -240,11 +268,12 @@ class TestVerdict:
              [1, 1, 1, 1, 1]],
             [True] * 4 + [False], [1] * 5, [(0.0, 1.0)] * 5)
         s = lp._phase_one_setup(prob)
-        assert s.art_tol == pytest.approx(4e-7)  # four covering rows of rhs 1
-        assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, -3.0])) == 1.0
-        assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, 0.0])) < s.art_tol
+        # The threshold is sum |lam_i| * 1e-7 over the clipped multipliers.
+        assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, -3.0])) == (1.0, pytest.approx(7e-7))
+        bound, tol = lp._lagrangian_bound(s, np.array([1, 1, 1, 1, 0.0]))
+        assert bound == -3.0 and tol == pytest.approx(4e-7)
         # A covering row's 3 exceeds its artificial's cost of 1: clipped to 1.
-        assert lp._lagrangian_bound(s, np.array([3, 1, 1, 1, -3.0])) == 1.0
+        assert lp._lagrangian_bound(s, np.array([3, 1, 1, 1, -3.0])) == (1.0, pytest.approx(7e-7))
         assert not lp.solve(prob).ok
         assert lp.verdict(prob) is False
 
@@ -252,7 +281,8 @@ class TestVerdict:
         # x0 >= 1 with x0 in [0, inf): lam = 0.5 prices x0 at -0.5, so the
         # Lagrangian is -inf, never a refutation.
         prob = make_problem([[1.0]], [True], [1.0], [(0.0, np.inf)])
-        assert lp._lagrangian_bound(lp._phase_one_setup(prob), np.array([0.5])) == -np.inf
+        bound, tol = lp._lagrangian_bound(lp._phase_one_setup(prob), np.array([0.5]))
+        assert bound == -np.inf and tol == pytest.approx(0.5e-7)
         assert lp.verdict(prob) is True
 
     def test_malformed_problem_rejected(self):
@@ -260,3 +290,71 @@ class TestVerdict:
         prob.bounds[0] = (2.0, 1.0)
         with pytest.raises(ValueError, match="empty bound"):
             lp.verdict(prob)
+
+
+class TestVerdictStart:
+    """lp.verdict from any vertex of the box answers as it does from the
+    lower bounds: its checks do not depend on where the pivots start."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_vertex_agrees_with_reference(self, data):
+        prob, _ = data.draw(covering_lps(max_n=12))
+        feasible = scipy_reference(prob).status == 0
+        assert lp.verdict(prob, box_vertex(data, prob)) == lp.verdict(prob) == feasible
+
+    @settings(max_examples=60, deadline=None)
+    @given(open_covering_lps())
+    def test_greedy_vertex_agrees_with_reference(self, case):
+        prob, h, vertex = case
+        m = len(prob.constraints) - h
+        # Within every class budget, short of some covering row.
+        assert np.all(prob.constraints[m:] @ vertex <= prob.rhs[m:])
+        assert np.any(prob.constraints[:m] @ vertex < prob.rhs[:m])
+        feasible = scipy_reference(prob).status == 0
+        assert lp.verdict(prob, vertex) == lp.verdict(prob) == feasible
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_refutation_from_any_start_is_infeasible(self, seed, data):
+        prob = mixed_sign_problem(seed)
+        verdict = lp.verdict(prob, box_vertex(data, prob))
+        if verdict is False:
+            assert scipy_reference(prob).status == 2
+        assert verdict is None or verdict == lp.solve(prob).ok
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bounded_lps_are_settled_from_any_vertex(self, seed):
+        prob = random_problem(seed)
+        at_upper = np.random.RandomState(seed).rand(prob.num_vars) < 0.5
+        start = np.where(at_upper, prob.bounds[:, 1], prob.bounds[:, 0])
+        assert lp.verdict(prob, start) == lp.solve(prob).ok
+
+    def test_artificials_only_on_rows_the_start_misses(self):
+        # x0 + x1 >= 1.5 and x0 >= 1: the start (1, 0) meets only row 1.
+        prob = make_problem([[1.0, 1.0], [1.0, 0.0]], [True, True], [1.5, 1.0],
+                            [(0.0, 1.0), (0.0, np.inf)])
+        s = lp._phase_one_setup(prob, [1.0, 0.0])
+        assert s.A.shape == (2, 2 + 2 + 1)  # structural, slack, one artificial
+        assert s.x.tolist() == [1.0, 0.0, 0.0, 0.0, 0.5]
+        assert s.basis.tolist() == [4, 3]
+        assert lp.verdict(prob, [1.0, 0.0]) is True
+
+    @pytest.mark.parametrize(
+        "start,match",
+        [
+            (np.zeros(3), r"start must be \(2,\), got \(3,\)"),
+            (np.zeros((2, 1)), r"start must be \(2,\), got \(2, 1\)"),
+            ([0.5, 0.0], "start of variable 0 is 0.5, not a finite bound"),
+            ([1.0, 3.0], "start of variable 1 is 3.0, not a finite bound"),
+            ([0.0, np.inf], "start of variable 1 is inf, not a finite bound"),
+            ([np.nan, 0.0], "start of variable 0 is nan, not a finite bound"),
+        ],
+        ids=["long", "column", "strictly-inside", "beyond-upper", "infinite-upper", "nan"],
+    )
+    def test_start_must_be_a_vertex_of_the_box(self, start, match):
+        prob = make_problem([[1.0, 1.0]], [True], [1.5], [(0.0, 1.0), (0.0, np.inf)])
+        with pytest.raises(ValueError, match=match):
+            lp._phase_one_setup(prob, start)
+        with pytest.raises(ValueError, match=match):
+            lp.verdict(prob, start)

@@ -260,10 +260,10 @@ class TestFractional:
         # callable runs.
         verdicts, solves = [], []
         real_verdict, real_solve = lp.verdict, lp.solve
-        monkeypatch.setattr(lp, "verdict", lambda problem:
-                            verdicts.append(real_verdict(problem)) or verdicts[-1])
-        monkeypatch.setattr(lp, "solve", lambda problem:
-                            solves.append(problem) or real_solve(problem))
+        monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
+                            verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
+        monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
+                            solves.append(problem) or real_solve(problem, *args, **kwargs))
         deferred = settled = 0
         for seed in range(20):
             inst = random_instance(8, seed=seed, max_classes=4)
@@ -415,6 +415,22 @@ class TestCertificate:
         assert model._certify(build_nukc_lp(inst, 1.0), 1) is True
         lone = self.line([[0], [0], [5]], [(1, 1.0)])
         assert model._certify(build_nukc_lp(lone, 1.0), 1) is False
+
+    def test_open_lp_starts_the_verdict_at_the_greedy_vertex(self, monkeypatch):
+        # _certify hands an open LP's greedy vertex to lp.verdict as its start.
+        calls, checked = [], 0
+        real_verdict = lp.verdict
+        monkeypatch.setattr(lp, "verdict", lambda problem, start=None:
+                            calls.append((problem, start)) or real_verdict(problem, start))
+        for seed in range(10):
+            inst = random_instance(10, seed=seed, max_classes=3)
+            calls.clear()
+            relaxation_search(inst)
+            for problem, start in calls:
+                vertex = model._certify(problem, inst.num_classes)
+                assert not isinstance(vertex, bool) and np.array_equal(start, vertex)
+            checked += len(calls)
+        assert checked
 
     @pytest.mark.parametrize("seed", range(30))
     def test_search_with_and_without_certificates(self, seed, monkeypatch):

@@ -144,10 +144,10 @@ class TestTwoRadii:
         # the winner's.
         solves, verdicts = [], []
         real_solve, real_verdict = lp.solve, lp.verdict
-        monkeypatch.setattr(lp, "solve", lambda problem:
-                            solves.append(problem) or real_solve(problem))
-        monkeypatch.setattr(lp, "verdict", lambda problem:
-                            verdicts.append(real_verdict(problem)) or verdicts[-1])
+        monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
+                            solves.append(problem) or real_solve(problem, *args, **kwargs))
+        monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
+                            verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
         space, _ = random_euclidean(40, 2, seed)
         solve_two_radii(space, (2, 0.4), (4, 0.1))
         assert verdicts and None not in verdicts
