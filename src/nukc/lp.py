@@ -10,12 +10,14 @@ solutions are basic: at most one variable per constraint row sits strictly
 between its bounds, which the rounding routines in this package rely on.
 `verdict` answers the yes/no question alone, for callers that would drop
 the point: it may start from any vertex of the box, it prices by Dantzig's
-rule, and its answer is checked against the LP's arrays.  Every point the
-package outputs comes from `solve`.
+rule, and its answer is checked against the LP's arrays.  Its point and
+multipliers are kept only as proofs for later probes of the same search,
+never output: every point the package outputs comes from `solve`.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -148,11 +150,11 @@ def _phase_one_setup(problem: LpProblem, start=None) -> _System:
     return _System(C, ge, rhs, A, lo, hi, x, basis, cost, row_tol, float(row_tol[art].sum()))
 
 
-def _meets_rows(s: _System) -> bool:
-    """Whether s.x, clipped to its bounds, misses no row by more than the
-    row's threshold."""
+def _confirms(s: _System, x) -> bool:
+    """Whether the point x, clipped to s's box, misses no row of s's LP by
+    more than the row's threshold."""
     n = s.C.shape[1]
-    lhs = s.C @ np.clip(s.x[:n], s.lo[:n], s.hi[:n])
+    lhs = s.C @ np.clip(x, s.lo[:n], s.hi[:n])
     return bool(np.all(np.where(s.ge, s.rhs - lhs, lhs - s.rhs) <= s.row_tol))
 
 
@@ -173,14 +175,18 @@ def _phase_one(s: _System, run: int):
     """
     A, lo, hi, x, basis, cost = s.A, s.lo, s.hi, s.x, s.basis, s.cost
     m, ncols = A.shape
+    n = s.C.shape[1]
     in_basis = np.zeros(ncols, dtype=bool)
     in_basis[basis] = True
     movable = lo != hi
-    free = movable & ~in_basis  # nonbasic columns that may enter
     near_lo = lo + FEAS_TOL
+    # Nonbasic x sits exactly at a bound, so a column's cost drop per unit
+    # of move is reduced * sense: -1 at lower, +1 at upper, 0 basic or fixed.
+    sense = np.where(x <= near_lo, -1.0, 1.0) * (movable & ~in_basis)
+    lob, hib, costb = lo[basis], hi[basis], cost[basis]
     degenerate, lam, outcome = 0, None, "budget"
     for it in range(200 * (m + ncols)):
-        if cost @ x <= s.art_tol and _meets_rows(s):
+        if cost @ x <= s.art_tol and _confirms(s, x[:n]):
             return "feasible", lam
         if it % REFACTOR_EVERY == 0:
             try:
@@ -188,54 +194,55 @@ def _phase_one(s: _System, run: int):
             except np.linalg.LinAlgError:  # pragma: no cover - degenerate basis
                 return "singular", lam
             x[basis] = B_inv @ (s.rhs - A[:, ~in_basis] @ x[~in_basis])
-        lam = cost[basis] @ B_inv
-        reduced = cost - lam @ A
-        at_lower = x <= near_lo
-        gain = np.where(at_lower, -reduced, reduced)  # cost drop per unit of move
-        gain *= free
+        lam = costb @ B_inv
+        gain = (cost - lam @ A) * sense
         bland = degenerate >= run
         if bland:  # lowest eligible index enters
-            eligible = np.flatnonzero(gain > PIVOT_TOL)
+            eligible = (gain > PIVOT_TOL).nonzero()[0]
             entering = int(eligible[0]) if eligible.size else -1
         else:  # the steepest reduced cost enters
-            entering = int(np.argmax(gain))
+            entering = int(gain.argmax())
             if gain[entering] <= PIVOT_TOL:
                 entering = -1
         if entering < 0:
             outcome = "optimal"
             break
+        up = sense[entering] < 0
         w = B_inv @ A[:, entering]
-        delta = w if at_lower[entering] else -w  # basic variables fall by delta * t
+        delta = w if up else -w  # basic variables fall by delta * t
         xb = x[basis]
-        room = np.where(delta > 0, xb - lo[basis], hi[basis] - xb)
         size = np.abs(delta)
-        step = np.divide(room, size, out=np.full(m, np.inf), where=size > PIVOT_TOL)
-        t = max(float(step.min(initial=np.inf)), 0.0)
+        step = np.divide(xb - np.where(delta > 0, lob, hib), delta,
+                         out=np.full(m, np.inf), where=size > PIVOT_TOL)
+        t = max(float(step.min()), 0.0)
         flip = hi[entering] - lo[entering]
         if flip <= t:
             if not np.isfinite(flip):  # pragma: no cover - the cost is bounded below
                 return "unbounded", lam
             t = flip
         degenerate = degenerate + 1 if t <= PIVOT_TOL else 0
-        x[entering] += t if at_lower[entering] else -t
+        x[entering] += t if up else -t
         x[basis] -= delta * t
         if t == flip:  # the entering variable crossed its box: no basis change
-            x[entering] = hi[entering] if at_lower[entering] else lo[entering]
+            x[entering] = hi[entering] if up else lo[entering]
+            sense[entering] = -1.0 if x[entering] <= near_lo[entering] else 1.0
             continue
-        ties = np.flatnonzero(step <= t + PIVOT_TOL)
+        ties = (step <= t + PIVOT_TOL).nonzero()[0]
         if bland:  # lowest variable index leaves
-            r = int(ties[np.argmin(basis[ties])])
+            r = int(ties[basis[ties].argmin()])
         else:  # the largest pivot among the ties, for stability
-            r = int(ties[np.argmax(size[ties])])
+            r = int(ties[size[ties].argmax()])
         leave = basis[r]
         x[leave] = lo[leave] if delta[r] > 0 else hi[leave]
-        in_basis[leave], free[leave] = False, movable[leave]
+        in_basis[leave] = False
+        sense[leave] = (-1.0 if x[leave] <= near_lo[leave] else 1.0) * movable[leave]
         basis[r] = entering
-        in_basis[entering], free[entering] = True, False
+        in_basis[entering], sense[entering] = True, 0.0
+        lob[r], hib[r], costb[r] = lo[entering], hi[entering], cost[entering]
         row = B_inv[r] / w[r]
         B_inv -= w[:, None] * row
         B_inv[r] = row
-    return ("feasible" if _meets_rows(s) else outcome), lam
+    return ("feasible" if _confirms(s, x[:n]) else outcome), lam
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -254,53 +261,72 @@ def solve(problem: LpProblem) -> LpSolution:
     return LpSolution("feasible", np.clip(s.x[:n], s.lo[:n], s.hi[:n]), is_basic=True)
 
 
-def _lagrangian_bound(s: _System, lam):
-    """(L, tol) for the multipliers lam, first clipped just enough to keep
-    the slack and artificial reduced costs >= 0 (those columns are unit
-    columns without an upper bound, and each clip on lam_i admits 0).
-
-    L = min over the box of lam.(rhs - C x), and tol = sum_i |lam_i| *
-    row_tol_i.  The clip gives lam_i >= 0 on >= rows and <= 0 on <= rows,
-    so a point that misses no row by more than its threshold has
-    lam.(rhs - C x) <= tol: L > tol proves that no such point exists,
-    whatever the start."""
-    A, cost, lo, hi = s.A, s.cost, s.lo, s.hi
+def _refutes(s: _System, w):
+    """(L, tol) for row multipliers w on s's LP: L = min over the box of
+    w.(rhs - C x), priced on the system's columns as the pivot loop prices
+    them, and tol = sum_i |w_i| * row_tol_i.  With w_i >= 0 on >= rows and
+    <= 0 on <= rows, a point that misses no row by more than its threshold
+    has w.(rhs - C x) <= tol, so L > tol proves that none exists.  L is
+    -inf when a sign is wrong or the minimum is."""
     n = s.C.shape[1]
-    unit = A[:, n:]
+    tol = float(np.abs(w) @ s.row_tol)
+    reduced = (s.cost - w @ s.A)[:n]
+    lo, hi = s.lo[:n], s.hi[:n]
+    up, down = reduced < 0, reduced > 0
+    if np.any(np.where(s.ge, w < 0, w > 0)) or np.isinf(hi[up]).any():
+        return -np.inf, tol
+    return float(w @ s.rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up]), tol
+
+
+def _lagrangian_bound(s: _System, lam):
+    """`_refutes`'s (L, tol) for the simplex multipliers lam, which are
+    first clipped in place just enough to keep the slack and artificial
+    reduced costs >= 0 (those columns are unit columns without an upper
+    bound, and each clip on lam_i admits 0).  The clip gives lam_i >= 0 on
+    >= rows and <= 0 on <= rows, whatever the start."""
+    n = s.C.shape[1]
+    unit = s.A[:, n:]
     rows = np.argmax(unit != 0, axis=0)
     coef = unit[rows, np.arange(unit.shape[1])]
-    limit = cost[n:] / coef  # c_j - lam_i a_ij >= 0 bounds lam_i by c_j / a_ij
+    limit = s.cost[n:] / coef  # c_j - lam_i a_ij >= 0 bounds lam_i by c_j / a_ij
     upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
     np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
     np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
-    lam = np.clip(lam, lower, upper)
-    tol = float(np.abs(lam) @ s.row_tol)
-    reduced = cost - lam @ A
-    up, down = reduced < 0, reduced > 0
-    if np.isinf(hi[up]).any():
-        return -np.inf, tol
-    return float(lam @ s.rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up]), tol
+    np.clip(lam, lower, upper, out=lam)
+    return _refutes(s, lam)
 
 
-def verdict(problem: LpProblem, start=None):
+def verdict(problem: LpProblem, start=None, proofs=None):
     """Whether `problem` is feasible: True or False when a check against
-    its own arrays proves it, None when neither check does.  Never a point:
-    callers that need x run `solve`.
+    its own arrays proves it, None when neither check does.  Its point and
+    multipliers are kept only as proofs for later probes of the same
+    search, never output: callers that need x run `solve`.
 
-    The search is `solve`'s pivot loop priced by Dantzig's rule (Bland's
-    after DEGENERATE_RUN degenerate pivots in a row), started at `start`, a
-    vertex of the box (default: the lower bounds; see `_phase_one_setup`),
-    and its pivots are trusted for nothing.  True means its x, clipped to
-    the bounds, meets every row within the row's threshold; False means a
-    Lagrangian bound from the search's last multipliers proves that no
-    point of the box does (`_lagrangian_bound`), so `solve` cannot return
-    one.
+    `proofs`, when given, is a list of (answer, array) pairs from earlier
+    verdicts on LPs of the same shape.  Before any pivot, each is checked
+    against this LP's arrays: a point by `_confirms`, multipliers by
+    `_refutes`; the first that holds answers.  Otherwise the search runs
+    and appends its proof.  The search is `solve`'s pivot loop priced by
+    Dantzig's rule (Bland's after DEGENERATE_RUN degenerate pivots in a
+    row), started at `start`, a vertex of the box (default: the lower
+    bounds; see `_phase_one_setup`), and its pivots are trusted for
+    nothing.  True means its x, clipped to the bounds, meets every row
+    within the row's threshold; False means a Lagrangian bound from its
+    last multipliers proves that no point of the box does
+    (`_lagrangian_bound`), so `solve` cannot return one.
     """
     s = _phase_one_setup(problem, start)
+    m, n = s.C.shape
+    for answer, v in proofs or ():
+        if v.shape == (n if answer else m,) and (
+                _confirms(s, v) if answer else operator.gt(*_refutes(s, v))):
+            return answer
     outcome, lam = _phase_one(s, DEGENERATE_RUN)
     if outcome == "feasible":
-        return True
-    bound, tol = _lagrangian_bound(s, lam)
-    if bound > tol:
-        return False
-    return None
+        answer, proof = True, np.clip(s.x[:n], s.lo[:n], s.hi[:n])
+    else:
+        bound, tol = _lagrangian_bound(s, lam)
+        answer, proof = (False, lam) if bound > tol else (None, None)
+    if proofs is not None and answer is not None:
+        proofs.append((answer, proof))
+    return answer

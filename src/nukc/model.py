@@ -204,11 +204,12 @@ def _certify(problem: lp.LpProblem, h: int):
     rows = np.flatnonzero(need > 0)
     rows = rows[np.argsort(supp[rows].sum(axis=1), kind="stable")]
     sets = supp[rows].astype(float)
-    clash = (sets @ sets.T > 0).tolist()
-    picked = []
+    clash = sets @ sets.T > 0
+    picked, blocked = [], np.zeros(len(rows), dtype=bool)  # rows meeting a picked row
     for i in range(len(rows)):
-        if not any(clash[i][j] for j in picked):
+        if not blocked[i]:
             picked.append(i)
+            blocked |= clash[i]
     # Every prefix of the picked rows is such a set; the empty prefix
     # refutes pins that overrun a budget.
     per_class = sets[picked].reshape(len(picked), len(free) // h, h).sum(axis=1)
@@ -237,18 +238,18 @@ def _certify(problem: lp.LpProblem, h: int):
     return True if np.all(np.where(problem.ge, lhs >= rhs, lhs <= rhs)) else x
 
 
-def _settle(problem: lp.LpProblem, h: int):
+def _settle(problem: lp.LpProblem, h: int, proofs=None):
     """None when the covering LP `problem` (from build_nukc_lp, h classes)
     is infeasible, else a zero-argument callable returning its basic
     feasible x, shape (n, h).  The certificates answer first, then
-    `lp.verdict`, started from the greedy's vertex; the simplex runs at
-    once only when neither can tell.  A refuted LP is never solved; a
-    confirmed one is solved only when the callable runs, so a search solves
-    just its winner.  Either way x is the simplex's, so it does not depend
-    on which check fired."""
+    `lp.verdict`, started from the greedy's vertex and given the search's
+    `proofs`; the simplex runs at once only when neither can tell.  A
+    refuted LP is never solved; a confirmed one is solved only when the
+    callable runs, so a search solves just its winner.  Either way x is the
+    simplex's, so it does not depend on which check fired."""
     verdict = _certify(problem, h)
     if not isinstance(verdict, bool):
-        verdict = lp.verdict(problem, verdict)
+        verdict = lp.verdict(problem, verdict, proofs)
     if verdict is False:
         return None
     if verdict is None:
@@ -264,11 +265,11 @@ def _settle(problem: lp.LpProblem, h: int):
     return solve
 
 
-def solve_fractional(instance: NukcInstance, dilation: float, **kwargs):
+def solve_fractional(instance: NukcInstance, dilation: float, proofs=None, **kwargs):
     """The relaxation at `dilation` as a search probe: None when it is
     infeasible, else a zero-argument callable returning a basic feasible x
     of shape (n, h) (see `_settle`)."""
-    return _settle(build_nukc_lp(instance, dilation, **kwargs), instance.num_classes)
+    return _settle(build_nukc_lp(instance, dilation, **kwargs), instance.num_classes, proofs)
 
 
 def candidate_values(dist: np.ndarray, radii) -> list:
@@ -315,9 +316,12 @@ def relaxation_search(instance: NukcInstance):
     whose relaxation is feasible, solve() a basic feasible x there.
     Feasibility is monotone in the dilation, so binary search applies.  A
     probe the certificates confirm is not solved until solve() runs, so a
-    caller that needs only alpha never calls it."""
+    caller that needs only alpha never calls it.  The probes share rows,
+    columns and bounds, so each verdict's proof is checked on the later
+    ones before they pivot (see `lp.verdict`)."""
     cands = candidate_dilations(instance)
-    found = smallest_feasible(cands, lambda d: solve_fractional(instance, d))
+    proofs = []
+    found = smallest_feasible(cands, lambda d: solve_fractional(instance, d, proofs=proofs))
     if found is None:
         raise InfeasibleInstanceError(
             "relaxation infeasible at the largest candidate dilation "

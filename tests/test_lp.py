@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -285,6 +287,16 @@ class TestVerdict:
         assert bound == -np.inf and tol == pytest.approx(0.5e-7)
         assert lp.verdict(prob) is True
 
+    def test_stored_multipliers_of_the_wrong_sign_refute_nothing(self):
+        # x0 <= 2 on the box [0, 1]: w = +1 on the <= row would give
+        # min (2 - x0) = 1 > tol, but a <= row's multiplier must be <= 0.
+        prob = make_problem([[1.0]], [False], [2.0], [(0.0, 1.0)])
+        assert lp._refutes(lp._phase_one_setup(prob), np.array([1.0]))[0] == -np.inf
+        # The other two proofs have the wrong shape and are skipped.
+        proofs = [(False, np.array([1.0])), (True, np.zeros(2)), (False, np.ones(2))]
+        assert lp.verdict(prob, None, proofs) is True
+        assert len(proofs) == 4 and proofs[-1][0] is True
+
     def test_malformed_problem_rejected(self):
         prob = make_problem([[1.0]], [True], [1.0], [(0.0, 1.0)])
         prob.bounds[0] = (2.0, 1.0)
@@ -358,3 +370,41 @@ class TestVerdictStart:
             lp._phase_one_setup(prob, start)
         with pytest.raises(ValueError, match=match):
             lp.verdict(prob, start)
+
+
+def pivot_path_cases():
+    """(problem, start): random_problem and mixed_sign_problem for seeds
+    0-999 with start None, and 200 seeded covering LPs from build_nukc_lp
+    within two candidates of their relaxation's optimum, with the greedy's
+    vertex where the certificates leave the LP open (69 of them) and None
+    elsewhere."""
+    for seed in range(1000):
+        yield random_problem(seed), None
+        yield mixed_sign_problem(seed), None
+    for seed in range(200):
+        inst = random_instance(8 + seed % 9, seed=seed, max_classes=3)
+        cands = candidate_dilations(inst)
+        at = cands.index(relaxation_search(inst)[0])
+        prob = build_nukc_lp(inst, cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)])
+        vertex = model._certify(prob, inst.num_classes)
+        yield prob, (None if isinstance(vertex, bool) else vertex)
+
+
+# SHA-256 over every pivot_path_cases LP's solve status and x bytes and its
+# verdicts from the lower bounds and from the start.  A change to the pivot
+# loop that is meant to keep every pivot must keep this digest.
+PIVOT_PATH_DIGEST = "5da8bfc11bc33409bacd3133f7c8bc82447f83c7618cf76deb776dd318a1d88f"
+
+
+class TestPivotPath:
+    def test_solve_and_verdict_take_the_pinned_pivots(self):
+        digest = hashlib.sha256()
+        for prob, start in pivot_path_cases():
+            sol = lp.solve(prob)
+            digest.update(sol.status.encode())
+            if sol.ok:
+                digest.update(sol.values.tobytes())
+            digest.update(repr(lp.verdict(prob)).encode())
+            if start is not None:
+                digest.update(repr(lp.verdict(prob, start)).encode())
+        assert digest.hexdigest() == PIVOT_PATH_DIGEST

@@ -420,8 +420,9 @@ class TestCertificate:
         # _certify hands an open LP's greedy vertex to lp.verdict as its start.
         calls, checked = [], 0
         real_verdict = lp.verdict
-        monkeypatch.setattr(lp, "verdict", lambda problem, start=None:
-                            calls.append((problem, start)) or real_verdict(problem, start))
+        monkeypatch.setattr(lp, "verdict", lambda problem, start=None, *args, **kwargs:
+                            calls.append((problem, start))
+                            or real_verdict(problem, start, *args, **kwargs))
         for seed in range(10):
             inst = random_instance(10, seed=seed, max_classes=3)
             calls.clear()
@@ -439,6 +440,67 @@ class TestCertificate:
         monkeypatch.setattr(model, "_certify", lambda problem, h: None)
         want_alpha, want_x = min_feasible_dilation(inst)
         assert alpha == want_alpha and np.array_equal(x, want_x)
+
+
+class TestProofStore:
+    """A relaxation search keeps each verdict's proof for its later probes.
+    A stored proof is checked again on every LP it answers, so the store
+    saves pivots and changes no answer."""
+
+    @staticmethod
+    def search(inst, monkeypatch, keep=True):
+        """relaxation_search on inst, with or without its proof store:
+        (alpha, the winner's x bytes, each probe's hit, the store, and per
+        open probe (problem, start, answer, answer without a store, whether
+        a stored proof gave it))."""
+        hits, opens, store = [], [], []
+        real_settle, real_verdict = model._settle, lp.verdict
+
+        def settle(problem, h, proofs=None):
+            got = real_settle(problem, h, proofs if keep else None)
+            hits.append(got is not None)
+            return got
+
+        def verdict(problem, start=None, proofs=None):
+            before = len(proofs or ())
+            got = real_verdict(problem, start, proofs)
+            store[:] = proofs or ()
+            opens.append((problem, start, got, real_verdict(problem, start),
+                          proofs is not None and len(proofs) == before))
+            return got
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_settle", settle)
+            patch.setattr(lp, "verdict", verdict)
+            alpha, solve = relaxation_search(inst)
+        return alpha, solve().tobytes(), hits, store, opens
+
+    @staticmethod
+    def instances():
+        return [random_instance(8 + seed % 9, seed=seed, max_classes=3) for seed in range(60)]
+
+    def test_store_changes_no_answer(self, monkeypatch):
+        reused = 0
+        for inst in self.instances():
+            alpha, x, hits, _, opens = self.search(inst, monkeypatch)
+            assert (alpha, x, hits) == self.search(inst, monkeypatch, keep=False)[:3]
+            assert [got for *_, got, _, _ in opens] == [plain for *_, plain, _ in opens]
+            reused += sum(settled for *_, settled in opens)
+        assert reused >= 27  # 27 of the 88 open probes on these seeds
+
+    def test_foreign_proofs_change_no_verdict(self, monkeypatch):
+        # Every other search's proofs: those of instances with the same n
+        # and h fit the LP's shape, the rest do not.
+        runs = [(inst, *self.search(inst, monkeypatch)[3:]) for inst in self.instances()]
+        same_shape = 0
+        for i, (inst, _, opens) in enumerate(runs):
+            foreign = [proof for j, (_, store, _) in enumerate(runs) if j != i for proof in store]
+            for problem, start, _, plain, _ in opens:
+                assert lp.verdict(problem, start, list(foreign)) == plain
+            same_shape += len(opens) * sum(
+                (other.n, other.num_classes) == (inst.n, inst.num_classes)
+                for j, (other, store, _) in enumerate(runs) if j != i for _ in store)
+        assert same_shape > 0
 
 
 class TestCoverage:
