@@ -25,11 +25,12 @@ from .model import (
     CompressedInstance,
     NukcInstance,
     NukcSolution,
-    _settle,
     achieved_dilation,
     build_nukc_lp,
     compress_radii,
     coverage,
+    feasible,
+    fractional_cover,
     lift_compressed_solution,
     relaxation_search,
 )
@@ -101,7 +102,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     cinst = compressed.instance
     n, h = cinst.n, cinst.num_classes
     tau, gamma0 = enum_parameters(h - 1, instance.total_k)
-    alpha, _ = relaxation_search(cinst)
+    alpha = relaxation_search(cinst)
 
     def finish(csol: NukcSolution, short_circuit, used_fallback, nodes):
         lifted = lift_compressed_solution(csol, compressed, instance)
@@ -143,42 +144,38 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
 
     def recurse(aff: np.ndarray, neg: np.ndarray, gamma: int):
         key = (aff.tobytes(), neg.tobytes())
-        if key in memo:
-            return memo[key]
+        if key not in memo:
+            memo[key] = explore(aff, neg, gamma)
+        return memo[key]
+
+    def explore(aff: np.ndarray, neg: np.ndarray, gamma: int):
         nodes[0] += 1
         logger.debug("enum node %d: |A|=%d |D|=%d gamma=%d",
                      nodes[0], aff.sum(), neg.sum(), gamma)
-        result = None
         placed = np.argwhere(aff).tolist()  # [p, t] in ascending order
         balls_a = [Ball(p, t, GATHER_FACTOR * radii[t]) for p, t in placed]
         covered_by_A = covered(dist, [b.center for b in balls_a],
                                [b.radius_used for b in balls_a])
         rest = np.flatnonzero(~covered_by_A).tolist()
-        solve = _settle(build_guess_lp(rest, aff, neg, scaled), h)
-        if solve is None:
-            memo[key] = None
+        problem = build_guess_lp(rest, aff, neg, scaled)
+        if not feasible(problem, h):
             return None
-        x_star = solve()
+        x_star = fractional_cover(problem, h)
         cov = coverage(scaled, x_star)
         x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - ROUND_TOL]
         in_b = set(x_b)
         x_t = [p for p in rest if p not in in_b]
         bh_b = round_bottom_heavy(scaled, x_star, tau, points=x_b).balls if x_b else []
         if not x_t:
-            result = NukcSolution(balls_a + bh_b)
-            memo[key] = result
-            return result
+            return NukcSolution(balls_a + bh_b)
         # Can the remainder be covered by levels above tau alone?
         forced = neg | (np.arange(h) <= tau)
-        solve_t = _settle(build_guess_lp(x_t, aff, forced, scaled), h)
-        if solve_t is not None:
-            x_small = solve_t()
+        problem_t = build_guess_lp(x_t, aff, forced, scaled)
+        if feasible(problem_t, h):
+            x_small = fractional_cover(problem_t, h)
             bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).balls
-            result = NukcSolution(balls_a + bh_b + bh_t)
-            memo[key] = result
-            return result
+            return NukcSolution(balls_a + bh_b + bh_t)
         if gamma <= 0:
-            memo[key] = None
             return None
         level = min_level(neg, scaled)
         for t in range(tau + 1):
@@ -197,18 +194,13 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
                 aff_p[p, t] = True
                 hit = recurse(aff_p, neg, gamma - 1)
                 if hit is not None:
-                    result = hit
-                    break
+                    return hit
                 neg_p = neg.copy()
                 neg_p[:, t] |= within(dist[p], EXCLUDE_FACTOR * radii[t])
                 hit = recurse(aff, neg_p, gamma - 1)
                 if hit is not None:
-                    result = hit
-                    break
-            if result is not None:
-                break
-        memo[key] = result
-        return result
+                    return hit
+        return None
 
     csol = recurse(np.zeros((n, h), dtype=bool), np.zeros((n, h), dtype=bool), gamma0)
     if csol is not None:

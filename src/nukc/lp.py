@@ -54,7 +54,6 @@ class LpProblem:
 class LpSolution:
     status: str  # "feasible" | "infeasible"
     values: np.ndarray | None = None
-    is_basic: bool = False
 
     @property
     def ok(self) -> bool:
@@ -258,7 +257,7 @@ def solve(problem: LpProblem) -> LpSolution:
     if outcome != "feasible":
         raise LpSolverError(f"phase one stopped ({outcome}) at a point that misses a row")
     n = s.C.shape[1]
-    return LpSolution("feasible", np.clip(s.x[:n], s.lo[:n], s.hi[:n]), is_basic=True)
+    return LpSolution("feasible", np.clip(s.x[:n], s.lo[:n], s.hi[:n]))
 
 
 def _refutes(s: _System, w):

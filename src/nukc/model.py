@@ -238,38 +238,26 @@ def _certify(problem: lp.LpProblem, h: int):
     return True if np.all(np.where(problem.ge, lhs >= rhs, lhs <= rhs)) else x
 
 
-def _settle(problem: lp.LpProblem, h: int, proofs=None):
-    """None when the covering LP `problem` (from build_nukc_lp, h classes)
-    is infeasible, else a zero-argument callable returning its basic
-    feasible x, shape (n, h).  The certificates answer first, then
-    `lp.verdict`, started from the greedy's vertex and given the search's
-    `proofs`; the simplex runs at once only when neither can tell.  A
-    refuted LP is never solved; a confirmed one is solved only when the
-    callable runs, so a search solves just its winner.  Either way x is the
-    simplex's, so it does not depend on which check fired."""
+def feasible(problem: lp.LpProblem, h: int, proofs=None) -> bool:
+    """Whether the covering LP `problem` (from build_nukc_lp, h classes) is
+    feasible.  The certificates answer first, then `lp.verdict`, started
+    from the greedy's vertex and given the search's `proofs`; the simplex
+    runs only when neither can tell.  A caller that needs x solves the
+    winner with `fractional_cover`, so x does not depend on which check
+    fired."""
     verdict = _certify(problem, h)
     if not isinstance(verdict, bool):
         verdict = lp.verdict(problem, verdict, proofs)
-    if verdict is False:
-        return None
-    if verdict is None:
-        sol = lp.solve(problem)
-        return (lambda: sol.values.reshape(-1, h)) if sol.ok else None
-
-    def solve():
-        sol = lp.solve(problem)
-        if not sol.ok:
-            raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
-        return sol.values.reshape(-1, h)
-
-    return solve
+    return lp.solve(problem).ok if verdict is None else verdict
 
 
-def solve_fractional(instance: NukcInstance, dilation: float, proofs=None, **kwargs):
-    """The relaxation at `dilation` as a search probe: None when it is
-    infeasible, else a zero-argument callable returning a basic feasible x
-    of shape (n, h) (see `_settle`)."""
-    return _settle(build_nukc_lp(instance, dilation, **kwargs), instance.num_classes, proofs)
+def fractional_cover(problem: lp.LpProblem, h: int) -> np.ndarray:
+    """The simplex's basic feasible x, shape (n, h), of a covering LP that
+    `feasible` confirmed."""
+    sol = lp.solve(problem)
+    if not sol.ok:
+        raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
+    return sol.values.reshape(-1, h)
 
 
 def candidate_values(dist: np.ndarray, radii) -> list:
@@ -285,56 +273,49 @@ def candidate_dilations(instance: NukcInstance) -> list:
     return candidate_values(instance.space.dist, instance.radii)
 
 
-def smallest_feasible(cands, probe):
-    """Smallest candidate whose probe hits, for a probe monotone along the
-    sorted `cands`.  A probe returns None on a miss and a zero-argument
-    callable on a hit.  Probes the largest candidate, then the smallest,
-    then bisects.  Returns (candidate, the winner's callable), the callable
-    not yet run, so a caller that needs only the candidate never runs it;
-    None when the largest candidate misses."""
+def smallest_feasible(cands, holds):
+    """Smallest of the sorted `cands` at which `holds` is true, for a
+    predicate monotone along them; None when it fails at the largest.
+    Probes the largest candidate, then the smallest, then bisects."""
     hi = len(cands) - 1
-    hit = probe(cands[hi])
-    if hit is None:
+    if not holds(cands[hi]):
         return None
-    if hi > 0:
-        first = probe(cands[0])
-        if first is not None:
-            return cands[0], first
-    lo = 0  # cands[lo] misses, cands[hi] hits with `hit`
+    if hi > 0 and holds(cands[0]):
+        return cands[0]
+    lo = 0  # cands[lo] fails, cands[hi] holds
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        got = probe(cands[mid])
-        if got is None:
-            lo = mid
+        if holds(cands[mid]):
+            hi = mid
         else:
-            hi, hit = mid, got
-    return cands[hi], hit
+            lo = mid
+    return cands[hi]
 
 
-def relaxation_search(instance: NukcInstance):
-    """(alpha, solve): alpha the smallest dilation (over the candidate set)
-    whose relaxation is feasible, solve() a basic feasible x there.
-    Feasibility is monotone in the dilation, so binary search applies.  A
-    probe the certificates confirm is not solved until solve() runs, so a
-    caller that needs only alpha never calls it.  The probes share rows,
-    columns and bounds, so each verdict's proof is checked on the later
-    ones before they pivot (see `lp.verdict`)."""
+def relaxation_search(instance: NukcInstance) -> float:
+    """The smallest dilation (over the candidate set) whose relaxation is
+    feasible.  Feasibility is monotone in the dilation, so binary search
+    applies; only a probe the checks leave open runs the simplex.  The
+    probes share rows, columns and bounds, so each verdict's proof is
+    checked on the later ones before they pivot (see `lp.verdict`)."""
     cands = candidate_dilations(instance)
-    proofs = []
-    found = smallest_feasible(cands, lambda d: solve_fractional(instance, d, proofs=proofs))
-    if found is None:
+    h, proofs = instance.num_classes, []
+    alpha = smallest_feasible(
+        cands, lambda d: feasible(build_nukc_lp(instance, d), h, proofs))
+    if alpha is None:
         raise InfeasibleInstanceError(
             "relaxation infeasible at the largest candidate dilation "
             f"({cands[-1]:g}); not enough balls to cover the points"
         )
-    return found
+    return alpha
 
 
 def min_feasible_dilation(instance: NukcInstance):
     """Smallest dilation (over the candidate set) whose relaxation is
-    feasible, together with a basic feasible x (see `relaxation_search`)."""
-    alpha, solve = relaxation_search(instance)
-    return alpha, solve()
+    feasible, together with a basic feasible x there (see
+    `relaxation_search` and `fractional_cover`)."""
+    alpha = relaxation_search(instance)
+    return alpha, fractional_cover(build_nukc_lp(instance, alpha), instance.num_classes)
 
 
 def coverage(instance: NukcInstance, x: np.ndarray) -> np.ndarray:

@@ -80,20 +80,15 @@ def exact_nukc(
             f"got n = {instance.n}, k = {instance.total_k}"
         )
     cands = candidate_dilations(instance)
-
-    def probe(alpha):
-        placement = _coverable(instance, alpha)
-        return None if placement is None else lambda: placement
-
-    found = smallest_feasible(cands, probe)
-    if found is None:
+    alpha = smallest_feasible(cands, lambda a: _coverable(instance, a) is not None)
+    if alpha is None:
         raise InfeasibleInstanceError(
             "instance is uncoverable at every candidate dilation "
             f"(largest tried: {cands[-1]:g})"
         )
-    alpha, placement = found
     balls = [
-        Ball(center, t, alpha * instance.radii[t]) for center, t in placement()
+        Ball(center, t, alpha * instance.radii[t])
+        for center, t in _coverable(instance, alpha)
     ]
     return alpha, NukcSolution(balls)
 

@@ -27,12 +27,14 @@ from .model import (
     NukcInstance,
     NukcSolution,
     balls_in_budget_order,
+    build_nukc_lp,
     candidate_dilations,
     candidate_values,
     coverage,
+    feasible,
+    fractional_cover,
     min_feasible_dilation,
     smallest_feasible,
-    solve_fractional,
 )
 from .oracle import SizeBudgetError
 from .rmfct import ROUND_TOL, FirefighterSolution, round_depth2, round_loose, solve_rmfct_lp
@@ -258,20 +260,20 @@ class GuessQResult:
     tau: int
 
 
-def _window_lp_feasible(instance, alpha, tau, fixed_balls):
-    """Cover the points missed by `fixed_balls` using classes >= tau only,
-    at dilation alpha.  Returns (x, uncovered), x None when infeasible and
-    otherwise a zero-argument callable returning the fractional cover."""
+def _window_lp(instance, alpha, tau, fixed_balls):
+    """(problem, uncovered): the LP covering the points missed by
+    `fixed_balls` using classes >= tau only, at dilation alpha, and those
+    points; problem is None when `fixed_balls` miss none."""
     n, h = instance.n, instance.num_classes
     radii = instance.radii
     hit = covered(instance.space.dist, [c for c, _ in fixed_balls],
                   [alpha * radii[t] for _, t in fixed_balls])
     uncovered = np.flatnonzero(~hit).tolist()
     if not uncovered:
-        return (lambda: np.zeros((n, h))), uncovered
+        return None, uncovered
     below_tau = np.where(np.arange(h) < tau, np.zeros((n, h)), np.nan)
-    x = solve_fractional(instance, alpha, points=uncovered, start=tau, pinned=below_tau)
-    return x, uncovered
+    return build_nukc_lp(instance, alpha, points=uncovered, start=tau,
+                         pinned=below_tau), uncovered
 
 
 def solve_guess_q(
@@ -321,27 +323,26 @@ def solve_guess_q(
 
     cands = candidate_dilations(instance)
 
-    def probe(i, guess):
-        x, uncovered = _window_lp_feasible(instance, cands[i], tau, guess)
-        return None if x is None else (lambda: (x(), uncovered))
+    def fits(guess, i):
+        problem, _ = _window_lp(instance, cands[i], tau, guess)
+        return problem is None or feasible(problem, h)
 
     lo, hi = bisect_left(cands, floor), len(cands)
-    best = None  # (guess, its hit at cands[hi])
+    best = None  # the guess that fits at cands[hi]
     for guess in guesses:
         if hi == lo:
             break
-        found = smallest_feasible(range(lo, hi), lambda i: probe(i, guess))
+        found = smallest_feasible(range(lo, hi), lambda i: fits(guess, i))
         if found is not None:
-            hi, hit = found
-            best = guess, hit
+            hi, best = found, guess
     if best is None:
         raise ValueError("no guess admits a cover at the largest candidate dilation")
     alpha = cands[hi]
-    guess, hit = best
-    x, uncovered = hit()
+    problem, uncovered = _window_lp(instance, alpha, tau, best)
 
-    balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in guess]
+    balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in best]
     if uncovered:
         scaled = instance if alpha == 0 else instance.scaled(alpha)
+        x = fractional_cover(problem, h)
         balls.extend(round_bottom_heavy(scaled, x, tau, points=uncovered).balls)
     return GuessQResult(NukcSolution(balls), dilation=alpha, tau=tau)

@@ -275,6 +275,17 @@ class TestSolveValidate:
         assert code == EXIT_SOLVER == 4
         assert capsys.readouterr().err == "solver error: singular basis matrix\n"
 
+    def test_simplex_refuting_a_confirmed_lp_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The certificates and lp.verdict confirm the relaxation winner; a
+        # simplex that then refutes it is a solver breakdown, not a miss.
+        inst = self.make_instance(tmp_path)
+        monkeypatch.setattr(lp, "solve", lambda problem: lp.LpSolution("infeasible"))
+        code = run(["solve", "--algo", "two-radii", "--input", str(inst),
+                    "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "solver error: simplex refuted an LP a feasibility check confirmed\n")
+
     @pytest.mark.parametrize(
         "points",
         [

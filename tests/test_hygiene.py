@@ -1,7 +1,7 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
-LP row thresholds only in `lp`, named float guards, no `scipy.optimize`,
-and one algorithm list shared by the CLI table, its argparse choices and
-the README."""
+LP row thresholds only in `lp`, named float guards, no zero-argument
+lambdas, no `scipy.optimize`, and one algorithm list shared by the CLI
+table, its argparse choices and the README."""
 
 import argparse
 import ast
@@ -122,6 +122,29 @@ def test_float_guards_are_named(module):
 def test_bare_float_guard_is_caught():
     source = "X = 1e-9\ny = 1e-9\nZ = (1e-9, 0.5)\ndef f(v):\n    return v - 1e-12\n"
     assert bare_float_guards(ast.parse(source)) == [2, 3, 5]
+
+
+def zero_argument_lambdas(tree):
+    """Line of every lambda that takes no arguments."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Lambda)
+            and not (node.args.posonlyargs or node.args.args or node.args.vararg
+                     or node.args.kwonlyargs or node.args.kwarg)]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_thunks(module):
+    """A search probe answers yes or no, and the caller that needs a
+    winner's x solves it where it is used, so no deferred call is handed
+    around."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    lines = zero_argument_lambdas(tree)
+    assert not lines, f"{module} has zero-argument lambdas on lines {lines}"
+
+
+def test_thunk_is_caught():
+    source = "f = lambda: 1\ng = lambda x: x\nh = lambda *a: a\nk = [lambda: 2]\n"
+    assert zero_argument_lambdas(ast.parse(source)) == [1, 4]
 
 
 def imported_modules(tree):

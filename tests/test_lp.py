@@ -89,7 +89,7 @@ def open_covering_lps(draw):
     inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
     h = inst.num_classes
     cands = candidate_dilations(inst)
-    at = cands.index(relaxation_search(inst)[0])
+    at = cands.index(relaxation_search(inst))
     for i in sorted(range(len(cands)), key=lambda i: abs(i - at))[:12]:
         prob = build_nukc_lp(inst, cands[i])
         vertex = model._certify(prob, h)
@@ -203,7 +203,6 @@ class TestSolveAgainstScipy:
         prob = random_problem(seed)
         sol = lp.solve(prob)
         if sol.ok:
-            assert sol.is_basic
             # Basic: at most m variables strictly between their bounds.
             strict = sum(
                 1
@@ -384,7 +383,7 @@ def pivot_path_cases():
     for seed in range(200):
         inst = random_instance(8 + seed % 9, seed=seed, max_classes=3)
         cands = candidate_dilations(inst)
-        at = cands.index(relaxation_search(inst)[0])
+        at = cands.index(relaxation_search(inst))
         prob = build_nukc_lp(inst, cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)])
         vertex = model._certify(prob, inst.num_classes)
         yield prob, (None if isinstance(vertex, bool) else vertex)

@@ -18,17 +18,17 @@ from nukc.model import (
     candidate_dilations,
     compress_radii,
     coverage,
+    feasible,
     lift_compressed_solution,
     min_feasible_dilation,
     relaxation_search,
     smallest_feasible,
-    solve_fractional,
     validate_solution,
 )
 from nukc import lp
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.oracle import exact_nukc
-from nukc.solvers import _window_lp_feasible
+from nukc.solvers import _window_lp
 
 
 # Reference implementations: the per-entry loop builders, the per-point
@@ -215,9 +215,8 @@ class TestFractional:
         # One unit ball cannot cover two far clusters at any dilation
         # below 9; the LP notices through the budget row.
         inst = NukcInstance(line_space, [(1, 1.0)])
-        sol = solve_fractional(inst, 1.0)
-        assert sol is None
-        assert solve_fractional(inst, 11.0) is not None
+        assert feasible(build_nukc_lp(inst, 1.0), 1) is False
+        assert feasible(build_nukc_lp(inst, 11.0), 1) is True
 
     def test_infeasible_zero_radii(self, line_space):
         inst = NukcInstance(line_space, [(2, 0.0)])
@@ -231,55 +230,55 @@ class TestFractional:
 
     def test_min_feasible_dilation_solves_each_probe_once(self, monkeypatch):
         solves, probes = [], []
-        real_solve, real_fractional = lp.solve, model.solve_fractional
+        real_solve, real_build = lp.solve, model.build_nukc_lp
 
         def counting_solve(problem):
             solves.append(problem)
             return real_solve(problem)
 
-        def recording_fractional(instance, dilation, **kwargs):
+        def recording_build(instance, dilation, **kwargs):
             probes.append(dilation)
-            return real_fractional(instance, dilation, **kwargs)
+            return real_build(instance, dilation, **kwargs)
 
         monkeypatch.setattr(lp, "solve", counting_solve)
-        monkeypatch.setattr(model, "solve_fractional", recording_fractional)
+        monkeypatch.setattr(model, "build_nukc_lp", recording_build)
         for seed in range(10):
             inst = random_instance(8, seed=seed)
             solves.clear(), probes.clear()
             alpha, x = min_feasible_dilation(inst)
-            # Certified probes skip the simplex; the winner's LP is solved
-            # once, whether at its probe or deferred.
-            assert len(probes) == len(set(probes))
+            # Each dilation is probed once; the winner's LP is built once
+            # more and solved once.
+            *searched, winner = probes
+            assert len(searched) == len(set(searched)) and winner == alpha
             assert len({id(p) for p in solves}) == len(solves) <= len(probes)
-            direct = real_solve(build_nukc_lp(inst, alpha)).values
+            direct = real_solve(real_build(inst, alpha)).values
             assert np.array_equal(x, direct.reshape(inst.n, inst.num_classes))
 
     def test_alpha_only_search_solves_only_open_probes(self, monkeypatch):
         # A probe reaches the simplex only when neither the certificates nor
-        # lp.verdict settle it; a confirmed winner is solved only when its
-        # callable runs.
+        # lp.verdict settle it; min_feasible_dilation solves its winner once.
         verdicts, solves = [], []
         real_verdict, real_solve = lp.verdict, lp.solve
         monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
                             verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
         monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
                             solves.append(problem) or real_solve(problem, *args, **kwargs))
-        deferred = settled = 0
+        unsolved = settled = 0
         for seed in range(20):
             inst = random_instance(8, seed=seed, max_classes=4)
             verdicts.clear(), solves.clear()
-            alpha, solve = relaxation_search(inst)
+            alpha = relaxation_search(inst)
             assert len(solves) == verdicts.count(None)
             settled += len(verdicts) - verdicts.count(None)
-            before = len(solves)
-            x = solve()
-            deferred += len(solves) - before
-            assert len(solves) - before <= 1
-            want_alpha, want_x = min_feasible_dilation(inst)
-            assert alpha == want_alpha and x.tobytes() == want_x.tobytes()
-        # Some winners were confirmed without a solve, and lp.verdict
-        # settled some probes the certificates left open.
-        assert deferred > 0 and settled > 0
+            unsolved += not solves
+            verdicts.clear(), solves.clear()
+            want_alpha, _ = min_feasible_dilation(inst)
+            assert alpha == want_alpha
+            assert len(solves) == verdicts.count(None) + 1
+            assert_same_lp(solves[-1], build_nukc_lp(inst, alpha))
+        # Some searches ran no simplex, and lp.verdict settled some probes
+        # the certificates left open.
+        assert unsolved > 0 and settled > 0
 
     def test_lp_shape(self, line_instance):
         prob = build_nukc_lp(line_instance, 1.0)
@@ -300,26 +299,17 @@ class TestBuilder:
         )
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_window_rows_match_reference(self, seed, monkeypatch):
+    def test_window_rows_match_reference(self, seed):
         rng, inst, dilation, _ = seeded_case(seed)
         h = inst.num_classes
         tau = int(rng.randint(h))
         fixed = [(int(rng.randint(inst.n)), int(rng.randint(h)))]
-        built = []
-        real_build = model.build_nukc_lp
-
-        def recording_build(*args, **kwargs):
-            built.append(real_build(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(model, "build_nukc_lp", recording_build)
-        x, uncovered = _window_lp_feasible(inst, dilation, tau, fixed)
+        problem, uncovered = _window_lp(inst, dilation, tau, fixed)
         if not uncovered:
-            assert not built and not x().any()
+            assert problem is None
             return
-        assert len(built) == 1
         want = reference_nukc_lp(inst, dilation, points=uncovered, class_window=(tau, h - 1))
-        assert_same_lp(built[0], want)
+        assert_same_lp(problem, want)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_guess_rows_match_reference(self, seed):
@@ -357,19 +347,16 @@ class TestSmallestFeasible:
     def test_matches_linear_scan(self, length):
         cands = [0.5 * i for i in range(length)]
         for threshold in range(length + 1):  # threshold == length: none holds
-            probed, ran = [], []
+            probed = []
 
-            def probe(c):
+            def holds(c):
                 probed.append(c)
-                return (lambda: ran.append(c) or ("hit", c)) if c >= 0.5 * threshold else None
+                return c >= 0.5 * threshold
 
-            scan = next(((c, ("hit", c)) for c in cands if c >= 0.5 * threshold), None)
-            found = smallest_feasible(cands, probe)
-            assert ran == []  # the winner's callable comes back unrun
-            assert (found and (found[0], found[1]())) == scan
+            scan = next((c for c in cands if c >= 0.5 * threshold), None)
+            assert smallest_feasible(cands, holds) == scan
             assert probed[0] == cands[-1]
             assert len(probed) == len(set(probed))
-            assert ran == ([] if scan is None else [scan[0]])
             if scan is not None and length > 1:
                 assert probed[1] == cands[0]
 
@@ -454,12 +441,11 @@ class TestProofStore:
         open probe (problem, start, answer, answer without a store, whether
         a stored proof gave it))."""
         hits, opens, store = [], [], []
-        real_settle, real_verdict = model._settle, lp.verdict
+        real_feasible, real_verdict = model.feasible, lp.verdict
 
-        def settle(problem, h, proofs=None):
-            got = real_settle(problem, h, proofs if keep else None)
-            hits.append(got is not None)
-            return got
+        def recording_feasible(problem, h, proofs=None):
+            hits.append(real_feasible(problem, h, proofs if keep else None))
+            return hits[-1]
 
         def verdict(problem, start=None, proofs=None):
             before = len(proofs or ())
@@ -470,10 +456,11 @@ class TestProofStore:
             return got
 
         with monkeypatch.context() as patch:
-            patch.setattr(model, "_settle", settle)
+            patch.setattr(model, "feasible", recording_feasible)
             patch.setattr(lp, "verdict", verdict)
-            alpha, solve = relaxation_search(inst)
-        return alpha, solve().tobytes(), hits, store, opens
+            alpha = relaxation_search(inst)
+        x = model.fractional_cover(build_nukc_lp(inst, alpha), inst.num_classes)
+        return alpha, x.tobytes(), hits, store, opens
 
     @staticmethod
     def instances():

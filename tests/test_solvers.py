@@ -13,15 +13,16 @@ from nukc.model import (
     achieved_dilation,
     candidate_dilations,
     compress_radii,
+    feasible,
+    fractional_cover,
     min_feasible_dilation,
     smallest_feasible,
-    solve_fractional,
     validate_solution,
 )
 from nukc.oracle import SizeBudgetError, exact_kcwo, exact_nukc
 from nukc.solvers import (
     TWO_RADII_FACTOR,
-    _window_lp_feasible,
+    _window_lp,
     charikar_kcwo_search,
     ilog,
     iterated_log,
@@ -289,15 +290,19 @@ def reference_guess_search(instance, tau):
         for combo in product(*per_class)
     ]
 
-    def first_fits(alpha):
+    def first_fit(alpha):
+        """(guess, its window LP) for the first guess that fits at alpha."""
         for guess in guesses:
-            x, uncovered = _window_lp_feasible(instance, alpha, tau, guess)
-            if x is not None:
-                return lambda: (guess, x() if uncovered else None)
+            problem, _ = _window_lp(instance, alpha, tau, guess)
+            if problem is None or feasible(problem, instance.num_classes):
+                return guess, problem
         return None
 
-    alpha, hit = smallest_feasible(candidate_dilations(instance), first_fits)
-    return (alpha, *hit())
+    alpha = smallest_feasible(candidate_dilations(instance),
+                              lambda a: first_fit(a) is not None)
+    guess, problem = first_fit(alpha)
+    x = None if problem is None else fractional_cover(problem, instance.num_classes)
+    return alpha, guess, x
 
 
 def guess_corpus():
