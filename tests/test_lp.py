@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nukc import lp, model
+from nukc.bicriteria import build_guess_lp
 from nukc.gadgets import random_instance
 from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations, relaxation_search
+from nukc.solvers import _window_lp
 
 
 def scipy_reference(problem):
@@ -371,21 +373,27 @@ class TestVerdictStart:
             lp.verdict(prob, start)
 
 
-def pivot_path_cases():
-    """(problem, start): random_problem and mixed_sign_problem for seeds
-    0-999 with start None, and 200 seeded covering LPs from build_nukc_lp
-    within two candidates of their relaxation's optimum, with the greedy's
-    vertex where the certificates leave the LP open (69 of them) and None
-    elsewhere."""
-    for seed in range(1000):
-        yield random_problem(seed), None
-        yield mixed_sign_problem(seed), None
+def path_covering_lps():
+    """(problem, h): 200 seeded covering LPs from build_nukc_lp within two
+    candidates of their relaxation's optimum."""
     for seed in range(200):
         inst = random_instance(8 + seed % 9, seed=seed, max_classes=3)
         cands = candidate_dilations(inst)
         at = cands.index(relaxation_search(inst))
-        prob = build_nukc_lp(inst, cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)])
-        vertex = model._certify(prob, inst.num_classes)
+        yield build_nukc_lp(inst, cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)]), \
+            inst.num_classes
+
+
+def pivot_path_cases():
+    """(problem, start): random_problem and mixed_sign_problem for seeds
+    0-999 with start None, and path_covering_lps with the greedy's vertex
+    where the certificates leave the LP open (69 of them) and None
+    elsewhere."""
+    for seed in range(1000):
+        yield random_problem(seed), None
+        yield mixed_sign_problem(seed), None
+    for prob, h in path_covering_lps():
+        vertex = model._certify(prob, h)
         yield prob, (None if isinstance(vertex, bool) else vertex)
 
 
@@ -407,3 +415,55 @@ class TestPivotPath:
             if start is not None:
                 digest.update(repr(lp.verdict(prob, start)).encode())
         assert digest.hexdigest() == PIVOT_PATH_DIGEST
+
+
+def certify_cases():
+    """(problem, h): path_covering_lps, then for seeds 0-149 a guess LP from
+    bicriteria.build_guess_lp (seeded affirmative and negative masks over
+    a random subset of the points, so pins and per-point start levels) on
+    the instance scaled to its relaxation optimum, and a guess-q window LP
+    from solvers._window_lp (seeded fixed balls, a seeded tau, within two
+    candidates of the optimum).  Of the 300 guess and window LPs, 17 are
+    left open."""
+    yield from path_covering_lps()
+    for seed in range(150):
+        rng = np.random.RandomState(seed)
+        inst = random_instance(8 + seed % 7, seed=1000 + seed, max_classes=3)
+        n, h = inst.n, inst.num_classes
+        cands = candidate_dilations(inst)
+        alpha = relaxation_search(inst)
+        scaled = inst.scaled(alpha) if alpha > 0 else inst
+        aff = rng.rand(n, h) < 0.08
+        neg = rng.rand(n, h) < 0.25
+        points = sorted(rng.choice(n, size=rng.randint(1, n + 1), replace=False).tolist())
+        yield build_guess_lp(points, aff, neg, scaled), h
+        at = cands.index(alpha)
+        dilation = cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)]
+        tau = int(rng.randint(h))
+        fixed = [(int(rng.randint(n)), int(rng.randint(tau))) for _ in range(rng.randint(3))] \
+            if tau else []
+        problem, _ = _window_lp(inst, dilation, tau, fixed)
+        if problem is not None:
+            yield problem, h
+
+
+# SHA-256 over model._certify's answer on every certify_cases LP, and the
+# bytes of its greedy vertex where it leaves the LP open.  A change to the
+# certificates or to the covering LP they read that is meant to keep every
+# answer must keep this digest.
+CERTIFY_DIGEST = "a5b1040f035fb2a335c1e8e55904afcafd1e2d0e3556852e80b0071f78d5e174"
+
+
+class TestCertifyPath:
+    def test_certify_gives_the_pinned_answers(self):
+        digest, outcomes = hashlib.sha256(), {"True": 0, "False": 0, "open": 0}
+        for prob, h in certify_cases():
+            got = model._certify(prob, h)
+            if isinstance(got, bool):
+                digest.update(repr(got).encode())
+                outcomes[repr(got)] += 1
+            else:
+                digest.update(b"open" + got.tobytes())
+                outcomes["open"] += 1
+        assert outcomes == {"True": 194, "False": 220, "open": 86}
+        assert digest.hexdigest() == CERTIFY_DIGEST
