@@ -22,7 +22,6 @@ from . import lp
 from .metric import covered, within
 from .model import (
     Ball,
-    CompressedInstance,
     NukcInstance,
     NukcSolution,
     achieved_dilation,
@@ -58,7 +57,7 @@ def min_level(neg: np.ndarray, instance: NukcInstance) -> np.ndarray:
 
 
 def build_guess_lp(points, aff: np.ndarray, neg: np.ndarray,
-                   instance: NukcInstance) -> lp.LpProblem:
+                   instance: NukcInstance) -> lp.CoveringLp:
     """Relaxation at dilation 1 restricted by a guess: covering rows for
     `points` starting at their min_level, budget rows over all points,
     the cells of the (n, h) mask `aff` pinned to 1 and those of `neg`
@@ -133,22 +132,15 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         return finish(zero_dilation_solution(cinst), True, False, 0)
 
     if instance.total_k <= SHORT_CIRCUIT_K and not force_full:
-        return finish(_guess_q_auto(compressed, alpha).solution, True, False, 0)
+        return finish(_guess_q_auto(cinst, alpha).solution, True, False, 0)
 
     scaled = cinst.scaled(alpha)
     radii = scaled.radii
     dist = scaled.space.dist
     winner_cap = 2.0 * sum(cinst.classes[s].multiplicity for s in range(tau + 1))
-    memo: dict = {}
     nodes = [0]
 
     def recurse(aff: np.ndarray, neg: np.ndarray, gamma: int):
-        key = (aff.tobytes(), neg.tobytes())
-        if key not in memo:
-            memo[key] = explore(aff, neg, gamma)
-        return memo[key]
-
-    def explore(aff: np.ndarray, neg: np.ndarray, gamma: int):
         nodes[0] += 1
         logger.debug("enum node %d: |A|=%d |D|=%d gamma=%d",
                      nodes[0], aff.sum(), neg.sum(), gamma)
@@ -158,9 +150,9 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
                                [b.radius_used for b in balls_a])
         rest = np.flatnonzero(~covered_by_A).tolist()
         problem = build_guess_lp(rest, aff, neg, scaled)
-        if not feasible(problem, h):
+        if not feasible(problem):
             return None
-        x_star = fractional_cover(problem, h)
+        x_star = fractional_cover(problem)
         cov = coverage(scaled, x_star)
         x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - ROUND_TOL]
         in_b = set(x_b)
@@ -171,8 +163,8 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         # Can the remainder be covered by levels above tau alone?
         forced = neg | (np.arange(h) <= tau)
         problem_t = build_guess_lp(x_t, aff, forced, scaled)
-        if feasible(problem_t, h):
-            x_small = fractional_cover(problem_t, h)
+        if feasible(problem_t):
+            x_small = fractional_cover(problem_t)
             bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).balls
             return NukcSolution(balls_a + bh_b + bh_t)
         if gamma <= 0:
@@ -205,16 +197,16 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     csol = recurse(np.zeros((n, h), dtype=bool), np.zeros((n, h), dtype=bool), gamma0)
     if csol is not None:
         return finish(csol, False, False, nodes[0])
-    return finish(_guess_q_auto(compressed, alpha).solution, False, True, nodes[0])
+    return finish(_guess_q_auto(cinst, alpha).solution, False, True, nodes[0])
 
 
-def _guess_q_auto(compressed: CompressedInstance, alpha: float):
+def _guess_q_auto(instance: NukcInstance, alpha: float):
     """Smallest q from 1 to GUESS_Q_MAX whose guess enumeration fits the
     size budget (tau_q shrinks as q grows).  alpha, the relaxation's
     optimum, is the floor of its dilation search."""
     for q in range(1, GUESS_Q_MAX + 1):
         try:
-            return solve_guess_q(compressed, q, floor=alpha)
+            return solve_guess_q(instance, q, floor=alpha)
         except SizeBudgetError:
             continue
     raise SizeBudgetError(f"guess enumeration over budget even at q = {GUESS_Q_MAX}")

@@ -125,7 +125,7 @@ def _two_radii(instance, q):
 def _guess_q(instance, q):
     compressed = compress_radii(instance)
     floor = relaxation_search(compressed.instance)
-    gq = solve_guess_q(compressed, q, floor=floor)
+    gq = solve_guess_q(compressed.instance, q, floor=floor)
     sol = lift_compressed_solution(gq.solution, compressed, instance)
     return sol, [], {"tau": gq.tau, "compressed_dilation": gq.dilation}
 
@@ -160,7 +160,7 @@ def cmd_solve(args) -> int:
                          f"got {args.dump_lp_dilation}")
     instance = fileio.instance_from_obj(fileio.load(args.input))
     if args.dump_lp:
-        problem = build_nukc_lp(instance, args.dump_lp_dilation)
+        problem = build_nukc_lp(instance, args.dump_lp_dilation).problem()
         Path(args.dump_lp).write_text(lp.format_lp(problem) + "\n")
     started = time.perf_counter()
     solution, outliers, extras = ALGOS[args.algo](instance, args.q)

@@ -51,6 +51,25 @@ class LpProblem:
 
 
 @dataclass
+class CoveringLp:
+    """Covering rows and one budget row per class, held as supports: row i
+    of the (m, N) boolean `supp` reads sum of x[j] over supp[i] >= 1, and
+    class t reads sum of x[j] over cls[j] == t <= budgets[t].  `bounds` is
+    (N, 2).  Only `problem` lays the rows out densely, covering rows first."""
+
+    supp: np.ndarray
+    cls: np.ndarray
+    budgets: np.ndarray
+    bounds: np.ndarray
+
+    def problem(self) -> LpProblem:
+        m, h = len(self.supp), len(self.budgets)
+        rows = np.vstack([self.supp, self.cls == np.arange(h)[:, None]])
+        return LpProblem(rows.astype(float), np.arange(m + h) < m,
+                         np.concatenate([np.ones(m), self.budgets]), self.bounds)
+
+
+@dataclass
 class LpSolution:
     status: str  # "feasible" | "infeasible"
     values: np.ndarray | None = None

@@ -147,7 +147,7 @@ def build_nukc_lp(
     points=None,
     start=0,
     pinned=None,
-) -> lp.LpProblem:
+) -> lp.CoveringLp:
     """The fractional relaxation at a given dilation.
 
     Variables x[p, t] in [0, 1].  One covering row per point in `points`
@@ -167,10 +167,10 @@ def build_nukc_lp(
         reach = dilation * np.asarray(instance.radii, dtype=float)
     rows = within(instance.space.dist[pts][:, :, None], reach)  # rows[i, q, t]
     rows &= np.arange(h) >= np.reshape(start, (-1, 1, 1))
-    return lp.LpProblem(
-        constraints=np.vstack([rows.reshape(len(pts), n * h), np.tile(np.eye(h), n)]),
-        ge=np.arange(len(pts) + h) < len(pts),
-        rhs=np.concatenate([np.ones(len(pts)), instance.budgets]),
+    return lp.CoveringLp(
+        supp=rows.reshape(len(pts), n * h),
+        cls=np.tile(np.arange(h), n),
+        budgets=np.asarray(instance.budgets, dtype=float),
         bounds=bounds,
     )
 
@@ -180,27 +180,27 @@ def build_nukc_lp(
 CERT_MARGIN = 0.5
 
 
-def _certify(problem: lp.LpProblem, h: int):
-    """Settle a covering LP from build_nukc_lp (h classes) without pivoting:
-    False when a packing bound refutes it, True when an integral greedy
-    choice satisfies it.  When neither does, the greedy's choice: a vertex
-    of the box within every class budget, for `lp.verdict` to start from.
+def _certify(cover: lp.CoveringLp):
+    """Settle a covering LP without pivoting: False when a packing bound
+    refutes it, True when an integral greedy choice satisfies it.  When
+    neither does, the greedy's choice: a vertex of the box within every
+    class budget, for `lp.verdict` to start from.
 
     Refutation: covering rows whose free supports are pairwise disjoint
     (picked smallest support first) need the sum of their residuals from
     the union U of those supports, and U holds at most sum_t min(cap_t,
     |U in class t|) with cap_t the budget left after the pins: weak duality
     with y = 1 on the rows and z = 1 on the budget rows.
-    It needs 0/1 coefficients, [0, 1] free bounds and one budget row per
-    class, which build_nukc_lp guarantees; it is never run inside lp.solve.
+    It needs [0, 1] free bounds, which the builders guarantee; it is never
+    run inside lp.solve.
     """
-    C, rhs, bounds = problem.constraints, problem.rhs, problem.bounds
-    m = len(C) - h
+    bounds, cls, h = cover.bounds, cover.cls, len(cover.budgets)
+    onehot = cls[:, None] == np.arange(h)  # onehot[j, t]: variable j is in class t
     free = bounds[:, 0] < bounds[:, 1]
     fixed = np.where(free, 0.0, bounds[:, 0])
-    need = rhs[:m] - C[:m] @ fixed
-    cap = rhs[m:] - fixed.reshape(-1, h).sum(axis=0)
-    supp = (C[:m] > 0) & free
+    need = 1.0 - cover.supp @ fixed
+    cap = cover.budgets - fixed @ onehot
+    supp = cover.supp & free
     rows = np.flatnonzero(need > 0)
     rows = rows[np.argsort(supp[rows].sum(axis=1), kind="stable")]
     sets = supp[rows].astype(float)
@@ -212,8 +212,7 @@ def _certify(problem: lp.LpProblem, h: int):
             blocked |= clash[i]
     # Every prefix of the picked rows is such a set; the empty prefix
     # refutes pins that overrun a budget.
-    per_class = sets[picked].reshape(len(picked), len(free) // h, h).sum(axis=1)
-    union = np.cumsum(np.vstack([np.zeros(h), per_class]), axis=0)
+    union = np.cumsum(np.vstack([np.zeros(h), sets[picked] @ onehot]), axis=0)
     needs = np.cumsum(np.concatenate([[0.0], need[rows[picked]]]))
     if np.any(needs > np.minimum(cap, union).sum(axis=1) + CERT_MARGIN):
         return False
@@ -223,41 +222,41 @@ def _certify(problem: lp.LpProblem, h: int):
     x = fixed.copy()
     unmet = need > 0
     gain = supp[unmet].sum(axis=0)
-    cls = np.arange(len(x)) % h
     while unmet.any():
         score = gain * (cap[cls] >= 1)
         j = int(np.argmax(score))
         if score[j] == 0:
             return x
         x[j] = 1.0
-        cap[j % h] -= 1
+        cap[cls[j]] -= 1
         met = unmet & supp[:, j]
         unmet &= ~met
         gain -= supp[met].sum(axis=0)
-    lhs = C @ x
-    return True if np.all(np.where(problem.ge, lhs >= rhs, lhs <= rhs)) else x
+    return True if np.all(cover.supp @ x >= 1.0) and np.all(x @ onehot <= cover.budgets) else x
 
 
-def feasible(problem: lp.LpProblem, h: int, proofs=None) -> bool:
-    """Whether the covering LP `problem` (from build_nukc_lp, h classes) is
-    feasible.  The certificates answer first, then `lp.verdict`, started
-    from the greedy's vertex and given the search's `proofs`; the simplex
-    runs only when neither can tell.  A caller that needs x solves the
-    winner with `fractional_cover`, so x does not depend on which check
-    fired."""
-    verdict = _certify(problem, h)
-    if not isinstance(verdict, bool):
-        verdict = lp.verdict(problem, verdict, proofs)
+def feasible(cover: lp.CoveringLp, proofs=None) -> bool:
+    """Whether the covering LP `cover` is feasible.  The certificates
+    answer first; only a probe they leave open gets its dense LP, for
+    `lp.verdict`, started from the greedy's vertex and given the search's
+    `proofs`, and for the simplex when neither can tell.  A caller that
+    needs x solves the winner with `fractional_cover`, so x does not depend
+    on which check fired."""
+    verdict = _certify(cover)
+    if isinstance(verdict, bool):
+        return verdict
+    problem = cover.problem()
+    verdict = lp.verdict(problem, verdict, proofs)
     return lp.solve(problem).ok if verdict is None else verdict
 
 
-def fractional_cover(problem: lp.LpProblem, h: int) -> np.ndarray:
-    """The simplex's basic feasible x, shape (n, h), of a covering LP that
-    `feasible` confirmed."""
-    sol = lp.solve(problem)
+def fractional_cover(cover: lp.CoveringLp) -> np.ndarray:
+    """The simplex's basic feasible x, shape (n, h), of a covering LP from
+    build_nukc_lp that `feasible` confirmed."""
+    sol = lp.solve(cover.problem())
     if not sol.ok:
         raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
-    return sol.values.reshape(-1, h)
+    return sol.values.reshape(-1, len(cover.budgets))
 
 
 def candidate_values(dist: np.ndarray, radii) -> list:
@@ -298,10 +297,8 @@ def relaxation_search(instance: NukcInstance) -> float:
     applies; only a probe the checks leave open runs the simplex.  The
     probes share rows, columns and bounds, so each verdict's proof is
     checked on the later ones before they pivot (see `lp.verdict`)."""
-    cands = candidate_dilations(instance)
-    h, proofs = instance.num_classes, []
-    alpha = smallest_feasible(
-        cands, lambda d: feasible(build_nukc_lp(instance, d), h, proofs))
+    cands, proofs = candidate_dilations(instance), []
+    alpha = smallest_feasible(cands, lambda d: feasible(build_nukc_lp(instance, d), proofs))
     if alpha is None:
         raise InfeasibleInstanceError(
             "relaxation infeasible at the largest candidate dilation "
@@ -315,7 +312,7 @@ def min_feasible_dilation(instance: NukcInstance):
     feasible, together with a basic feasible x there (see
     `relaxation_search` and `fractional_cover`)."""
     alpha = relaxation_search(instance)
-    return alpha, fractional_cover(build_nukc_lp(instance, alpha), instance.num_classes)
+    return alpha, fractional_cover(build_nukc_lp(instance, alpha))
 
 
 def coverage(instance: NukcInstance, x: np.ndarray) -> np.ndarray:

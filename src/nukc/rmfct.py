@@ -97,7 +97,7 @@ def is_feasible_set(tree: LayeredTree, chosen) -> list:
     return [v for v in tree.leaves if not chosen.intersection(tree.path_to_root(v))]
 
 
-def build_rmfct_lp(tree: LayeredTree, alpha: float = 1.0) -> lp.LpProblem:
+def build_rmfct_lp(tree: LayeredTree, alpha: float = 1.0) -> lp.CoveringLp:
     """Fractional relaxation: y_v in [0,1] per node, path sums >= 1 per
     leaf, level sums <= alpha * budget."""
     nodes = sorted(tree.level_of)
@@ -105,21 +105,19 @@ def build_rmfct_lp(tree: LayeredTree, alpha: float = 1.0) -> lp.LpProblem:
     leaves, h = len(tree.leaves), tree.num_levels
     # Every leaf sits on the last level, so each root path holds h nodes.
     paths = [idx[v] for leaf in tree.leaves for v in tree.path_to_root(leaf)]
-    levels = np.array([tree.level_of[v] for v in nodes], dtype=int)
-    rows = np.zeros((leaves + h, len(nodes)))
-    rows[np.repeat(np.arange(leaves), h), paths] = 1.0
-    rows[leaves + levels, np.arange(len(nodes))] = 1.0
-    return lp.LpProblem(
-        constraints=rows,
-        ge=np.arange(leaves + h) < leaves,
-        rhs=np.concatenate([np.ones(leaves), alpha * np.array(tree.budgets)]),
+    supp = np.zeros((leaves, len(nodes)), dtype=bool)
+    supp[np.repeat(np.arange(leaves), h), paths] = True
+    return lp.CoveringLp(
+        supp=supp,
+        cls=np.array([tree.level_of[v] for v in nodes], dtype=int),
+        budgets=alpha * np.array(tree.budgets),
         bounds=np.full((len(nodes), 2), (0.0, 1.0)),
     )
 
 
 def solve_rmfct_lp(tree: LayeredTree, alpha: float = 1.0):
     """Returns a basic feasible y (dict node -> value) or None."""
-    sol = lp.solve(build_rmfct_lp(tree, alpha))
+    sol = lp.solve(build_rmfct_lp(tree, alpha).problem())
     if not sol.ok:
         return None
     nodes = sorted(tree.level_of)

@@ -23,7 +23,6 @@ from .embed import embed_barrier, embed_basic, lift_tree_solution
 from .metric import MetricSpace, covered, gonzalez_kcenter, within
 from .model import (
     Ball,
-    CompressedInstance,
     NukcInstance,
     NukcSolution,
     balls_in_budget_order,
@@ -277,7 +276,7 @@ def _window_lp(instance, alpha, tau, fixed_balls):
 
 
 def solve_guess_q(
-    compressed: CompressedInstance | NukcInstance,
+    instance: NukcInstance,
     q: int,
     guess_budget: int = 200_000,
     floor: float = 0.0,
@@ -296,9 +295,6 @@ def solve_guess_q(
     the pass stops once the best reaches it."""
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    instance = (
-        compressed.instance if isinstance(compressed, CompressedInstance) else compressed
-    )
     n, h = instance.n, instance.num_classes
     L = h - 1
     tau = max(0, min(L, iterated_log(L, q)))
@@ -325,7 +321,7 @@ def solve_guess_q(
 
     def fits(guess, i):
         problem, _ = _window_lp(instance, cands[i], tau, guess)
-        return problem is None or feasible(problem, h)
+        return problem is None or feasible(problem)
 
     lo, hi = bisect_left(cands, floor), len(cands)
     best = None  # the guess that fits at cands[hi]
@@ -343,6 +339,6 @@ def solve_guess_q(
     balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in best]
     if uncovered:
         scaled = instance if alpha == 0 else instance.scaled(alpha)
-        x = fractional_cover(problem, h)
+        x = fractional_cover(problem)
         balls.extend(round_bottom_heavy(scaled, x, tau, points=uncovered).balls)
     return GuessQResult(NukcSolution(balls), dilation=alpha, tau=tau)

@@ -1,7 +1,7 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
-LP row thresholds only in `lp`, named float guards, no zero-argument
-lambdas, no `scipy.optimize`, and one algorithm list shared by the CLI
-table, its argparse choices and the README."""
+LP row thresholds and dense LPs only in `lp`, named float guards, no
+zero-argument lambdas, no `scipy.optimize`, and one algorithm list shared
+by the CLI table, its argparse choices and the README."""
 
 import argparse
 import ast
@@ -95,6 +95,27 @@ def test_feas_tol_named_only_in_lp():
     no other module judges an LP point with its own copy of the slack."""
     naming = modules_naming("FEAS_TOL", "lp.py")
     assert not naming, f"modules naming FEAS_TOL outside lp: {', '.join(naming)}"
+
+
+def lp_problem_calls(tree):
+    """Line of every call to a callable named LpProblem, bare or dotted."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "LpProblem"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "lp.py"] + ["__init__.py"])
+def test_lp_problem_built_only_in_lp(module):
+    """The builders return an lp.CoveringLp, whose one emitter lays out the
+    dense rows, so the covering layout cannot drift back into a builder."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    lines = lp_problem_calls(tree)
+    assert not lines, f"{module} builds an LpProblem on lines {lines}"
+
+
+def test_lp_problem_call_is_caught():
+    source = "a = lp.LpProblem(c, g, r, b)\nb = LpProblem(c, g, r, b)\nc = lp.LpProblem\n"
+    assert lp_problem_calls(ast.parse(source)) == [1, 2]
 
 
 def bare_float_guards(tree):

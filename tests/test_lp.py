@@ -53,9 +53,8 @@ def random_problem(seed):
 
 @st.composite
 def covering_lps(draw, max_n=7):
-    """(problem, h): a covering LP from build_nukc_lp at a candidate
-    dilation, with per-point start levels, 0/1 pins and class budgets up to
-    10^9, and its class count."""
+    """A covering LP from build_nukc_lp at a candidate dilation, with
+    per-point start levels, 0/1 pins and class budgets up to 10^9."""
     n = draw(st.integers(1, max_n), label="n")
     inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
     inst = NukcInstance(inst.space, [
@@ -78,25 +77,26 @@ def covering_lps(draw, max_n=7):
     pinned = np.full((n, h), np.nan)  # NaN: free
     for cell, value in pins.items():
         pinned[cell] = value
-    return build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned), h
+    return build_nukc_lp(inst, dilation, points=points, start=start, pinned=pinned)
 
 
 @st.composite
 def open_covering_lps(draw):
-    """(problem, h, vertex): the covering LP from build_nukc_lp nearest its
-    instance's relaxation optimum, among the 12 nearest candidates, that
-    neither certificate of model._certify settles; its class count; and
-    the greedy's vertex.  (covering_lps almost never draws such an LP.)"""
+    """(problem, h, vertex): the dense covering LP from build_nukc_lp
+    nearest its instance's relaxation optimum, among the 12 nearest
+    candidates, that neither certificate of model._certify settles; its
+    class count; and the greedy's vertex.  (covering_lps almost never draws
+    such an LP.)"""
     n = draw(st.integers(12, 16), label="n")
     inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
     h = inst.num_classes
     cands = candidate_dilations(inst)
     at = cands.index(relaxation_search(inst))
     for i in sorted(range(len(cands)), key=lambda i: abs(i - at))[:12]:
-        prob = build_nukc_lp(inst, cands[i])
-        vertex = model._certify(prob, h)
+        cover = build_nukc_lp(inst, cands[i])
+        vertex = model._certify(cover)
         if not isinstance(vertex, bool):
-            return prob, h, vertex
+            return cover.problem(), h, vertex
     assume(False)
 
 
@@ -191,11 +191,12 @@ class TestSolveAgainstScipy:
         """On covering LPs from build_nukc_lp with per-point start levels and
         pinned variables, the simplex finds a point exactly when HiGHS does,
         and the certificates never contradict HiGHS."""
-        prob, h = data.draw(covering_lps())
+        cover = data.draw(covering_lps())
+        prob = cover.problem()
         ours = lp.solve(prob)
         feasible = scipy_reference(prob).status == 0
         assert ours.ok == feasible
-        verdict = model._certify(prob, h)
+        verdict = model._certify(cover)
         assert not isinstance(verdict, bool) or verdict == feasible
         if ours.ok:
             assert rows_hold(prob, ours.values)
@@ -230,8 +231,8 @@ class TestVerdict:
 
     @settings(max_examples=200, deadline=None)
     @given(covering_lps(max_n=12))
-    def test_covering_lps_agree_with_simplex(self, case):
-        prob, _ = case
+    def test_covering_lps_agree_with_simplex(self, cover):
+        prob = cover.problem()
         verdict = lp.verdict(prob)
         assert verdict is None or verdict == lp.solve(prob).ok
 
@@ -312,7 +313,7 @@ class TestVerdictStart:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_vertex_agrees_with_reference(self, data):
-        prob, _ = data.draw(covering_lps(max_n=12))
+        prob = data.draw(covering_lps(max_n=12)).problem()
         feasible = scipy_reference(prob).status == 0
         assert lp.verdict(prob, box_vertex(data, prob)) == lp.verdict(prob) == feasible
 
@@ -374,14 +375,13 @@ class TestVerdictStart:
 
 
 def path_covering_lps():
-    """(problem, h): 200 seeded covering LPs from build_nukc_lp within two
-    candidates of their relaxation's optimum."""
+    """200 seeded covering LPs from build_nukc_lp within two candidates of
+    their relaxation's optimum."""
     for seed in range(200):
         inst = random_instance(8 + seed % 9, seed=seed, max_classes=3)
         cands = candidate_dilations(inst)
         at = cands.index(relaxation_search(inst))
-        yield build_nukc_lp(inst, cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)]), \
-            inst.num_classes
+        yield build_nukc_lp(inst, cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)])
 
 
 def pivot_path_cases():
@@ -392,9 +392,9 @@ def pivot_path_cases():
     for seed in range(1000):
         yield random_problem(seed), None
         yield mixed_sign_problem(seed), None
-    for prob, h in path_covering_lps():
-        vertex = model._certify(prob, h)
-        yield prob, (None if isinstance(vertex, bool) else vertex)
+    for cover in path_covering_lps():
+        vertex = model._certify(cover)
+        yield cover.problem(), (None if isinstance(vertex, bool) else vertex)
 
 
 # SHA-256 over every pivot_path_cases LP's solve status and x bytes and its
@@ -418,7 +418,7 @@ class TestPivotPath:
 
 
 def certify_cases():
-    """(problem, h): path_covering_lps, then for seeds 0-149 a guess LP from
+    """path_covering_lps, then for seeds 0-149 a guess LP from
     bicriteria.build_guess_lp (seeded affirmative and negative masks over
     a random subset of the points, so pins and per-point start levels) on
     the instance scaled to its relaxation optimum, and a guess-q window LP
@@ -436,7 +436,7 @@ def certify_cases():
         aff = rng.rand(n, h) < 0.08
         neg = rng.rand(n, h) < 0.25
         points = sorted(rng.choice(n, size=rng.randint(1, n + 1), replace=False).tolist())
-        yield build_guess_lp(points, aff, neg, scaled), h
+        yield build_guess_lp(points, aff, neg, scaled)
         at = cands.index(alpha)
         dilation = cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)]
         tau = int(rng.randint(h))
@@ -444,7 +444,7 @@ def certify_cases():
             if tau else []
         problem, _ = _window_lp(inst, dilation, tau, fixed)
         if problem is not None:
-            yield problem, h
+            yield problem
 
 
 # SHA-256 over model._certify's answer on every certify_cases LP, and the
@@ -457,8 +457,8 @@ CERTIFY_DIGEST = "a5b1040f035fb2a335c1e8e55904afcafd1e2d0e3556852e80b0071f78d5e1
 class TestCertifyPath:
     def test_certify_gives_the_pinned_answers(self):
         digest, outcomes = hashlib.sha256(), {"True": 0, "False": 0, "open": 0}
-        for prob, h in certify_cases():
-            got = model._certify(prob, h)
+        for cover in certify_cases():
+            got = model._certify(cover)
             if isinstance(got, bool):
                 digest.update(repr(got).encode())
                 outcomes[repr(got)] += 1

@@ -215,8 +215,8 @@ class TestFractional:
         # One unit ball cannot cover two far clusters at any dilation
         # below 9; the LP notices through the budget row.
         inst = NukcInstance(line_space, [(1, 1.0)])
-        assert feasible(build_nukc_lp(inst, 1.0), 1) is False
-        assert feasible(build_nukc_lp(inst, 11.0), 1) is True
+        assert feasible(build_nukc_lp(inst, 1.0)) is False
+        assert feasible(build_nukc_lp(inst, 11.0)) is True
 
     def test_infeasible_zero_radii(self, line_space):
         inst = NukcInstance(line_space, [(2, 0.0)])
@@ -251,37 +251,51 @@ class TestFractional:
             *searched, winner = probes
             assert len(searched) == len(set(searched)) and winner == alpha
             assert len({id(p) for p in solves}) == len(solves) <= len(probes)
-            direct = real_solve(real_build(inst, alpha)).values
+            direct = real_solve(real_build(inst, alpha).problem()).values
             assert np.array_equal(x, direct.reshape(inst.n, inst.num_classes))
 
     def test_alpha_only_search_solves_only_open_probes(self, monkeypatch):
         # A probe reaches the simplex only when neither the certificates nor
         # lp.verdict settle it; min_feasible_dilation solves its winner once.
-        verdicts, solves = [], []
+        # The dense LP is built once per probe the certificates leave open,
+        # and once more for the winner.
+        verdicts, solves, certified, dense = [], [], [], []
         real_verdict, real_solve = lp.verdict, lp.solve
+        real_certify, real_problem = model._certify, lp.CoveringLp.problem
         monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
                             verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
         monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
                             solves.append(problem) or real_solve(problem, *args, **kwargs))
-        unsolved = settled = 0
+        monkeypatch.setattr(model, "_certify", lambda cover:
+                            certified.append(real_certify(cover)) or certified[-1])
+        monkeypatch.setattr(lp.CoveringLp, "problem", lambda cover:
+                            dense.append(real_problem(cover)) or dense[-1])
+        unsolved = settled = undense = 0
         for seed in range(20):
             inst = random_instance(8, seed=seed, max_classes=4)
-            verdicts.clear(), solves.clear()
+            for calls in (verdicts, solves, certified, dense):
+                calls.clear()
             alpha = relaxation_search(inst)
             assert len(solves) == verdicts.count(None)
+            opened = sum(not isinstance(c, bool) for c in certified)
+            assert len(dense) == len(verdicts) == opened
             settled += len(verdicts) - verdicts.count(None)
             unsolved += not solves
-            verdicts.clear(), solves.clear()
+            undense += len(certified) - opened
+            for calls in (verdicts, solves, certified, dense):
+                calls.clear()
             want_alpha, _ = min_feasible_dilation(inst)
             assert alpha == want_alpha
             assert len(solves) == verdicts.count(None) + 1
-            assert_same_lp(solves[-1], build_nukc_lp(inst, alpha))
-        # Some searches ran no simplex, and lp.verdict settled some probes
-        # the certificates left open.
-        assert unsolved > 0 and settled > 0
+            assert len(dense) == opened + 1 and dense[-1] is solves[-1]
+            assert_same_lp(solves[-1], build_nukc_lp(inst, alpha).problem())
+        # Some searches ran no simplex, lp.verdict settled some probes the
+        # certificates left open, and the certificates settled the rest
+        # without a dense LP.
+        assert unsolved > 0 and settled > 0 and undense > 0
 
     def test_lp_shape(self, line_instance):
-        prob = build_nukc_lp(line_instance, 1.0)
+        prob = build_nukc_lp(line_instance, 1.0).problem()
         n, h = line_instance.n, line_instance.num_classes
         assert prob.num_vars == n * h
         # n covering rows + h budget rows
@@ -292,9 +306,9 @@ class TestBuilder:
     @pytest.mark.parametrize("seed", range(40))
     def test_plain_rows_match_reference(self, seed):
         _, inst, dilation, points = seeded_case(seed)
-        assert_same_lp(build_nukc_lp(inst, dilation), reference_nukc_lp(inst, dilation))
+        assert_same_lp(build_nukc_lp(inst, dilation).problem(), reference_nukc_lp(inst, dilation))
         assert_same_lp(
-            build_nukc_lp(inst, dilation, points=points),
+            build_nukc_lp(inst, dilation, points=points).problem(),
             reference_nukc_lp(inst, dilation, points=points),
         )
 
@@ -309,7 +323,7 @@ class TestBuilder:
             assert problem is None
             return
         want = reference_nukc_lp(inst, dilation, points=uncovered, class_window=(tau, h - 1))
-        assert_same_lp(problem, want)
+        assert_same_lp(problem.problem(), want)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_guess_rows_match_reference(self, seed):
@@ -319,14 +333,14 @@ class TestBuilder:
         if neg.any():  # an A/D collision: A must win
             aff.flat[np.argmax(neg)] = True
         want = reference_guess_lp(points, aff, neg, inst)
-        assert_same_lp(build_guess_lp(points, aff, neg, inst), want)
+        assert_same_lp(build_guess_lp(points, aff, neg, inst).problem(), want)
 
     def test_huge_radius_reaches_every_point_without_warning(self, line_space):
         # 10 * 1e308 overflows to inf: every point is within reach.
         inst = NukcInstance(line_space, [(1, 1e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prob = build_nukc_lp(inst, 10.0)
+            prob = build_nukc_lp(inst, 10.0).problem()
         assert prob.constraints[prob.ge].all()
 
     def test_start_levels_and_pins(self, line_instance):
@@ -334,7 +348,7 @@ class TestBuilder:
         pinned[2, 1] = 1.0
         # One start level per row, rows in ascending point order: 0, then 4.
         prob = build_nukc_lp(line_instance, 1.0, points=[4, 0], start=[1, 0],
-                             pinned=pinned)
+                             pinned=pinned).problem()
         rows = prob.constraints[prob.ge]
         # Ascending point order; point 0's row holds class 1 only.
         assert rows[0][0::2].sum() == 0 and rows[0][1::2].sum() == 2
@@ -371,51 +385,54 @@ class TestCertificate:
         # Two far points, two unit balls: the disjoint rows need 2 and
         # their supports supply exactly 2.
         inst = self.line([[0], [10]], [(2, 1.0)])
-        assert model._certify(build_nukc_lp(inst, 1.0), 1) is True
+        assert model._certify(build_nukc_lp(inst, 1.0)) is True
 
     def test_packing_refutes_far_points(self, line_space):
         inst = NukcInstance(line_space, [(1, 1.0)])
-        assert model._certify(build_nukc_lp(inst, 1.0), 1) is False
+        assert model._certify(build_nukc_lp(inst, 1.0)) is False
 
     def test_pin_that_uses_up_a_budget(self):
         inst = self.line([[0], [10]], [(1, 2.0), (1, 1.0)])
         # The one big ball sits at point 0; point 1 needs the small one.
         pinned = np.full((2, 2), np.nan)
         pinned[0, 0] = 1.0
-        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned), 2) is True
+        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned)) is True
         pinned[1, 1] = 0.0
-        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned), 2) is False
+        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned)) is False
         # Pins alone overrun the big ball's budget.
         pinned[1] = (1.0, np.nan)
         over = build_nukc_lp(inst, 1.0, points=[], pinned=pinned)
-        assert model._certify(over, 2) is False
+        assert model._certify(over) is False
 
     def test_start_level_h_is_an_empty_row(self, line_instance):
         h = line_instance.num_classes
         empty = build_nukc_lp(line_instance, 100.0, points=[3], start=h)
-        assert not empty.constraints[0].any()
-        assert model._certify(empty, h) is False
+        assert not empty.problem().constraints[0].any()
+        assert model._certify(empty) is False
 
     def test_duplicate_points(self):
         # Rows of duplicate points overlap, so only one of them counts.
         inst = self.line([[0], [0], [0], [5]], [(2, 1.0)])
-        assert model._certify(build_nukc_lp(inst, 1.0), 1) is True
+        assert model._certify(build_nukc_lp(inst, 1.0)) is True
         lone = self.line([[0], [0], [5]], [(1, 1.0)])
-        assert model._certify(build_nukc_lp(lone, 1.0), 1) is False
+        assert model._certify(build_nukc_lp(lone, 1.0)) is False
 
     def test_open_lp_starts_the_verdict_at_the_greedy_vertex(self, monkeypatch):
         # _certify hands an open LP's greedy vertex to lp.verdict as its start.
-        calls, checked = [], 0
-        real_verdict = lp.verdict
+        # Each verdict's LP is the last one emitted from the form.
+        calls, emitted, checked = [], [], 0
+        real_verdict, real_problem = lp.verdict, lp.CoveringLp.problem
+        monkeypatch.setattr(lp.CoveringLp, "problem", lambda cover:
+                            emitted.append(cover) or real_problem(cover))
         monkeypatch.setattr(lp, "verdict", lambda problem, start=None, *args, **kwargs:
-                            calls.append((problem, start))
+                            calls.append((emitted[-1], start))
                             or real_verdict(problem, start, *args, **kwargs))
         for seed in range(10):
             inst = random_instance(10, seed=seed, max_classes=3)
             calls.clear()
             relaxation_search(inst)
-            for problem, start in calls:
-                vertex = model._certify(problem, inst.num_classes)
+            for cover, start in calls:
+                vertex = model._certify(cover)
                 assert not isinstance(vertex, bool) and np.array_equal(start, vertex)
             checked += len(calls)
         assert checked
@@ -424,7 +441,7 @@ class TestCertificate:
     def test_search_with_and_without_certificates(self, seed, monkeypatch):
         inst = random_instance(7, seed=seed)
         alpha, x = min_feasible_dilation(inst)
-        monkeypatch.setattr(model, "_certify", lambda problem, h: None)
+        monkeypatch.setattr(model, "_certify", lambda cover: None)
         want_alpha, want_x = min_feasible_dilation(inst)
         assert alpha == want_alpha and np.array_equal(x, want_x)
 
@@ -443,8 +460,8 @@ class TestProofStore:
         hits, opens, store = [], [], []
         real_feasible, real_verdict = model.feasible, lp.verdict
 
-        def recording_feasible(problem, h, proofs=None):
-            hits.append(real_feasible(problem, h, proofs if keep else None))
+        def recording_feasible(cover, proofs=None):
+            hits.append(real_feasible(cover, proofs if keep else None))
             return hits[-1]
 
         def verdict(problem, start=None, proofs=None):
@@ -459,7 +476,7 @@ class TestProofStore:
             patch.setattr(model, "feasible", recording_feasible)
             patch.setattr(lp, "verdict", verdict)
             alpha = relaxation_search(inst)
-        x = model.fractional_cover(build_nukc_lp(inst, alpha), inst.num_classes)
+        x = model.fractional_cover(build_nukc_lp(inst, alpha))
         return alpha, x.tobytes(), hits, store, opens
 
     @staticmethod

@@ -110,7 +110,7 @@ class TestLayeredTree:
 class TestLp:
     def test_lp_rows(self):
         tree = binary_tree()
-        prob = build_rmfct_lp(tree, 1.0)
+        prob = build_rmfct_lp(tree, 1.0).problem()
         # 4 leaf path rows + 2 level rows.
         assert len(prob.constraints) == 6
 
@@ -118,7 +118,7 @@ class TestLp:
     def test_rows_match_reference(self, seed):
         tree = relabelled(random_layered_tree(1 + seed % 4, 3, seed=seed).to_layered(), seed)
         alpha = 1.0 + seed / 7.0
-        got, want = build_rmfct_lp(tree, alpha), reference_rmfct_lp(tree, alpha)
+        got, want = build_rmfct_lp(tree, alpha).problem(), reference_rmfct_lp(tree, alpha)
         for field in ("constraints", "ge", "rhs", "bounds"):
             g, w = getattr(got, field), getattr(want, field)
             assert (g.dtype, g.shape) == (w.dtype, w.shape), field

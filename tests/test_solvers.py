@@ -242,7 +242,7 @@ class TestGuessQ:
         comp = compress_radii(inst)
         cinst = comp.instance
         try:
-            res = solve_guess_q(comp, 1)
+            res = solve_guess_q(comp.instance, 1)
         except SizeBudgetError:
             return
         sol = res.solution
@@ -263,7 +263,7 @@ class TestGuessQ:
                 continue
             opt, _ = exact_nukc(comp.instance)
             try:
-                res = solve_guess_q(comp, 1)
+                res = solve_guess_q(comp.instance, 1)
             except SizeBudgetError:
                 continue
             assert res.dilation <= opt + 1e-9
@@ -273,7 +273,7 @@ class TestGuessQ:
         inst = NukcInstance(space, [(30, 1.0), (1, 0.9), (2, 0.5), (4, 0.2)])
         comp = compress_radii(inst)
         with pytest.raises(SizeBudgetError):
-            solve_guess_q(comp, 1, guess_budget=10)
+            solve_guess_q(comp.instance, 1, guess_budget=10)
 
 
 def reference_guess_search(instance, tau):
@@ -294,14 +294,14 @@ def reference_guess_search(instance, tau):
         """(guess, its window LP) for the first guess that fits at alpha."""
         for guess in guesses:
             problem, _ = _window_lp(instance, alpha, tau, guess)
-            if problem is None or feasible(problem, instance.num_classes):
+            if problem is None or feasible(problem):
                 return guess, problem
         return None
 
     alpha = smallest_feasible(candidate_dilations(instance),
                               lambda a: first_fit(a) is not None)
     guess, problem = first_fit(alpha)
-    x = None if problem is None else fractional_cover(problem, instance.num_classes)
+    x = None if problem is None else fractional_cover(problem)
     return alpha, guess, x
 
 
@@ -340,7 +340,7 @@ class TestGuessSearch:
         want_balls = [Ball(c, t, want_dilation * inst.radii[t]) for c, t in want_guess]
         for floor in (0.0, alpha):
             rounded.clear()
-            res = solve_guess_q(comp, 1, floor=floor)
+            res = solve_guess_q(comp.instance, 1, floor=floor)
             assert res.tau == tau
             assert res.dilation == want_dilation
             # No guess fits below the relaxation's optimum.
