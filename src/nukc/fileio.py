@@ -157,8 +157,7 @@ def tree_from_obj(obj: dict) -> RootedTree:
 
 def dump(obj, path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load(path):

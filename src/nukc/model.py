@@ -8,6 +8,7 @@ count (balls per class versus k_t) and radius (used radius versus r_t).
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from bisect import bisect_left
@@ -162,14 +163,15 @@ def build_nukc_lp(
     if pinned is not None:
         pins = np.reshape(pinned, (-1, 1))
         bounds = np.where(np.isnan(pins), bounds, pins)
-    pts = list(range(n)) if points is None else sorted(points)
+    dist = instance.space.dist if points is None else instance.space.dist[sorted(points)]
     with np.errstate(over="ignore"):  # an overflow to inf reaches every point, as it should
         reach = dilation * np.asarray(instance.radii, dtype=float)
-    rows = within(instance.space.dist[pts][:, :, None], reach)  # rows[i, q, t]
-    rows &= np.arange(h) >= np.reshape(start, (-1, 1, 1))
+    rows = within(dist[:, :, None], reach)  # rows[i, q, t]
+    if np.any(start):
+        rows &= np.arange(h) >= np.reshape(start, (-1, 1, 1))
     return lp.CoveringLp(
-        supp=rows.reshape(len(pts), n * h),
-        cls=np.tile(np.arange(h), n),
+        supp=rows.reshape(len(dist), n * h),
+        cls=np.arange(n * h) % h,
         budgets=np.asarray(instance.budgets, dtype=float),
         bounds=bounds,
     )
@@ -178,6 +180,13 @@ def build_nukc_lp(
 # Needs and capacities are integers when pins are 0/1, so a refutation asks
 # the need to exceed the supply by this margin, far above float error.
 CERT_MARGIN = 0.5
+
+
+def _bitsets(rows: np.ndarray) -> list:
+    """Each row of a 2-D boolean array as a Python int, bit j for column j."""
+    width = -(-rows.shape[1] // 8)
+    flat = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(flat[i * width:(i + 1) * width], "little") for i in range(len(rows))]
 
 
 def _certify(cover: lp.CoveringLp):
@@ -192,47 +201,58 @@ def _certify(cover: lp.CoveringLp):
     |U in class t|) with cap_t the budget left after the pins: weak duality
     with y = 1 on the rows and z = 1 on the budget rows.
     It needs [0, 1] free bounds, which the builders guarantee; it is never
-    run inside lp.solve.
+    run inside lp.solve.  Both run on Python ints used as bitsets: each
+    row's free support over the columns (|U in class t| is a popcount) and
+    each column's over the rows that need mass (its gain is a popcount).
     """
     bounds, cls, h = cover.bounds, cover.cls, len(cover.budgets)
     onehot = cls[:, None] == np.arange(h)  # onehot[j, t]: variable j is in class t
     free = bounds[:, 0] < bounds[:, 1]
     fixed = np.where(free, 0.0, bounds[:, 0])
     need = 1.0 - cover.supp @ fixed
-    cap = cover.budgets - fixed @ onehot
-    supp = cover.supp & free
-    rows = np.flatnonzero(need > 0)
-    rows = rows[np.argsort(supp[rows].sum(axis=1), kind="stable")]
-    sets = supp[rows].astype(float)
-    clash = sets @ sets.T > 0
-    picked, blocked = [], np.zeros(len(rows), dtype=bool)  # rows meeting a picked row
-    for i in range(len(rows)):
-        if not blocked[i]:
-            picked.append(i)
-            blocked |= clash[i]
+    cap = (cover.budgets - fixed @ onehot).tolist()
+    short = need > 0
+    supp, need = cover.supp[short] & free, need[short].tolist()  # the rows that need mass
+    rows, m = _bitsets(np.concatenate((supp, onehot.T))), len(need)
     # Every prefix of the picked rows is such a set; the empty prefix
     # refutes pins that overrun a budget.
-    union = np.cumsum(np.vstack([np.zeros(h), sets[picked] @ onehot]), axis=0)
-    needs = np.cumsum(np.concatenate([[0.0], need[rows[picked]]]))
-    if np.any(needs > np.minimum(cap, union).sum(axis=1) + CERT_MARGIN):
-        return False
+    union, total, masks = 0, 0.0, rows[m:]
+    by_size = sorted(range(m), key=[r.bit_count() for r in rows[:m]].__getitem__)
+    for r, residual in [(0, 0.0)] + [(rows[i], need[i]) for i in by_size]:
+        if r & union:
+            continue
+        union |= r
+        total += residual
+        if total > sum(min(c, (union & mask).bit_count()) for c, mask in zip(cap, masks)) + CERT_MARGIN:
+            return False
 
-    # Greedy: open the free variable meeting the most unmet rows, within
-    # the remaining budgets, until every row is met or none helps.
+    # Greedy: open the free variable meeting the most unmet rows (lowest
+    # index on ties), within the remaining budgets, until every row is met
+    # or none helps.  Gains only fall, so a column whose stored gain is
+    # still its gain tops every other; a column's int is read when it tops.
+    cols = np.packbits(supp.T.copy(), axis=1, bitorder="little").tobytes()  # a copy packs faster
+    width, unmet, opened, cls = -(-m // 8), (1 << m) - 1, [], cls.tolist()
+    heap = [(-g, j) for j, g in enumerate(supp.sum(axis=0).tolist()) if g and cap[cls[j]] >= 1]
+    heapq.heapify(heap)
+    while unmet and heap:
+        stored, j = heap[0]
+        col = int.from_bytes(cols[j * width:(j + 1) * width], "little") & unmet
+        gain = col.bit_count()
+        if 0 < gain < -stored:  # stale: back in at its gain
+            heapq.heapreplace(heap, (-gain, j))
+            continue
+        heapq.heappop(heap)
+        if gain:
+            opened.append(j)
+            cap[cls[j]] -= 1
+            unmet &= ~col
+            if cap[cls[j]] < 1:  # its class is spent: drop the class's columns
+                heap = [e for e in heap if cls[e[1]] != cls[j]]
+                heapq.heapify(heap)
     x = fixed.copy()
-    unmet = need > 0
-    gain = supp[unmet].sum(axis=0)
-    while unmet.any():
-        score = gain * (cap[cls] >= 1)
-        j = int(np.argmax(score))
-        if score[j] == 0:
-            return x
-        x[j] = 1.0
-        cap[cls[j]] -= 1
-        met = unmet & supp[:, j]
-        unmet &= ~met
-        gain -= supp[met].sum(axis=0)
-    return True if np.all(cover.supp @ x >= 1.0) and np.all(x @ onehot <= cover.budgets) else x
+    x[opened] = 1.0
+    met = not unmet and (cover.supp @ x >= 1.0).all() and (x @ onehot <= cover.budgets).all()
+    return True if met else x
 
 
 def feasible(cover: lp.CoveringLp, proofs=None) -> bool:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nukc import model
 from nukc.bicriteria import build_guess_lp
@@ -123,6 +125,86 @@ def reference_candidates(instance):
                 for j in range(i + 1, instance.n):
                     vals.add(dist[i, j] / r)
     return sorted(vals)
+
+
+# The numpy certificates that the bitset ones replaced, kept verbatim (one
+# pass over the columns per opened variable) to pin their answers and
+# greedy vertices on forms wider than one machine word.
+def reference_certify(cover):
+    """Settle a covering LP without pivoting: False when a packing bound
+    refutes it, True when an integral greedy choice satisfies it.  When
+    neither does, the greedy's choice: a vertex of the box within every
+    class budget, for `lp.verdict` to start from.
+
+    Refutation: covering rows whose free supports are pairwise disjoint
+    (picked smallest support first) need the sum of their residuals from
+    the union U of those supports, and U holds at most sum_t min(cap_t,
+    |U in class t|) with cap_t the budget left after the pins: weak duality
+    with y = 1 on the rows and z = 1 on the budget rows.
+    It needs [0, 1] free bounds, which the builders guarantee; it is never
+    run inside lp.solve.
+    """
+    bounds, cls, h = cover.bounds, cover.cls, len(cover.budgets)
+    onehot = cls[:, None] == np.arange(h)  # onehot[j, t]: variable j is in class t
+    free = bounds[:, 0] < bounds[:, 1]
+    fixed = np.where(free, 0.0, bounds[:, 0])
+    need = 1.0 - cover.supp @ fixed
+    cap = cover.budgets - fixed @ onehot
+    supp = cover.supp & free
+    rows = np.flatnonzero(need > 0)
+    rows = rows[np.argsort(supp[rows].sum(axis=1), kind="stable")]
+    sets = supp[rows].astype(float)
+    clash = sets @ sets.T > 0
+    picked, blocked = [], np.zeros(len(rows), dtype=bool)  # rows meeting a picked row
+    for i in range(len(rows)):
+        if not blocked[i]:
+            picked.append(i)
+            blocked |= clash[i]
+    # Every prefix of the picked rows is such a set; the empty prefix
+    # refutes pins that overrun a budget.
+    union = np.cumsum(np.vstack([np.zeros(h), sets[picked] @ onehot]), axis=0)
+    needs = np.cumsum(np.concatenate([[0.0], need[rows[picked]]]))
+    if np.any(needs > np.minimum(cap, union).sum(axis=1) + model.CERT_MARGIN):
+        return False
+
+    # Greedy: open the free variable meeting the most unmet rows, within
+    # the remaining budgets, until every row is met or none helps.
+    x = fixed.copy()
+    unmet = need > 0
+    gain = supp[unmet].sum(axis=0)
+    while unmet.any():
+        score = gain * (cap[cls] >= 1)
+        j = int(np.argmax(score))
+        if score[j] == 0:
+            return x
+        x[j] = 1.0
+        cap[cls[j]] -= 1
+        met = unmet & supp[:, j]
+        unmet &= ~met
+        gain -= supp[met].sum(axis=0)
+    return True if np.all(cover.supp @ x >= 1.0) and np.all(x @ onehot <= cover.budgets) else x
+
+
+def same_certificate(got, want) -> bool:
+    """The same answer, or greedy vertices with the same dtype and bytes."""
+    if isinstance(got, bool) or isinstance(want, bool):
+        return type(got) is type(want) and got == want
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def random_form(rng, m, n_vars, h, density, free_frac, budget_hi):
+    """An lp.CoveringLp with m rows over n_vars variables in h classes:
+    random supports of the given density, each variable free in [0, 1]
+    with probability free_frac and otherwise pinned at 0 or 1, and integer
+    budgets up to budget_hi."""
+    free = rng.rand(n_vars) < free_frac
+    pins = (rng.rand(n_vars) < 0.5).astype(float)
+    return lp.CoveringLp(
+        supp=rng.rand(m, n_vars) < density,
+        cls=rng.randint(h, size=n_vars),
+        budgets=rng.randint(budget_hi + 1, size=h).astype(float),
+        bounds=np.column_stack([np.where(free, 0.0, pins), np.where(free, 1.0, pins)]),
+    )
 
 
 def assert_same_lp(got, want):
@@ -355,6 +437,19 @@ class TestBuilder:
         assert rows[1][0::2].sum() == 2 and rows[1][1::2].sum() == 2
         assert prob.bounds[var_index(2, 1, 2)].tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_defaults_equal_every_point_from_level_zero(self, seed):
+        _, inst, dilation, _ = seeded_case(seed)
+        n, h = inst.n, inst.num_classes
+        got = build_nukc_lp(inst, dilation)
+        want = build_nukc_lp(inst, dilation, points=range(n), start=np.zeros(n, int))
+        for name in ("supp", "cls", "budgets", "bounds"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert g.tobytes() == w.tobytes(), name
+        tiled = np.tile(np.arange(h), n)
+        assert got.cls.dtype == tiled.dtype and np.array_equal(got.cls, tiled)
+
 
 class TestSmallestFeasible:
     @pytest.mark.parametrize("length", [1, 2, 3, 7, 16])
@@ -444,6 +539,54 @@ class TestCertificate:
         monkeypatch.setattr(model, "_certify", lambda cover: None)
         want_alpha, want_x = min_feasible_dilation(inst)
         assert alpha == want_alpha and np.array_equal(x, want_x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 90), n_vars=st.integers(1, 90),
+           h=st.integers(1, 4), density=st.sampled_from([0.02, 0.1, 0.3, 0.7]),
+           free_frac=st.sampled_from([1.0, 0.9, 0.5, 0.0]), budget_hi=st.integers(0, 12))
+    def test_bitsets_match_the_numpy_reference(self, seed, m, n_vars, h, density, free_frac,
+                                                budget_hi):
+        cover = random_form(np.random.RandomState(seed), m, n_vars, h, density, free_frac,
+                            budget_hi)
+        assert same_certificate(model._certify(cover), reference_certify(cover))
+
+    @pytest.mark.parametrize("shape", [
+        dict(m=100, n_vars=120, h=3, density=0.05, free_frac=1.0, budget_hi=30),  # wider than 64
+        dict(m=70, n_vars=200, h=2, density=0.05, free_frac=0.97, budget_hi=20),
+        dict(m=0, n_vars=40, h=3, density=0.3, free_frac=0.9, budget_hi=4),  # zero rows
+        dict(m=30, n_vars=50, h=3, density=0.3, free_frac=0.0, budget_hi=40),  # all fixed
+        dict(m=30, n_vars=90, h=2, density=0.1, free_frac=0.5, budget_hi=1),  # pins overrun
+        dict(m=20, n_vars=3, h=4, density=0.5, free_frac=1.0, budget_hi=2),  # classes without columns
+    ])
+    def test_edge_forms_match_the_numpy_reference(self, shape):
+        seen = set()
+        for seed in range(40):
+            cover = random_form(np.random.RandomState(seed), **shape)
+            got = model._certify(cover)
+            assert same_certificate(got, reference_certify(cover))
+            seen.add(got if isinstance(got, bool) else "open")
+        if shape["m"] > 64:
+            assert seen == {True, False, "open"}
+
+    def test_wide_builder_probes_match_the_numpy_reference(self):
+        # Seeded n = 40-70 instances at a spread of candidate dilations,
+        # whole and with per-point start levels and 0/1 pins.
+        seen = set()
+        for seed in range(6):
+            rng = np.random.RandomState(seed)
+            inst = random_instance(40 + 6 * seed, seed=seed, max_classes=3)
+            n, h = inst.n, inst.num_classes
+            cands = candidate_dilations(inst)
+            for dilation in np.quantile(cands, np.linspace(0.0, 0.3, 10), method="lower"):
+                pinned = np.where(rng.rand(n, h) < 0.05, (rng.rand(n, h) < 0.3) * 1.0, np.nan)
+                points = sorted(rng.choice(n, size=rng.randint(1, n + 1), replace=False).tolist())
+                for cover in (build_nukc_lp(inst, dilation),
+                              build_nukc_lp(inst, dilation, points=points,
+                                            start=rng.randint(h, size=len(points)), pinned=pinned)):
+                    got = model._certify(cover)
+                    assert same_certificate(got, reference_certify(cover))
+                    seen.add(got if isinstance(got, bool) else "open")
+        assert seen == {True, False, "open"}
 
 
 class TestProofStore:
