@@ -39,7 +39,10 @@ def _point_array(points: dict, key: str) -> np.ndarray:
         raise FormatError(f'points "{key}" rows must all have the same length')
     if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         raise FormatError(f'points "{key}" must hold only numbers')
-    return np.array(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:  # an integer such as 10**400
+        raise FormatError(f'points "{key}" holds an integer beyond float range') from exc
 
 
 def instance_to_obj(instance: NukcInstance, coords=None) -> dict:
@@ -166,3 +169,5 @@ def load(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise FormatError(f"{path}: JSON nested too deeply to parse") from exc

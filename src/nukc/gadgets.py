@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import floyd_warshall
 
 from .metric import MetricSpace
 from .model import NukcInstance
@@ -139,6 +138,8 @@ def random_euclidean(n: int, dim: int, seed: int):
 
 def random_metric(n: int, seed: int) -> MetricSpace:
     """Shortest-path metric of a connected random weighted graph."""
+    from scipy.sparse.csgraph import floyd_warshall
+
     rng = np.random.RandomState(seed)
     weights = np.full((n, n), np.inf)
     np.fill_diagonal(weights, 0.0)

@@ -309,6 +309,37 @@ class TestSolveValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: points ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["coords", "matrix"])
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_integer_beyond_float_range_is_usage_error(self, tmp_path, capsys, key, command):
+        # np.array(rows, dtype=float) once let 10**400 out as an OverflowError.
+        inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+        rows = [[0, 10**400], [10**400, 0]]
+        inst.write_text(json.dumps({"points": {key: rows}, "classes": [{"k": 1, "r": 1.0}]}))
+        sol.write_text(json.dumps({"balls": [{"center": 0, "class": 0, "radius": 1.0}]}))
+        code = run({
+            "solve": ["solve", "--algo", "kcenter", "--input", str(inst),
+                      "--out", str(tmp_path / "s.json")],
+            "validate": ["validate", "--instance", str(inst), "--solution", str(sol)],
+        }[command])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f'error: points "{key}" holds an integer beyond float range\n')
+
+    @pytest.mark.parametrize("flag", ["--input", "--solution"])
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, flag):
+        # json.load once let a RecursionError out as exit 1, which `validate`
+        # uses for "invalid solution".
+        inst, deep = self.make_instance(tmp_path), tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code = run({
+            "--input": ["solve", "--algo", "kcenter", "--input", str(deep),
+                        "--out", str(tmp_path / "s.json")],
+            "--solution": ["validate", "--instance", str(inst), "--solution", str(deep)],
+        }[flag])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to parse\n"
+
     @pytest.mark.parametrize("algo", ["exact", "guess-q", "bicriteria"])
     def test_uncoverable_instance_is_usage_error(self, tmp_path, capsys, algo):
         inst = tmp_path / "inst.json"

@@ -1,11 +1,15 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
 LP row thresholds and dense LPs only in `lp`, named float guards, no
-zero-argument lambdas, no `scipy.optimize`, and one algorithm list shared
-by the CLI table, its argparse choices and the README."""
+zero-argument lambdas, no `scipy.optimize`, no `scipy` at import time, and
+one algorithm list shared by the CLI table, its argparse choices and the
+README."""
 
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,6 +192,79 @@ def test_no_scipy_optimize(module):
     loaded = [name for name in imported_modules(tree)
               if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
     assert not loaded, f"{module} imports {', '.join(loaded)}"
+
+
+def eager_imports(tree):
+    """(dotted module, line) for every import that runs when the module is
+    imported: everywhere but inside a function body."""
+    body = list(tree.body)
+    while body:
+        node = body.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((name, node.lineno) for name in imported_modules(node))
+        body.extend(ast.iter_child_nodes(node))
+
+
+def eager_scipy(tree):
+    return sorted({line for name, line in eager_imports(tree)
+                   if name == "scipy" or name.startswith("scipy.")})
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_scipy_at_import_time(module):
+    """scipy.sparse.csgraph costs every `nukc` command about 0.3 s and 25 MB
+    of peak RSS at start-up, and only the certificate of a distance matrix
+    and `random_metric` use it, so they import it where they run."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    lines = eager_scipy(tree)
+    assert not lines, f"{module} imports scipy at module level on lines {lines}"
+
+
+def test_scipy_at_import_time_is_caught():
+    source = ("import scipy\nfrom scipy.sparse import csgraph\n"
+              "if True:\n    import scipy.linalg\n"
+              "class A:\n    from scipy import sparse\n"
+              "def f():\n    import scipy\n"
+              "g = lambda: __import__('scipy')\nimport numpy\n")
+    assert eager_scipy(ast.parse(source)) == [1, 2, 4, 6]
+
+
+# Solves and validates a coordinates instance through the CLI, then loads a
+# matrix instance; prints whether scipy was loaded after each step.
+SCIPY_SCRIPT = """
+import json, sys
+from nukc import cli, fileio
+out, loaded = sys.argv[1], []
+coords = {"points": {"coords": [[0.0], [1.0], [5.0], [6.5]]},
+          "classes": [{"k": 1, "r": 1.0}, {"k": 1, "r": 0.5}]}
+matrix = {"points": {"matrix": [[0, 1, 3], [1, 0, 2], [3, 2, 0]]},
+          "classes": [{"k": 1, "r": 2.0}]}
+for name, doc in (("coords", coords), ("matrix", matrix)):
+    with open(f"{out}/{name}.json", "w") as fh:
+        json.dump(doc, fh)
+loaded.append("scipy" in sys.modules)
+solved = cli.main(["solve", "--algo", "bicriteria", "--input", f"{out}/coords.json",
+                   "--out", f"{out}/sol.json"])
+checked = cli.main(["validate", "--instance", f"{out}/coords.json",
+                    "--solution", f"{out}/sol.json"])
+loaded.append("scipy" in sys.modules)
+fileio.instance_from_obj(fileio.load(f"{out}/matrix.json"))
+loaded.append("scipy" in sys.modules)
+print(json.dumps([solved, checked, loaded]))
+"""
+
+
+def test_coordinates_instances_never_load_scipy(tmp_path):
+    """Importing nukc.cli, then solving and validating a coordinates
+    instance, leaves scipy unloaded; the first matrix instance loads it,
+    so the check can fail."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0, [false, false, true]]"
 
 
 def test_algorithm_lists_agree():
