@@ -160,8 +160,8 @@ def cmd_solve(args) -> int:
                          f"got {args.dump_lp_dilation}")
     instance = fileio.instance_from_obj(fileio.load(args.input))
     if args.dump_lp:
-        problem = build_nukc_lp(instance, args.dump_lp_dilation).problem()
-        Path(args.dump_lp).write_text(lp.format_lp(problem) + "\n")
+        cover = build_nukc_lp(instance, args.dump_lp_dilation)
+        Path(args.dump_lp).write_text(lp.format_lp(cover) + "\n")
     started = time.perf_counter()
     solution, outliers, extras = ALGOS[args.algo](instance, args.q)
     elapsed = time.perf_counter() - started

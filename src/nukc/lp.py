@@ -1,9 +1,13 @@
-"""A small dense feasibility engine for linear programs.
+"""A small dense feasibility engine for covering linear programs.
 
-Every LP in this package only asks whether its rows and box bounds admit a
-point, so the engine is the phase one of a bounded-variable primal simplex:
-one pivot loop drives artificial columns toward zero until its point meets
-every row, each within its threshold FEAS_TOL * max(1, |rhs_i|).
+Both relaxations in this package, the NUkC LP and the firefighter tree
+LP, are covering LPs on a finite box: covering rows (a sum over a support
+at least 1) and one budget row per class (a class sum at most its budget).
+`CoveringLp` holds them as supports, and every function here takes it.
+Each only asks whether its rows and box admit a point, so the engine is
+the phase one of a bounded-variable primal simplex: one pivot loop drives
+artificial columns toward zero until its point meets every row, each
+within its threshold FEAS_TOL * max(1, |rhs_i|).
 
 `solve` returns that point, so it prices by Bland's anti-cycling rule.  Its
 solutions are basic: at most one variable per constraint row sits strictly
@@ -32,73 +36,35 @@ class LpSolverError(RuntimeError):
 
 
 @dataclass
-class LpProblem:
-    """Find x within box bounds satisfying row constraints.
-
-    `constraints` is an (m, n) matrix: row i reads constraints[i] . x >=
-    rhs[i] where ge[i], and <= rhs[i] elsewhere.  `bounds` is (n, 2), one
-    (lo, hi) per variable; hi may be inf.
-    """
-
-    constraints: np.ndarray
-    ge: np.ndarray
-    rhs: np.ndarray
-    bounds: np.ndarray
-
-    @property
-    def num_vars(self) -> int:
-        return self.constraints.shape[1]
-
-
-@dataclass
 class CoveringLp:
-    """Covering rows and one budget row per class, held as supports: row i
-    of the (m, N) boolean `supp` reads sum of x[j] over supp[i] >= 1, and
-    class t reads sum of x[j] over cls[j] == t <= budgets[t].  `bounds` is
-    (N, 2).  Only `problem` lays the rows out densely, covering rows first."""
+    """Find x in a finite box meeting covering rows and one budget row per
+    class: row i of the (m, N) boolean `supp` reads sum of x[j] over
+    supp[i] >= 1, and class t reads sum of x[j] over cls[j] == t <=
+    budgets[t].  `bounds` is (N, 2), one finite (lo, hi) per variable."""
 
     supp: np.ndarray
     cls: np.ndarray
     budgets: np.ndarray
     bounds: np.ndarray
 
-    def problem(self) -> LpProblem:
-        m, h = len(self.supp), len(self.budgets)
-        rows = np.vstack([self.supp, self.cls == np.arange(h)[:, None]])
-        return LpProblem(rows.astype(float), np.arange(m + h) < m,
-                         np.concatenate([np.ones(m), self.budgets]), self.bounds)
+
+def _rows(cover: CoveringLp):
+    """The dense rows (C, ge, rhs): covering rows first, then one budget
+    row per class; row i reads C[i] . x >= rhs[i] where ge[i], else <=."""
+    m, h = len(cover.supp), len(cover.budgets)
+    rows = np.vstack([cover.supp, cover.cls == np.arange(h)[:, None]])
+    return rows.astype(float), np.arange(m + h) < m, np.concatenate([np.ones(m), cover.budgets])
 
 
-@dataclass
-class LpSolution:
-    status: str  # "feasible" | "infeasible"
-    values: np.ndarray | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "feasible"
-
-
-def format_lp(problem: LpProblem) -> str:
-    """Render a problem in LP text format for debugging."""
-
-    def row(coeffs):
-        terms = [
-            f"{'+' if c >= 0 else '-'} {abs(c):g} x{j}"
-            for j, c in enumerate(coeffs)
-            if c != 0.0
-        ]
-        return " ".join(terms) if terms else "0"
-
+def format_lp(cover: CoveringLp) -> str:
+    """Render a covering LP in LP text format for debugging."""
     lines = ["Minimize", " obj: 0", "Subject To"]
-    for i, (coeffs, ge, rhs) in enumerate(
-        zip(problem.constraints, problem.ge, problem.rhs)
-    ):
-        lines.append(f" c{i}: " + row(coeffs) + f" {'>=' if ge else '<='} {rhs:g}")
+    for i, (coeffs, ge, rhs) in enumerate(zip(*_rows(cover))):
+        terms = " ".join(f"+ 1 x{j}" for j in np.flatnonzero(coeffs)) or "0"
+        lines.append(f" c{i}: {terms} {'>=' if ge else '<='} {rhs:g}")
     lines.append("Bounds")
-    for j, (lo, hi) in enumerate(problem.bounds):
-        hi_s = "+inf" if np.isinf(hi) else f"{hi:g}"
-        lines.append(f" {lo:g} <= x{j} <= {hi_s}")
+    for j, (lo, hi) in enumerate(cover.bounds):
+        lines.append(f" {lo:g} <= x{j} <= {hi:g}")
     lines.append("End")
     return "\n".join(lines)
 
@@ -106,46 +72,40 @@ def format_lp(problem: LpProblem) -> str:
 _System = namedtuple("_System", "C ge rhs A lo hi x basis cost row_tol art_tol")
 
 
-def _phase_one_setup(problem: LpProblem, start=None) -> _System:
-    """Check `problem`'s shapes and bounds and write it as the phase-one
-    system A x = rhs over structural, slack and artificial columns.
+def _phase_one_setup(cover: CoveringLp, start=None) -> _System:
+    """Check `cover`'s bounds and write it as the phase-one system A x =
+    rhs over structural, slack and artificial columns.
 
     The structural columns start nonbasic at `start`, a vertex of the box
     (each entry one of its variable's bounds; default: the lower bounds),
     and only the rows that `start` leaves unmet get an artificial column.
 
-    The `_System` holds the problem's arrays as floats (C, ge, rhs), the
+    The `_System` holds the dense rows (C, ge, rhs; see `_rows`), the
     system with its column bounds (A, lo, hi), a basic starting point and
     its basis (x, basis, which the pivot loop updates in place), the
     phase-one cost (1 on each artificial column), each row's threshold and
     the sum of the thresholds of the rows that carry artificials.
     """
-    C = np.asarray(problem.constraints, dtype=float)
-    ge = np.asarray(problem.ge, dtype=bool)
-    rhs = np.asarray(problem.rhs, dtype=float)
-    bounds = np.asarray(problem.bounds, dtype=float)
+    C, ge, rhs = _rows(cover)
+    bounds = np.asarray(cover.bounds, dtype=float)
     m, n = C.shape
-    if ge.shape != (m,) or rhs.shape != (m,):
-        raise ValueError(f"ge and rhs need one entry per row ({m}), got "
-                         f"{ge.shape} and {rhs.shape}")
     if bounds.shape != (n, 2):
         raise ValueError(f"bounds must be ({n}, 2), got {bounds.shape}")
-    empty = np.flatnonzero(bounds[:, 0] > bounds[:, 1])
-    if empty.size:
-        j = empty[0]
-        raise ValueError(
-            f"variable {j} has empty bound interval [{bounds[j, 0]}, {bounds[j, 1]}]"
-        )
+    bad = np.flatnonzero(~np.isfinite(bounds).all(axis=1) | (bounds[:, 0] > bounds[:, 1]))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"variable {j} has bounds [{bounds[j, 0]}, {bounds[j, 1]}], "
+                         "not a finite nonempty interval")
     if start is None:
         x0 = bounds[:, 0]
     else:
         x0 = np.asarray(start, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"start must be ({n},), got {x0.shape}")
-        off = np.flatnonzero(~np.isfinite(x0) | ((x0 != bounds[:, 0]) & (x0 != bounds[:, 1])))
+        off = np.flatnonzero((x0 != bounds[:, 0]) & (x0 != bounds[:, 1]))
         if off.size:
             j = off[0]
-            raise ValueError(f"start of variable {j} is {x0[j]}, not a finite bound")
+            raise ValueError(f"start of variable {j} is {x0[j]}, not a bound")
 
     # One slack per row makes it an equation (+1 on <= rows, -1 on >= rows);
     # a row whose slack would start negative also gets an artificial column.
@@ -188,7 +148,7 @@ def _phase_one(s: _System, run: int):
     updates, until x meets every row.  Pricing is Dantzig's rule, switching
     to Bland's after `run` degenerate pivots in a row; run=0 is Bland's rule
     throughout.  Returns (outcome, lam): outcome is "feasible", "optimal"
-    (no column prices in), "budget", "singular" or "unbounded"; lam holds
+    (no column prices in), "budget" or "singular"; lam holds
     the last simplex multipliers (None if x met every row at the start).
     """
     A, lo, hi, x, basis, cost = s.A, s.lo, s.hi, s.x, s.basis, s.cost
@@ -232,12 +192,8 @@ def _phase_one(s: _System, run: int):
         size = np.abs(delta)
         step = np.divide(xb - np.where(delta > 0, lob, hib), delta,
                          out=np.full(m, np.inf), where=size > PIVOT_TOL)
-        t = max(float(step.min()), 0.0)
         flip = hi[entering] - lo[entering]
-        if flip <= t:
-            if not np.isfinite(flip):  # pragma: no cover - the cost is bounded below
-                return "unbounded", lam
-            t = flip
+        t = min(max(float(step.min()), 0.0), flip)
         degenerate = degenerate + 1 if t <= PIVOT_TOL else 0
         x[entering] += t if up else -t
         x[basis] -= delta * t
@@ -263,20 +219,19 @@ def _phase_one(s: _System, run: int):
     return ("feasible" if _confirms(s, x[:n]) else outcome), lam
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """A basic feasible point of an LpProblem, or status "infeasible" when
-    the phase-one optimum exceeds the artificial rows' thresholds.
-    Deterministic: identical input gives identical pivot sequences and
-    output.
+def solve(cover: CoveringLp):
+    """A basic feasible point of `cover`, or None when the phase-one
+    optimum exceeds the artificial rows' thresholds.  Deterministic:
+    identical input gives identical pivot sequences and output.
     """
-    s = _phase_one_setup(problem)
+    s = _phase_one_setup(cover)
     outcome, _ = _phase_one(s, run=0)
     if outcome == "optimal" and s.cost @ s.x > s.art_tol:
-        return LpSolution(status="infeasible")
+        return None
     if outcome != "feasible":
         raise LpSolverError(f"phase one stopped ({outcome}) at a point that misses a row")
     n = s.C.shape[1]
-    return LpSolution("feasible", np.clip(s.x[:n], s.lo[:n], s.hi[:n]))
+    return np.clip(s.x[:n], s.lo[:n], s.hi[:n])
 
 
 def _refutes(s: _System, w):
@@ -285,13 +240,13 @@ def _refutes(s: _System, w):
     them, and tol = sum_i |w_i| * row_tol_i.  With w_i >= 0 on >= rows and
     <= 0 on <= rows, a point that misses no row by more than its threshold
     has w.(rhs - C x) <= tol, so L > tol proves that none exists.  L is
-    -inf when a sign is wrong or the minimum is."""
+    -inf when a sign is wrong."""
     n = s.C.shape[1]
     tol = float(np.abs(w) @ s.row_tol)
     reduced = (s.cost - w @ s.A)[:n]
     lo, hi = s.lo[:n], s.hi[:n]
     up, down = reduced < 0, reduced > 0
-    if np.any(np.where(s.ge, w < 0, w > 0)) or np.isinf(hi[up]).any():
+    if np.any(np.where(s.ge, w < 0, w > 0)):
         return -np.inf, tol
     return float(w @ s.rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up]), tol
 
@@ -314,8 +269,8 @@ def _lagrangian_bound(s: _System, lam):
     return _refutes(s, lam)
 
 
-def verdict(problem: LpProblem, start=None, proofs=None):
-    """Whether `problem` is feasible: True or False when a check against
+def verdict(cover: CoveringLp, start=None, proofs=None):
+    """Whether `cover` is feasible: True or False when a check against
     its own arrays proves it, None when neither check does.  Its point and
     multipliers are kept only as proofs for later probes of the same
     search, never output: callers that need x run `solve`.
@@ -333,7 +288,7 @@ def verdict(problem: LpProblem, start=None, proofs=None):
     last multipliers proves that no point of the box does
     (`_lagrangian_bound`), so `solve` cannot return one.
     """
-    s = _phase_one_setup(problem, start)
+    s = _phase_one_setup(cover, start)
     m, n = s.C.shape
     for answer, v in proofs or ():
         if v.shape == (n if answer else m,) and (

@@ -257,26 +257,25 @@ def _certify(cover: lp.CoveringLp):
 
 def feasible(cover: lp.CoveringLp, proofs=None) -> bool:
     """Whether the covering LP `cover` is feasible.  The certificates
-    answer first; only a probe they leave open gets its dense LP, for
-    `lp.verdict`, started from the greedy's vertex and given the search's
-    `proofs`, and for the simplex when neither can tell.  A caller that
-    needs x solves the winner with `fractional_cover`, so x does not depend
-    on which check fired."""
+    answer first; only a probe they leave open pivots: `lp.verdict`,
+    started from the greedy's vertex and given the search's `proofs`, and
+    the simplex when neither can tell.  A caller that needs x solves the
+    winner with `fractional_cover`, so x does not depend on which check
+    fired."""
     verdict = _certify(cover)
     if isinstance(verdict, bool):
         return verdict
-    problem = cover.problem()
-    verdict = lp.verdict(problem, verdict, proofs)
-    return lp.solve(problem).ok if verdict is None else verdict
+    verdict = lp.verdict(cover, verdict, proofs)
+    return lp.solve(cover) is not None if verdict is None else verdict
 
 
 def fractional_cover(cover: lp.CoveringLp) -> np.ndarray:
     """The simplex's basic feasible x, shape (n, h), of a covering LP from
     build_nukc_lp that `feasible` confirmed."""
-    sol = lp.solve(cover.problem())
-    if not sol.ok:
+    x = lp.solve(cover)
+    if x is None:
         raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
-    return sol.values.reshape(-1, len(cover.budgets))
+    return x.reshape(-1, len(cover.budgets))
 
 
 def candidate_values(dist: np.ndarray, radii) -> list:

@@ -117,11 +117,10 @@ def build_rmfct_lp(tree: LayeredTree, alpha: float = 1.0) -> lp.CoveringLp:
 
 def solve_rmfct_lp(tree: LayeredTree, alpha: float = 1.0):
     """Returns a basic feasible y (dict node -> value) or None."""
-    sol = lp.solve(build_rmfct_lp(tree, alpha).problem())
-    if not sol.ok:
+    y = lp.solve(build_rmfct_lp(tree, alpha))
+    if y is None:
         return None
-    nodes = sorted(tree.level_of)
-    return {v: float(sol.values[i]) for i, v in enumerate(nodes)}
+    return {v: float(y[i]) for i, v in enumerate(sorted(tree.level_of))}
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,10 @@ def ilog(value: float) -> int:
 
 
 def iterated_log(value: int, times: int) -> int:
+    """ilog applied `times` times, stopping early at its fixed point 1."""
     v = value
-    for _ in range(times):
-        v = ilog(v)
+    while times > 0 and ilog(v) != v:
+        v, times = ilog(v), times - 1
     return v
 
 

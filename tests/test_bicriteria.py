@@ -56,8 +56,8 @@ class TestGuessLp:
         inst = NukcInstance(MetricSpace(line_space.dist[:3, :3]), [(10**9, 1.0)])
         neg = np.ones((3, 1), dtype=bool)
         prob = build_guess_lp(list(range(3)), np.zeros_like(neg), neg, inst)
-        assert not lp.solve(prob.problem()).ok
-        assert lp.verdict(prob.problem()) is False
+        assert lp.solve(prob) is None
+        assert lp.verdict(prob) is False
 
 
 class TestEnumSolve:

@@ -168,6 +168,23 @@ class TestSolveValidate:
         assert capsys.readouterr().err == f"error: q must be at least 1, got {q}\n"
         assert not sol.exists()
 
+    def test_guess_q_huge_q_ends(self, tmp_path):
+        # The iterated log reaches its fixed point 1 within a few steps, so
+        # q = 10^20 must not spin through 10^20 of them.
+        inst = self.make_instance(tmp_path, classes="1:0.4,2:0.15,3:0.05")
+        huge, small = tmp_path / "huge.json", tmp_path / "small.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "nukc.cli", "solve", "--algo", "guess-q",
+                        "--input", str(inst), "--out", str(huge), "--q", str(10**20)],
+                       env=env, capture_output=True, timeout=60, check=True)
+        assert run(["solve", "--algo", "guess-q", "--input", str(inst), "--out", str(small),
+                    "--q", "64"]) == 0
+        got, want = json.loads(huge.read_text()), json.loads(small.read_text())
+        got.pop("meta"), want.pop("meta")
+        assert got == want
+
     def test_solution_deterministic_apart_from_meta(self, tmp_path):
         inst = self.make_instance(tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -279,7 +296,7 @@ class TestSolveValidate:
         # The certificates and lp.verdict confirm the relaxation winner; a
         # simplex that then refutes it is a solver breakdown, not a miss.
         inst = self.make_instance(tmp_path)
-        monkeypatch.setattr(lp, "solve", lambda problem: lp.LpSolution("infeasible"))
+        monkeypatch.setattr(lp, "solve", lambda cover: None)
         code = run(["solve", "--algo", "two-radii", "--input", str(inst),
                     "--out", str(tmp_path / "s.json")])
         assert code == EXIT_SOLVER

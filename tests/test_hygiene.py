@@ -1,8 +1,8 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
-LP row thresholds and dense LPs only in `lp`, named float guards, no
-zero-argument lambdas, no `scipy.optimize`, no `scipy` at import time, and
-one algorithm list shared by the CLI table, its argparse choices and the
-README."""
+LP row thresholds only in `lp`, no private names read across modules,
+named float guards, no zero-argument lambdas, no `scipy.optimize`, no
+`scipy` at import time, and one algorithm list shared by the CLI table,
+its argparse choices and the README."""
 
 import argparse
 import ast
@@ -101,25 +101,54 @@ def test_feas_tol_named_only_in_lp():
     assert not naming, f"modules naming FEAS_TOL outside lp: {', '.join(naming)}"
 
 
-def lp_problem_calls(tree):
-    """Line of every call to a callable named LpProblem, bare or dotted."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "LpProblem"]
+def is_private(name):
+    """A `_`-prefixed name that is not a dunder."""
+    return name.startswith("_") and not name.endswith("__")
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "lp.py"] + ["__init__.py"])
-def test_lp_problem_built_only_in_lp(module):
-    """The builders return an lp.CoveringLp, whose one emitter lays out the
-    dense rows, so the covering layout cannot drift back into a builder."""
+def private_reads(tree):
+    """Line of every read of another nukc module's private name: imported
+    by `from .m import _x` (or `from nukc.m import _x`), or read as `m._x`
+    off a module bound by `from . import m`, `from nukc import m` or
+    `import nukc.m as m`."""
+    modules, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = (node.level > 0 and node.module is None) or node.module == "nukc"
+            inside = node.level > 0 or (node.module or "").startswith("nukc.")
+            for alias in node.names:
+                if package:
+                    modules.add(alias.asname or alias.name)
+                if (package or inside) and is_private(alias.name):
+                    lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("nukc."))
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and is_private(node.attr)]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_private_reads_across_modules(module):
+    """A module's `_` names are its own: `lp` alone lays out the dense rows
+    it pivots on, and no other module reaches into it, or into any other
+    module, for a private helper."""
     tree = ast.parse((SRC / module).read_text(), filename=module)
-    lines = lp_problem_calls(tree)
-    assert not lines, f"{module} builds an LpProblem on lines {lines}"
+    lines = private_reads(tree)
+    assert not lines, f"{module} reads another module's private names on lines {lines}"
 
 
-def test_lp_problem_call_is_caught():
-    source = "a = lp.LpProblem(c, g, r, b)\nb = LpProblem(c, g, r, b)\nc = lp.LpProblem\n"
-    assert lp_problem_calls(ast.parse(source)) == [1, 2]
+def test_private_read_is_caught():
+    source = "\n".join([
+        "from . import lp", "from nukc import model as m", "import nukc.metric as met",
+        "a = lp._rows(c)", "b = m._certify(c)", "c = met._x", "from .lp import _rows",
+        "from nukc.model import _certify", "from . import _hidden",
+        "d = lp.solve(c)", "e = lp.__name__", "f = other._x", "from .lp import solve",
+        "from numpy import _private", "import numpy as np", "g = np._x",
+    ])
+    assert private_reads(ast.parse(source)) == [4, 5, 6, 7, 8, 9]
 
 
 def bare_float_guards(tree):

@@ -8,47 +8,59 @@ from scipy.optimize import linprog
 
 from nukc import lp, model
 from nukc.bicriteria import build_guess_lp
-from nukc.gadgets import random_instance
+from nukc.gadgets import random_instance, random_layered_tree
 from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations, relaxation_search
+from nukc.rmfct import build_rmfct_lp
 from nukc.solvers import _window_lp
 
 
-def scipy_reference(problem):
-    """Independent feasibility check of the same problem via scipy's HiGHS
-    backend, with a zero objective."""
-    c = np.zeros(problem.num_vars)
-    flip = np.where(problem.ge, -1.0, 1.0)  # every row as <=
-    a_ub = flip[:, None] * problem.constraints
-    b_ub = flip * problem.rhs
-    bounds = [(lo, None if hi == np.inf else hi) for lo, hi in problem.bounds]
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+def onehot(cover):
+    """(h, N): row t marks the variables of class t."""
+    return cover.cls == np.arange(len(cover.budgets))[:, None]
 
 
-def make_problem(rows, ge, rhs, bounds):
-    return lp.LpProblem(
-        constraints=np.array(rows, dtype=float).reshape(len(rows), len(bounds)),
-        ge=np.array(ge, dtype=bool),
-        rhs=np.array(rhs, dtype=float),
-        bounds=np.array(bounds, dtype=float),
+def scipy_reference(cover):
+    """Independent feasibility check of the same covering LP via scipy's
+    HiGHS backend, with a zero objective."""
+    a_ub = np.vstack([-cover.supp.astype(float), onehot(cover)])  # every row as <=
+    b_ub = np.concatenate([-np.ones(len(cover.supp)), cover.budgets])
+    return linprog(np.zeros(len(cover.bounds)), A_ub=a_ub, b_ub=b_ub, bounds=cover.bounds,
+                   method="highs")
+
+
+def make_cover(supp, cls, budgets, bounds):
+    bounds = np.array(bounds, dtype=float)
+    return lp.CoveringLp(
+        supp=np.array(supp, dtype=bool).reshape(len(supp), len(bounds)),
+        cls=np.array(cls, dtype=int),
+        budgets=np.array(budgets, dtype=float),
+        bounds=bounds,
     )
 
 
-def rows_hold(problem, values, tol=1e-6):
-    lhs = problem.constraints @ values
-    return np.all(np.where(problem.ge, lhs >= problem.rhs - tol, lhs <= problem.rhs + tol))
+def rows_hold(cover, values, tol=1e-6):
+    return (np.all(cover.supp @ values >= 1.0 - tol)
+            and np.all(onehot(cover) @ values <= cover.budgets + tol))
 
 
-def random_problem(seed):
+def random_cover(seed):
+    """A small covering LP on a random finite box: supports over 2-6
+    variables in 1-3 classes, budgets in [0, 3], and per variable a box
+    [lo, lo + w] with lo below, at or above 0 and some boxes a point."""
     rng = np.random.RandomState(seed)
-    n = rng.randint(2, 6)
-    m = rng.randint(1, 5)
-    bounds = [(0.0, float(rng.uniform(0.5, 3.0))) for _ in range(n)]
-    rows, ge, rhs = [], [], []
-    for _ in range(m):
-        rows.append(rng.uniform(-1, 2, size=n))
-        ge.append(rng.rand() >= 0.5)
-        rhs.append(rng.uniform(-1, 3))
-    return make_problem(rows, ge, rhs, bounds)
+    n, m, h = rng.randint(2, 7), rng.randint(1, 5), rng.randint(1, 4)
+    lo = np.where(rng.rand(n) < 0.3, rng.uniform(-0.5, 0.5, n), 0.0)
+    width = np.where(rng.rand(n) < 0.15, 0.0, rng.uniform(0.2, 2.0, n))
+    return lp.CoveringLp(supp=rng.rand(m, n) < 0.6, cls=rng.randint(h, size=n),
+                         budgets=rng.uniform(0.0, 3.0, h),
+                         bounds=np.column_stack([lo, lo + width]))
+
+
+def tree_lps(seed):
+    """build_rmfct_lp on a seeded layered tree of depth 1-4, at level
+    budget scales 0.5, 1, 1.5 and 2.5."""
+    tree = random_layered_tree(1 + seed % 4, 3, seed=seed).to_layered()
+    return [build_rmfct_lp(tree, alpha) for alpha in (0.5, 1.0, 1.5, 2.5)]
 
 
 @st.composite
@@ -82,94 +94,68 @@ def covering_lps(draw, max_n=7):
 
 @st.composite
 def open_covering_lps(draw):
-    """(problem, h, vertex): the dense covering LP from build_nukc_lp
-    nearest its instance's relaxation optimum, among the 12 nearest
-    candidates, that neither certificate of model._certify settles; its
-    class count; and the greedy's vertex.  (covering_lps almost never draws
-    such an LP.)"""
+    """(cover, vertex): the covering LP from build_nukc_lp nearest its
+    instance's relaxation optimum, among the 12 nearest candidates, that
+    neither certificate of model._certify settles, and the greedy's vertex.
+    (covering_lps almost never draws such an LP.)"""
     n = draw(st.integers(12, 16), label="n")
     inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
-    h = inst.num_classes
     cands = candidate_dilations(inst)
     at = cands.index(relaxation_search(inst))
     for i in sorted(range(len(cands)), key=lambda i: abs(i - at))[:12]:
         cover = build_nukc_lp(inst, cands[i])
         vertex = model._certify(cover)
         if not isinstance(vertex, bool):
-            return cover.problem(), h, vertex
+            return cover, vertex
     assume(False)
 
 
-def box_vertex(data, problem):
-    """A vertex of the problem's box drawn from `data`: each variable at
-    its lower or its (finite) upper bound."""
-    lo, hi = problem.bounds.T
+def box_vertex(data, cover):
+    """A vertex of the cover's box drawn from `data`: each variable at its
+    lower or its upper bound."""
+    lo, hi = cover.bounds.T
     at_upper = data.draw(st.lists(st.booleans(), min_size=len(lo), max_size=len(lo)),
                          label="at upper")
-    return np.where(np.array(at_upper, dtype=bool) & np.isfinite(hi), hi, lo)
-
-
-def mixed_sign_problem(seed):
-    """A small LP with mixed-sign rows, like random_problem's, whose
-    variables may also start below 0 or have no upper bound."""
-    rng = np.random.RandomState(seed)
-    n, m = rng.randint(1, 7), rng.randint(1, 6)
-    bounds = [(0.0, float(rng.uniform(0.5, 3.0))) if rng.rand() < 0.7
-              else (float(rng.uniform(-1.0, 0.0)), np.inf) for _ in range(n)]
-    return make_problem(rng.uniform(-1, 2, size=(m, n)), rng.rand(m) >= 0.5,
-                        rng.uniform(-1, 3, size=m), bounds)
+    return np.where(at_upper, hi, lo)
 
 
 class TestSolveKnown:
     def test_feasibility_only_problem(self):
-        prob = make_problem([[1.0, 1.0]], [True], [1.5], [(0.0, 1.0)] * 2)
-        sol = lp.solve(prob)
-        assert sol.status == "feasible"
-        assert sol.values.sum() >= 1.5 - 1e-7
+        cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.75)] * 2)
+        x = lp.solve(cover)
+        assert x is not None
+        assert x.sum() >= 1.0 - 1e-7
 
     def test_infeasible(self):
-        prob = make_problem([[1.0]], [True], [2.0], [(0.0, 1.0)])
-        sol = lp.solve(prob)
-        assert sol.status == "infeasible"
-        assert not sol.ok
+        assert lp.solve(make_cover([[1]], [0], [1.0], [(0.0, 0.5)])) is None
 
     def test_binding_upper_bounds(self):
-        # x0 + x1 >= 3 with x <= (1, 2): only the corner (1, 2) is feasible.
-        prob = make_problem([[1.0, 1.0]], [True], [3.0], [(0.0, 1.0), (0.0, 2.0)])
-        sol = lp.solve(prob)
-        assert sol.status == "feasible"
-        assert sol.values == pytest.approx([1.0, 2.0], abs=1e-8)
+        # x0 + x1 >= 1 with x <= (0.25, 0.75): only the corner is feasible.
+        cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.25), (0.0, 0.75)])
+        assert lp.solve(cover) == pytest.approx([0.25, 0.75], abs=1e-8)
 
-    def test_no_rows(self):
-        bounds = [(0.5, 1.0), (-1.0, 2.0)]
-        assert lp.solve(make_problem([], [], [], bounds)).values.tolist() == [0.5, -1.0]
-
-    def test_unbounded(self):
-        # Variables without an upper bound: x0 >= 5 and x0 - x1 <= 1 need x1 >= 4.
-        prob = make_problem([[1.0, 0.0], [1.0, -1.0]], [True, False], [5.0, 1.0],
-                            [(0.0, np.inf)] * 2)
-        sol = lp.solve(prob)
-        assert sol.status == "feasible"
-        assert rows_hold(prob, sol.values)
-        assert sol.values[1] >= 4.0 - 1e-8
+    def test_no_covering_rows(self):
+        cover = make_cover([], [0, 0], [5.0], [(0.5, 1.0), (-1.0, 2.0)])
+        assert lp.solve(cover).tolist() == [0.5, -1.0]
 
     @pytest.mark.parametrize(
         "change,match",
         [
-            (lambda p: setattr(p, "ge", p.ge[:1]), "one entry per row"),
-            (lambda p: setattr(p, "rhs", np.append(p.rhs, 1.0)), "one entry per row"),
-            (lambda p: setattr(p, "bounds", p.bounds[:1]), "bounds must be"),
-            (lambda p: setattr(p, "bounds", p.bounds[:, :1]), "bounds must be"),
-            (lambda p: p.bounds.__setitem__(1, (2.0, 1.0)), "variable 1 has empty bound"),
+            (lambda c: setattr(c, "bounds", c.bounds[:1]), "bounds must be"),
+            (lambda c: setattr(c, "bounds", c.bounds[:, :1]), "bounds must be"),
+            (lambda c: c.bounds.__setitem__(1, (2.0, 1.0)), r"variable 1 has bounds \[2.0, 1.0\]"),
+            (lambda c: c.bounds.__setitem__(1, (0.0, np.inf)), r"variable 1 has bounds \[0.0, inf\]"),
+            (lambda c: c.bounds.__setitem__(0, (-np.inf, 1.0)), "variable 0 has bounds"),
+            (lambda c: c.bounds.__setitem__(1, (np.nan, 1.0)), "variable 1 has bounds"),
         ],
-        ids=["ge-short", "rhs-long", "bounds-rows", "bounds-cols", "empty-interval"],
+        ids=["bounds-rows", "bounds-cols", "empty-interval", "infinite-upper", "infinite-lower",
+             "nan"],
     )
     def test_malformed_problem_rejected(self, change, match):
-        prob = make_problem([[1.0, 1.0], [1.0, 0.0]], [True, False], [1.0, 1.0],
-                            [(0.0, 1.0)] * 2)
-        change(prob)
+        cover = make_cover([[1, 1], [1, 0]], [0, 0], [2.0], [(0.0, 1.0)] * 2)
+        change(cover)
         with pytest.raises(ValueError, match=match):
-            lp.solve(prob)
+            lp.solve(cover)
 
 
 class TestSolveAgainstScipy:
@@ -177,13 +163,21 @@ class TestSolveAgainstScipy:
     def test_matches_reference_objective(self, seed):
         """Same feasibility verdict as HiGHS with a zero objective, and the
         returned point satisfies every row."""
-        prob = random_problem(seed)
-        ours = lp.solve(prob)
-        ref = scipy_reference(prob)
+        cover = random_cover(seed)
+        x = lp.solve(cover)
+        ref = scipy_reference(cover)
         assert ref.status in (0, 2)  # feasible or infeasible
-        assert ours.status == ("feasible" if ref.status == 0 else "infeasible")
-        if ours.ok:
-            assert rows_hold(prob, ours.values)
+        assert (x is not None) == (ref.status == 0)
+        if x is not None:
+            assert rows_hold(cover, x)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tree_lps_match_reference(self, seed):
+        for cover in tree_lps(seed):
+            x = lp.solve(cover)
+            assert (x is not None) == (scipy_reference(cover).status == 0)
+            if x is not None:
+                assert rows_hold(cover, x)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -192,37 +186,39 @@ class TestSolveAgainstScipy:
         pinned variables, the simplex finds a point exactly when HiGHS does,
         and the certificates never contradict HiGHS."""
         cover = data.draw(covering_lps())
-        prob = cover.problem()
-        ours = lp.solve(prob)
-        feasible = scipy_reference(prob).status == 0
-        assert ours.ok == feasible
+        x = lp.solve(cover)
+        feasible = scipy_reference(cover).status == 0
+        assert (x is not None) == feasible
         verdict = model._certify(cover)
         assert not isinstance(verdict, bool) or verdict == feasible
-        if ours.ok:
-            assert rows_hold(prob, ours.values)
+        if x is not None:
+            assert rows_hold(cover, x)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_solutions_are_basic(self, seed):
-        prob = random_problem(seed)
-        sol = lp.solve(prob)
-        if sol.ok:
-            # Basic: at most m variables strictly between their bounds.
-            strict = sum(
-                1
-                for v, (lo, hi) in zip(sol.values, prob.bounds)
-                if v > lo + 1e-7 and v < hi - 1e-7
-            )
-            assert strict <= len(prob.constraints)
+        # Basic: at most one variable per row (covering and budget rows)
+        # strictly between its bounds.  round_loose relies on it.
+        for cover in [random_cover(seed), *tree_lps(seed)]:
+            x = lp.solve(cover)
+            if x is not None:
+                lo, hi = cover.bounds.T
+                strict = np.sum((x > lo + 1e-7) & (x < hi - 1e-7))
+                assert strict <= len(cover.supp) + len(cover.budgets)
 
 
 class TestFormat:
     def test_format_lp_mentions_all_sections(self):
-        prob = make_problem([[1.0, -1.0]], [True], [0.5], [(0.0, 1.0)] * 2)
-        text = lp.format_lp(prob)
-        assert "Minimize" in text
-        assert "Subject To" in text
-        assert "Bounds" in text
-        assert ">= 0.5" in text
+        cover = make_cover([[1, 0, 1], [0, 1, 0]], [0, 1, 1], [1.0, 2.5],
+                           [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0)])
+        assert lp.format_lp(cover) == "\n".join([
+            "Minimize", " obj: 0", "Subject To",
+            " c0: + 1 x0 + 1 x2 >= 1", " c1: + 1 x1 >= 1",
+            " c2: + 1 x0 <= 1", " c3: + 1 x1 + 1 x2 <= 2.5",
+            "Bounds", " 0 <= x0 <= 1", " 0 <= x1 <= 0", " 1 <= x2 <= 1", "End"])
+
+    def test_empty_row(self):
+        cover = make_cover([[0, 0]], [0, 0], [1.0], [(0.0, 1.0)] * 2)
+        assert " c0: 0 >= 1" in lp.format_lp(cover).splitlines()
 
 
 class TestVerdict:
@@ -232,78 +228,68 @@ class TestVerdict:
     @settings(max_examples=200, deadline=None)
     @given(covering_lps(max_n=12))
     def test_covering_lps_agree_with_simplex(self, cover):
-        prob = cover.problem()
-        verdict = lp.verdict(prob)
-        assert verdict is None or verdict == lp.solve(prob).ok
+        verdict = lp.verdict(cover)
+        assert verdict is None or verdict == (lp.solve(cover) is not None)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_mixed_sign_lps_agree_with_simplex(self, seed):
-        prob = mixed_sign_problem(seed)
-        verdict = lp.verdict(prob)
-        assert verdict is None or verdict == lp.solve(prob).ok
+    def test_random_covers_agree_with_simplex(self, seed):
+        cover = random_cover(seed)
+        verdict = lp.verdict(cover)
+        assert verdict is None or verdict == (lp.solve(cover) is not None)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_bounded_lps_are_settled(self, seed):
         # With every variable boxed, the final multipliers prove every
         # infeasible verdict.
-        prob = random_problem(seed)
-        assert lp.verdict(prob) == lp.solve(prob).ok
+        for cover in [random_cover(seed), *tree_lps(seed)]:
+            assert lp.verdict(cover) == (lp.solve(cover) is not None)
 
     def test_known_problems(self):
-        assert lp.verdict(make_problem([[1.0, 1.0]], [True], [1.5], [(0.0, 1.0)] * 2))
-        assert lp.verdict(make_problem([[1.0]], [True], [2.0], [(0.0, 1.0)])) is False
-        corner = make_problem([[1.0, 1.0]], [True], [3.0], [(0.0, 1.0), (0.0, 2.0)])
+        assert lp.verdict(make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.75)] * 2))
+        assert lp.verdict(make_cover([[1]], [0], [1.0], [(0.0, 0.5)])) is False
+        corner = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.25), (0.0, 0.75)])
         assert lp.verdict(corner) is True
-        assert lp.verdict(make_problem([], [], [], [(0.5, 1.0)])) is True
+        assert lp.verdict(make_cover([], [0], [1.0], [(0.5, 1.0)])) is True
         # x0 >= 1 with x0 fixed at 0: a slack budget row x0 <= 10^7 must not
         # widen the covering row's threshold.
-        budget = make_problem([[1.0], [1.0]], [True, False], [1.0, 1e7], [(0.0, 0.0)])
+        budget = make_cover([[1]], [0], [1e7], [(0.0, 0.0)])
         assert lp.verdict(budget) is False
-        assert not lp.solve(budget).ok
+        assert lp.solve(budget) is None
 
     def test_budget_multiplier_beyond_one_is_kept(self):
         # x0 covers rows 0-2, x1..x3 one row each, x4 only row 3; one unit
         # of budget leaves a row short.  The multipliers (1, 1, 1, 1, -3)
         # prove it; the budget row's -3 must survive the clip, since with
         # it clipped into [0, 1] the bound drops to -3.
-        prob = make_problem(
-            [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 1],
-             [1, 1, 1, 1, 1]],
-            [True] * 4 + [False], [1] * 5, [(0.0, 1.0)] * 5)
-        s = lp._phase_one_setup(prob)
+        cover = make_cover(
+            [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+            [0] * 5, [1.0], [(0.0, 1.0)] * 5)
+        s = lp._phase_one_setup(cover)
         # The threshold is sum |lam_i| * 1e-7 over the clipped multipliers.
         assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, -3.0])) == (1.0, pytest.approx(7e-7))
         bound, tol = lp._lagrangian_bound(s, np.array([1, 1, 1, 1, 0.0]))
         assert bound == -3.0 and tol == pytest.approx(4e-7)
         # A covering row's 3 exceeds its artificial's cost of 1: clipped to 1.
         assert lp._lagrangian_bound(s, np.array([3, 1, 1, 1, -3.0])) == (1.0, pytest.approx(7e-7))
-        assert not lp.solve(prob).ok
-        assert lp.verdict(prob) is False
-
-    def test_unbounded_column_with_negative_reduced_cost(self):
-        # x0 >= 1 with x0 in [0, inf): lam = 0.5 prices x0 at -0.5, so the
-        # Lagrangian is -inf, never a refutation.
-        prob = make_problem([[1.0]], [True], [1.0], [(0.0, np.inf)])
-        bound, tol = lp._lagrangian_bound(lp._phase_one_setup(prob), np.array([0.5]))
-        assert bound == -np.inf and tol == pytest.approx(0.5e-7)
-        assert lp.verdict(prob) is True
+        assert lp.solve(cover) is None
+        assert lp.verdict(cover) is False
 
     def test_stored_multipliers_of_the_wrong_sign_refute_nothing(self):
         # x0 <= 2 on the box [0, 1]: w = +1 on the <= row would give
         # min (2 - x0) = 1 > tol, but a <= row's multiplier must be <= 0.
-        prob = make_problem([[1.0]], [False], [2.0], [(0.0, 1.0)])
-        assert lp._refutes(lp._phase_one_setup(prob), np.array([1.0]))[0] == -np.inf
+        cover = make_cover([], [0], [2.0], [(0.0, 1.0)])
+        assert lp._refutes(lp._phase_one_setup(cover), np.array([1.0]))[0] == -np.inf
         # The other two proofs have the wrong shape and are skipped.
         proofs = [(False, np.array([1.0])), (True, np.zeros(2)), (False, np.ones(2))]
-        assert lp.verdict(prob, None, proofs) is True
+        assert lp.verdict(cover, None, proofs) is True
         assert len(proofs) == 4 and proofs[-1][0] is True
 
     def test_malformed_problem_rejected(self):
-        prob = make_problem([[1.0]], [True], [1.0], [(0.0, 1.0)])
-        prob.bounds[0] = (2.0, 1.0)
-        with pytest.raises(ValueError, match="empty bound"):
-            lp.verdict(prob)
+        for bad in [(2.0, 1.0), (0.0, np.inf)]:
+            cover = make_cover([[1]], [0], [1.0], [bad])
+            with pytest.raises(ValueError, match="not a finite nonempty interval"):
+                lp.verdict(cover)
 
 
 class TestVerdictStart:
@@ -313,65 +299,65 @@ class TestVerdictStart:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_vertex_agrees_with_reference(self, data):
-        prob = data.draw(covering_lps(max_n=12)).problem()
-        feasible = scipy_reference(prob).status == 0
-        assert lp.verdict(prob, box_vertex(data, prob)) == lp.verdict(prob) == feasible
+        cover = data.draw(covering_lps(max_n=12))
+        feasible = scipy_reference(cover).status == 0
+        assert lp.verdict(cover, box_vertex(data, cover)) == lp.verdict(cover) == feasible
 
     @settings(max_examples=60, deadline=None)
     @given(open_covering_lps())
     def test_greedy_vertex_agrees_with_reference(self, case):
-        prob, h, vertex = case
-        m = len(prob.constraints) - h
+        cover, vertex = case
         # Within every class budget, short of some covering row.
-        assert np.all(prob.constraints[m:] @ vertex <= prob.rhs[m:])
-        assert np.any(prob.constraints[:m] @ vertex < prob.rhs[:m])
-        feasible = scipy_reference(prob).status == 0
-        assert lp.verdict(prob, vertex) == lp.verdict(prob) == feasible
+        assert np.all(onehot(cover) @ vertex <= cover.budgets)
+        assert np.any(cover.supp @ vertex < 1.0)
+        feasible = scipy_reference(cover).status == 0
+        assert lp.verdict(cover, vertex) == lp.verdict(cover) == feasible
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
     def test_refutation_from_any_start_is_infeasible(self, seed, data):
-        prob = mixed_sign_problem(seed)
-        verdict = lp.verdict(prob, box_vertex(data, prob))
+        cover = random_cover(seed)
+        verdict = lp.verdict(cover, box_vertex(data, cover))
         if verdict is False:
-            assert scipy_reference(prob).status == 2
-        assert verdict is None or verdict == lp.solve(prob).ok
+            assert scipy_reference(cover).status == 2
+        assert verdict is None or verdict == (lp.solve(cover) is not None)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_bounded_lps_are_settled_from_any_vertex(self, seed):
-        prob = random_problem(seed)
-        at_upper = np.random.RandomState(seed).rand(prob.num_vars) < 0.5
-        start = np.where(at_upper, prob.bounds[:, 1], prob.bounds[:, 0])
-        assert lp.verdict(prob, start) == lp.solve(prob).ok
+        rng = np.random.RandomState(seed)
+        for cover in [random_cover(seed), *tree_lps(seed)]:
+            lo, hi = cover.bounds.T
+            start = np.where(rng.rand(len(lo)) < 0.5, hi, lo)
+            assert lp.verdict(cover, start) == (lp.solve(cover) is not None)
 
     def test_artificials_only_on_rows_the_start_misses(self):
-        # x0 + x1 >= 1.5 and x0 >= 1: the start (1, 0) meets only row 1.
-        prob = make_problem([[1.0, 1.0], [1.0, 0.0]], [True, True], [1.5, 1.0],
-                            [(0.0, 1.0), (0.0, np.inf)])
-        s = lp._phase_one_setup(prob, [1.0, 0.0])
-        assert s.A.shape == (2, 2 + 2 + 1)  # structural, slack, one artificial
-        assert s.x.tolist() == [1.0, 0.0, 0.0, 0.0, 0.5]
-        assert s.basis.tolist() == [4, 3]
-        assert lp.verdict(prob, [1.0, 0.0]) is True
+        # x0 + x1 >= 1, x0 >= 1 and x0 + x1 <= 10: the start (0, 1) meets
+        # rows 0 and 2 and misses row 1.
+        cover = make_cover([[1, 1], [1, 0]], [0, 0], [10.0], [(0.0, 1.0)] * 2)
+        s = lp._phase_one_setup(cover, [0.0, 1.0])
+        assert s.A.shape == (3, 2 + 3 + 1)  # structural, slack, one artificial
+        assert s.x.tolist() == [0.0, 1.0, 0.0, 0.0, 9.0, 1.0]
+        assert s.basis.tolist() == [2, 5, 4]
+        assert lp.verdict(cover, [0.0, 1.0]) is True
 
     @pytest.mark.parametrize(
         "start,match",
         [
             (np.zeros(3), r"start must be \(2,\), got \(3,\)"),
             (np.zeros((2, 1)), r"start must be \(2,\), got \(2, 1\)"),
-            ([0.5, 0.0], "start of variable 0 is 0.5, not a finite bound"),
-            ([1.0, 3.0], "start of variable 1 is 3.0, not a finite bound"),
-            ([0.0, np.inf], "start of variable 1 is inf, not a finite bound"),
-            ([np.nan, 0.0], "start of variable 0 is nan, not a finite bound"),
+            ([0.5, 0.0], "start of variable 0 is 0.5, not a bound"),
+            ([1.0, 3.0], "start of variable 1 is 3.0, not a bound"),
+            ([0.0, np.inf], "start of variable 1 is inf, not a bound"),
+            ([np.nan, 0.0], "start of variable 0 is nan, not a bound"),
         ],
         ids=["long", "column", "strictly-inside", "beyond-upper", "infinite-upper", "nan"],
     )
     def test_start_must_be_a_vertex_of_the_box(self, start, match):
-        prob = make_problem([[1.0, 1.0]], [True], [1.5], [(0.0, 1.0), (0.0, np.inf)])
+        cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 1.0), (0.0, 2.0)])
         with pytest.raises(ValueError, match=match):
-            lp._phase_one_setup(prob, start)
+            lp._phase_one_setup(cover, start)
         with pytest.raises(ValueError, match=match):
-            lp.verdict(prob, start)
+            lp.verdict(cover, start)
 
 
 def path_covering_lps():
@@ -385,35 +371,35 @@ def path_covering_lps():
 
 
 def pivot_path_cases():
-    """(problem, start): random_problem and mixed_sign_problem for seeds
-    0-999 with start None, and path_covering_lps with the greedy's vertex
-    where the certificates leave the LP open (69 of them) and None
-    elsewhere."""
+    """(cover, start): random_cover for seeds 0-999 and tree_lps for seeds
+    0-39 with start None, then certify_cases with the greedy's vertex where
+    the certificates leave the LP open and None elsewhere."""
     for seed in range(1000):
-        yield random_problem(seed), None
-        yield mixed_sign_problem(seed), None
-    for cover in path_covering_lps():
+        yield random_cover(seed), None
+    for seed in range(40):
+        for cover in tree_lps(seed):
+            yield cover, None
+    for cover in certify_cases():
         vertex = model._certify(cover)
-        yield cover.problem(), (None if isinstance(vertex, bool) else vertex)
+        yield cover, (None if isinstance(vertex, bool) else vertex)
 
 
-# SHA-256 over every pivot_path_cases LP's solve status and x bytes and its
-# verdicts from the lower bounds and from the start.  A change to the pivot
-# loop that is meant to keep every pivot must keep this digest.
-PIVOT_PATH_DIGEST = "5da8bfc11bc33409bacd3133f7c8bc82447f83c7618cf76deb776dd318a1d88f"
+# SHA-256 over every pivot_path_cases LP's solve status ("feasible" and the
+# x bytes, or "infeasible") and its verdicts from the lower bounds and from
+# the start.  A change to the pivot loop that is meant to keep every pivot
+# must keep this digest.
+PIVOT_PATH_DIGEST = "deff66ada1c23c2a81d0522014223b885bb4a320db3b39e46f84a295970577b3"
 
 
 class TestPivotPath:
     def test_solve_and_verdict_take_the_pinned_pivots(self):
         digest = hashlib.sha256()
-        for prob, start in pivot_path_cases():
-            sol = lp.solve(prob)
-            digest.update(sol.status.encode())
-            if sol.ok:
-                digest.update(sol.values.tobytes())
-            digest.update(repr(lp.verdict(prob)).encode())
+        for cover, start in pivot_path_cases():
+            x = lp.solve(cover)
+            digest.update(b"infeasible" if x is None else b"feasible" + x.tobytes())
+            digest.update(repr(lp.verdict(cover)).encode())
             if start is not None:
-                digest.update(repr(lp.verdict(prob, start)).encode())
+                digest.update(repr(lp.verdict(cover, start)).encode())
         assert digest.hexdigest() == PIVOT_PATH_DIGEST
 
 

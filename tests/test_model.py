@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -43,8 +44,18 @@ def var_index(p, t, num_classes):
     return p * num_classes + t
 
 
+# A covering LP laid out densely, as lp lays it out to pivot: row i reads
+# constraints[i] . x >= rhs[i] where ge[i], and <= rhs[i] elsewhere.
+DenseLp = namedtuple("DenseLp", "constraints ge rhs bounds")
+
+
+def dense(cover):
+    """The rows lp pivots on for `cover`, with its bounds."""
+    return DenseLp(*lp._rows(cover), cover.bounds)
+
+
 def reference_problem(instance, bounds, cover_rows):
-    """Covering rows, then one budget row per class, as an LpProblem."""
+    """Covering rows, then one budget row per class, as a DenseLp."""
     n, h = instance.n, instance.num_classes
     budget_rows = []
     for t in range(h):
@@ -53,7 +64,7 @@ def reference_problem(instance, bounds, cover_rows):
             row[var_index(p, t, h)] = 1.0
         budget_rows.append(row)
     rows = cover_rows + budget_rows
-    return lp.LpProblem(
+    return DenseLp(
         constraints=np.array(rows).reshape(len(rows), n * h),
         ge=np.array([True] * len(cover_rows) + [False] * h),
         rhs=np.array([1.0] * len(cover_rows)
@@ -208,13 +219,21 @@ def random_form(rng, m, n_vars, h, density, free_frac, budget_hi):
 
 
 def assert_same_lp(got, want):
-    """Same rows in the same order, same relations, rhs and bounds, same
-    dtypes and shapes, bit for bit."""
-    assert got.num_vars == want.num_vars
-    for field in ("constraints", "ge", "rhs", "bounds"):
-        g, w = getattr(got, field), getattr(want, field)
+    """The covering LP `got` laid out as the DenseLp `want`: same rows in
+    the same order, same relations, rhs and bounds, same dtypes and
+    shapes, bit for bit."""
+    for field, g, w in zip(DenseLp._fields, dense(got), want):
         assert (g.dtype, g.shape) == (w.dtype, w.shape), field
         assert g.tobytes() == w.tobytes(), field
+
+
+def assert_same_form(got, want):
+    """Two covering LPs with the same supports, classes, budgets and
+    bounds, with the same dtypes and shapes, bit for bit."""
+    for name in ("supp", "cls", "budgets", "bounds"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
 
 
 def seeded_case(seed):
@@ -314,9 +333,9 @@ class TestFractional:
         solves, probes = [], []
         real_solve, real_build = lp.solve, model.build_nukc_lp
 
-        def counting_solve(problem):
-            solves.append(problem)
-            return real_solve(problem)
+        def counting_solve(cover):
+            solves.append(cover)
+            return real_solve(cover)
 
         def recording_build(instance, dilation, **kwargs):
             probes.append(dilation)
@@ -333,64 +352,63 @@ class TestFractional:
             *searched, winner = probes
             assert len(searched) == len(set(searched)) and winner == alpha
             assert len({id(p) for p in solves}) == len(solves) <= len(probes)
-            direct = real_solve(real_build(inst, alpha).problem()).values
+            direct = real_solve(real_build(inst, alpha))
             assert np.array_equal(x, direct.reshape(inst.n, inst.num_classes))
 
     def test_alpha_only_search_solves_only_open_probes(self, monkeypatch):
         # A probe reaches the simplex only when neither the certificates nor
         # lp.verdict settle it; min_feasible_dilation solves its winner once.
-        # The dense LP is built once per probe the certificates leave open,
-        # and once more for the winner.
-        verdicts, solves, certified, dense = [], [], [], []
+        # Dense rows are laid out once per verdict, which runs on each probe
+        # the certificates leave open, and once per solve.
+        verdicts, solves, certified, laid = [], [], [], []
         real_verdict, real_solve = lp.verdict, lp.solve
-        real_certify, real_problem = model._certify, lp.CoveringLp.problem
+        real_certify, real_rows = model._certify, lp._rows
         monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
                             verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
-        monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
-                            solves.append(problem) or real_solve(problem, *args, **kwargs))
+        monkeypatch.setattr(lp, "solve", lambda cover, *args, **kwargs:
+                            solves.append(cover) or real_solve(cover, *args, **kwargs))
         monkeypatch.setattr(model, "_certify", lambda cover:
                             certified.append(real_certify(cover)) or certified[-1])
-        monkeypatch.setattr(lp.CoveringLp, "problem", lambda cover:
-                            dense.append(real_problem(cover)) or dense[-1])
+        monkeypatch.setattr(lp, "_rows", lambda cover: laid.append(cover) or real_rows(cover))
         unsolved = settled = undense = 0
         for seed in range(20):
             inst = random_instance(8, seed=seed, max_classes=4)
-            for calls in (verdicts, solves, certified, dense):
+            for calls in (verdicts, solves, certified, laid):
                 calls.clear()
             alpha = relaxation_search(inst)
             assert len(solves) == verdicts.count(None)
             opened = sum(not isinstance(c, bool) for c in certified)
-            assert len(dense) == len(verdicts) == opened
+            assert len(verdicts) == opened
+            assert len(laid) == len(verdicts) + len(solves)
             settled += len(verdicts) - verdicts.count(None)
             unsolved += not solves
             undense += len(certified) - opened
-            for calls in (verdicts, solves, certified, dense):
+            for calls in (verdicts, solves, certified, laid):
                 calls.clear()
             want_alpha, _ = min_feasible_dilation(inst)
             assert alpha == want_alpha
             assert len(solves) == verdicts.count(None) + 1
-            assert len(dense) == opened + 1 and dense[-1] is solves[-1]
-            assert_same_lp(solves[-1], build_nukc_lp(inst, alpha).problem())
+            assert len(laid) == opened + len(solves) and laid[-1] is solves[-1]
+            assert_same_form(solves[-1], build_nukc_lp(inst, alpha))
         # Some searches ran no simplex, lp.verdict settled some probes the
         # certificates left open, and the certificates settled the rest
-        # without a dense LP.
+        # without laying out dense rows.
         assert unsolved > 0 and settled > 0 and undense > 0
 
     def test_lp_shape(self, line_instance):
-        prob = build_nukc_lp(line_instance, 1.0).problem()
+        prob = dense(build_nukc_lp(line_instance, 1.0))
         n, h = line_instance.n, line_instance.num_classes
-        assert prob.num_vars == n * h
-        # n covering rows + h budget rows
-        assert len(prob.constraints) == n + h
+        # n covering rows + h budget rows over n * h variables
+        assert prob.constraints.shape == (n + h, n * h)
 
 
 class TestBuilder:
     @pytest.mark.parametrize("seed", range(40))
     def test_plain_rows_match_reference(self, seed):
         _, inst, dilation, points = seeded_case(seed)
-        assert_same_lp(build_nukc_lp(inst, dilation).problem(), reference_nukc_lp(inst, dilation))
+        assert_same_lp(build_nukc_lp(inst, dilation), reference_nukc_lp(inst, dilation))
         assert_same_lp(
-            build_nukc_lp(inst, dilation, points=points).problem(),
+            build_nukc_lp(inst, dilation, points=points),
             reference_nukc_lp(inst, dilation, points=points),
         )
 
@@ -405,7 +423,7 @@ class TestBuilder:
             assert problem is None
             return
         want = reference_nukc_lp(inst, dilation, points=uncovered, class_window=(tau, h - 1))
-        assert_same_lp(problem.problem(), want)
+        assert_same_lp(problem, want)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_guess_rows_match_reference(self, seed):
@@ -415,38 +433,34 @@ class TestBuilder:
         if neg.any():  # an A/D collision: A must win
             aff.flat[np.argmax(neg)] = True
         want = reference_guess_lp(points, aff, neg, inst)
-        assert_same_lp(build_guess_lp(points, aff, neg, inst).problem(), want)
+        assert_same_lp(build_guess_lp(points, aff, neg, inst), want)
 
     def test_huge_radius_reaches_every_point_without_warning(self, line_space):
         # 10 * 1e308 overflows to inf: every point is within reach.
         inst = NukcInstance(line_space, [(1, 1e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prob = build_nukc_lp(inst, 10.0).problem()
-        assert prob.constraints[prob.ge].all()
+            cover = build_nukc_lp(inst, 10.0)
+        assert cover.supp.all()
 
     def test_start_levels_and_pins(self, line_instance):
         pinned = np.full((line_instance.n, 2), np.nan)
         pinned[2, 1] = 1.0
         # One start level per row, rows in ascending point order: 0, then 4.
-        prob = build_nukc_lp(line_instance, 1.0, points=[4, 0], start=[1, 0],
-                             pinned=pinned).problem()
-        rows = prob.constraints[prob.ge]
+        cover = build_nukc_lp(line_instance, 1.0, points=[4, 0], start=[1, 0], pinned=pinned)
+        rows = cover.supp
         # Ascending point order; point 0's row holds class 1 only.
         assert rows[0][0::2].sum() == 0 and rows[0][1::2].sum() == 2
         assert rows[1][0::2].sum() == 2 and rows[1][1::2].sum() == 2
-        assert prob.bounds[var_index(2, 1, 2)].tolist() == [1.0, 1.0]
+        assert cover.bounds[var_index(2, 1, 2)].tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_defaults_equal_every_point_from_level_zero(self, seed):
         _, inst, dilation, _ = seeded_case(seed)
         n, h = inst.n, inst.num_classes
         got = build_nukc_lp(inst, dilation)
-        want = build_nukc_lp(inst, dilation, points=range(n), start=np.zeros(n, int))
-        for name in ("supp", "cls", "budgets", "bounds"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
-            assert g.tobytes() == w.tobytes(), name
+        assert_same_form(got, build_nukc_lp(inst, dilation, points=range(n),
+                                            start=np.zeros(n, int)))
         tiled = np.tile(np.arange(h), n)
         assert got.cls.dtype == tiled.dtype and np.array_equal(got.cls, tiled)
 
@@ -502,7 +516,7 @@ class TestCertificate:
     def test_start_level_h_is_an_empty_row(self, line_instance):
         h = line_instance.num_classes
         empty = build_nukc_lp(line_instance, 100.0, points=[3], start=h)
-        assert not empty.problem().constraints[0].any()
+        assert not empty.supp[0].any()
         assert model._certify(empty) is False
 
     def test_duplicate_points(self):
@@ -514,14 +528,11 @@ class TestCertificate:
 
     def test_open_lp_starts_the_verdict_at_the_greedy_vertex(self, monkeypatch):
         # _certify hands an open LP's greedy vertex to lp.verdict as its start.
-        # Each verdict's LP is the last one emitted from the form.
-        calls, emitted, checked = [], [], 0
-        real_verdict, real_problem = lp.verdict, lp.CoveringLp.problem
-        monkeypatch.setattr(lp.CoveringLp, "problem", lambda cover:
-                            emitted.append(cover) or real_problem(cover))
-        monkeypatch.setattr(lp, "verdict", lambda problem, start=None, *args, **kwargs:
-                            calls.append((emitted[-1], start))
-                            or real_verdict(problem, start, *args, **kwargs))
+        calls, checked = [], 0
+        real_verdict = lp.verdict
+        monkeypatch.setattr(lp, "verdict", lambda cover, start=None, *args, **kwargs:
+                            calls.append((cover, start))
+                            or real_verdict(cover, start, *args, **kwargs))
         for seed in range(10):
             inst = random_instance(10, seed=seed, max_classes=3)
             calls.clear()
@@ -598,7 +609,7 @@ class TestProofStore:
     def search(inst, monkeypatch, keep=True):
         """relaxation_search on inst, with or without its proof store:
         (alpha, the winner's x bytes, each probe's hit, the store, and per
-        open probe (problem, start, answer, answer without a store, whether
+        open probe (cover, start, answer, answer without a store, whether
         a stored proof gave it))."""
         hits, opens, store = [], [], []
         real_feasible, real_verdict = model.feasible, lp.verdict
@@ -607,11 +618,11 @@ class TestProofStore:
             hits.append(real_feasible(cover, proofs if keep else None))
             return hits[-1]
 
-        def verdict(problem, start=None, proofs=None):
+        def verdict(cover, start=None, proofs=None):
             before = len(proofs or ())
-            got = real_verdict(problem, start, proofs)
+            got = real_verdict(cover, start, proofs)
             store[:] = proofs or ()
-            opens.append((problem, start, got, real_verdict(problem, start),
+            opens.append((cover, start, got, real_verdict(cover, start),
                           proofs is not None and len(proofs) == before))
             return got
 
@@ -642,8 +653,8 @@ class TestProofStore:
         same_shape = 0
         for i, (inst, _, opens) in enumerate(runs):
             foreign = [proof for j, (_, store, _) in enumerate(runs) if j != i for proof in store]
-            for problem, start, _, plain, _ in opens:
-                assert lp.verdict(problem, start, list(foreign)) == plain
+            for cover, start, _, plain, _ in opens:
+                assert lp.verdict(cover, start, list(foreign)) == plain
             same_shape += len(opens) * sum(
                 (other.n, other.num_classes) == (inst.n, inst.num_classes)
                 for j, (other, store, _) in enumerate(runs) if j != i for _ in store)

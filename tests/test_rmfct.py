@@ -31,7 +31,8 @@ def binary_tree():
 
 
 def reference_rmfct_lp(tree, alpha):
-    """The per-entry loop builder the indexed one replaced."""
+    """The per-entry loop builder the indexed one replaced, laid out as lp
+    lays out a covering LP to pivot: (constraints, ge, rhs, bounds)."""
     nodes = sorted(tree.level_of)
     idx = {v: i for i, v in enumerate(nodes)}
     rows, rhs = [], []
@@ -47,12 +48,10 @@ def reference_rmfct_lp(tree, alpha):
             row[idx[v]] = 1.0
         rows.append(row)
         rhs.append(alpha * tree.budgets[i])
-    return lp.LpProblem(
-        constraints=np.array(rows).reshape(len(rows), len(nodes)),
-        ge=np.arange(len(rows)) < len(tree.leaves),
-        rhs=np.array(rhs),
-        bounds=np.array([(0.0, 1.0)] * len(nodes)),
-    )
+    return (np.array(rows).reshape(len(rows), len(nodes)),
+            np.arange(len(rows)) < len(tree.leaves),
+            np.array(rhs),
+            np.array([(0.0, 1.0)] * len(nodes)))
 
 
 def relabelled(tree, seed):
@@ -110,17 +109,17 @@ class TestLayeredTree:
 class TestLp:
     def test_lp_rows(self):
         tree = binary_tree()
-        prob = build_rmfct_lp(tree, 1.0).problem()
+        constraints, _, _ = lp._rows(build_rmfct_lp(tree, 1.0))
         # 4 leaf path rows + 2 level rows.
-        assert len(prob.constraints) == 6
+        assert len(constraints) == 6
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_match_reference(self, seed):
         tree = relabelled(random_layered_tree(1 + seed % 4, 3, seed=seed).to_layered(), seed)
         alpha = 1.0 + seed / 7.0
-        got, want = build_rmfct_lp(tree, alpha).problem(), reference_rmfct_lp(tree, alpha)
-        for field in ("constraints", "ge", "rhs", "bounds"):
-            g, w = getattr(got, field), getattr(want, field)
+        cover = build_rmfct_lp(tree, alpha)
+        got, want = (*lp._rows(cover), cover.bounds), reference_rmfct_lp(tree, alpha)
+        for field, g, w in zip(("constraints", "ge", "rhs", "bounds"), got, want):
             assert (g.dtype, g.shape) == (w.dtype, w.shape), field
             assert g.tobytes() == w.tobytes(), field
 
