@@ -4,7 +4,7 @@ Subcommands: generate, solve, validate, compare.  Exit codes: 0 success /
 valid, 1 invalid solution, 2 usage, format or file error, 3 size-budget
 refusal, 4 LP solver breakdown.
 All timing lives under the solution "meta" key; everything else in the
-output is deterministic for a fixed input and seed.
+output is deterministic for a fixed input, seed and BLAS thread count.
 """
 
 from __future__ import annotations

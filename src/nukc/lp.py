@@ -14,9 +14,10 @@ solutions are basic: at most one variable per constraint row sits strictly
 between its bounds, which the rounding routines in this package rely on.
 `verdict` answers the yes/no question alone, for callers that would drop
 the point: it may start from any vertex of the box, it prices by Dantzig's
-rule, and its answer is checked against the LP's arrays.  Its point and
-multipliers are kept only as proofs for later probes of the same search,
-never output: every point the package outputs comes from `solve`.
+rule, and its answer is proved by `confirms` (a point) or `refutes`
+(multipliers), the checks the package's certificates use too.  Its proofs
+are kept only for later probes of the same search, never output: every
+point the package outputs comes from `solve`.
 """
 
 from __future__ import annotations
@@ -69,43 +70,41 @@ def format_lp(cover: CoveringLp) -> str:
     return "\n".join(lines)
 
 
-_System = namedtuple("_System", "C ge rhs A lo hi x basis cost row_tol art_tol")
+_System = namedtuple("_System", "cover rhs A lo hi x basis cost art_tol")
 
 
-def _phase_one_setup(cover: CoveringLp, start=None) -> _System:
-    """Check `cover`'s bounds and write it as the phase-one system A x =
-    rhs over structural, slack and artificial columns.
-
-    The structural columns start nonbasic at `start`, a vertex of the box
-    (each entry one of its variable's bounds; default: the lower bounds),
-    and only the rows that `start` leaves unmet get an artificial column.
-
-    The `_System` holds the dense rows (C, ge, rhs; see `_rows`), the
-    system with its column bounds (A, lo, hi), a basic starting point and
-    its basis (x, basis, which the pivot loop updates in place), the
-    phase-one cost (1 on each artificial column), each row's threshold and
-    the sum of the thresholds of the rows that carry artificials.
-    """
-    C, ge, rhs = _rows(cover)
+def _vertex(cover: CoveringLp, start=None) -> np.ndarray:
+    """`start` as a float vertex of `cover`'s box (each entry one of its
+    variable's bounds; default: the lower bounds), after checking that
+    every bound is finite and every interval nonempty; else ValueError."""
     bounds = np.asarray(cover.bounds, dtype=float)
-    m, n = C.shape
+    n = cover.supp.shape[1]
     if bounds.shape != (n, 2):
         raise ValueError(f"bounds must be ({n}, 2), got {bounds.shape}")
     bad = np.flatnonzero(~np.isfinite(bounds).all(axis=1) | (bounds[:, 0] > bounds[:, 1]))
     if bad.size:
-        j = bad[0]
-        raise ValueError(f"variable {j} has bounds [{bounds[j, 0]}, {bounds[j, 1]}], "
+        raise ValueError(f"variable {bad[0]} has bounds {bounds[bad[0]].tolist()}, "
                          "not a finite nonempty interval")
-    if start is None:
-        x0 = bounds[:, 0]
-    else:
-        x0 = np.asarray(start, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"start must be ({n},), got {x0.shape}")
-        off = np.flatnonzero((x0 != bounds[:, 0]) & (x0 != bounds[:, 1]))
-        if off.size:
-            j = off[0]
-            raise ValueError(f"start of variable {j} is {x0[j]}, not a bound")
+    x0 = bounds[:, 0] if start is None else np.asarray(start, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"start must be ({n},), got {x0.shape}")
+    off = np.flatnonzero((x0 != bounds[:, 0]) & (x0 != bounds[:, 1]))
+    if off.size:
+        raise ValueError(f"start of variable {off[0]} is {x0[off[0]]}, not a bound")
+    return x0
+
+
+def _phase_one_setup(cover: CoveringLp, x0) -> _System:
+    """Write `cover` as the phase-one system A x = rhs over structural,
+    slack and artificial columns: the `_System` holds the LP, the dense
+    rhs (see `_rows`), A with its column bounds (lo, hi), a basic point
+    and its basis (x, basis; the pivot loop updates them in place), the
+    phase-one cost (1 on each artificial column) and the summed thresholds
+    of the rows with artificials.  The structural columns start nonbasic at
+    x0, a vertex from `_vertex`; only rows it leaves unmet get artificials.
+    """
+    C, ge, rhs = _rows(cover)
+    m, n = C.shape
 
     # One slack per row makes it an equation (+1 on <= rows, -1 on >= rows);
     # a row whose slack would start negative also gets an artificial column.
@@ -118,22 +117,45 @@ def _phase_one_setup(cover: CoveringLp, start=None) -> _System:
     extra = np.zeros((m, art.size))
     extra[art, np.arange(art.size)] = np.where(resid[art] >= 0, 1.0, -1.0)
     A = np.hstack([C, np.diag(sign), extra])
-    lo = np.concatenate([bounds[:, 0], np.zeros(m + art.size)])
-    hi = np.concatenate([bounds[:, 1], np.full(m + art.size, np.inf)])
+    lo = np.concatenate([cover.bounds[:, 0], np.zeros(m + art.size)])
+    hi = np.concatenate([cover.bounds[:, 1], np.full(m + art.size, np.inf)])
     x = np.concatenate([x0, np.where(fits, slack, 0.0), np.abs(resid[art])])
     basis = np.arange(n, ncols)
     basis[art] = ncols + np.arange(art.size)
     cost = (np.arange(A.shape[1]) >= ncols).astype(float)
-    row_tol = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
-    return _System(C, ge, rhs, A, lo, hi, x, basis, cost, row_tol, float(row_tol[art].sum()))
+    art_tol = FEAS_TOL * np.maximum(1.0, np.abs(rhs[art]))
+    return _System(cover, rhs, A, lo, hi, x, basis, cost, float(art_tol.sum()))
 
 
-def _confirms(s: _System, x) -> bool:
-    """Whether the point x, clipped to s's box, misses no row of s's LP by
-    more than the row's threshold."""
-    n = s.C.shape[1]
-    lhs = s.C @ np.clip(x, s.lo[:n], s.hi[:n])
-    return bool(np.all(np.where(s.ge, s.rhs - lhs, lhs - s.rhs) <= s.row_tol))
+def _budget_tol(cover: CoveringLp) -> np.ndarray:
+    """Each budget row's threshold; a covering row's is FEAS_TOL."""
+    return FEAS_TOL * np.maximum(1.0, np.abs(cover.budgets))
+
+
+def confirms(cover: CoveringLp, x) -> bool:
+    """Whether the point x, clipped to `cover`'s box, misses no row by
+    more than the row's threshold: every covering row's sum reaches 1 and
+    every class sum stays within its budget."""
+    x = np.minimum(np.maximum(x, cover.bounds[:, 0]), cover.bounds[:, 1])  # np.clip, cheaper
+    used = np.bincount(cover.cls, x, minlength=len(cover.budgets))
+    return bool((1.0 - cover.supp @ x <= FEAS_TOL).all()
+                and (used - cover.budgets <= _budget_tol(cover)).all())
+
+
+def refutes(cover: CoveringLp, y, z):
+    """(L, tol) for covering-row multipliers y >= 0 and class multipliers
+    z >= 0: L = sum(y) - z.budgets + min over the box of (z[cls] - y.supp).x
+    and tol = FEAS_TOL * sum(y) + z.(budget thresholds).  Each x in the box
+    has L <= y.(1 - supp x) + z.(class sums - budgets), at most tol if x
+    misses no row by more than its threshold: so L > tol proves that no
+    point does.  (-inf, inf) when a multiplier is negative."""
+    if y.min(initial=0.0) < 0.0 or z.min(initial=0.0) < 0.0:
+        return -np.inf, np.inf
+    reduced = z[cover.cls] - y @ cover.supp
+    lo, hi = cover.bounds.T
+    total = float(y.sum())
+    bound = total - z @ cover.budgets + reduced @ np.where(reduced > 0.0, lo, hi)
+    return float(bound), FEAS_TOL * total + float(z @ _budget_tol(cover))
 
 
 # verdict's pricing: Dantzig's rule, switching to Bland's after this many
@@ -153,7 +175,7 @@ def _phase_one(s: _System, run: int):
     """
     A, lo, hi, x, basis, cost = s.A, s.lo, s.hi, s.x, s.basis, s.cost
     m, ncols = A.shape
-    n = s.C.shape[1]
+    n = s.cover.supp.shape[1]
     in_basis = np.zeros(ncols, dtype=bool)
     in_basis[basis] = True
     movable = lo != hi
@@ -164,7 +186,7 @@ def _phase_one(s: _System, run: int):
     lob, hib, costb = lo[basis], hi[basis], cost[basis]
     degenerate, lam, outcome = 0, None, "budget"
     for it in range(200 * (m + ncols)):
-        if cost @ x <= s.art_tol and _confirms(s, x[:n]):
+        if cost @ x <= s.art_tol and confirms(s.cover, x[:n]):
             return "feasible", lam
         if it % REFACTOR_EVERY == 0:
             try:
@@ -216,48 +238,31 @@ def _phase_one(s: _System, run: int):
         row = B_inv[r] / w[r]
         B_inv -= w[:, None] * row
         B_inv[r] = row
-    return ("feasible" if _confirms(s, x[:n]) else outcome), lam
+    return ("feasible" if confirms(s.cover, x[:n]) else outcome), lam
 
 
 def solve(cover: CoveringLp):
     """A basic feasible point of `cover`, or None when the phase-one
-    optimum exceeds the artificial rows' thresholds.  Deterministic:
-    identical input gives identical pivot sequences and output.
+    optimum exceeds the artificial rows' thresholds.  Deterministic at a
+    fixed BLAS thread count: identical input gives identical pivot
+    sequences and output.
     """
-    s = _phase_one_setup(cover)
+    s = _phase_one_setup(cover, _vertex(cover))
     outcome, _ = _phase_one(s, run=0)
     if outcome == "optimal" and s.cost @ s.x > s.art_tol:
         return None
     if outcome != "feasible":
         raise LpSolverError(f"phase one stopped ({outcome}) at a point that misses a row")
-    n = s.C.shape[1]
-    return np.clip(s.x[:n], s.lo[:n], s.hi[:n])
-
-
-def _refutes(s: _System, w):
-    """(L, tol) for row multipliers w on s's LP: L = min over the box of
-    w.(rhs - C x), priced on the system's columns as the pivot loop prices
-    them, and tol = sum_i |w_i| * row_tol_i.  With w_i >= 0 on >= rows and
-    <= 0 on <= rows, a point that misses no row by more than its threshold
-    has w.(rhs - C x) <= tol, so L > tol proves that none exists.  L is
-    -inf when a sign is wrong."""
-    n = s.C.shape[1]
-    tol = float(np.abs(w) @ s.row_tol)
-    reduced = (s.cost - w @ s.A)[:n]
-    lo, hi = s.lo[:n], s.hi[:n]
-    up, down = reduced < 0, reduced > 0
-    if np.any(np.where(s.ge, w < 0, w > 0)):
-        return -np.inf, tol
-    return float(w @ s.rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up]), tol
+    return np.clip(s.x[:len(cover.cls)], *cover.bounds.T)
 
 
 def _lagrangian_bound(s: _System, lam):
-    """`_refutes`'s (L, tol) for the simplex multipliers lam, which are
-    first clipped in place just enough to keep the slack and artificial
-    reduced costs >= 0 (those columns are unit columns without an upper
-    bound, and each clip on lam_i admits 0).  The clip gives lam_i >= 0 on
-    >= rows and <= 0 on <= rows, whatever the start."""
-    n = s.C.shape[1]
+    """`refutes`'s (L, tol) for the simplex multipliers lam, first clipped
+    in place just enough to keep the slack and artificial reduced costs
+    >= 0 (unit columns without an upper bound; each clip admits 0).  So
+    lam >= 0 on covering rows, y = lam there, and z = -lam >= 0 on budget
+    rows, whatever the start."""
+    m, n = len(s.cover.supp), s.cover.supp.shape[1]
     unit = s.A[:, n:]
     rows = np.argmax(unit != 0, axis=0)
     coef = unit[rows, np.arange(unit.shape[1])]
@@ -266,34 +271,32 @@ def _lagrangian_bound(s: _System, lam):
     np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
     np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
     np.clip(lam, lower, upper, out=lam)
-    return _refutes(s, lam)
+    return refutes(s.cover, lam[:m], -lam[m:])
 
 
 def verdict(cover: CoveringLp, start=None, proofs=None):
-    """Whether `cover` is feasible: True or False when a check against
-    its own arrays proves it, None when neither check does.  Its point and
-    multipliers are kept only as proofs for later probes of the same
-    search, never output: callers that need x run `solve`.
+    """Whether `cover` is feasible: True when `confirms` accepts a point,
+    False when `refutes` proves multipliers, None when neither holds.  Its
+    points and multipliers are kept only as proofs for later probes of the
+    same search, never output: callers that need x run `solve`.
 
-    `proofs`, when given, is a list of (answer, array) pairs from earlier
-    verdicts on LPs of the same shape.  Before any pivot, each is checked
-    against this LP's arrays: a point by `_confirms`, multipliers by
-    `_refutes`; the first that holds answers.  Otherwise the search runs
-    and appends its proof.  The search is `solve`'s pivot loop priced by
-    Dantzig's rule (Bland's after DEGENERATE_RUN degenerate pivots in a
-    row), started at `start`, a vertex of the box (default: the lower
-    bounds; see `_phase_one_setup`), and its pivots are trusted for
-    nothing.  True means its x, clipped to the bounds, meets every row
-    within the row's threshold; False means a Lagrangian bound from its
-    last multipliers proves that no point of the box does
-    (`_lagrangian_bound`), so `solve` cannot return one.
+    After the bounds and `start` are checked (`_vertex`) and before the
+    dense rows are laid out, each of `proofs`, a list of (answer, array)
+    pairs from earlier verdicts on LPs of the same shape, is checked on
+    this LP; the first that holds answers.  Otherwise `solve`'s pivot loop
+    runs, priced by Dantzig's rule (Bland's after DEGENERATE_RUN
+    degenerate pivots in a row) from `start`, a vertex of the box
+    (default: the lower bounds), and its pivots are trusted for nothing:
+    its clipped x, or its last multipliers (`_lagrangian_bound`), answer
+    and are appended to `proofs`.  False means `solve` cannot return x.
     """
-    s = _phase_one_setup(cover, start)
-    m, n = s.C.shape
+    x0 = _vertex(cover, start)
+    m, n = cover.supp.shape
     for answer, v in proofs or ():
-        if v.shape == (n if answer else m,) and (
-                _confirms(s, v) if answer else operator.gt(*_refutes(s, v))):
+        if v.shape == (n if answer else m + len(cover.budgets),) and (
+                confirms(cover, v) if answer else operator.gt(*refutes(cover, v[:m], -v[m:]))):
             return answer
+    s = _phase_one_setup(cover, x0)
     outcome, lam = _phase_one(s, DEGENERATE_RUN)
     if outcome == "feasible":
         answer, proof = True, np.clip(s.x[:n], s.lo[:n], s.hi[:n])

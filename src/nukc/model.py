@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -177,11 +178,6 @@ def build_nukc_lp(
     )
 
 
-# Needs and capacities are integers when pins are 0/1, so a refutation asks
-# the need to exceed the supply by this margin, far above float error.
-CERT_MARGIN = 0.5
-
-
 def _bitsets(rows: np.ndarray) -> list:
     """Each row of a 2-D boolean array as a Python int, bit j for column j."""
     width = -(-rows.shape[1] // 8)
@@ -190,40 +186,42 @@ def _bitsets(rows: np.ndarray) -> list:
 
 
 def _certify(cover: lp.CoveringLp):
-    """Settle a covering LP without pivoting: False when a packing bound
-    refutes it, True when an integral greedy choice satisfies it.  When
-    neither does, the greedy's choice: a vertex of the box within every
-    class budget, for `lp.verdict` to start from.
+    """Settle a covering LP without pivoting: False when `lp.refutes`
+    proves a packing bound, True when `lp.confirms` accepts an integral
+    greedy choice.  When neither does, the greedy's choice: a vertex of the
+    box, for `lp.verdict` to start from.
 
     Refutation: covering rows whose free supports are pairwise disjoint
     (picked smallest support first) need the sum of their residuals from
-    the union U of those supports, and U holds at most sum_t min(cap_t,
-    |U in class t|) with cap_t the budget left after the pins: weak duality
-    with y = 1 on the rows and z = 1 on the budget rows.
-    It needs [0, 1] free bounds, which the builders guarantee; it is never
-    run inside lp.solve.  Both run on Python ints used as bitsets: each
+    the union U of those supports, and U supplies at most sum_t min(cap_t,
+    |U in class t|) with cap_t the budget left after the lower bounds.  A
+    prefix whose need exceeds that supply gives y = 1 on its rows and z_t
+    = 1 on each class with cap_t below its count in U (on [0, 1] boxes,
+    L = need - supply).  Both run on Python ints used as bitsets: each
     row's free support over the columns (|U in class t| is a popcount) and
     each column's over the rows that need mass (its gain is a popcount).
     """
     bounds, cls, h = cover.bounds, cover.cls, len(cover.budgets)
     onehot = cls[:, None] == np.arange(h)  # onehot[j, t]: variable j is in class t
     free = bounds[:, 0] < bounds[:, 1]
-    fixed = np.where(free, 0.0, bounds[:, 0])
-    need = 1.0 - cover.supp @ fixed
-    cap = (cover.budgets - fixed @ onehot).tolist()
-    short = need > 0
+    x = bounds[:, 0].astype(float)
+    need = 1.0 - cover.supp @ x
+    cap = (cover.budgets - x @ onehot).tolist()
+    short = np.flatnonzero(need > 0)
     supp, need = cover.supp[short] & free, need[short].tolist()  # the rows that need mass
     rows, m = _bitsets(np.concatenate((supp, onehot.T))), len(need)
     # Every prefix of the picked rows is such a set; the empty prefix
-    # refutes pins that overrun a budget.
-    union, total, masks = 0, 0.0, rows[m:]
+    # refutes lower bounds that overrun a budget.
+    union, total, masks, y = 0, 0.0, rows[m:], np.zeros(len(cover.supp))
     by_size = sorted(range(m), key=[r.bit_count() for r in rows[:m]].__getitem__)
-    for r, residual in [(0, 0.0)] + [(rows[i], need[i]) for i in by_size]:
-        if r & union:
-            continue
-        union |= r
-        total += residual
-        if total > sum(min(c, (union & mask).bit_count()) for c, mask in zip(cap, masks)) + CERT_MARGIN:
+    for i in [None] + by_size:
+        if i is not None:
+            if rows[i] & union:
+                continue
+            union, total, y[short[i]] = union | rows[i], total + need[i], 1.0
+        counts = [(union & mask).bit_count() for mask in masks]
+        if total > sum(map(min, cap, counts)) and operator.gt(*lp.refutes(
+                cover, y, np.array([float(c < k) for c, k in zip(cap, counts)]))):
             return False
 
     # Greedy: open the free variable meeting the most unmet rows (lowest
@@ -249,10 +247,8 @@ def _certify(cover: lp.CoveringLp):
             if cap[cls[j]] < 1:  # its class is spent: drop the class's columns
                 heap = [e for e in heap if cls[e[1]] != cls[j]]
                 heapq.heapify(heap)
-    x = fixed.copy()
-    x[opened] = 1.0
-    met = not unmet and (cover.supp @ x >= 1.0).all() and (x @ onehot <= cover.budgets).all()
-    return True if met else x
+    x[opened] = bounds[opened, 1]
+    return True if not unmet and lp.confirms(cover, x) else x
 
 
 def feasible(cover: lp.CoveringLp, proofs=None) -> bool:

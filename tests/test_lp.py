@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -265,7 +266,7 @@ class TestVerdict:
         cover = make_cover(
             [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
             [0] * 5, [1.0], [(0.0, 1.0)] * 5)
-        s = lp._phase_one_setup(cover)
+        s = lp._phase_one_setup(cover, lp._vertex(cover))
         # The threshold is sum |lam_i| * 1e-7 over the clipped multipliers.
         assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, -3.0])) == (1.0, pytest.approx(7e-7))
         bound, tol = lp._lagrangian_bound(s, np.array([1, 1, 1, 1, 0.0]))
@@ -276,10 +277,11 @@ class TestVerdict:
         assert lp.verdict(cover) is False
 
     def test_stored_multipliers_of_the_wrong_sign_refute_nothing(self):
-        # x0 <= 2 on the box [0, 1]: w = +1 on the <= row would give
-        # min (2 - x0) = 1 > tol, but a <= row's multiplier must be <= 0.
+        # x0 <= 2 on the box [0, 1]: z = -1 on the class would give
+        # min (2 - x0) = 1 > tol, but a class multiplier must be >= 0.  A
+        # stored budget-row multiplier lam is z = -lam.
         cover = make_cover([], [0], [2.0], [(0.0, 1.0)])
-        assert lp._refutes(lp._phase_one_setup(cover), np.array([1.0]))[0] == -np.inf
+        assert lp.refutes(cover, np.zeros(0), np.array([-1.0]))[0] == -np.inf
         # The other two proofs have the wrong shape and are skipped.
         proofs = [(False, np.array([1.0])), (True, np.zeros(2)), (False, np.ones(2))]
         assert lp.verdict(cover, None, proofs) is True
@@ -290,6 +292,25 @@ class TestVerdict:
             cover = make_cover([[1]], [0], [1.0], [bad])
             with pytest.raises(ValueError, match="not a finite nonempty interval"):
                 lp.verdict(cover)
+
+    @pytest.mark.parametrize("answer", [True, False])
+    def test_stored_proofs_answer_before_any_layout_but_after_the_checks(self, answer,
+                                                                        monkeypatch):
+        # x0 + x1 >= 1 with a budget of 2, proved by the point (1, 1); x0 >= 1
+        # with x0 <= 0.5, refuted by y = 1 on the row (stored as (1, -0)).
+        supp, proof = ([[1, 1]], np.ones(2)) if answer else ([[1, 0]], np.array([1.0, 0.0]))
+        bounds = [(0.0, 1.0), (0.0, 1.0)] if answer else [(0.0, 0.5), (0.0, 1.0)]
+        cover = make_cover(supp, [0, 0], [2.0], bounds)
+        monkeypatch.setattr(lp, "_rows", None)  # laying out the dense rows fails
+        assert lp.verdict(cover, None, [(answer, proof)]) is answer
+        # Bad bounds or a bad start are rejected even though the proof would
+        # still answer.
+        for bad_bound in [(0.0, np.inf), (-np.inf, 1.0), (2.0, 1.0)]:
+            broken = make_cover(supp, [0, 0], [2.0], [bounds[0], bad_bound])
+            with pytest.raises(ValueError, match="not a finite nonempty interval"):
+                lp.verdict(broken, None, [(answer, proof)])
+        with pytest.raises(ValueError, match="start of variable 1 is 0.5, not a bound"):
+            lp.verdict(cover, [0.0, 0.5], [(answer, proof)])
 
 
 class TestVerdictStart:
@@ -334,7 +355,7 @@ class TestVerdictStart:
         # x0 + x1 >= 1, x0 >= 1 and x0 + x1 <= 10: the start (0, 1) meets
         # rows 0 and 2 and misses row 1.
         cover = make_cover([[1, 1], [1, 0]], [0, 0], [10.0], [(0.0, 1.0)] * 2)
-        s = lp._phase_one_setup(cover, [0.0, 1.0])
+        s = lp._phase_one_setup(cover, lp._vertex(cover, [0.0, 1.0]))
         assert s.A.shape == (3, 2 + 3 + 1)  # structural, slack, one artificial
         assert s.x.tolist() == [0.0, 1.0, 0.0, 0.0, 9.0, 1.0]
         assert s.basis.tolist() == [2, 5, 4]
@@ -355,7 +376,7 @@ class TestVerdictStart:
     def test_start_must_be_a_vertex_of_the_box(self, start, match):
         cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 1.0), (0.0, 2.0)])
         with pytest.raises(ValueError, match=match):
-            lp._phase_one_setup(cover, start)
+            lp._vertex(cover, start)
         with pytest.raises(ValueError, match=match):
             lp.verdict(cover, start)
 
@@ -403,7 +424,13 @@ class TestPivotPath:
         assert digest.hexdigest() == PIVOT_PATH_DIGEST
 
 
+@functools.cache
 def certify_cases():
+    """The tuple of _certify_cases, built once."""
+    return tuple(_certify_cases())
+
+
+def _certify_cases():
     """path_covering_lps, then for seeds 0-149 a guess LP from
     bicriteria.build_guess_lp (seeded affirmative and negative masks over
     a random subset of the points, so pins and per-point start levels) on
@@ -453,3 +480,112 @@ class TestCertifyPath:
                 outcomes["open"] += 1
         assert outcomes == {"True": 194, "False": 220, "open": 86}
         assert digest.hexdigest() == CERTIFY_DIGEST
+
+
+def reference_lagrangian_bound(cover, s, lam):
+    """The dense Lagrangian bound that lp.refutes replaced, as it was but
+    clipping a copy of lam, on the phase-one system s of `cover`: clip lam
+    just enough to keep the slack and artificial reduced costs >= 0, then
+    price the structural columns of the dense rows (lp._rows) over the
+    box.  Returns (L, tol)."""
+    C, ge, rhs = lp._rows(cover)
+    n = C.shape[1]
+    row_tol = lp.FEAS_TOL * np.maximum(1.0, np.abs(rhs))
+    unit = s.A[:, n:]
+    rows = np.argmax(unit != 0, axis=0)
+    coef = unit[rows, np.arange(unit.shape[1])]
+    limit = s.cost[n:] / coef
+    upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
+    np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
+    np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
+    w = np.clip(lam, lower, upper)
+    tol = float(np.abs(w) @ row_tol)
+    reduced = (s.cost - w @ s.A)[:n]
+    lo, hi = s.lo[:n], s.hi[:n]
+    up, down = reduced < 0, reduced > 0
+    if np.any(np.where(ge, w < 0, w > 0)):
+        return -np.inf, tol
+    return float(w @ rhs + reduced[down] @ lo[down] + reduced[up] @ hi[up]), tol
+
+
+class TestCheckPair:
+    """lp.confirms and lp.refutes, the one confirming and the one refuting
+    check, shared by the certificates, the stored proofs and the pivot
+    loop."""
+
+    def test_verdict_multipliers_match_the_dense_bound(self):
+        # On every certify_cases LP the certificates leave open, the
+        # multipliers lp.verdict ends with give the same (L, tol) on the
+        # covering form as on the dense system, and the same answer.
+        compared = refuted = 0
+        for cover in certify_cases():
+            vertex = model._certify(cover)
+            if isinstance(vertex, bool):
+                continue
+            s = lp._phase_one_setup(cover, lp._vertex(cover, vertex))
+            _, lam = lp._phase_one(s, lp.DEGENERATE_RUN)
+            if lam is None:
+                continue
+            got, want = lp._lagrangian_bound(s, lam.copy()), reference_lagrangian_bound(cover, s, lam)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+            assert (got[0] > got[1]) == (want[0] > want[1])
+            compared += 1
+            refuted += got[0] > got[1]
+        assert compared == 86 and 0 < refuted < compared
+
+    def test_packing_multipliers_refute_exactly_the_false_answers(self, monkeypatch):
+        # _certify hands lp.refutes y = 1 on its picked rows and z = 1 on
+        # the classes whose budget left is below their count in the union;
+        # L > tol exactly where it answers False, and L is then the integral
+        # packing gap.
+        real_refutes, calls = lp.refutes, []
+        monkeypatch.setattr(lp, "refutes", lambda cover, y, z:
+                            calls.append((y, z, real_refutes(cover, y, z))) or calls[-1][2])
+        gaps = []
+        for cover in certify_cases():
+            calls.clear()
+            got = model._certify(cover)
+            assert (got is False) == any(bound > tol for _, _, (bound, tol) in calls)
+            for y, z, _ in calls:
+                assert set(y.tolist()) <= {0.0, 1.0} and set(z.tolist()) <= {0.0, 1.0}
+            if got is False:
+                gaps.append(calls[-1][2][0])
+        assert len(gaps) == 220 and min(gaps) >= 1.0 and all(g == int(g) for g in gaps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_a_confirmed_point_agrees_with_highs(self, seed, data):
+        # A point of the box that lp.confirms accepts means HiGHS finds the
+        # LP feasible; the simplex's point is always accepted, and a point
+        # outside the box is judged as its clip.
+        cover = random_cover(seed)
+        lo, hi = cover.bounds.T
+        x = lp.solve(cover)
+        if x is None or data.draw(st.booleans(), label="own point"):
+            x = lo + (hi - lo) * np.array(data.draw(
+                st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(lo), max_size=len(lo)),
+                label="fractions"))
+        else:
+            assert lp.confirms(cover, x)
+        shifted = x + np.where(x == hi, 1.0, 0.0) - np.where(x == lo, 1.0, 0.0)
+        assert lp.confirms(cover, shifted) == lp.confirms(cover, x)
+        if lp.confirms(cover, x):
+            assert scipy_reference(cover).status == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_refuting_multipliers_agree_with_highs(self, seed, data):
+        # Multipliers y, z >= 0 with L > tol mean HiGHS finds the LP
+        # infeasible; a negative one refutes nothing.
+        cover = random_cover(seed)
+        weights = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+        y = np.array(data.draw(st.lists(weights, min_size=len(cover.supp),
+                                        max_size=len(cover.supp)), label="y"))
+        z = np.array(data.draw(st.lists(weights, min_size=len(cover.budgets),
+                                        max_size=len(cover.budgets)), label="z"))
+        bound, tol = lp.refutes(cover, y, z)
+        if bound > tol:
+            assert scipy_reference(cover).status == 2
+        if y.size:
+            y[0] = -1.0
+            assert lp.refutes(cover, y, z)[0] == -np.inf

@@ -140,7 +140,8 @@ def reference_candidates(instance):
 
 # The numpy certificates that the bitset ones replaced, kept verbatim (one
 # pass over the columns per opened variable) to pin their answers and
-# greedy vertices on forms wider than one machine word.
+# greedy vertices on forms wider than one machine word.  Its refutation
+# margin is its own literal 0.5, as the certificates had it.
 def reference_certify(cover):
     """Settle a covering LP without pivoting: False when a packing bound
     refutes it, True when an integral greedy choice satisfies it.  When
@@ -175,7 +176,7 @@ def reference_certify(cover):
     # refutes pins that overrun a budget.
     union = np.cumsum(np.vstack([np.zeros(h), sets[picked] @ onehot]), axis=0)
     needs = np.cumsum(np.concatenate([[0.0], need[rows[picked]]]))
-    if np.any(needs > np.minimum(cap, union).sum(axis=1) + model.CERT_MARGIN):
+    if np.any(needs > np.minimum(cap, union).sum(axis=1) + 0.5):
         return False
 
     # Greedy: open the free variable meeting the most unmet rows, within
@@ -358,10 +359,11 @@ class TestFractional:
     def test_alpha_only_search_solves_only_open_probes(self, monkeypatch):
         # A probe reaches the simplex only when neither the certificates nor
         # lp.verdict settle it; min_feasible_dilation solves its winner once.
-        # Dense rows are laid out once per verdict, which runs on each probe
-        # the certificates leave open, and once per solve.
-        verdicts, solves, certified, laid = [], [], [], []
-        real_verdict, real_solve = lp.verdict, lp.solve
+        # Dense rows are laid out once per verdict that pivots, which runs on
+        # each probe the certificates and the stored proofs leave open, and
+        # once per solve.
+        verdicts, solves, certified, laid, pivoted = [], [], [], [], []
+        real_verdict, real_solve, real_phase_one = lp.verdict, lp.solve, lp._phase_one
         real_certify, real_rows = model._certify, lp._rows
         monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
                             verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
@@ -370,30 +372,35 @@ class TestFractional:
         monkeypatch.setattr(model, "_certify", lambda cover:
                             certified.append(real_certify(cover)) or certified[-1])
         monkeypatch.setattr(lp, "_rows", lambda cover: laid.append(cover) or real_rows(cover))
-        unsolved = settled = undense = 0
-        for seed in range(20):
+        monkeypatch.setattr(lp, "_phase_one", lambda s, run:
+                            pivoted.append(run) or real_phase_one(s, run))
+        unsolved = settled = undense = stored = 0
+        for seed in range(40):
             inst = random_instance(8, seed=seed, max_classes=4)
-            for calls in (verdicts, solves, certified, laid):
+            for calls in (verdicts, solves, certified, laid, pivoted):
                 calls.clear()
             alpha = relaxation_search(inst)
             assert len(solves) == verdicts.count(None)
             opened = sum(not isinstance(c, bool) for c in certified)
             assert len(verdicts) == opened
-            assert len(laid) == len(verdicts) + len(solves)
+            pivoting = pivoted.count(lp.DEGENERATE_RUN)
+            assert len(laid) == pivoting + len(solves)
             settled += len(verdicts) - verdicts.count(None)
+            stored += len(verdicts) - pivoting
             unsolved += not solves
             undense += len(certified) - opened
-            for calls in (verdicts, solves, certified, laid):
+            for calls in (verdicts, solves, certified, laid, pivoted):
                 calls.clear()
             want_alpha, _ = min_feasible_dilation(inst)
             assert alpha == want_alpha
             assert len(solves) == verdicts.count(None) + 1
-            assert len(laid) == opened + len(solves) and laid[-1] is solves[-1]
+            assert len(laid) == pivoted.count(lp.DEGENERATE_RUN) + len(solves)
+            assert laid[-1] is solves[-1]
             assert_same_form(solves[-1], build_nukc_lp(inst, alpha))
         # Some searches ran no simplex, lp.verdict settled some probes the
-        # certificates left open, and the certificates settled the rest
-        # without laying out dense rows.
-        assert unsolved > 0 and settled > 0 and undense > 0
+        # certificates left open, stored proofs settled some without laying
+        # out dense rows, and the certificates settled the rest.
+        assert unsolved > 0 and settled > 0 and stored > 0 and undense > 0
 
     def test_lp_shape(self, line_instance):
         prob = dense(build_nukc_lp(line_instance, 1.0))
@@ -525,6 +532,20 @@ class TestCertificate:
         assert model._certify(build_nukc_lp(inst, 1.0)) is True
         lone = self.line([[0], [0], [5]], [(1, 1.0)])
         assert model._certify(build_nukc_lp(lone, 1.0)) is False
+
+    def test_boxes_narrower_than_the_unit_interval(self):
+        # x0 >= 1 with x0 in [0, 0.5]: the greedy opens x0 at its upper
+        # bound, which meets no row, so its vertex goes to lp.verdict.
+        narrow = lp.CoveringLp(supp=np.array([[True]]), cls=np.array([0]),
+                               budgets=np.array([1.0]), bounds=np.array([[0.0, 0.5]]))
+        assert model._certify(narrow).tolist() == [0.5]
+        assert feasible(narrow) is False and lp.solve(narrow) is None
+        # x0 + x1 >= 1 on [0, 0.5]^2 within a budget of 1: only (0.5, 0.5).
+        pair = lp.CoveringLp(supp=np.array([[True, True]]), cls=np.array([0, 0]),
+                             budgets=np.array([1.0]), bounds=np.array([[0.0, 0.5]] * 2))
+        assert lp.confirms(pair, np.array([0.5, 0.5]))
+        assert model._certify(pair).tolist() == [0.5, 0.0]
+        assert feasible(pair) is True and lp.solve(pair).tolist() == [0.5, 0.5]
 
     def test_open_lp_starts_the_verdict_at_the_greedy_vertex(self, monkeypatch):
         # _certify hands an open LP's greedy vertex to lp.verdict as its start.
