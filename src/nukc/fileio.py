@@ -12,9 +12,9 @@ from itertools import chain
 
 import numpy as np
 
-from .gadgets import RootedTree
 from .metric import MetricSpace
 from .model import Ball, NukcInstance, NukcSolution
+from .rmfct import LayeredTree
 
 
 class FormatError(ValueError):
@@ -144,18 +144,34 @@ def solution_from_obj(obj: dict):
     return NukcSolution(balls), [_integral(p, "outlier id") for p in outliers]
 
 
-def tree_to_obj(tree: RootedTree) -> dict:
-    return {"parents": [None] + [int(p) for p in tree.parents[1:]]}
+def tree_to_obj(tree: LayeredTree) -> dict:
+    """The document of a tree whose nodes are 1..num_nodes, each numbered
+    after its parent (as tree_from_obj and random_layered_tree number them)."""
+    return {"parents": [None] + [tree.parent[v] or 0 for v in range(1, tree.num_nodes + 1)]}
 
 
-def tree_from_obj(obj: dict) -> RootedTree:
+def tree_from_obj(obj: dict) -> LayeredTree:
+    """Node v > 0 of {"parents": [null, ...]} hangs off parents[v] < v, and
+    node 0 is the root; the tree has one level per depth, budget 1 each."""
     if not isinstance(obj, dict) or not isinstance(obj.get("parents"), list):
         raise FormatError('tree document needs a "parents" list')
     parents = obj["parents"]
     if not parents or parents[0] is not None:
         raise FormatError("tree parents[0] must be null (the root)")
-    return RootedTree([None] + [_integral(p, f"parent of node {v}")
-                                for v, p in enumerate(parents[1:], 1)])
+    depth, levels, parent = [0], [], {}
+    for v, p in enumerate(parents[1:], 1):
+        p = _integral(p, f"parent of node {v}")
+        if not 0 <= p < v:
+            raise FormatError(f"node {v} has invalid parent {p}")
+        depth.append(depth[p] + 1)
+        if depth[v] > len(levels):
+            levels.append([])
+        levels[depth[v] - 1].append(v)
+        parent[v] = p or None
+    try:
+        return LayeredTree(levels, parent, [1.0] * len(levels))
+    except ValueError as exc:  # a childless node above the leaves, or no node
+        raise FormatError(f"tree document: {exc}") from exc
 
 
 def dump(obj, path) -> None:

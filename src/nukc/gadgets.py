@@ -4,7 +4,6 @@ random test instances."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,47 +12,6 @@ from .model import NukcInstance
 from .rmfct import LayeredTree
 
 GADGET_TOL = 1e-9  # rounding of a radius's exact integer sum to float
-
-
-@dataclass
-class RootedTree:
-    """A rooted tree with every leaf at the same depth.  parents[0] is None
-    (the root); parents[v] < v for v > 0."""
-
-    parents: list
-
-    def __post_init__(self):
-        if not self.parents or self.parents[0] is not None:
-            raise ValueError("node 0 must be the root (parent None)")
-        for v, p in enumerate(self.parents):
-            if v > 0 and not (isinstance(p, int) and 0 <= p < v):
-                raise ValueError(f"node {v} has invalid parent {p}")
-        self.depth_of = [0] * len(self.parents)
-        children = [[] for _ in self.parents]
-        for v, p in enumerate(self.parents):
-            if v > 0:
-                self.depth_of[v] = self.depth_of[p] + 1
-                children[p].append(v)
-        self.children = children
-        self.leaves = [v for v in range(len(self.parents)) if not children[v]]
-        depths = {self.depth_of[v] for v in self.leaves}
-        if len(depths) != 1:
-            raise ValueError(f"all leaves must share one depth, got depths {sorted(depths)}")
-        self.depth = depths.pop()
-        if self.depth < 1:
-            raise ValueError("tree must have depth at least 1")
-
-    def to_layered(self, budgets=None) -> LayeredTree:
-        """Non-root nodes arranged by depth; default budget 1 per level."""
-        levels = [[] for _ in range(self.depth)]
-        parent = {}
-        for v in range(1, len(self.parents)):
-            levels[self.depth_of[v] - 1].append(v)
-            p = self.parents[v]
-            parent[v] = None if p == 0 else p
-        if budgets is None:
-            budgets = [1.0] * self.depth
-        return LayeredTree(levels, parent, budgets)
 
 
 def gadget_radii(depth: int, c: float) -> list:
@@ -66,9 +24,10 @@ def gadget_radii(depth: int, c: float) -> list:
     return radii
 
 
-def hardness_gadget(tree: RootedTree, c: float) -> NukcInstance:
-    """Leaves of the tree under the weighted path metric: the edge between
-    depths i-1 and i weighs (2c+1)^(h-i+1).  Radius classes are the h
+def hardness_gadget(tree: LayeredTree, c: float) -> NukcInstance:
+    """Leaves of the tree under the weighted path metric, with an implicit
+    root at depth 0 above level 0 (level i sits at depth i+1): the edge
+    between depths i-1 and i weighs (2c+1)^(h-i+1).  Radius classes are the h
     singletons r_1 > ... > r_h = 0.  Two leaves whose lowest common
     ancestor sits at depth t are at distance exactly r_t (enforced).
 
@@ -90,31 +49,22 @@ def hardness_gadget(tree: RootedTree, c: float) -> NukcInstance:
       At depth 2 the optimum is exactly r_0 / r_1 = 2c+2."""
     if not c >= 1:  # NaN fails this too
         raise ValueError(f"gadget needs c >= 1, got {c}")
-    h = tree.depth
+    h = tree.num_levels
     base = 2 * c + 1
     if h * math.log2(base) > 62:
         raise ValueError(
             f"gadget weights overflow 62 bits: depth {h} with 2c+1 = {base}"
         )
     radii = gadget_radii(h, c)
-    leaves = tree.leaves
-    n = len(leaves)
-    # Depth of the lowest common ancestor for each leaf pair.
-    anc = {}
-    for leaf in leaves:
-        chain = []
-        v = leaf
-        while v is not None:
-            chain.append(v)
-            v = tree.parents[v]
-        anc[leaf] = chain  # leaf .. root
+    paths = [tree.path_to_root(leaf) for leaf in tree.leaves]
+    n = len(paths)
     dist = np.zeros((n, n))
     for a in range(n):
-        seta = set(anc[leaves[a]])
+        seta = set(paths[a])
         for b in range(a + 1, n):
-            lca_depth = max(
-                tree.depth_of[v] for v in anc[leaves[b]] if v in seta
-            )
+            # Paths run leaf first, so the first shared node is the lowest
+            # common ancestor; none shared means the implicit root, depth 0.
+            lca_depth = next((1 + tree.level_of[v] for v in paths[b] if v in seta), 0)
             d = float(radii[lca_depth])
             if abs(d - 2 * sum(base**j for j in range(1, h - lca_depth + 1))) > GADGET_TOL:
                 raise AssertionError("gadget distance identity violated")
@@ -154,32 +104,29 @@ def random_metric(n: int, seed: int) -> MetricSpace:
     return MetricSpace(dist, check=True)
 
 
-def random_layered_tree(depth: int, max_branching: int, seed: int) -> RootedTree:
-    """Random rooted tree with every leaf at exactly `depth`."""
+def random_layered_tree(depth: int, max_branching: int, seed: int) -> LayeredTree:
+    """Random tree with every leaf on level depth - 1 and budget 1 per
+    level; nodes are numbered 1, 2, ... level by level."""
     if depth < 1 or max_branching < 1:
         raise ValueError("depth and max_branching must be >= 1")
     rng = np.random.RandomState(seed)
-    parents = [None]
-    frontier = [0]
+    levels, parent = [], {}
+    frontier = [None]
     for _ in range(depth):
-        nxt = []
-        for v in frontier:
+        level = []
+        for p in frontier:
             for _ in range(int(rng.randint(1, max_branching + 1))):
-                parents.append(v)
-                nxt.append(len(parents) - 1)
-        frontier = nxt
-    return RootedTree(parents)
+                level.append(len(parent) + 1)
+                parent[level[-1]] = p
+        levels.append(level)
+        frontier = level
+    return LayeredTree(levels, parent, [1.0] * depth)
 
 
-def random_instance(
-    n: int, seed: int, max_classes: int = 3, max_k: int = 3, euclidean: bool = True
-) -> NukcInstance:
+def random_instance(n: int, seed: int, max_classes: int = 3, max_k: int = 3) -> NukcInstance:
     """Random small instance with 1..max_classes distinct radius classes."""
     rng = np.random.RandomState(seed)
-    if euclidean:
-        space, _ = random_euclidean(n, 2, seed)
-    else:
-        space = random_metric(n, seed)
+    space, _ = random_euclidean(n, 2, seed)
     scale = space.diameter() or 1.0
     num = int(rng.randint(1, max_classes + 1))
     radii = sorted(rng.uniform(0.05, 0.8, size=num) * scale, reverse=True)

@@ -27,9 +27,10 @@ class FirefighterInfeasibleError(ValueError):
 
 
 class LayeredTree:
-    """levels[i] lists the node ids on level i (levels[-1] are the leaves);
-    parent[v] is the node one level up, or None on level 0.  budgets[i] is
-    the per-level budget; psi optionally maps nodes to metric points."""
+    """levels[i] lists the node ids on level i (levels[-1] are the leaves,
+    and every node above the last level has a child); parent[v] is the
+    node one level up, or None on level 0.  budgets[i] is the per-level
+    budget; psi optionally maps nodes to metric points."""
 
     def __init__(self, levels, parent, budgets, psi=None):
         self.levels = [list(lv) for lv in levels]
@@ -53,9 +54,13 @@ class LayeredTree:
             if self.level_of[p] != self.level_of[v] - 1:
                 raise ValueError(f"parent of {v} is not one level up")
             self.children[p].append(v)
-        for v in self.level_of:
+        if not self.levels or not self.levels[-1]:
+            raise ValueError("the last level must hold a leaf")
+        for v, i in self.level_of.items():
             if v not in self.parent:
                 raise ValueError(f"node {v} missing from parent map")
+            if i < len(self.levels) - 1 and not self.children[v]:
+                raise ValueError(f"node {v} on level {i} has no child")
             self.children[v].sort()
 
     @property
@@ -97,9 +102,9 @@ def is_feasible_set(tree: LayeredTree, chosen) -> list:
     return [v for v in tree.leaves if not chosen.intersection(tree.path_to_root(v))]
 
 
-def build_rmfct_lp(tree: LayeredTree, alpha: float = 1.0) -> lp.CoveringLp:
+def build_rmfct_lp(tree: LayeredTree) -> lp.CoveringLp:
     """Fractional relaxation: y_v in [0,1] per node, path sums >= 1 per
-    leaf, level sums <= alpha * budget."""
+    leaf, level sums <= the level's budget."""
     nodes = sorted(tree.level_of)
     idx = {v: i for i, v in enumerate(nodes)}
     leaves, h = len(tree.leaves), tree.num_levels
@@ -110,14 +115,14 @@ def build_rmfct_lp(tree: LayeredTree, alpha: float = 1.0) -> lp.CoveringLp:
     return lp.CoveringLp(
         supp=supp,
         cls=np.array([tree.level_of[v] for v in nodes], dtype=int),
-        budgets=alpha * np.array(tree.budgets),
+        budgets=np.array(tree.budgets),
         bounds=np.full((len(nodes), 2), (0.0, 1.0)),
     )
 
 
-def solve_rmfct_lp(tree: LayeredTree, alpha: float = 1.0):
+def solve_rmfct_lp(tree: LayeredTree):
     """Returns a basic feasible y (dict node -> value) or None."""
-    y = lp.solve(build_rmfct_lp(tree, alpha))
+    y = lp.solve(build_rmfct_lp(tree))
     if y is None:
         return None
     return {v: float(y[i]) for i, v in enumerate(sorted(tree.level_of))}
@@ -134,9 +139,6 @@ def _depth2_levels(tree: LayeredTree):
     if tree.num_levels == 3 and tree.budgets[2] == 0:
         # Leaves carry budget zero; every second-level node has a leaf
         # below it, so the covering rows collapse to parent+node >= 1.
-        for v in tree.levels[1]:
-            if not tree.children[v]:
-                raise ValueError(f"second-level node {v} has no leaf below it")
         return tree.levels[0], tree.levels[1]
     raise ValueError(
         "round_depth2 needs exactly two budgeted levels "
@@ -182,8 +184,7 @@ def round_depth2(tree: LayeredTree, y: dict) -> FirefighterSolution:
             y[w] = 1.0
             continue
         a, bnode = frac[0], frac[1]
-        ca = [c for c in tree.children[a] if c in tree.level_of and tree.level_of[c] == 1]
-        cb = [c for c in tree.children[bnode] if tree.level_of[c] == 1]
+        ca, cb = tree.children[a], tree.children[bnode]
         if len(ca) >= len(cb):
             up, down, cup, cdown = a, bnode, ca, cb
         else:
@@ -275,7 +276,7 @@ def round_loose(tree: LayeredTree, y: dict) -> FirefighterSolution:
 # ---------------------------------------------------------------------------
 
 
-def exact_rmfct(tree: LayeredTree, budgets=None, max_nodes: int = 24):
+def exact_rmfct(tree: LayeredTree, max_nodes: int = 24):
     """Exhaustive minimal-hitting-set search over root-leaf paths.
 
     Returns (value, chosen) where value = min over feasible N of
@@ -288,7 +289,6 @@ def exact_rmfct(tree: LayeredTree, budgets=None, max_nodes: int = 24):
         raise ValueError(
             f"exact_rmfct limited to {max_nodes} nodes, tree has {tree.num_nodes}"
         )
-    budgets = list(budgets) if budgets is not None else list(tree.budgets)
     leaves = sorted(tree.leaves)
     paths = {leaf: tree.path_to_root(leaf) for leaf in leaves}
     best = [math.inf, None]
@@ -298,9 +298,9 @@ def exact_rmfct(tree: LayeredTree, budgets=None, max_nodes: int = 24):
         for t, cnt in enumerate(counts):
             if cnt == 0:
                 continue
-            if budgets[t] <= 0:
+            if tree.budgets[t] <= 0:
                 return math.inf
-            worst = max(worst, cnt / budgets[t])
+            worst = max(worst, cnt / tree.budgets[t])
         return worst
 
     def search(chosen, counts):

@@ -239,7 +239,7 @@ def round_bottom_heavy(
             for t in range(h)
         ] + [0.0]
         emb.tree.budgets = budgets
-        y = solve_rmfct_lp(emb.tree, alpha=1.0)
+        y = solve_rmfct_lp(emb.tree)
         if y is None:
             raise RuntimeError("re-solved firefighter relaxation was infeasible")
         balls.extend(lift_tree_solution(emb, round_loose(emb.tree, y)).balls)

@@ -16,7 +16,6 @@ import pytest
 from nukc.bicriteria import enum_solve
 from nukc.embed import embed_barrier, embed_basic
 from nukc.gadgets import (
-    RootedTree,
     hardness_gadget,
     random_instance,
     random_layered_tree,
@@ -32,6 +31,7 @@ from nukc.model import (
 )
 from nukc.oracle import exact_kcwo, exact_nukc
 from nukc.rmfct import (
+    LayeredTree,
     exact_rmfct,
     is_feasible_set,
     round_depth2,
@@ -174,10 +174,10 @@ def test_criterion_04_barrier_distance_audit():
 def test_criterion_05_depth2_rounding():
     def make(seed):
         rng = np.random.RandomState(seed)
-        tree = random_layered_tree(2, max_branching=4, seed=seed).to_layered(
-            budgets=[float(rng.randint(1, 4)), float(rng.randint(1, 4))]
-        )
-        y = solve_rmfct_lp(tree, 1.0)
+        tree = random_layered_tree(2, max_branching=4, seed=seed)
+        tree = LayeredTree(tree.levels, tree.parent,
+                           [float(rng.randint(1, 4)), float(rng.randint(1, 4))])
+        y = solve_rmfct_lp(tree)
         if y is None:
             return None
         return tree, y
@@ -202,10 +202,8 @@ def test_criterion_05_depth2_rounding():
 def test_criterion_06_loose_vertex_rounding():
     def make(seed):
         rng = np.random.RandomState(5000 + seed)
-        tree = random_layered_tree(
-            int(rng.randint(2, 5)), max_branching=3, seed=seed
-        ).to_layered()
-        y = solve_rmfct_lp(tree, 1.0)
+        tree = random_layered_tree(int(rng.randint(2, 5)), max_branching=3, seed=seed)
+        y = solve_rmfct_lp(tree)
         if y is None:
             return None
         return tree, y
@@ -281,11 +279,9 @@ def _yes_tree(seed):
     plus one single-leaf child under the root."""
     rng = np.random.RandomState(seed)
     m = int(rng.randint(2, 9))
-    parents = [None, 0, 0]  # root 0, children 1 (branching) and 2 (path)
-    for _ in range(m):
-        parents.append(1)
-    parents.append(2)
-    return RootedTree(parents)
+    # Children 1 (branching) and 2 (path) below the root; leaves 3..m+3.
+    parent = {1: None, 2: None, **{v: 1 for v in range(3, m + 3)}, m + 3: 2}
+    return LayeredTree([[1, 2], list(range(3, m + 4))], parent, [1, 1])
 
 
 def test_criterion_08_hardness_gadget():
@@ -295,7 +291,7 @@ def test_criterion_08_hardness_gadget():
     # each of the two balls reaches a single one of the m + 1 >= 3 leaves.
     for seed in range(20):
         rt = _yes_tree(seed)
-        value, _ = exact_rmfct(rt.to_layered())
+        value, _ = exact_rmfct(rt)
         assert value == 1.0, "constructed tree is not a YES instance"
         inst = hardness_gadget(rt, c=1)
         opt, _ = exact_nukc(inst)
@@ -308,8 +304,7 @@ def test_criterion_08_hardness_gadget():
     while no_count < 10:
         rt = random_layered_tree(2, max_branching=3, seed=seed)
         seed += 1
-        lt = rt.to_layered()
-        if len(rt.leaves) > 10 or exact_rmfct(lt)[0] < 2.0:
+        if len(rt.leaves) > 10 or exact_rmfct(rt)[0] < 2.0:
             continue
         no_count += 1
         inst = hardness_gadget(rt, c=2)

@@ -1,6 +1,7 @@
 """Document mutation: replacing any node of a valid instance or solution
 document with a hostile value gives a defined exit code (0 to 4) from
-`nukc solve` and `nukc validate`, never a traceback."""
+`nukc solve` and `nukc validate`, never a traceback; in a tree document it
+gives a tree or a `FormatError` from `fileio.tree_from_obj`."""
 
 import copy
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nukc import cli
+from nukc import cli, fileio
 
 # Fixed values only: an unbounded integer drawn as a "k" of 10**9 would make
 # the solvers expand 10**9 radius slots.
@@ -98,3 +99,19 @@ def test_hostile_node_gives_a_defined_exit_code(docs, algo, factors):
         checked = cli.main(["validate", "--instance", str(inst), "--solution", str(sol),
                             *factors])
     assert solved in range(5) and checked in range(5)
+
+
+TREE = {"parents": [None, 0, 0, 1, 1, 2, 2]}
+
+
+def test_hostile_tree_node_gives_a_tree_or_a_format_error():
+    # A forward or negative parent and uneven leaves once escaped as a
+    # plain ValueError.
+    for path in node_paths(TREE):
+        for value in PALETTE:
+            doc = replaced(TREE, path, value)
+            try:
+                tree = fileio.tree_from_obj(doc)
+            except fileio.FormatError:
+                continue
+            assert fileio.tree_to_obj(tree) == doc

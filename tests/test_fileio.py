@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nukc import fileio
-from nukc.gadgets import RootedTree, random_euclidean
+from nukc.gadgets import random_euclidean, random_layered_tree
 from nukc.model import Ball, NukcInstance, NukcSolution
 
 
@@ -85,15 +85,23 @@ class TestSolutionRoundTrip:
 
 class TestTreeRoundTrip:
     def test_round_trip(self):
-        rt = RootedTree([None, 0, 0, 1, 1, 2, 2])
-        obj = fileio.tree_to_obj(rt)
-        back = fileio.tree_from_obj(obj)
-        assert back.parents == rt.parents
+        obj = {"parents": [None, 0, 0, 1, 1, 2, 2]}
+        tree = fileio.tree_from_obj(obj)
+        assert tree.levels == [[1, 2], [3, 4, 5, 6]]
+        assert tree.parent == {1: None, 2: None, 3: 1, 4: 1, 5: 2, 6: 2}
+        assert tree.budgets == [1.0, 1.0]
+        assert fileio.tree_to_obj(tree) == obj
+        for seed in range(8):
+            tree = random_layered_tree(1 + seed % 4, 3, seed)
+            back = fileio.tree_from_obj(fileio.tree_to_obj(tree))
+            assert (back.levels, back.parent, back.budgets) == (tree.levels, tree.parent, tree.budgets)
 
     @pytest.mark.parametrize(
         "parents",
-        [[None, 0.5, 0.9], [None, "0"], [None, None], [5, 0], []],
-        ids=["fractional", "string", "null-parent", "root-with-parent", "empty"],
+        [[None, 0.5, 0.9], [None, "0"], [None, None], [5, 0], [],
+         [None, 5], [None, -1], [None, 0, 0, 1], [None]],
+        ids=["fractional", "string", "null-parent", "root-with-parent", "empty",
+             "forward-parent", "negative-parent", "uneven-leaves", "root-only"],
     )
     def test_bad_parents_rejected(self, parents):
         with pytest.raises(fileio.FormatError):

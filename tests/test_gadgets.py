@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nukc.gadgets import (
-    RootedTree,
     gadget_radii,
     hardness_gadget,
     random_euclidean,
@@ -12,36 +11,33 @@ from nukc.gadgets import (
 )
 from nukc.metric import validate_metric
 from nukc.oracle import exact_nukc
-from nukc.rmfct import exact_rmfct
+from nukc.rmfct import LayeredTree, exact_rmfct
 
 
 def complete_binary(depth):
-    parents = [None]
-    frontier = [0]
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for _ in range(2):
-                parents.append(v)
-                nxt.append(len(parents) - 1)
-        frontier = nxt
-    return RootedTree(parents)
+    """Complete binary tree below an implicit root, nodes 1, 2, ... level
+    by level, budget 1 per level."""
+    levels = [list(range(2**i - 1, 2 ** (i + 1) - 1)) for i in range(1, depth + 1)]
+    parent = {v: (v - 1) // 2 or None for lv in levels for v in lv}
+    return LayeredTree(levels, parent, [1.0] * depth)
+
+
+def yes_tree():
+    # Nodes 1, 2 below the root; leaves 3, 4 under 1 and 5 under 2.
+    return LayeredTree([[1, 2], [3, 4, 5]], {1: None, 2: None, 3: 1, 4: 1, 5: 2}, [1, 1])
 
 
 class TestRootedTree:
     def test_depth_and_leaves(self):
         rt = complete_binary(2)
-        assert rt.depth == 2
-        assert len(rt.leaves) == 4
+        assert rt.num_levels == 2
+        assert rt.leaves == [3, 4, 5, 6]
+        assert rt.num_nodes == 6
 
     def test_uneven_leaves_rejected(self):
-        with pytest.raises(ValueError):
-            RootedTree([None, 0, 0, 1])  # leaves at depths 1 and 2
-
-    def test_to_layered_drops_root(self):
-        lt = complete_binary(2).to_layered()
-        assert lt.num_levels == 2
-        assert lt.num_nodes == 6
+        # Leaves at depths 1 and 2: node 2 on level 0 has no child.
+        with pytest.raises(ValueError, match="node 2 on level 0 has no child"):
+            LayeredTree([[1, 2], [3]], {1: None, 2: None, 3: 1}, [1, 1])
 
 
 class TestGadgetArithmetic:
@@ -92,14 +88,14 @@ class TestGadgetArithmetic:
     def test_yes_tree_dilation_is_low(self):
         # RMFC value 1: one pick per level hits every path, so dilation 1
         # covers; three leaves pairwise >= r_1 apart rule out anything less.
-        rt = RootedTree([None, 0, 0, 1, 1, 2])
-        assert exact_rmfct(rt.to_layered())[0] == 1.0
+        rt = yes_tree()
+        assert exact_rmfct(rt)[0] == 1.0
         opt, _ = exact_nukc(hardness_gadget(rt, c=1))
         assert opt == 1.0
 
     def test_no_tree_dilation_at_least_2c(self):
         rt = complete_binary(2)
-        assert exact_rmfct(rt.to_layered())[0] >= 2.0
+        assert exact_rmfct(rt)[0] >= 2.0
         opt, _ = exact_nukc(hardness_gadget(rt, c=2))
         assert opt >= 4.0
 
@@ -123,7 +119,9 @@ class TestRandomGenerators:
     def test_random_layered_tree_leaves_at_depth(self):
         for seed in range(5):
             rt = random_layered_tree(3, 3, seed)
-            assert all(rt.depth_of[v] == 3 for v in rt.leaves)
+            assert all(rt.level_of[v] == 2 for v in rt.level_of if not rt.children[v])
+            assert rt.levels == [sorted(lv) for lv in rt.levels]
+            assert sorted(rt.level_of) == list(range(1, rt.num_nodes + 1))
 
     def test_random_instance_shape(self):
         inst = random_instance(9, seed=3)

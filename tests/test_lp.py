@@ -11,7 +11,7 @@ from nukc import lp, model
 from nukc.bicriteria import build_guess_lp
 from nukc.gadgets import random_instance, random_layered_tree
 from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations, relaxation_search
-from nukc.rmfct import build_rmfct_lp
+from nukc.rmfct import LayeredTree, build_rmfct_lp
 from nukc.solvers import _window_lp
 
 
@@ -60,8 +60,9 @@ def random_cover(seed):
 def tree_lps(seed):
     """build_rmfct_lp on a seeded layered tree of depth 1-4, at level
     budget scales 0.5, 1, 1.5 and 2.5."""
-    tree = random_layered_tree(1 + seed % 4, 3, seed=seed).to_layered()
-    return [build_rmfct_lp(tree, alpha) for alpha in (0.5, 1.0, 1.5, 2.5)]
+    tree = random_layered_tree(1 + seed % 4, 3, seed=seed)
+    return [build_rmfct_lp(LayeredTree(tree.levels, tree.parent, [alpha] * tree.num_levels))
+            for alpha in (0.5, 1.0, 1.5, 2.5)]
 
 
 @st.composite

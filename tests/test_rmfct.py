@@ -30,7 +30,12 @@ def binary_tree():
     return LayeredTree(levels, parent, [1, 1])
 
 
-def reference_rmfct_lp(tree, alpha):
+def scaled(tree, alpha):
+    """The tree with every level budget multiplied by alpha."""
+    return LayeredTree(tree.levels, tree.parent, [alpha * b for b in tree.budgets])
+
+
+def reference_rmfct_lp(tree):
     """The per-entry loop builder the indexed one replaced, laid out as lp
     lays out a covering LP to pivot: (constraints, ge, rhs, bounds)."""
     nodes = sorted(tree.level_of)
@@ -47,7 +52,7 @@ def reference_rmfct_lp(tree, alpha):
         for v in lv:
             row[idx[v]] = 1.0
         rows.append(row)
-        rhs.append(alpha * tree.budgets[i])
+        rhs.append(tree.budgets[i])
     return (np.array(rows).reshape(len(rows), len(nodes)),
             np.arange(len(rows)) < len(tree.leaves),
             np.array(rhs),
@@ -99,6 +104,10 @@ class TestLayeredTree:
             LayeredTree([[0], [1], [2]], {0: None, 1: 0, 2: 0}, [1, 1, 1])
         with pytest.raises(ValueError, match="budgets"):
             LayeredTree([[0], [1]], {0: None, 1: 0}, [1])
+        with pytest.raises(ValueError, match="node 1 on level 0 has no child"):
+            LayeredTree([[0, 1], [2], [3]], {0: None, 1: None, 2: 0, 3: 2}, [1, 1, 1])
+        with pytest.raises(ValueError, match="last level"):
+            LayeredTree([], {}, [])
 
     def test_path_to_root(self):
         tree = binary_tree()
@@ -109,16 +118,16 @@ class TestLayeredTree:
 class TestLp:
     def test_lp_rows(self):
         tree = binary_tree()
-        constraints, _, _ = lp._rows(build_rmfct_lp(tree, 1.0))
+        constraints, _, _ = lp._rows(build_rmfct_lp(tree))
         # 4 leaf path rows + 2 level rows.
         assert len(constraints) == 6
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_match_reference(self, seed):
-        tree = relabelled(random_layered_tree(1 + seed % 4, 3, seed=seed).to_layered(), seed)
-        alpha = 1.0 + seed / 7.0
-        cover = build_rmfct_lp(tree, alpha)
-        got, want = (*lp._rows(cover), cover.bounds), reference_rmfct_lp(tree, alpha)
+        tree = relabelled(random_layered_tree(1 + seed % 4, 3, seed=seed), seed)
+        tree = scaled(tree, 1.0 + seed / 7.0)
+        cover = build_rmfct_lp(tree)
+        got, want = (*lp._rows(cover), cover.bounds), reference_rmfct_lp(tree)
         for field, g, w in zip(("constraints", "ge", "rhs", "bounds"), got, want):
             assert (g.dtype, g.shape) == (w.dtype, w.shape), field
             assert g.tobytes() == w.tobytes(), field
@@ -128,11 +137,11 @@ class TestLp:
         # force max(2a, 4(1 - a)) <= alpha, minimized at a = 2/3: the
         # fractional threshold is alpha = 4/3.
         tree = binary_tree()
-        assert solve_rmfct_lp(tree, 4.0 / 3.0 + 1e-9) is not None
-        assert solve_rmfct_lp(tree, 1.3) is None
+        assert solve_rmfct_lp(scaled(tree, 4.0 / 3.0 + 1e-9)) is not None
+        assert solve_rmfct_lp(scaled(tree, 1.3)) is None
 
     def test_infeasible_at_small_alpha(self):
-        assert solve_rmfct_lp(binary_tree(), 0.2) is None
+        assert solve_rmfct_lp(scaled(binary_tree(), 0.2)) is None
 
 
 class TestRoundDepth2:
@@ -171,10 +180,10 @@ class TestRoundDepth2:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_lp_solutions_round_cleanly(self, seed):
         rng = np.random.RandomState(seed)
-        tree = random_layered_tree(2, max_branching=4, seed=seed).to_layered(
-            budgets=[float(rng.randint(1, 4)), float(rng.randint(1, 4))]
-        )
-        y = solve_rmfct_lp(tree, 1.0)
+        tree = random_layered_tree(2, max_branching=4, seed=seed)
+        tree = LayeredTree(tree.levels, tree.parent,
+                           [float(rng.randint(1, 4)), float(rng.randint(1, 4))])
+        y = solve_rmfct_lp(tree)
         if y is None:
             return
         ff = round_depth2(tree, y)
@@ -189,8 +198,8 @@ class TestRoundLoose:
     def test_feasible_with_bounded_excess(self, seed):
         rng = np.random.RandomState(1000 + seed)
         depth = int(rng.randint(2, 5))
-        tree = random_layered_tree(depth, max_branching=3, seed=seed).to_layered()
-        y = solve_rmfct_lp(tree, 1.0)
+        tree = random_layered_tree(depth, max_branching=3, seed=seed)
+        y = solve_rmfct_lp(tree)
         if y is None:
             return
         ff = round_loose(tree, y)
@@ -220,14 +229,14 @@ class TestExact:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
-        tree = random_layered_tree(2, max_branching=3, seed=seed).to_layered()
+        tree = random_layered_tree(2, max_branching=3, seed=seed)
         if tree.num_nodes > 10:
             return
         value, chosen = exact_rmfct(tree)
         assert value == pytest.approx(brute_force_value(tree))
 
     def test_node_budget_guard(self):
-        tree = random_layered_tree(4, max_branching=3, seed=0).to_layered()
+        tree = random_layered_tree(4, max_branching=3, seed=0)
         if tree.num_nodes > 24:
             with pytest.raises(ValueError):
                 exact_rmfct(tree)
