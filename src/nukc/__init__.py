@@ -14,9 +14,8 @@ from .model import (
     min_feasible_dilation,
     validate_solution,
 )
-from .embed import embed_barrier, embed_basic, lift_tree_solution
+from .embed import lift_tree_solution
 from .rmfct import (
-    FirefighterSolution,
     LayeredTree,
     build_rmfct_lp,
     exact_rmfct,

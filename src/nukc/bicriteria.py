@@ -33,7 +33,7 @@ from .model import (
     lift_compressed_solution,
     relaxation_search,
 )
-from .embed import embed_basic
+from .embed import embed
 from .oracle import SizeBudgetError
 from .rmfct import ROUND_TOL
 from .solvers import ilog, round_bottom_heavy, solve_guess_q, zero_dilation_solution
@@ -174,8 +174,8 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
             c_t = [p for p in x_t if level[p] == t]
             if not c_t:
                 continue
-            emb = embed_basic(scaled, x_star, points=c_t)
-            winners = emb.winners[t]
+            tree = embed(scaled, x_star, points=c_t).tree
+            winners = [tree.psi[v] for v in tree.levels[t]]
             if len(winners) > winner_cap:
                 raise RuntimeError(
                     f"level-{t} winner count {len(winners)} exceeds the "

@@ -6,48 +6,44 @@ leaves are the instance points, together with node values y that are
 feasible for the firefighter relaxation at budget factor 1: leaf path sums
 are at least 1 and the level-t y sum is at most k_t.
 
-Two modes:
+One clustering round per level, gathering radius 2*r_t, unless `barrier`
+is set.  Lifting a chosen level-t node opens a ball of radius
+2 * (r_t + r_{t+1} + ... + r_{h-1}) at its mapped point.
 
-* "basic": one clustering round per level, gathering radius 2*r_{t}.
-  Lifting a chosen level-t node opens a ball of radius
-  2 * (r_t + r_{t+1} + ... + r_{h-1}) at its mapped point.
-* "barrier": rounds jump over levels whose radii are within a factor two,
-  replicating winners down the skipped span; the gathering radius at a
-  span topped by level t is 2*r_t.  Consecutive span radii shrink
-  geometrically, so an ancestor at level t is within 8*r_t of every
-  descendant's mapped point, and lifting opens balls of radius 8*r_t.
-  The factor-8 bound is audited at construction time.
+With `barrier`, rounds jump over levels whose radii are within a factor
+two, replicating winners down the skipped span; the gathering radius at a
+span topped by level t is 2*r_t.  Consecutive span radii shrink
+geometrically, so an ancestor at level t is within 8*r_t of every
+descendant's mapped point, and lifting opens balls of radius 8*r_t.  The
+factor-8 bound is audited at construction time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metric import covered, within
 from .model import Ball, NukcInstance, NukcSolution, coverage
-from .rmfct import ROUND_TOL, FirefighterInfeasibleError, FirefighterSolution, LayeredTree
+from .rmfct import ROUND_TOL, FirefighterInfeasibleError, LayeredTree
 
 
 @dataclass
 class EmbedResult:
     tree: LayeredTree
-    mode: str
     instance: NukcInstance
-    leaf_points: list
-    winners: list  # per level 0..h-1, the mapped winner points in pick order
-    y: dict = field(default_factory=dict)
+    y: dict
+    lift: list  # lift[t]: the ball radius that opens a chosen level-t node
 
 
-def _audit_barrier(result: EmbedResult) -> None:
+def _audit_barrier(tree: LayeredTree, instance: NukcInstance) -> None:
     """Hard postcondition: every ancestor at level t sits within 8*r_t of
     every descendant's mapped point."""
-    tree = result.tree
-    dist = result.instance.space.dist
-    radii = result.instance.radii
+    dist = instance.space.dist
+    radii = instance.radii
     psi = tree.psi
-    h = result.instance.num_classes
+    h = instance.num_classes
 
     def walk(v, ancestors):
         for (lvl, pt) in ancestors:
@@ -69,15 +65,13 @@ def _audit_barrier(result: EmbedResult) -> None:
 def embed(
     instance: NukcInstance,
     x: np.ndarray,
-    mode: str = "basic",
     points=None,
+    barrier: bool = False,
 ) -> EmbedResult:
     """Embed a fractional solution x (feasible at dilation 1, covering at
     least the points in `points`) into a layered tree.  Winner selection
     minimizes the suffix coverage at the current level, ties to the lowest
     point id, where coverages within ROUND_TOL of each other tie."""
-    if mode not in ("basic", "barrier"):
-        raise ValueError(f"unknown embed mode {mode!r}")
     n, h = instance.n, instance.num_classes
     radii = instance.radii
     dist = instance.space.dist
@@ -85,35 +79,26 @@ def embed(
     if not pts:
         raise ValueError("cannot embed an empty point set")
     cov = coverage(instance, x)
-    next_node = 0
-
-    def new_node():
-        nonlocal next_node
-        next_node += 1
-        return next_node - 1
-
     levels = [[] for _ in range(h + 1)]
     parent = {}
     psi = {}
     yval = {}
-    # Leaf level h: identity on the embedded points.
-    node_of = {}  # point -> its current top node
-    for p in pts:
-        v = new_node()
-        levels[h].append(v)
-        psi[v] = p
-        node_of[p] = v
 
-    winners_at = [[] for _ in range(h)]
+    def add_node(lvl, p):
+        v = len(psi)
+        levels[lvl].append(v)
+        psi[v] = p
+        return v
+
+    # Leaf level h: identity on the embedded points.
+    node_of = {p: add_node(h, p) for p in pts}  # point -> its current top node
     cur = h  # current top level already built
     while cur >= 1:
-        if mode == "basic":
-            span_top = cur - 1
-        else:
+        span_top = cur - 1
+        if barrier:
             # Smallest class index whose radius is within twice the radius
             # one level up from here; the span [span_top, cur-1] is built
             # in one round with gathering radius 2 * r_{span_top}.
-            span_top = cur - 1
             for s in range(cur - 1):
                 if within(radii[s], 2.0 * radii[cur - 1]):
                     span_top = s
@@ -130,14 +115,11 @@ def embed(
             group = [q for q in active if near[q]]
             chain_child = [node_of[q] for q in group]
             for lvl in range(cur - 1, span_top - 1, -1):
-                w = new_node()
-                levels[lvl].append(w)
-                psi[w] = p
+                w = add_node(lvl, p)
                 yval[w] = cov[p, lvl]
                 for cnode in chain_child:
                     parent[cnode] = w
                 chain_child = [w]
-                winners_at[lvl].append(p)
             new_node_of[p] = chain_child[0]
             active = [q for q in active if q not in group]
         node_of = new_node_of
@@ -147,57 +129,35 @@ def embed(
 
     budgets = [float(c.multiplicity) for c in instance.classes] + [0.0]
     tree = LayeredTree(levels, parent, budgets, psi=psi)
-    result = EmbedResult(
-        tree=tree,
-        mode=mode,
-        instance=instance,
-        leaf_points=pts,
-        winners=winners_at,
-        y={v: float(val) for v, val in yval.items()},
-    )
-    if mode == "barrier":
-        _audit_barrier(result)
-    return result
+    if barrier:
+        _audit_barrier(tree, instance)
+        lift = [8.0 * radii[t] for t in range(h)]
+    else:
+        lift = [2.0 * sum(radii[t:]) for t in range(h)]
+    return EmbedResult(tree, instance, {v: float(val) for v, val in yval.items()}, lift)
 
 
-def embed_basic(instance, x, points=None) -> EmbedResult:
-    return embed(instance, x, mode="basic", points=points)
-
-
-def embed_barrier(instance, x, points=None) -> EmbedResult:
-    return embed(instance, x, mode="barrier", points=points)
-
-
-def lift_radius(result: EmbedResult, level: int) -> float:
-    """Ball radius used when opening a chosen level-`level` node."""
-    radii = result.instance.radii
-    if result.mode == "basic":
-        return 2.0 * sum(radii[level:])
-    return 8.0 * radii[level]
-
-
-def lift_tree_solution(
-    result: EmbedResult, firefighter: FirefighterSolution
-) -> NukcSolution:
-    """Open, for every chosen node at level t, a ball of the mode's lift
-    radius at the node's mapped point, charged to class t.  Raises with an
-    uncovered-point report when the firefighter input misses some leaf."""
+def lift_tree_solution(result: EmbedResult, chosen) -> NukcSolution:
+    """Open, for every chosen node at level t, a ball of radius
+    `result.lift[t]` at the node's mapped point, charged to class t.
+    Raises with the uncovered leaves when the chosen nodes miss some
+    embedded point."""
     h = result.instance.num_classes
     tree = result.tree
     balls = []
-    for v in sorted(firefighter.chosen):
+    for v in sorted(chosen):
         lvl = tree.level_of[v]
         if lvl >= h:
             raise ValueError(
                 f"chosen node {v} lies on the leaf level, which carries no class"
             )
-        balls.append(Ball(tree.psi[v], lvl, lift_radius(result, lvl)))
+        balls.append(Ball(tree.psi[v], lvl, result.lift[lvl]))
     hit = covered(result.instance.space.dist, [b.center for b in balls],
                   [b.radius_used for b in balls])
-    uncovered = [p for p in result.leaf_points if not hit[p]]
+    uncovered = [v for v in tree.leaves if not hit[tree.psi[v]]]
     if uncovered:
         raise FirefighterInfeasibleError(
-            f"firefighter solution leaves {len(uncovered)} embedded points uncovered",
+            f"chosen nodes leave {len(uncovered)} embedded points uncovered",
             uncovered_leaves=uncovered,
         )
     return NukcSolution(balls)

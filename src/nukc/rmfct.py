@@ -9,7 +9,6 @@ root-to-leaf path, subject to per-level budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,10 +46,14 @@ class LayeredTree:
                 self.level_of[v] = i
         self.children = {v: [] for v in self.level_of}
         for v, p in self.parent.items():
+            if v not in self.level_of:
+                raise ValueError(f"node {v} in the parent map lies on no level")
             if p is None:
                 if self.level_of[v] != 0:
                     raise ValueError(f"non-top node {v} has no parent")
                 continue
+            if p not in self.level_of:
+                raise ValueError(f"parent {p} of node {v} lies on no level")
             if self.level_of[p] != self.level_of[v] - 1:
                 raise ValueError(f"parent of {v} is not one level up")
             self.children[p].append(v)
@@ -84,19 +87,7 @@ class LayeredTree:
         return out
 
 
-@dataclass
-class FirefighterSolution:
-    chosen: set
-    loose: set = field(default_factory=set)
-
-    def level_counts(self, tree: LayeredTree) -> list:
-        counts = [0] * tree.num_levels
-        for v in self.chosen:
-            counts[tree.level_of[v]] += 1
-        return counts
-
-
-def is_feasible_set(tree: LayeredTree, chosen) -> list:
+def uncovered_leaves(tree: LayeredTree, chosen) -> list:
     """Leaves whose root path misses `chosen` (empty list == feasible)."""
     chosen = set(chosen)
     return [v for v in tree.leaves if not chosen.intersection(tree.path_to_root(v))]
@@ -146,9 +137,9 @@ def _depth2_levels(tree: LayeredTree):
     )
 
 
-def round_depth2(tree: LayeredTree, y: dict) -> FirefighterSolution:
+def round_depth2(tree: LayeredTree, y: dict) -> set:
     """Round a feasible fractional y on a height-two tree to an integral
-    solution within the same integer budgets.
+    node set within the same integer budgets.
 
     Repeatedly pairs the two lowest-id fractional top-level nodes, shifts
     mass from the one with fewer children to the one with more (ties to
@@ -219,11 +210,10 @@ def round_depth2(tree: LayeredTree, y: dict) -> FirefighterSolution:
         if y.get(v, 0.0) < 1.0 - ROUND_TOL:
             raise RuntimeError(f"rounded y leaves node {v} uncovered")
         chosen.add(v)
-    sol = FirefighterSolution(chosen=chosen)
-    counts = sol.level_counts(tree)
+    counts = [sum(tree.level_of[v] == t for v in chosen) for t in (0, 1)]
     if counts[0] > k1 or counts[1] > k2:
         raise RuntimeError(f"rounding exceeded budgets: {counts} vs ({k1}, {k2})")
-    return sol
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +221,7 @@ def round_depth2(tree: LayeredTree, y: dict) -> FirefighterSolution:
 # ---------------------------------------------------------------------------
 
 
-def round_loose(tree: LayeredTree, y: dict) -> FirefighterSolution:
+def round_loose(tree: LayeredTree, y: dict) -> set:
     """Select every integral vertex plus every loose vertex: y_v > 0 and
     the inclusive root-prefix sum above v is below 1.  The topmost positive
     vertex of any root-leaf path is integral or loose, so the selection is
@@ -240,12 +230,10 @@ def round_loose(tree: LayeredTree, y: dict) -> FirefighterSolution:
     most that height."""
     integral = set()
     loose = set()
-    prefix = {}
 
     def walk(v, acc):
         val = y.get(v, 0.0)
         acc = acc + val
-        prefix[v] = acc
         if val >= 1.0 - ROUND_TOL:
             integral.add(v)
         elif val > ROUND_TOL and acc < 1.0 - ROUND_TOL:
@@ -263,12 +251,12 @@ def round_loose(tree: LayeredTree, y: dict) -> FirefighterSolution:
             "y is not a basic solution"
         )
     chosen = integral | loose
-    missed = is_feasible_set(tree, chosen)
+    missed = uncovered_leaves(tree, chosen)
     if missed:
         raise FirefighterInfeasibleError(
             "input y does not fractionally cover all leaves", uncovered_leaves=missed
         )
-    return FirefighterSolution(chosen=chosen, loose=set(loose))
+    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .embed import embed_barrier, embed_basic, lift_tree_solution
+from .embed import embed, lift_tree_solution
 from .metric import MetricSpace, covered, gonzalez_kcenter, within
 from .model import (
     Ball,
@@ -36,7 +36,7 @@ from .model import (
     smallest_feasible,
 )
 from .oracle import SizeBudgetError
-from .rmfct import ROUND_TOL, FirefighterSolution, round_depth2, round_loose, solve_rmfct_lp
+from .rmfct import ROUND_TOL, round_depth2, round_loose, solve_rmfct_lp
 
 THETA = (math.sqrt(5.0) + 1.0) / 2.0
 TWO_RADII_FACTOR = 1.0 + math.sqrt(5.0)
@@ -173,12 +173,12 @@ def _relax_embed_round_lift(instance: NukcInstance):
     scaled = instance.scaled(alpha)
     # The relaxation rows at (instance, alpha) and (scaled, 1) coincide, so
     # x stays feasible for the scaled instance at dilation 1.
-    emb = embed_basic(scaled, x)
+    emb = embed(scaled, x)
     if instance.num_classes == 1:
         chosen = set(emb.tree.levels[0])
     else:
-        chosen = round_depth2(emb.tree, emb.y).chosen
-    return alpha, lift_tree_solution(emb, FirefighterSolution(chosen=chosen))
+        chosen = round_depth2(emb.tree, emb.y)
+    return alpha, lift_tree_solution(emb, chosen)
 
 
 def zero_dilation_solution(instance: NukcInstance) -> NukcSolution:
@@ -197,9 +197,10 @@ def round_bottom_heavy(
     instance: NukcInstance,
     x: np.ndarray,
     tau: int,
-    points=None,
+    points,
 ) -> NukcSolution:
-    """Round x on the points drawing coverage >= 1/2 from classes >= tau.
+    """Round x on `points`, each drawing coverage >= 1/2 from classes >= tau
+    (else ValueError).
 
     The points split by where that mass sits — the window [tau, mid] with
     mid = ilog(L), or (mid, L] — and each part keeps >= 1/4 of coverage in
@@ -212,15 +213,12 @@ def round_bottom_heavy(
     if not (0 <= tau <= L):
         raise ValueError(f"tau must lie in [0, {L}], got {tau}")
     cov = coverage(instance, x)
-    if points is None:
-        pts = [p for p in range(n) if cov[p, tau:].sum() >= 0.5 - ROUND_TOL]
-    else:
-        pts = sorted(points)
-        bad = [p for p in pts if cov[p, tau:].sum() < 0.5 - ROUND_TOL]
-        if bad:
-            raise ValueError(
-                f"points {bad} draw less than half their coverage from classes >= {tau}"
-            )
+    pts = sorted(points)
+    bad = [p for p in pts if cov[p, tau:].sum() < 0.5 - ROUND_TOL]
+    if bad:
+        raise ValueError(
+            f"points {bad} draw less than half their coverage from classes >= {tau}"
+        )
     mid = min(L, max(tau, ilog(L)))
     upper = [p for p in pts if cov[p, tau : mid + 1].sum() >= 0.25 - ROUND_TOL]
     in_upper = set(upper)
@@ -233,7 +231,7 @@ def round_bottom_heavy(
         x4 = np.minimum(4.0 * np.asarray(x, dtype=float).reshape(n, h), 1.0)
         x4[:, :a] = 0.0
         x4[:, b + 1 :] = 0.0
-        emb = embed_barrier(instance, x4, points=part)
+        emb = embed(instance, x4, points=part, barrier=True)
         budgets = [
             4.0 * instance.classes[t].multiplicity if a <= t <= b else 0.0
             for t in range(h)

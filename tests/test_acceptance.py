@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nukc.bicriteria import enum_solve
-from nukc.embed import embed_barrier, embed_basic
+from nukc.embed import embed
 from nukc.gadgets import (
     hardness_gadget,
     random_instance,
@@ -33,10 +33,10 @@ from nukc.oracle import exact_kcwo, exact_nukc
 from nukc.rmfct import (
     LayeredTree,
     exact_rmfct,
-    is_feasible_set,
     round_depth2,
     round_loose,
     solve_rmfct_lp,
+    uncovered_leaves,
 )
 from nukc.solvers import TWO_RADII_FACTOR, solve_kcwo
 
@@ -132,8 +132,8 @@ def _embeddable(seed, **kwargs):
 def test_criterion_03_embedding_feasibility_residuals():
     failures = []
     for inst, x in corpus(60, _embeddable):
-        for embedder in (embed_basic, embed_barrier):
-            res = embedder(inst, x)
+        for barrier in (False, True):
+            res = embed(inst, x, barrier=barrier)
             tree, y = res.tree, res.y
             for leaf in tree.leaves:
                 if sum(y.get(v, 0.0) for v in tree.path_to_root(leaf)) < 1 - 1e-7:
@@ -154,7 +154,7 @@ def test_criterion_04_barrier_distance_audit():
     failures = []
     trials = corpus(100, lambda s: _embeddable(s, max_classes=4))
     for inst, x in trials:
-        res = embed_barrier(inst, x)  # construction-time audit also applies
+        res = embed(inst, x, barrier=True)  # construction-time audit also applies
         tree = res.tree
         dist, radii = inst.space.dist, inst.radii
         for leaf in tree.leaves:
@@ -184,10 +184,10 @@ def test_criterion_05_depth2_rounding():
 
     failures = []
     for tree, y in corpus(500, make):
-        ff = round_depth2(tree, y)
-        if is_feasible_set(tree, ff.chosen):
+        chosen = round_depth2(tree, y)
+        if uncovered_leaves(tree, chosen):
             failures.append("uncovered leaf")
-        counts = ff.level_counts(tree)
+        counts = [sum(tree.level_of[v] == t for v in chosen) for t in range(tree.num_levels)]
         for lvl in range(tree.num_levels - 1):
             if counts[lvl] > tree.budgets[lvl] + 1e-9:
                 failures.append(("budget", lvl))
@@ -210,11 +210,11 @@ def test_criterion_06_loose_vertex_rounding():
 
     failures = []
     for tree, y in corpus(200, make):
-        ff = round_loose(tree, y)
-        if is_feasible_set(tree, ff.chosen):
+        chosen = round_loose(tree, y)
+        if uncovered_leaves(tree, chosen):
             failures.append("uncovered leaf")
         height = tree.num_levels
-        counts = ff.level_counts(tree)
+        counts = [sum(tree.level_of[v] == t for v in chosen) for t in range(tree.num_levels)]
         for lvl in range(tree.num_levels):
             if counts[lvl] > tree.budgets[lvl] + height:
                 failures.append(("excess", lvl))

@@ -1,11 +1,13 @@
 """Source hygiene checks: unused imports, dead locals, one coverage rule,
 LP row thresholds only in `lp`, no private names read across modules,
 named float guards, no zero-argument lambdas, no `scipy.optimize`, no
-`scipy` at import time, and one algorithm list shared by the CLI table,
-its argparse choices and the README."""
+`scipy` at import time, one algorithm list shared by the CLI table, its
+argparse choices and the README, package attributes that name a module
+are that module, and a pinned list of public names."""
 
 import argparse
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import nukc
 from nukc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -306,3 +309,30 @@ def test_algorithm_lists_agree():
     listed = re.search(r"Algorithms: (.*?)\.\n", readme, re.S).group(1)
     names = [name.strip(" #\n") for name in listed.split(",")]
     assert list(algo.choices) == list(cli.ALGOS) == names
+
+
+def test_module_names_are_the_modules():
+    """`from .embed import embed` in `__init__` would rebind `nukc.embed` to
+    the function, and `import nukc.embed as m` would then give the function,
+    so no package attribute named after a module may be anything else."""
+    shadowed = [name for name in (Path(m).stem for m in MODULES)
+                if importlib.import_module(f"nukc.{name}") is not getattr(nukc, name)]
+    assert not shadowed, f"nukc attributes that are not their modules: {', '.join(shadowed)}"
+
+
+PUBLIC = [
+    "Ball", "LayeredTree", "MetricSpace", "NukcInstance", "NukcSolution", "RadiusClass",
+    "SizeBudgetError", "achieved_dilation", "bicriteria", "build_nukc_lp", "build_rmfct_lp",
+    "charikar_kcwo", "charikar_kcwo_search", "compress_radii", "coverage", "embed",
+    "enum_solve", "exact_kcwo", "exact_nukc", "exact_rmfct", "gadgets", "gonzalez_kcenter",
+    "hardness_gadget", "lift_compressed_solution", "lift_tree_solution", "lp", "metric",
+    "min_feasible_dilation", "model", "oracle", "random_euclidean", "random_layered_tree",
+    "random_metric", "rmfct", "round_bottom_heavy", "round_depth2", "round_loose",
+    "solve_guess_q", "solve_kcwo", "solve_two_radii", "solvers", "validate_metric",
+    "validate_solution",
+]
+
+
+def test_public_names_are_pinned():
+    """Adding or dropping a name from `nukc.__all__` is a change to this list."""
+    assert sorted(nukc.__all__) == PUBLIC

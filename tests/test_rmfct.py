@@ -5,14 +5,15 @@ import pytest
 
 from nukc.gadgets import random_layered_tree
 from nukc.rmfct import (
+    ROUND_TOL,
     FirefighterInfeasibleError,
     LayeredTree,
     build_rmfct_lp,
     exact_rmfct,
-    is_feasible_set,
     round_depth2,
     round_loose,
     solve_rmfct_lp,
+    uncovered_leaves,
 )
 from nukc import lp
 
@@ -72,13 +73,18 @@ def relabelled(tree, seed):
     )
 
 
+def level_counts(tree, chosen):
+    """The number of chosen nodes on each level."""
+    return [sum(tree.level_of[v] == t for v in chosen) for t in range(tree.num_levels)]
+
+
 def brute_force_value(tree):
     """Independent reference: try all node subsets (small trees only)."""
     nodes = sorted(tree.level_of)
     best = None
     for r in range(len(nodes) + 1):
         for subset in itertools.combinations(nodes, r):
-            if is_feasible_set(tree, subset):
+            if uncovered_leaves(tree, subset):
                 continue
             worst = 0.0
             ok = True
@@ -108,6 +114,10 @@ class TestLayeredTree:
             LayeredTree([[0, 1], [2], [3]], {0: None, 1: None, 2: 0, 3: 2}, [1, 1, 1])
         with pytest.raises(ValueError, match="last level"):
             LayeredTree([], {}, [])
+        with pytest.raises(ValueError, match="parent 7 of node 1"):
+            LayeredTree([[1]], {1: 7}, [1])
+        with pytest.raises(ValueError, match="node 2 in the parent map"):
+            LayeredTree([[1]], {1: None, 2: 1}, [1])
 
     def test_path_to_root(self):
         tree = binary_tree()
@@ -152,9 +162,9 @@ class TestRoundDepth2:
         parent = {0: None, 1: None, 2: 0, 3: 0, 4: 1, 5: 1}
         tree = LayeredTree(levels, parent, [1.0, 2.0])
         y = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5, 5: 0.5}
-        ff = round_depth2(tree, y)
-        assert not is_feasible_set(tree, ff.chosen)
-        counts = ff.level_counts(tree)
+        chosen = round_depth2(tree, y)
+        assert not uncovered_leaves(tree, chosen)
+        counts = level_counts(tree, chosen)
         assert counts[0] <= 1 and counts[1] <= 2
 
     def test_accepts_three_levels_with_zero_leaf_budget(self):
@@ -163,8 +173,8 @@ class TestRoundDepth2:
         parent = {0: None, 1: None, 2: 0, 3: 1, 4: 2, 5: 3}
         tree = LayeredTree(levels, parent, [1.0, 1.0, 0.0])
         y = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}
-        ff = round_depth2(tree, y)
-        assert not is_feasible_set(tree, ff.chosen)
+        chosen = round_depth2(tree, y)
+        assert not uncovered_leaves(tree, chosen)
 
     def test_rejects_deep_trees(self):
         with pytest.raises(ValueError):
@@ -186,9 +196,9 @@ class TestRoundDepth2:
         y = solve_rmfct_lp(tree)
         if y is None:
             return
-        ff = round_depth2(tree, y)
-        assert not is_feasible_set(tree, ff.chosen)
-        counts = ff.level_counts(tree)
+        chosen = round_depth2(tree, y)
+        assert not uncovered_leaves(tree, chosen)
+        counts = level_counts(tree, chosen)
         for lvl in range(tree.num_levels - 1):
             assert counts[lvl] <= tree.budgets[lvl] + 1e-9
 
@@ -202,11 +212,11 @@ class TestRoundLoose:
         y = solve_rmfct_lp(tree)
         if y is None:
             return
-        ff = round_loose(tree, y)
-        assert not is_feasible_set(tree, ff.chosen)
+        chosen = round_loose(tree, y)
+        assert not uncovered_leaves(tree, chosen)
         height = tree.num_levels
-        assert len(ff.loose) <= height
-        counts = ff.level_counts(tree)
+        assert sum(y.get(v, 0.0) < 1.0 - ROUND_TOL for v in chosen) <= height
+        counts = level_counts(tree, chosen)
         for lvl in range(tree.num_levels):
             assert counts[lvl] <= tree.budgets[lvl] + height
 
@@ -225,7 +235,7 @@ class TestExact:
     def test_binary_value_two(self):
         value, chosen = exact_rmfct(binary_tree())
         assert value == 2.0
-        assert not is_feasible_set(binary_tree(), chosen)
+        assert not uncovered_leaves(binary_tree(), chosen)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):

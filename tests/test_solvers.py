@@ -199,7 +199,7 @@ class TestBottomHeavy:
         inst, x = pair
         L = inst.num_classes - 1
         tau = 0  # every point draws all coverage from classes >= 0
-        sol = round_bottom_heavy(inst, x, tau)
+        sol = round_bottom_heavy(inst, x, tau, points=list(range(inst.n)))
         dist = inst.space.dist
         # At tau = 0 every point is eligible and must be covered.
         for p in range(inst.n):
@@ -232,7 +232,7 @@ class TestBottomHeavy:
         pair = self.make(2)
         inst, x = pair
         with pytest.raises(ValueError):
-            round_bottom_heavy(inst, x, inst.num_classes + 3)
+            round_bottom_heavy(inst, x, inst.num_classes + 3, points=list(range(inst.n)))
 
 
 class TestGuessQ:
