@@ -115,9 +115,6 @@ class MetricSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def distance(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
-
     def ball(self, center: int, radius: float) -> list:
         """Points within the closed ball of `radius` around `center`."""
         return [int(q) for q in np.nonzero(within(self.dist[center], radius))[0]]

@@ -120,100 +120,36 @@ def solve_rmfct_lp(tree: LayeredTree):
 
 
 # ---------------------------------------------------------------------------
-# Height-two integral rounding (shifting scheme).
+# Height-two integral rounding (exact greedy).
 # ---------------------------------------------------------------------------
 
 
-def _depth2_levels(tree: LayeredTree):
-    if tree.num_levels == 2:
-        return tree.levels[0], tree.levels[1]
-    if tree.num_levels == 3 and tree.budgets[2] == 0:
-        # Leaves carry budget zero; every second-level node has a leaf
-        # below it, so the covering rows collapse to parent+node >= 1.
-        return tree.levels[0], tree.levels[1]
-    raise ValueError(
-        "round_depth2 needs exactly two budgeted levels "
-        f"(got {tree.num_levels} levels, budgets {tree.budgets})"
-    )
+def round_depth2(tree: LayeredTree) -> set:
+    """The node set of a height-two tree that fits its budgets, if any does:
+    the floor(budgets[0]) top nodes with the most children (ties to the lower
+    id), plus every second-level node under a top node left out.  A third
+    level is allowed only with budget 0.
 
-
-def round_depth2(tree: LayeredTree, y: dict) -> set:
-    """Round a feasible fractional y on a height-two tree to an integral
-    node set within the same integer budgets.
-
-    Repeatedly pairs the two lowest-id fractional top-level nodes, shifts
-    mass from the one with fewer children to the one with more (ties to
-    the lower id), moving the opposite amount across their children; the
-    shift size is the largest keeping all variables in [0, 1], so at least
-    one variable hits a bound per step.  A single remaining fractional
-    top-level node is raised to 1 (the integer budget leaves room).
-    """
-    top, second = _depth2_levels(tree)
-    k1 = tree.budgets[0]
-    k2 = tree.budgets[1]
-    if abs(k1 - round(k1)) > ROUND_TOL or abs(k2 - round(k2)) > ROUND_TOL:
-        raise ValueError(f"round_depth2 needs integer budgets, got {k1}, {k2}")
-    k1, k2 = int(round(k1)), int(round(k2))
-    y = dict(y)
-    for v in second:
-        pathsum = y.get(v, 0.0) + y.get(tree.parent[v], 0.0)
-        if pathsum < 1.0 - ROUND_TOL:
-            raise ValueError(f"input y infeasible at node {v}: path sum {pathsum}")
-
-    def fractional_top():
-        return [w for w in sorted(top) if ROUND_TOL < y.get(w, 0.0) < 1.0 - ROUND_TOL]
-
-    max_steps = 4 * (len(top) + len(second) + 1) ** 2
-    for _ in range(max_steps):
-        frac = fractional_top()
-        if not frac:
-            break
-        if len(frac) == 1:
-            w = frac[0]
-            # Integer budget: the other top nodes are integral, so the
-            # level sum leaves at least 1 - y_w of room.
-            y[w] = 1.0
-            continue
-        a, bnode = frac[0], frac[1]
-        ca, cb = tree.children[a], tree.children[bnode]
-        if len(ca) >= len(cb):
-            up, down, cup, cdown = a, bnode, ca, cb
-        else:
-            up, down, cup, cdown = bnode, a, cb, ca
-        eps = min(1.0 - y[up], y[down])
-        for c in cup:
-            eps = min(eps, y.get(c, 0.0))
-        for c in cdown:
-            if y.get(c, 0.0) < 1.0 - ROUND_TOL:
-                eps = min(eps, 1.0 - y.get(c, 0.0))
-        if eps <= ROUND_TOL:
-            raise RuntimeError("shifting step stalled; input y was not feasible")
-        y[up] += eps
-        y[down] -= eps
-        for c in cup:
-            y[c] = y.get(c, 0.0) - eps
-        for c in cdown:
-            if y.get(c, 0.0) < 1.0 - ROUND_TOL:
-                y[c] = y.get(c, 0.0) + eps
-        for v in (up, down, *cup, *cdown):
-            if y[v] < ROUND_TOL:
-                y[v] = 0.0
-            elif y[v] > 1.0 - ROUND_TOL:
-                y[v] = 1.0
-    else:
-        raise RuntimeError("round_depth2 did not terminate within its step budget")
-
-    chosen = {w for w in top if y.get(w, 0.0) >= 1.0 - ROUND_TOL}
-    for v in second:
-        if tree.parent[v] in chosen:
-            continue
-        if y.get(v, 0.0) < 1.0 - ROUND_TOL:
-            raise RuntimeError(f"rounded y leaves node {v} uncovered")
-        chosen.add(v)
-    counts = [sum(tree.level_of[v] == t for v in chosen) for t in (0, 1)]
-    if counts[0] > k1 or counts[1] > k2:
-        raise RuntimeError(f"rounding exceeded budgets: {counts} vs ({k1}, {k2})")
-    return chosen
+    This is the integral optimum, and it fits whenever the tree LP is
+    feasible: a feasible y has sum(y on level 1) >= |level 1| - sum_w c_w y_w
+    >= |level 1| - (the k1 largest child counts c_w), as sum(y on level 0)
+    <= k1, y <= 1 and k1 is an integer.  Raises FirefighterInfeasibleError
+    when the second level exceeds floor(budgets[1])."""
+    if not (tree.num_levels == 2 or (tree.num_levels == 3 and tree.budgets[2] == 0)):
+        raise ValueError(
+            "round_depth2 needs exactly two budgeted levels "
+            f"(got {tree.num_levels} levels, budgets {tree.budgets})"
+        )
+    k1, k2 = (math.floor(b) for b in tree.budgets[:2])
+    ranked = sorted(tree.levels[0], key=lambda w: (-len(tree.children[w]), w))
+    top = set(ranked[:k1])
+    second = {v for w in ranked[k1:] for v in tree.children[w]}
+    if len(second) > k2:
+        raise FirefighterInfeasibleError(
+            f"the {len(top)} top nodes with the most children leave {len(second)} "
+            f"second-level nodes, over the budget {k2}"
+        )
+    return top | second
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,8 @@ def solve_two_radii(space: MetricSpace, class1, class2) -> NukcSolution:
 
 def _relax_embed_round_lift(instance: NukcInstance):
     """(alpha, cover) for one or two classes: alpha the smallest candidate
-    dilation with a feasible relaxation, the cover its height-two rounding,
+    dilation with a feasible relaxation, the cover its embedding tree's
+    exact height-two rounding (which fits, as the tree LP is feasible),
     lifted with radii 2*alpha*(r_t + ... + r_{h-1})."""
     alpha, x = min_feasible_dilation(instance)
     if alpha == 0.0:
@@ -174,11 +175,7 @@ def _relax_embed_round_lift(instance: NukcInstance):
     # The relaxation rows at (instance, alpha) and (scaled, 1) coincide, so
     # x stays feasible for the scaled instance at dilation 1.
     emb = embed(scaled, x)
-    if instance.num_classes == 1:
-        chosen = set(emb.tree.levels[0])
-    else:
-        chosen = round_depth2(emb.tree, emb.y)
-    return alpha, lift_tree_solution(emb, chosen)
+    return alpha, lift_tree_solution(emb, round_depth2(emb.tree))
 
 
 def zero_dilation_solution(instance: NukcInstance) -> NukcSolution:

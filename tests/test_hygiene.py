@@ -1,9 +1,9 @@
-"""Source hygiene checks: unused imports, dead locals, one coverage rule,
-LP row thresholds only in `lp`, no private names read across modules,
-named float guards, no zero-argument lambdas, no `scipy.optimize`, no
-`scipy` at import time, one algorithm list shared by the CLI table, its
-argparse choices and the README, package attributes that name a module
-are that module, and a pinned list of public names."""
+"""Source hygiene checks: unused imports, dead locals, unread parameters,
+one coverage rule, LP row thresholds only in `lp`, no private names read
+across modules, named float guards, no zero-argument lambdas, no
+`scipy.optimize`, no `scipy` at import time, one algorithm list shared by
+the CLI table, its argparse choices and the README, package attributes
+that name a module are that module, and a pinned list of public names."""
 
 import argparse
 import ast
@@ -82,6 +82,63 @@ def test_no_dead_locals(module):
     dead = [f"{func.name}: {name}" for func in outermost_functions(tree)
             for name in dead_locals(func)]
     assert not dead, f"{module} binds locals it never reads: {', '.join(dead)}"
+
+
+def unread_parameters(tree, exempt=frozenset()):
+    """'name: parameter (line)' for every parameter of a def or lambda that
+    nothing inside it, nested closures included, reads.  Functions in
+    `exempt` are skipped."""
+    unread = []
+    for func in ast.walk(tree):
+        if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                or func in exempt):
+            continue
+        args = func.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        unread += [f"{getattr(func, 'name', '<lambda>')}: {p.arg} (line {func.lineno})"
+                   for p in params if p is not None and p.arg not in read]
+    return unread
+
+
+def algos_runners(tree):
+    """The defs and lambdas `cli.ALGOS` maps algorithm names to."""
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "ALGOS" for t in node.targets))
+    named = {v.id for v in table.values if isinstance(v, ast.Name)}
+    return ({v for v in table.values if isinstance(v, ast.Lambda)}
+            | {node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in named})
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_every_parameter_is_read(module):
+    """A parameter nothing reads is an input that changes nothing.  Only the
+    `cli.ALGOS` runners are exempt: their `(instance, q)` signature is the
+    table's contract, and most runners ignore q."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    exempt = set()
+    if module == "cli.py":
+        exempt = algos_runners(tree)
+        assert len(exempt) == len(cli.ALGOS)
+    unread = unread_parameters(tree, exempt)
+    assert not unread, f"{module} has parameters it never reads: {', '.join(unread)}"
+
+
+def test_unread_parameter_is_caught():
+    source = "\n".join([
+        "def f(a, b):", "    return a", "g = lambda x, y: y",
+        "def h(*args, k, **kw):", "    return [args, kw]",
+        "def m(z):", "    def inner():", "        return z", "    return inner",
+        "class C:", "    def n(self, w):", "        w = 1",
+    ])
+    assert sorted(unread_parameters(ast.parse(source))) == [
+        "<lambda>: x (line 3)", "f: b (line 1)", "h: k (line 4)",
+        "n: self (line 11)", "n: w (line 11)",
+    ]
+    tree = ast.parse("def r(i, q):\n    return i\nALGOS = {'r': r, 's': lambda i, q: i}\n")
+    assert unread_parameters(tree, algos_runners(tree)) == []
 
 
 def modules_naming(name, home):

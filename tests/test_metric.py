@@ -163,7 +163,7 @@ class TestMetricSpace:
     def test_from_coords_matches_manual_distances(self):
         coords = np.array([[0.0, 0.0], [3.0, 4.0]])
         space = MetricSpace.from_coords(coords)
-        assert space.distance(0, 1) == pytest.approx(5.0)
+        assert space.dist[0, 1] == pytest.approx(5.0)
 
     def test_labels_length_checked(self):
         with pytest.raises(ValueError, match="labels"):

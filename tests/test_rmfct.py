@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from nukc.gadgets import random_layered_tree
+from nukc.embed import embed
+from nukc.gadgets import random_euclidean, random_layered_tree
+from nukc.model import NukcInstance, min_feasible_dilation
 from nukc.rmfct import (
     ROUND_TOL,
     FirefighterInfeasibleError,
@@ -157,35 +159,38 @@ class TestLp:
 class TestRoundDepth2:
     def test_handcrafted_half_integral(self):
         # Two top nodes each with two leaves; budgets (1, 2, 0)-style
-        # depth-2 shape: top budget 1, second budget 2.
+        # depth-2 shape: top budget 1, second budget 2.  The tree LP has
+        # the half-integral point y = 1/2 everywhere.
         levels = [[0, 1], [2, 3, 4, 5]]
         parent = {0: None, 1: None, 2: 0, 3: 0, 4: 1, 5: 1}
         tree = LayeredTree(levels, parent, [1.0, 2.0])
-        y = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5, 5: 0.5}
-        chosen = round_depth2(tree, y)
+        chosen = round_depth2(tree)
         assert not uncovered_leaves(tree, chosen)
         counts = level_counts(tree, chosen)
         assert counts[0] <= 1 and counts[1] <= 2
+        # Equal child counts: the tie goes to the lower id.
+        assert chosen == {0, 4, 5}
 
     def test_accepts_three_levels_with_zero_leaf_budget(self):
         # Embed-produced trees carry an extra leaf level with budget 0.
         levels = [[0, 1], [2, 3], [4, 5]]
         parent = {0: None, 1: None, 2: 0, 3: 1, 4: 2, 5: 3}
         tree = LayeredTree(levels, parent, [1.0, 1.0, 0.0])
-        y = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}
-        chosen = round_depth2(tree, y)
+        chosen = round_depth2(tree)
         assert not uncovered_leaves(tree, chosen)
+        assert chosen == {0, 3}
 
     def test_rejects_deep_trees(self):
         with pytest.raises(ValueError):
-            round_depth2(path_tree(), {0: 1.0, 1: 0.0, 2: 0.0})
+            round_depth2(path_tree())
 
     def test_rejects_infeasible_input(self):
+        # Either top node leaves two leaves to a second-level budget of 1.
         levels = [[0, 1], [2, 3, 4, 5]]
         parent = {0: None, 1: None, 2: 0, 3: 0, 4: 1, 5: 1}
-        tree = LayeredTree(levels, parent, [1.0, 2.0])
-        with pytest.raises((ValueError, FirefighterInfeasibleError)):
-            round_depth2(tree, {v: 0.0 for v in range(6)})
+        tree = LayeredTree(levels, parent, [1.0, 1.0])
+        with pytest.raises(FirefighterInfeasibleError):
+            round_depth2(tree)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_lp_solutions_round_cleanly(self, seed):
@@ -193,14 +198,47 @@ class TestRoundDepth2:
         tree = random_layered_tree(2, max_branching=4, seed=seed)
         tree = LayeredTree(tree.levels, tree.parent,
                            [float(rng.randint(1, 4)), float(rng.randint(1, 4))])
-        y = solve_rmfct_lp(tree)
-        if y is None:
+        if solve_rmfct_lp(tree) is None:
             return
-        chosen = round_depth2(tree, y)
+        chosen = round_depth2(tree)
         assert not uncovered_leaves(tree, chosen)
         counts = level_counts(tree, chosen)
         for lvl in range(tree.num_levels - 1):
             assert counts[lvl] <= tree.budgets[lvl] + 1e-9
+
+    @pytest.mark.parametrize("seed", range(100))
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_greedy_is_the_integral_optimum(self, depth, seed):
+        """On integer, fractional and zero budgets, the greedy fits exactly
+        when some node set does, and with integer budgets exactly when the
+        tree LP is feasible."""
+        rng = np.random.RandomState(7000 + seed)
+        base = random_layered_tree(depth, max_branching={2: 4, 3: 2}[depth], seed=seed)
+        whole = rng.randint(0, 4, size=2).astype(float)
+        for budgets in (whole, whole + rng.uniform(0.0, 1.0, size=2)):
+            tree = LayeredTree(base.levels, base.parent, [*budgets, 0.0][:depth])
+            try:
+                chosen = round_depth2(tree)
+            except FirefighterInfeasibleError:
+                chosen = None
+            try:
+                value = exact_rmfct(tree)[0]
+            except FirefighterInfeasibleError:
+                value = np.inf
+            assert (chosen is not None) == (value <= 1.0)
+            if chosen is not None:
+                assert not uncovered_leaves(tree, chosen)
+                assert all(c <= b for c, b in zip(level_counts(tree, chosen), tree.budgets))
+            if budgets is whole:
+                assert (chosen is not None) == (solve_rmfct_lp(tree) is not None)
+
+    def test_one_class_embedding_keeps_every_top_node(self):
+        space, _ = random_euclidean(12, 2, seed=3)
+        instance = NukcInstance(space, [(3, 1.0)])
+        alpha, x = min_feasible_dilation(instance)
+        tree = embed(instance.scaled(alpha), x).tree
+        assert tree.budgets[-1] == 0.0
+        assert round_depth2(tree) == set(tree.levels[0])
 
 
 class TestRoundLoose:
