@@ -9,15 +9,14 @@ the phase one of a bounded-variable primal simplex: one pivot loop drives
 artificial columns toward zero until its point meets every row, each
 within its threshold FEAS_TOL * max(1, |rhs_i|).
 
-`solve` returns that point, so it prices by Bland's anti-cycling rule.  Its
-solutions are basic: at most one variable per constraint row sits strictly
-between its bounds, which the rounding routines in this package rely on.
-`verdict` answers the yes/no question alone, for callers that would drop
-the point: it may start from any vertex of the box, it prices by Dantzig's
-rule, and its answer is proved by `confirms` (a point) or `refutes`
-(multipliers), the checks the package's certificates use too.  Its proofs
-are kept only for later probes of the same search, never output: every
-point the package outputs comes from `solve`.
+`solve` prices by Bland's anti-cycling rule, and its points are basic (at
+most one variable per row strictly inside its bounds), which the
+loose-vertex rounding relies on.  `verdict` is for callers that need no
+basic point: it may start from any vertex of the box, prices by Dantzig's
+rule, and proves its answer by `confirms` (a point, which it returns) or
+`refutes` (multipliers), the checks the certificates use too; its proofs
+also serve later probes of the same search.  Only the two-class path
+outputs a point that does not come from `solve`.
 """
 
 from __future__ import annotations
@@ -275,10 +274,9 @@ def _lagrangian_bound(s: _System, lam):
 
 
 def verdict(cover: CoveringLp, start=None, proofs=None):
-    """Whether `cover` is feasible: True when `confirms` accepts a point,
-    False when `refutes` proves multipliers, None when neither holds.  Its
-    points and multipliers are kept only as proofs for later probes of the
-    same search, never output: callers that need x run `solve`.
+    """(answer, x) for whether `cover` is feasible: (True, x) when
+    `confirms` accepts x, a point of the box; (False, None) when `refutes`
+    proves multipliers; (None, None) when neither holds.
 
     After the bounds and `start` are checked (`_vertex`) and before the
     dense rows are laid out, each of `proofs`, a list of (answer, array)
@@ -295,7 +293,7 @@ def verdict(cover: CoveringLp, start=None, proofs=None):
     for answer, v in proofs or ():
         if v.shape == (n if answer else m + len(cover.budgets),) and (
                 confirms(cover, v) if answer else operator.gt(*refutes(cover, v[:m], -v[m:]))):
-            return answer
+            return answer, (np.clip(v, *cover.bounds.T) if answer else None)
     s = _phase_one_setup(cover, x0)
     outcome, lam = _phase_one(s, DEGENERATE_RUN)
     if outcome == "feasible":
@@ -305,4 +303,4 @@ def verdict(cover: CoveringLp, start=None, proofs=None):
         answer, proof = (False, lam) if bound > tol else (None, None)
     if proofs is not None and answer is not None:
         proofs.append((answer, proof))
-    return answer
+    return answer, (proof if answer else None)

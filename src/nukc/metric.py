@@ -115,10 +115,6 @@ class MetricSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def ball(self, center: int, radius: float) -> list:
-        """Points within the closed ball of `radius` around `center`."""
-        return [int(q) for q in np.nonzero(within(self.dist[center], radius))[0]]
-
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 

@@ -89,16 +89,6 @@ class NukcInstance:
             self.space, [(c.multiplicity, c.radius * alpha) for c in self.classes]
         )
 
-    def expand_radii(self) -> list:
-        """All radii as individual (sorted, non-increasing) entries, paired
-        with their class index: [(radius, class_index), ...].  One entry per
-        ball, so only for small k; the solvers read `class_of` and
-        `class_counts_in`, which work from the classes' (radius, count) runs."""
-        out = []
-        for t, c in enumerate(self.classes):
-            out.extend([(c.radius, t)] * c.multiplicity)
-        return out
-
     def class_of(self, j: int) -> int:
         """The class holding the j-th largest of the k radii (1-based)."""
         return bisect_left(list(accumulate(self.budgets)), j)
@@ -186,10 +176,10 @@ def _bitsets(rows: np.ndarray) -> list:
 
 
 def _certify(cover: lp.CoveringLp):
-    """Settle a covering LP without pivoting: False when `lp.refutes`
-    proves a packing bound, True when `lp.confirms` accepts an integral
-    greedy choice.  When neither does, the greedy's choice: a vertex of the
-    box, for `lp.verdict` to start from.
+    """Settle a covering LP without pivoting: (False, None) when
+    `lp.refutes` proves a packing bound, (True, x) when `lp.confirms`
+    accepts x, an integral greedy choice, and else (None, x): x, a vertex
+    of the box, is where `lp.verdict` starts.
 
     Refutation: covering rows whose free supports are pairwise disjoint
     (picked smallest support first) need the sum of their residuals from
@@ -222,7 +212,7 @@ def _certify(cover: lp.CoveringLp):
         counts = [(union & mask).bit_count() for mask in masks]
         if total > sum(map(min, cap, counts)) and operator.gt(*lp.refutes(
                 cover, y, np.array([float(c < k) for c, k in zip(cap, counts)]))):
-            return False
+            return False, None
 
     # Greedy: open the free variable meeting the most unmet rows (lowest
     # index on ties), within the remaining budgets, until every row is met
@@ -248,21 +238,26 @@ def _certify(cover: lp.CoveringLp):
                 heap = [e for e in heap if cls[e[1]] != cls[j]]
                 heapq.heapify(heap)
     x[opened] = bounds[opened, 1]
-    return True if not unmet and lp.confirms(cover, x) else x
+    return (True if not unmet and lp.confirms(cover, x) else None), x
+
+
+def proving_point(cover: lp.CoveringLp, proofs=None):
+    """The point of the box that proved the covering LP `cover` feasible,
+    or None when it is not.  The certificates answer first (the greedy's
+    vertex); only a probe they leave open pivots: `lp.verdict` from that
+    vertex with the search's `proofs`, then the simplex if neither can
+    tell.  A caller that needs a basic x uses `fractional_cover`."""
+    answer, x = _certify(cover)
+    if answer is None:
+        answer, x = lp.verdict(cover, x, proofs)
+    if answer is None:
+        return lp.solve(cover)
+    return x if answer else None
 
 
 def feasible(cover: lp.CoveringLp, proofs=None) -> bool:
-    """Whether the covering LP `cover` is feasible.  The certificates
-    answer first; only a probe they leave open pivots: `lp.verdict`,
-    started from the greedy's vertex and given the search's `proofs`, and
-    the simplex when neither can tell.  A caller that needs x solves the
-    winner with `fractional_cover`, so x does not depend on which check
-    fired."""
-    verdict = _certify(cover)
-    if isinstance(verdict, bool):
-        return verdict
-    verdict = lp.verdict(cover, verdict, proofs)
-    return lp.solve(cover) is not None if verdict is None else verdict
+    """Whether the covering LP `cover` is feasible (see `proving_point`)."""
+    return proving_point(cover, proofs) is not None
 
 
 def fractional_cover(cover: lp.CoveringLp) -> np.ndarray:
@@ -306,13 +301,15 @@ def smallest_feasible(cands, holds):
     return cands[hi]
 
 
-def relaxation_search(instance: NukcInstance) -> float:
+def relaxation_search(instance: NukcInstance, proofs=None) -> float:
     """The smallest dilation (over the candidate set) whose relaxation is
     feasible.  Feasibility is monotone in the dilation, so binary search
     applies; only a probe the checks leave open runs the simplex.  The
     probes share rows, columns and bounds, so each verdict's proof is
-    checked on the later ones before they pivot (see `lp.verdict`)."""
-    cands, proofs = candidate_dilations(instance), []
+    checked on the later ones before they pivot (see `lp.verdict`); they
+    go into `proofs` when the caller passes a list."""
+    cands = candidate_dilations(instance)
+    proofs = [] if proofs is None else proofs
     alpha = smallest_feasible(cands, lambda d: feasible(build_nukc_lp(instance, d), proofs))
     if alpha is None:
         raise InfeasibleInstanceError(
@@ -325,7 +322,8 @@ def relaxation_search(instance: NukcInstance) -> float:
 def min_feasible_dilation(instance: NukcInstance):
     """Smallest dilation (over the candidate set) whose relaxation is
     feasible, together with a basic feasible x there (see
-    `relaxation_search` and `fractional_cover`)."""
+    `relaxation_search` and `fractional_cover`); only tests and examples
+    read it."""
     alpha = relaxation_search(instance)
     return alpha, fractional_cover(build_nukc_lp(instance, alpha))
 

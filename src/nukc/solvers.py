@@ -32,7 +32,8 @@ from .model import (
     coverage,
     feasible,
     fractional_cover,
-    min_feasible_dilation,
+    proving_point,
+    relaxation_search,
     smallest_feasible,
 )
 from .oracle import SizeBudgetError
@@ -167,10 +168,13 @@ def _relax_embed_round_lift(instance: NukcInstance):
     """(alpha, cover) for one or two classes: alpha the smallest candidate
     dilation with a feasible relaxation, the cover its embedding tree's
     exact height-two rounding (which fits, as the tree LP is feasible),
-    lifted with radii 2*alpha*(r_t + ... + r_{h-1})."""
-    alpha, x = min_feasible_dilation(instance)
+    lifted with radii 2*alpha*(r_t + ... + r_{h-1}).  The rounding reads
+    only the tree, so x is the point that proved alpha feasible."""
+    proofs = []
+    alpha = relaxation_search(instance, proofs)
     if alpha == 0.0:
         return alpha, zero_dilation_solution(instance)
+    x = proving_point(build_nukc_lp(instance, alpha), proofs)
     scaled = instance.scaled(alpha)
     # The relaxation rows at (instance, alpha) and (scaled, 1) coincide, so
     # x stays feasible for the scaled instance at dilation 1.

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import expand_radii
 from nukc.bicriteria import enum_solve
 from nukc.embed import embed
 from nukc.gadgets import (
@@ -236,7 +237,7 @@ def test_criterion_07_compression():
     failures = []
     for inst, comp in corpus(100, make):
         cinst = comp.instance
-        expanded = inst.expand_radii()
+        expanded = expand_radii(inst)
         k = len(expanded)
         levels = int(math.floor(math.log2(k)))
         # (i): bucket i holds radius r_{2^i} with multiplicity 2^i

@@ -57,7 +57,7 @@ class TestGuessLp:
         neg = np.ones((3, 1), dtype=bool)
         prob = build_guess_lp(list(range(3)), np.zeros_like(neg), neg, inst)
         assert lp.solve(prob) is None
-        assert lp.verdict(prob) is False
+        assert lp.verdict(prob)[0] is False
 
 
 class TestEnumSolve:

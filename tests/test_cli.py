@@ -194,6 +194,28 @@ class TestSolveValidate:
         oa.pop("meta"), ob.pop("meta")
         assert oa == ob
 
+    @pytest.mark.parametrize("algo", ["two-radii", "bicriteria"])
+    def test_output_fixed_at_each_thread_count(self, tmp_path, algo):
+        # The golden euclid-2class instance, solved in new processes: two
+        # runs at one BLAS thread count write the same bytes outside "meta".
+        inst = self.make_instance(tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OMP_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env.pop(var, None)  # they would override OMP_NUM_THREADS
+            outputs = []
+            for attempt in range(2):
+                out = tmp_path / f"{threads}-{attempt}.json"
+                subprocess.run([sys.executable, "-m", "nukc.cli", "solve", "--algo", algo,
+                                "--input", str(inst), "--out", str(out)],
+                               env=env, capture_output=True, timeout=60, check=True)
+                obj = json.loads(out.read_text())
+                obj.pop("meta")
+                outputs.append(json.dumps(obj, sort_keys=True))
+            assert outputs[0] == outputs[1], threads
+
     def edit(self, path, change):
         obj = json.loads(path.read_text())
         change(obj)
@@ -293,11 +315,12 @@ class TestSolveValidate:
         assert capsys.readouterr().err == "solver error: singular basis matrix\n"
 
     def test_simplex_refuting_a_confirmed_lp_exit_code(self, tmp_path, capsys, monkeypatch):
-        # The certificates and lp.verdict confirm the relaxation winner; a
-        # simplex that then refutes it is a solver breakdown, not a miss.
+        # The certificates and lp.verdict confirm guess-q's best guess, whose
+        # window LP fractional_cover then solves; a simplex that refutes it
+        # is a solver breakdown, not a miss.
         inst = self.make_instance(tmp_path)
         monkeypatch.setattr(lp, "solve", lambda cover: None)
-        code = run(["solve", "--algo", "two-radii", "--input", str(inst),
+        code = run(["solve", "--algo", "guess-q", "--input", str(inst),
                     "--out", str(tmp_path / "s.json")])
         assert code == EXIT_SOLVER
         assert capsys.readouterr().err == (

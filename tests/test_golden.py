@@ -63,7 +63,9 @@ GOLDEN = {
     },
     "metric-default": {
         "exact": 3, "kcenter": "cc7313ab92d00f70", "kcwo": 2, "kcwo-greedy": 2,
-        "two-radii": "817df5ea13cb942f", "guess-q": "b4dd4a68b0f88de7",
+        # The two-class path embeds the point that proved the winner, not
+        # the simplex's: same radii, centers (0, 1 | 2, 6) for (0, 6 | 1, 2).
+        "two-radii": "68d2593f46bb041b", "guess-q": "b4dd4a68b0f88de7",
         "bicriteria": "b4dd4a68b0f88de7", "dump-lp": "da7a8714de9a1b46",
         "relaxation": "4e144e6c1d5d2e0b",
     },

@@ -106,8 +106,8 @@ def open_covering_lps(draw):
     at = cands.index(relaxation_search(inst))
     for i in sorted(range(len(cands)), key=lambda i: abs(i - at))[:12]:
         cover = build_nukc_lp(inst, cands[i])
-        vertex = model._certify(cover)
-        if not isinstance(vertex, bool):
+        answer, vertex = model._certify(cover)
+        if answer is None:
             return cover, vertex
     assume(False)
 
@@ -191,8 +191,8 @@ class TestSolveAgainstScipy:
         x = lp.solve(cover)
         feasible = scipy_reference(cover).status == 0
         assert (x is not None) == feasible
-        verdict = model._certify(cover)
-        assert not isinstance(verdict, bool) or verdict == feasible
+        verdict, _ = model._certify(cover)
+        assert verdict is None or verdict == feasible
         if x is not None:
             assert rows_hold(cover, x)
 
@@ -230,14 +230,14 @@ class TestVerdict:
     @settings(max_examples=200, deadline=None)
     @given(covering_lps(max_n=12))
     def test_covering_lps_agree_with_simplex(self, cover):
-        verdict = lp.verdict(cover)
+        verdict = lp.verdict(cover)[0]
         assert verdict is None or verdict == (lp.solve(cover) is not None)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_random_covers_agree_with_simplex(self, seed):
         cover = random_cover(seed)
-        verdict = lp.verdict(cover)
+        verdict = lp.verdict(cover)[0]
         assert verdict is None or verdict == (lp.solve(cover) is not None)
 
     @pytest.mark.parametrize("seed", range(60))
@@ -245,18 +245,19 @@ class TestVerdict:
         # With every variable boxed, the final multipliers prove every
         # infeasible verdict.
         for cover in [random_cover(seed), *tree_lps(seed)]:
-            assert lp.verdict(cover) == (lp.solve(cover) is not None)
+            assert lp.verdict(cover)[0] == (lp.solve(cover) is not None)
 
     def test_known_problems(self):
-        assert lp.verdict(make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.75)] * 2))
-        assert lp.verdict(make_cover([[1]], [0], [1.0], [(0.0, 0.5)])) is False
+        assert lp.verdict(make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.75)] * 2))[0]
+        assert lp.verdict(make_cover([[1]], [0], [1.0], [(0.0, 0.5)]))[0] is False
         corner = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.25), (0.0, 0.75)])
-        assert lp.verdict(corner) is True
-        assert lp.verdict(make_cover([], [0], [1.0], [(0.5, 1.0)])) is True
+        answer, x = lp.verdict(corner)
+        assert answer is True and x.tolist() == [0.25, 0.75] and lp.confirms(corner, x)
+        assert lp.verdict(make_cover([], [0], [1.0], [(0.5, 1.0)]))[0] is True
         # x0 >= 1 with x0 fixed at 0: a slack budget row x0 <= 10^7 must not
         # widen the covering row's threshold.
         budget = make_cover([[1]], [0], [1e7], [(0.0, 0.0)])
-        assert lp.verdict(budget) is False
+        assert lp.verdict(budget)[0] is False
         assert lp.solve(budget) is None
 
     def test_budget_multiplier_beyond_one_is_kept(self):
@@ -275,7 +276,7 @@ class TestVerdict:
         # A covering row's 3 exceeds its artificial's cost of 1: clipped to 1.
         assert lp._lagrangian_bound(s, np.array([3, 1, 1, 1, -3.0])) == (1.0, pytest.approx(7e-7))
         assert lp.solve(cover) is None
-        assert lp.verdict(cover) is False
+        assert lp.verdict(cover)[0] is False
 
     def test_stored_multipliers_of_the_wrong_sign_refute_nothing(self):
         # x0 <= 2 on the box [0, 1]: z = -1 on the class would give
@@ -285,8 +286,15 @@ class TestVerdict:
         assert lp.refutes(cover, np.zeros(0), np.array([-1.0]))[0] == -np.inf
         # The other two proofs have the wrong shape and are skipped.
         proofs = [(False, np.array([1.0])), (True, np.zeros(2)), (False, np.ones(2))]
-        assert lp.verdict(cover, None, proofs) is True
+        assert lp.verdict(cover, None, proofs)[0] is True
         assert len(proofs) == 4 and proofs[-1][0] is True
+
+    def test_a_stored_point_comes_back_inside_the_box(self):
+        # x0 >= 1 on [0, 1]: the stored point 3 holds once clipped, and it
+        # is handed back clipped.
+        cover = make_cover([[1]], [0], [2.0], [(0.0, 1.0)])
+        answer, x = lp.verdict(cover, None, [(True, np.array([3.0]))])
+        assert answer is True and x.tolist() == [1.0]
 
     def test_malformed_problem_rejected(self):
         for bad in [(2.0, 1.0), (0.0, np.inf)]:
@@ -303,7 +311,9 @@ class TestVerdict:
         bounds = [(0.0, 1.0), (0.0, 1.0)] if answer else [(0.0, 0.5), (0.0, 1.0)]
         cover = make_cover(supp, [0, 0], [2.0], bounds)
         monkeypatch.setattr(lp, "_rows", None)  # laying out the dense rows fails
-        assert lp.verdict(cover, None, [(answer, proof)]) is answer
+        got, x = lp.verdict(cover, None, [(answer, proof)])
+        assert got is answer
+        assert x.tolist() == [1.0, 1.0] if answer else x is None
         # Bad bounds or a bad start are rejected even though the proof would
         # still answer.
         for bad_bound in [(0.0, np.inf), (-np.inf, 1.0), (2.0, 1.0)]:
@@ -323,7 +333,7 @@ class TestVerdictStart:
     def test_any_vertex_agrees_with_reference(self, data):
         cover = data.draw(covering_lps(max_n=12))
         feasible = scipy_reference(cover).status == 0
-        assert lp.verdict(cover, box_vertex(data, cover)) == lp.verdict(cover) == feasible
+        assert lp.verdict(cover, box_vertex(data, cover))[0] == lp.verdict(cover)[0] == feasible
 
     @settings(max_examples=60, deadline=None)
     @given(open_covering_lps())
@@ -333,13 +343,13 @@ class TestVerdictStart:
         assert np.all(onehot(cover) @ vertex <= cover.budgets)
         assert np.any(cover.supp @ vertex < 1.0)
         feasible = scipy_reference(cover).status == 0
-        assert lp.verdict(cover, vertex) == lp.verdict(cover) == feasible
+        assert lp.verdict(cover, vertex)[0] == lp.verdict(cover)[0] == feasible
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
     def test_refutation_from_any_start_is_infeasible(self, seed, data):
         cover = random_cover(seed)
-        verdict = lp.verdict(cover, box_vertex(data, cover))
+        verdict = lp.verdict(cover, box_vertex(data, cover))[0]
         if verdict is False:
             assert scipy_reference(cover).status == 2
         assert verdict is None or verdict == (lp.solve(cover) is not None)
@@ -350,7 +360,7 @@ class TestVerdictStart:
         for cover in [random_cover(seed), *tree_lps(seed)]:
             lo, hi = cover.bounds.T
             start = np.where(rng.rand(len(lo)) < 0.5, hi, lo)
-            assert lp.verdict(cover, start) == (lp.solve(cover) is not None)
+            assert lp.verdict(cover, start)[0] == (lp.solve(cover) is not None)
 
     def test_artificials_only_on_rows_the_start_misses(self):
         # x0 + x1 >= 1, x0 >= 1 and x0 + x1 <= 10: the start (0, 1) meets
@@ -360,7 +370,7 @@ class TestVerdictStart:
         assert s.A.shape == (3, 2 + 3 + 1)  # structural, slack, one artificial
         assert s.x.tolist() == [0.0, 1.0, 0.0, 0.0, 9.0, 1.0]
         assert s.basis.tolist() == [2, 5, 4]
-        assert lp.verdict(cover, [0.0, 1.0]) is True
+        assert lp.verdict(cover, [0.0, 1.0])[0] is True
 
     @pytest.mark.parametrize(
         "start,match",
@@ -402,8 +412,8 @@ def pivot_path_cases():
         for cover in tree_lps(seed):
             yield cover, None
     for cover in certify_cases():
-        vertex = model._certify(cover)
-        yield cover, (None if isinstance(vertex, bool) else vertex)
+        answer, vertex = model._certify(cover)
+        yield cover, (vertex if answer is None else None)
 
 
 # SHA-256 over every pivot_path_cases LP's solve status ("feasible" and the
@@ -419,9 +429,9 @@ class TestPivotPath:
         for cover, start in pivot_path_cases():
             x = lp.solve(cover)
             digest.update(b"infeasible" if x is None else b"feasible" + x.tobytes())
-            digest.update(repr(lp.verdict(cover)).encode())
+            digest.update(repr(lp.verdict(cover)[0]).encode())
             if start is not None:
-                digest.update(repr(lp.verdict(cover, start)).encode())
+                digest.update(repr(lp.verdict(cover, start)[0]).encode())
         assert digest.hexdigest() == PIVOT_PATH_DIGEST
 
 
@@ -462,25 +472,64 @@ def _certify_cases():
 
 
 # SHA-256 over model._certify's answer on every certify_cases LP, and the
-# bytes of its greedy vertex where it leaves the LP open.  A change to the
+# bytes of its greedy vertex where it leaves the LP open.  Where it
+# confirms, the vertex it hands back is checked, not hashed.  A change to the
 # certificates or to the covering LP they read that is meant to keep every
 # answer must keep this digest.
 CERTIFY_DIGEST = "a5b1040f035fb2a335c1e8e55904afcafd1e2d0e3556852e80b0071f78d5e174"
+FEASIBLE_CERTIFY_CASES = 243  # of the 500: 194 that the greedy confirms, 49 that it leaves open
 
 
 class TestCertifyPath:
     def test_certify_gives_the_pinned_answers(self):
         digest, outcomes = hashlib.sha256(), {"True": 0, "False": 0, "open": 0}
         for cover in certify_cases():
-            got = model._certify(cover)
-            if isinstance(got, bool):
+            got, vertex = model._certify(cover)
+            if got is None:
+                digest.update(b"open" + vertex.tobytes())
+                outcomes["open"] += 1
+            else:
                 digest.update(repr(got).encode())
                 outcomes[repr(got)] += 1
-            else:
-                digest.update(b"open" + got.tobytes())
-                outcomes["open"] += 1
+                assert lp.confirms(cover, vertex) if got else vertex is None
         assert outcomes == {"True": 194, "False": 220, "open": 86}
         assert digest.hexdigest() == CERTIFY_DIGEST
+
+
+class TestProvingPoint:
+    """model.proving_point: None exactly when model.feasible says False,
+    else a point of the box that lp.confirms accepts, with the same bytes
+    on a repeat call."""
+
+    @staticmethod
+    def check(cover, proofs=None):
+        x = model.proving_point(cover, proofs)
+        assert (x is None) == (not model.feasible(cover, proofs))
+        if x is not None:
+            lo, hi = cover.bounds.T
+            assert lp.confirms(cover, x) and np.all((lo <= x) & (x <= hi))
+            assert model.proving_point(cover, proofs).tobytes() == x.tobytes()
+        return x
+
+    def test_certify_cases(self):
+        found = [self.check(cover) is not None for cover in certify_cases()]
+        assert sum(found) == FEASIBLE_CERTIFY_CASES
+
+    def test_after_relaxation_searches(self):
+        # The winner and the candidates above it have a point, those below
+        # none, with the proofs each search left in the caller's store.
+        stored = 0
+        for seed in range(8):
+            inst = random_instance(10 + seed, seed=seed, max_classes=3)
+            proofs = []
+            alpha = relaxation_search(inst, proofs)
+            stored += len(proofs)
+            cands = candidate_dilations(inst)
+            at = cands.index(alpha)
+            for dilation in cands[max(at - 2, 0):at + 3]:
+                x = self.check(build_nukc_lp(inst, dilation), proofs)
+                assert (x is not None) == (dilation >= alpha)
+        assert stored > 0
 
 
 def reference_lagrangian_bound(cover, s, lam):
@@ -520,8 +569,8 @@ class TestCheckPair:
         # covering form as on the dense system, and the same answer.
         compared = refuted = 0
         for cover in certify_cases():
-            vertex = model._certify(cover)
-            if isinstance(vertex, bool):
+            answer, vertex = model._certify(cover)
+            if answer is not None:
                 continue
             s = lp._phase_one_setup(cover, lp._vertex(cover, vertex))
             _, lam = lp._phase_one(s, lp.DEGENERATE_RUN)
@@ -545,7 +594,7 @@ class TestCheckPair:
         gaps = []
         for cover in certify_cases():
             calls.clear()
-            got = model._certify(cover)
+            got, _ = model._certify(cover)
             assert (got is False) == any(bound > tol for _, _, (bound, tol) in calls)
             for y, z, _ in calls:
                 assert set(y.tolist()) <= {0.0, 1.0} and set(z.tolist()) <= {0.0, 1.0}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ball
 from nukc.metric import (
     COVER_TOL,
     MetricError,
@@ -129,9 +130,9 @@ class TestValidateMetric:
 class TestMetricSpace:
     def test_ball_is_inclusive_at_the_boundary(self, line_space):
         # Point 1 is at distance exactly 1.0 from point 0.
-        assert 1 in line_space.ball(0, 1.0)
-        assert 1 in line_space.ball(0, 1.0 - COVER_TOL / 2)
-        assert 1 not in line_space.ball(0, 0.5)
+        assert 1 in ball(line_space, 0, 1.0)
+        assert 1 in ball(line_space, 0, 1.0 - COVER_TOL / 2)
+        assert 1 not in ball(line_space, 0, 0.5)
 
     def test_within_is_inclusive_and_broadcasts(self):
         assert within(1.0, 1.0) and within(1.0 + COVER_TOL / 2, 1.0)
@@ -145,9 +146,9 @@ class TestMetricSpace:
         space = MetricSpace.from_coords(rng.rand(9, 2))
         centers = rng.randint(9, size=rng.randint(4)).tolist()
         radii = rng.rand(len(centers)).tolist()
-        union = {q for c, r in zip(centers, radii) for q in space.ball(c, r)}
+        union = {q for c, r in zip(centers, radii) for q in ball(space, c, r)}
         assert np.flatnonzero(covered(space.dist, centers, radii)).tolist() == sorted(union)
-        one = {q for c in centers for q in space.ball(c, 0.3)}
+        one = {q for c in centers for q in ball(space, c, 0.3)}
         assert np.flatnonzero(covered(space.dist, centers, 0.3)).tolist() == sorted(one)
 
     def test_covered_without_balls_is_empty(self, line_space):
@@ -155,7 +156,7 @@ class TestMetricSpace:
         assert covered(line_space.dist, [], 1.0).shape == (5,)
 
     def test_ball_zero_radius_contains_center(self, line_space):
-        assert line_space.ball(3, 0.0) == [3]
+        assert ball(line_space, 3, 0.0) == [3]
 
     def test_diameter(self, line_space):
         assert line_space.diameter() == 11.0

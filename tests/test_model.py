@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ball, expand_radii
 from nukc import model
 from nukc.bicriteria import build_guess_lp
 from nukc.metric import COVER_TOL, MetricSpace
@@ -103,7 +104,7 @@ def reference_min_level(neg, instance, p):
     negatively guessed at level t; 0 when there is none."""
     best = -1
     for t in range(instance.num_classes):
-        if all(neg[q, t] for q in instance.space.ball(p, instance.radii[t])):
+        if all(neg[q, t] for q in ball(instance.space, p, instance.radii[t])):
             best = t
     return best + 1
 
@@ -138,15 +139,17 @@ def reference_candidates(instance):
     return sorted(vals)
 
 
-# The numpy certificates that the bitset ones replaced, kept verbatim (one
-# pass over the columns per opened variable) to pin their answers and
-# greedy vertices on forms wider than one machine word.  Its refutation
-# margin is its own literal 0.5, as the certificates had it.
+# The numpy certificates that the bitset ones replaced, kept as they were
+# (one pass over the columns per opened variable) but for returning the
+# same (answer, x) pairs, to pin their answers and greedy vertices on forms
+# wider than one machine word.  Its refutation margin is its own literal
+# 0.5, as the certificates had it.
 def reference_certify(cover):
-    """Settle a covering LP without pivoting: False when a packing bound
-    refutes it, True when an integral greedy choice satisfies it.  When
-    neither does, the greedy's choice: a vertex of the box within every
-    class budget, for `lp.verdict` to start from.
+    """Settle a covering LP without pivoting: (False, None) when a packing
+    bound refutes it, (True, x) when x, an integral greedy choice,
+    satisfies it.  When neither does, (None, x): the greedy's choice, a
+    vertex of the box within every class budget, for `lp.verdict` to start
+    from.
 
     Refutation: covering rows whose free supports are pairwise disjoint
     (picked smallest support first) need the sum of their residuals from
@@ -177,7 +180,7 @@ def reference_certify(cover):
     union = np.cumsum(np.vstack([np.zeros(h), sets[picked] @ onehot]), axis=0)
     needs = np.cumsum(np.concatenate([[0.0], need[rows[picked]]]))
     if np.any(needs > np.minimum(cap, union).sum(axis=1) + 0.5):
-        return False
+        return False, None
 
     # Greedy: open the free variable meeting the most unmet rows, within
     # the remaining budgets, until every row is met or none helps.
@@ -188,20 +191,23 @@ def reference_certify(cover):
         score = gain * (cap[cls] >= 1)
         j = int(np.argmax(score))
         if score[j] == 0:
-            return x
+            return None, x
         x[j] = 1.0
         cap[cls[j]] -= 1
         met = unmet & supp[:, j]
         unmet &= ~met
         gain -= supp[met].sum(axis=0)
-    return True if np.all(cover.supp @ x >= 1.0) and np.all(x @ onehot <= cover.budgets) else x
+    met = np.all(cover.supp @ x >= 1.0) and np.all(x @ onehot <= cover.budgets)
+    return (True if met else None), x
 
 
 def same_certificate(got, want) -> bool:
-    """The same answer, or greedy vertices with the same dtype and bytes."""
-    if isinstance(got, bool) or isinstance(want, bool):
-        return type(got) is type(want) and got == want
-    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    """The same answer, and greedy vertices with the same dtype and bytes
+    (or none, on a refutation)."""
+    (answer, x), (want_answer, want_x) = got, want
+    if answer is not want_answer or (x is None) != (want_x is None):
+        return False
+    return x is None or (x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes())
 
 
 def random_form(rng, m, n_vars, h, density, free_frac, budget_hi):
@@ -284,7 +290,7 @@ class TestInstance:
 
     def test_expand_radii(self, line_space):
         inst = NukcInstance(line_space, [(2, 3.0), (1, 1.0)])
-        assert inst.expand_radii() == [(3.0, 0), (3.0, 0), (1.0, 1)]
+        assert expand_radii(inst) == [(3.0, 0), (3.0, 0), (1.0, 1)]
 
 
 class TestFractional:
@@ -365,8 +371,13 @@ class TestFractional:
         verdicts, solves, certified, laid, pivoted = [], [], [], [], []
         real_verdict, real_solve, real_phase_one = lp.verdict, lp.solve, lp._phase_one
         real_certify, real_rows = model._certify, lp._rows
-        monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
-                            verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
+
+        def recording_verdict(*args, **kwargs):
+            got = real_verdict(*args, **kwargs)
+            verdicts.append(got[0])
+            return got
+
+        monkeypatch.setattr(lp, "verdict", recording_verdict)
         monkeypatch.setattr(lp, "solve", lambda cover, *args, **kwargs:
                             solves.append(cover) or real_solve(cover, *args, **kwargs))
         monkeypatch.setattr(model, "_certify", lambda cover:
@@ -381,7 +392,7 @@ class TestFractional:
                 calls.clear()
             alpha = relaxation_search(inst)
             assert len(solves) == verdicts.count(None)
-            opened = sum(not isinstance(c, bool) for c in certified)
+            opened = sum(answer is None for answer, _ in certified)
             assert len(verdicts) == opened
             pivoting = pivoted.count(lp.DEGENERATE_RUN)
             assert len(laid) == pivoting + len(solves)
@@ -492,7 +503,8 @@ class TestSmallestFeasible:
 
 
 class TestCertificate:
-    """model._certify: False refutes a covering LP, True confirms it."""
+    """model._certify: False refutes a covering LP, True confirms it with
+    the greedy's vertex."""
 
     def line(self, coords, classes):
         return NukcInstance(MetricSpace.from_coords(np.array(coords, dtype=float)), classes)
@@ -501,50 +513,52 @@ class TestCertificate:
         # Two far points, two unit balls: the disjoint rows need 2 and
         # their supports supply exactly 2.
         inst = self.line([[0], [10]], [(2, 1.0)])
-        assert model._certify(build_nukc_lp(inst, 1.0)) is True
+        assert model._certify(build_nukc_lp(inst, 1.0))[0] is True
 
     def test_packing_refutes_far_points(self, line_space):
         inst = NukcInstance(line_space, [(1, 1.0)])
-        assert model._certify(build_nukc_lp(inst, 1.0)) is False
+        assert model._certify(build_nukc_lp(inst, 1.0))[0] is False
 
     def test_pin_that_uses_up_a_budget(self):
         inst = self.line([[0], [10]], [(1, 2.0), (1, 1.0)])
         # The one big ball sits at point 0; point 1 needs the small one.
         pinned = np.full((2, 2), np.nan)
         pinned[0, 0] = 1.0
-        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned)) is True
+        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned))[0] is True
         pinned[1, 1] = 0.0
-        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned)) is False
+        assert model._certify(build_nukc_lp(inst, 1.0, pinned=pinned))[0] is False
         # Pins alone overrun the big ball's budget.
         pinned[1] = (1.0, np.nan)
         over = build_nukc_lp(inst, 1.0, points=[], pinned=pinned)
-        assert model._certify(over) is False
+        assert model._certify(over)[0] is False
 
     def test_start_level_h_is_an_empty_row(self, line_instance):
         h = line_instance.num_classes
         empty = build_nukc_lp(line_instance, 100.0, points=[3], start=h)
         assert not empty.supp[0].any()
-        assert model._certify(empty) is False
+        assert model._certify(empty)[0] is False
 
     def test_duplicate_points(self):
         # Rows of duplicate points overlap, so only one of them counts.
         inst = self.line([[0], [0], [0], [5]], [(2, 1.0)])
-        assert model._certify(build_nukc_lp(inst, 1.0)) is True
+        assert model._certify(build_nukc_lp(inst, 1.0))[0] is True
         lone = self.line([[0], [0], [5]], [(1, 1.0)])
-        assert model._certify(build_nukc_lp(lone, 1.0)) is False
+        assert model._certify(build_nukc_lp(lone, 1.0))[0] is False
 
     def test_boxes_narrower_than_the_unit_interval(self):
         # x0 >= 1 with x0 in [0, 0.5]: the greedy opens x0 at its upper
         # bound, which meets no row, so its vertex goes to lp.verdict.
         narrow = lp.CoveringLp(supp=np.array([[True]]), cls=np.array([0]),
                                budgets=np.array([1.0]), bounds=np.array([[0.0, 0.5]]))
-        assert model._certify(narrow).tolist() == [0.5]
+        answer, vertex = model._certify(narrow)
+        assert answer is None and vertex.tolist() == [0.5]
         assert feasible(narrow) is False and lp.solve(narrow) is None
         # x0 + x1 >= 1 on [0, 0.5]^2 within a budget of 1: only (0.5, 0.5).
         pair = lp.CoveringLp(supp=np.array([[True, True]]), cls=np.array([0, 0]),
                              budgets=np.array([1.0]), bounds=np.array([[0.0, 0.5]] * 2))
         assert lp.confirms(pair, np.array([0.5, 0.5]))
-        assert model._certify(pair).tolist() == [0.5, 0.0]
+        answer, vertex = model._certify(pair)
+        assert answer is None and vertex.tolist() == [0.5, 0.0]
         assert feasible(pair) is True and lp.solve(pair).tolist() == [0.5, 0.5]
 
     def test_open_lp_starts_the_verdict_at_the_greedy_vertex(self, monkeypatch):
@@ -559,8 +573,8 @@ class TestCertificate:
             calls.clear()
             relaxation_search(inst)
             for cover, start in calls:
-                vertex = model._certify(cover)
-                assert not isinstance(vertex, bool) and np.array_equal(start, vertex)
+                answer, vertex = model._certify(cover)
+                assert answer is None and np.array_equal(start, vertex)
             checked += len(calls)
         assert checked
 
@@ -568,7 +582,7 @@ class TestCertificate:
     def test_search_with_and_without_certificates(self, seed, monkeypatch):
         inst = random_instance(7, seed=seed)
         alpha, x = min_feasible_dilation(inst)
-        monkeypatch.setattr(model, "_certify", lambda cover: None)
+        monkeypatch.setattr(model, "_certify", lambda cover: (None, None))
         want_alpha, want_x = min_feasible_dilation(inst)
         assert alpha == want_alpha and np.array_equal(x, want_x)
 
@@ -596,7 +610,7 @@ class TestCertificate:
             cover = random_form(np.random.RandomState(seed), **shape)
             got = model._certify(cover)
             assert same_certificate(got, reference_certify(cover))
-            seen.add(got if isinstance(got, bool) else "open")
+            seen.add("open" if got[0] is None else got[0])
         if shape["m"] > 64:
             assert seen == {True, False, "open"}
 
@@ -617,7 +631,7 @@ class TestCertificate:
                                             start=rng.randint(h, size=len(points)), pinned=pinned)):
                     got = model._certify(cover)
                     assert same_certificate(got, reference_certify(cover))
-                    seen.add(got if isinstance(got, bool) else "open")
+                    seen.add("open" if got[0] is None else got[0])
         assert seen == {True, False, "open"}
 
 
@@ -643,7 +657,7 @@ class TestProofStore:
             before = len(proofs or ())
             got = real_verdict(cover, start, proofs)
             store[:] = proofs or ()
-            opens.append((cover, start, got, real_verdict(cover, start),
+            opens.append((cover, start, got[0], real_verdict(cover, start)[0],
                           proofs is not None and len(proofs) == before))
             return got
 
@@ -675,7 +689,7 @@ class TestProofStore:
         for i, (inst, _, opens) in enumerate(runs):
             foreign = [proof for j, (_, store, _) in enumerate(runs) if j != i for proof in store]
             for cover, start, _, plain, _ in opens:
-                assert lp.verdict(cover, start, list(foreign)) == plain
+                assert lp.verdict(cover, start, list(foreign))[0] == plain
             same_shape += len(opens) * sum(
                 (other.n, other.num_classes) == (inst.n, inst.num_classes)
                 for j, (other, store, _) in enumerate(runs) if j != i for _ in store)
@@ -758,7 +772,7 @@ def reference_compression(original):
     """Lift targets (a sorted list of 1-based radius indices per compressed
     class) and each index's class, from the list of all k radii: the
     per-ball form the run-based compression replaced."""
-    expanded = original.expand_radii()
+    expanded = expand_radii(original)
     targets = {}
     for i in range(len(expanded).bit_length()):
         radius = expanded[2**i - 1][0]

@@ -139,20 +139,55 @@ class TestTwoRadii:
         assert achieved_dilation(line_space_instance(line_space), sol) == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_simplex_runs_only_on_the_winner(self, seed, monkeypatch):
+    def test_makes_no_simplex_call(self, seed, monkeypatch):
         # n = 40 with r1 / r2 = 4: the LP branch, whose search probes are
-        # settled by certificates and verdicts, so the one dense solve is
-        # the winner's.
+        # settled by certificates and verdicts.  The two-class path embeds
+        # the point that proved the winner, for two radii and for kCwO.
         solves, verdicts = [], []
-        real_solve, real_verdict = lp.solve, lp.verdict
+        real_verdict = lp.verdict
         monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
-                            solves.append(problem) or real_solve(problem, *args, **kwargs))
+                            solves.append(problem))
         monkeypatch.setattr(lp, "verdict", lambda *args, **kwargs:
                             verdicts.append(real_verdict(*args, **kwargs)) or verdicts[-1])
         space, _ = random_euclidean(40, 2, seed)
         solve_two_radii(space, (2, 0.4), (4, 0.1))
-        assert verdicts and None not in verdicts
-        assert len(solves) == 1
+        solve_kcwo(space, 3, 2)
+        assert verdicts and None not in [answer for answer, _ in verdicts]
+        assert solves == []
+
+
+def grid_spaces(count=400):
+    """(rng, space) for `count` seeded tie-heavy spaces: 2-9 points drawn
+    from the 4 x 4 integer grid, repeats allowed, so that many distances,
+    candidate dilations and winner coverages tie."""
+    for seed in range(count):
+        rng = np.random.RandomState(seed)
+        coords = rng.randint(0, 4, size=(rng.randint(2, 10), 2)).astype(float)
+        yield rng, MetricSpace.from_coords(coords)
+
+
+class TestGridGuarantees:
+    """The two factors of the two-class path, against the exact solvers on
+    tie-heavy grids, whichever check proved the embedded point."""
+
+    def test_kcwo_within_two(self):
+        for rng, space in grid_spaces():
+            k, l = int(rng.randint(1, 4)), int(rng.randint(0, 3))
+            opt, _, _ = exact_kcwo(space, k, l)
+            res = solve_kcwo(space, k, l)
+            assert res.radius <= 2 * opt + 1e-9
+            assert len(res.centers) <= k and len(res.outliers) <= l
+
+    def test_two_radii_within_one_plus_sqrt5(self):
+        for rng, space in grid_spaces():
+            r1 = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            r2 = float(rng.choice([0.0, 0.5, 1.0]))
+            classes = [(int(rng.randint(1, 3)), r1), (int(rng.randint(1, 3)), r2)]
+            inst = NukcInstance(space, classes)
+            opt, _ = exact_nukc(inst)
+            sol = solve_two_radii(space, *classes)
+            assert achieved_dilation(inst, sol) <= TWO_RADII_FACTOR * opt + 1e-9
+            assert validate_solution(inst, sol, 1.0, math.inf).ok
 
 
 def line_space_instance(space):
