@@ -18,7 +18,6 @@ from .embed import lift_tree_solution
 from .rmfct import (
     LayeredTree,
     build_rmfct_lp,
-    exact_rmfct,
     round_depth2,
     round_loose,
 )
@@ -32,7 +31,7 @@ from .solvers import (
 )
 from .bicriteria import enum_solve
 from .gadgets import hardness_gadget, random_euclidean, random_layered_tree, random_metric
-from .oracle import SizeBudgetError, exact_kcwo, exact_nukc
+from .oracle import SizeBudgetError, exact_nukc
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

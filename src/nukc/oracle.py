@@ -6,9 +6,6 @@ instances above an explicit size budget instead of running forever.
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
-
 import numpy as np
 
 from .metric import within
@@ -20,8 +17,6 @@ from .model import (
     candidate_dilations,
     smallest_feasible,
 )
-
-TIE_TOL = 1e-15  # distances this close are a tie in exact_kcwo
 
 
 class SizeBudgetError(ValueError):
@@ -91,31 +86,3 @@ def exact_nukc(
         for center, t in _coverable(instance, alpha)
     ]
     return alpha, NukcSolution(balls)
-
-
-def exact_kcwo(space, k: int, l: int, max_n: int = 12, max_k: int = 4):
-    """Exact k-center with l excused points: minimize r such that some k
-    centers leave at most l points farther than r.  Enumerates center
-    subsets; for each, the needed radius is the (l+1)-th largest
-    point-to-centers distance.
-
-    Returns (radius, centers, outliers)."""
-    n = space.n
-    if n > max_n or k > max_k:
-        raise SizeBudgetError(
-            f"exact_kcwo budget is n <= {max_n}, k <= {max_k}; got n = {n}, k = {k}"
-        )
-    if l >= n or k == 0:
-        if l >= n:
-            return 0.0, [], list(range(n))
-        raise ValueError("k = 0 with fewer than n excused points is uncoverable")
-    kk = min(k, n)
-    best = (math.inf, None, None)
-    for subset in combinations(range(n), kk):
-        d = space.dist[list(subset)].min(axis=0)
-        order = np.argsort(-d, kind="stable")
-        radius = float(d[order[l]])
-        if radius < best[0] - TIE_TOL:
-            outliers = sorted(int(i) for i in order[:l] if d[order[l]] < d[i] - TIE_TOL)
-            best = (radius, list(subset), outliers)
-    return best

@@ -193,58 +193,3 @@ def round_loose(tree: LayeredTree, y: dict) -> set:
             "input y does not fractionally cover all leaves", uncovered_leaves=missed
         )
     return chosen
-
-
-# ---------------------------------------------------------------------------
-# Exact search (budgeted): minimize max_t |N on level t| / budget_t.
-# ---------------------------------------------------------------------------
-
-
-def exact_rmfct(tree: LayeredTree, max_nodes: int = 24):
-    """Exhaustive minimal-hitting-set search over root-leaf paths.
-
-    Returns (value, chosen) where value = min over feasible N of
-    max_t |N on level t| / budget_t (0/0 counts as 0, x/0 as inf).
-    Branches on the nodes of the first uncovered leaf's path, which
-    enumerates exactly the minimal feasible sets; removing nodes never
-    raises the objective, so the optimum is attained at one of them.
-    """
-    if tree.num_nodes > max_nodes:
-        raise ValueError(
-            f"exact_rmfct limited to {max_nodes} nodes, tree has {tree.num_nodes}"
-        )
-    leaves = sorted(tree.leaves)
-    paths = {leaf: tree.path_to_root(leaf) for leaf in leaves}
-    best = [math.inf, None]
-
-    def value_of(counts):
-        worst = 0.0
-        for t, cnt in enumerate(counts):
-            if cnt == 0:
-                continue
-            if tree.budgets[t] <= 0:
-                return math.inf
-            worst = max(worst, cnt / tree.budgets[t])
-        return worst
-
-    def search(chosen, counts):
-        val = value_of(counts)
-        if val >= best[0]:
-            return
-        for leaf in leaves:
-            if not chosen.intersection(paths[leaf]):
-                for v in paths[leaf]:
-                    t = tree.level_of[v]
-                    counts[t] += 1
-                    chosen.add(v)
-                    search(chosen, counts)
-                    chosen.discard(v)
-                    counts[t] -= 1
-                return
-        best[0] = val
-        best[1] = set(chosen)
-
-    search(set(), [0] * tree.num_levels)
-    if best[1] is None:
-        raise FirefighterInfeasibleError("no feasible node set exists")
-    return best[0], best[1]

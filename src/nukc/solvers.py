@@ -206,9 +206,11 @@ def round_bottom_heavy(
     The points split by where that mass sits — the window [tau, mid] with
     mid = ilog(L), or (mid, L] — and each part keeps >= 1/4 of coverage in
     its window.  Scaling its x by 4 (capped at 1) makes the part fractionally
-    covered by the window alone; the barrier embedding of the part is
-    re-solved to a basic point and rounded by loose vertices.  Per class t:
-    at most 4*k_t + (tree height) balls, radius 8*r_t, never below tau."""
+    covered by the window alone.  The barrier embedding of the part is
+    rounded by loose vertices on its own node values; only when those leave
+    more loose vertices than the tree height is the tree LP re-solved to a
+    basic point and that rounded instead.  Either way, per class t: at most
+    4*k_t + (tree height) balls, radius 8*r_t, never below tau."""
     n, h = instance.n, instance.num_classes
     L = h - 1
     if not (0 <= tau <= L):
@@ -238,10 +240,14 @@ def round_bottom_heavy(
             for t in range(h)
         ] + [0.0]
         emb.tree.budgets = budgets
-        y = solve_rmfct_lp(emb.tree)
-        if y is None:
-            raise RuntimeError("re-solved firefighter relaxation was infeasible")
-        balls.extend(lift_tree_solution(emb, round_loose(emb.tree, y)).balls)
+        try:
+            chosen = round_loose(emb.tree, emb.y)
+        except RuntimeError:  # more loose vertices than the tree height
+            y = solve_rmfct_lp(emb.tree)
+            if y is None:
+                raise RuntimeError("re-solved firefighter relaxation was infeasible")
+            chosen = round_loose(emb.tree, y)
+        balls.extend(lift_tree_solution(emb, chosen).balls)
     if any(b.class_index < tau for b in balls):
         raise RuntimeError("bottom-heavy rounding opened a ball below tau")
     return NukcSolution(balls)
@@ -287,12 +293,15 @@ def solve_guess_q(
     smallest candidate at which some guess admits a fractional cover, and
     the guess is the first in enumeration order to admit one there.
 
-    One pass over the guesses finds them: each guess is probed just below
-    the best dilation found so far and bisected downward only when that
-    probe hits.  No guess fits below the relaxation's optimum (a guess plus
-    its window cover is a point of the full relaxation), so a caller that
-    knows it passes it as `floor`: candidates below it are skipped, and
-    the pass stops once the best reaches it."""
+    No guess fits below the relaxation's optimum (a guess plus its window
+    cover is a point of the full relaxation), so a caller that knows it
+    passes it as `floor` and candidates below it are skipped.  A first pass
+    probes each guess at the lowest remaining candidate only and stops at
+    the first that fits: as fitting is monotone in the dilation, that is
+    the answer.  When none fits there, a second pass searches the higher
+    candidates: each guess is probed just below the best dilation found so
+    far and bisected downward only when that probe hits.  The first pass
+    costs one probe per guess, so it never more than doubles the probes."""
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     n, h = instance.n, instance.num_classes
@@ -308,14 +317,16 @@ def solve_guess_q(
         raise SizeBudgetError(
             f"guess enumeration needs {combos} placements (> budget {guess_budget})"
         )
-    per_class = [
-        combinations_with_replacement(range(n), instance.classes[t].multiplicity)
-        for t in guess_classes
-    ]
-    guesses = (
-        [(c, t) for t, picks in zip(guess_classes, combo) for c in picks]
-        for combo in product(*per_class)
-    )
+
+    def guesses():
+        per_class = [
+            combinations_with_replacement(range(n), instance.classes[t].multiplicity)
+            for t in guess_classes
+        ]
+        return (
+            [(c, t) for t, picks in zip(guess_classes, combo) for c in picks]
+            for combo in product(*per_class)
+        )
 
     cands = candidate_dilations(instance)
 
@@ -324,13 +335,17 @@ def solve_guess_q(
         return problem is None or feasible(problem)
 
     lo, hi = bisect_left(cands, floor), len(cands)
-    best = None  # the guess that fits at cands[hi]
-    for guess in guesses:
-        if hi == lo:
-            break
-        found = smallest_feasible(range(lo, hi), lambda i: fits(guess, i))
-        if found is not None:
-            hi, best = found, guess
+    best = next((g for g in guesses() if fits(g, lo)), None) if lo < hi else None
+    if best is not None:
+        hi = lo
+    else:
+        lo = min(lo + 1, hi)
+        for guess in guesses():
+            if hi == lo:
+                break
+            found = smallest_feasible(range(lo, hi), lambda i: fits(guess, i))
+            if found is not None:
+                hi, best = found, guess  # best fits at cands[hi]
     if best is None:
         raise ValueError("no guess admits a cover at the largest candidate dilation")
     alpha = cands[hi]

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import expand_radii
+from helpers import exact_kcwo, exact_rmfct, expand_radii
 from nukc.bicriteria import enum_solve
 from nukc.embed import embed
 from nukc.gadgets import (
@@ -30,10 +30,9 @@ from nukc.model import (
     min_feasible_dilation,
     validate_solution,
 )
-from nukc.oracle import exact_kcwo, exact_nukc
+from nukc.oracle import exact_nukc
 from nukc.rmfct import (
     LayeredTree,
-    exact_rmfct,
     round_depth2,
     round_loose,
     solve_rmfct_lp,

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,3 +103,63 @@ class TestEnumSolve:
         res = enum_solve(inst)
         assert res.alpha == 0.0
         assert res.dilation_ratio in (0.0, 1.0) or np.isfinite(res.dilation_ratio)
+
+
+# Solves the first 40 instances shaped like the benchmark's enum-small
+# corpus (n = 12, up to three classes, the compressed top class holding one
+# ball or being the only class) and prints the calls to the three routines
+# that do the work.
+ENUM_WORK_SCRIPT = """
+import json
+from collections import Counter
+from nukc import lp, model, solvers
+from nukc.bicriteria import enum_solve
+from nukc.gadgets import random_instance
+from nukc.model import compress_radii
+
+calls = Counter()
+
+
+def counted(module, name):
+    inner = getattr(module, name)
+
+    def call(*args, **kwargs):
+        calls[f"{module.__name__}.{name}"] += 1
+        return inner(*args, **kwargs)
+
+    setattr(module, name, call)
+
+
+for module, name in ((lp, "solve"), (model, "_certify"), (solvers, "_window_lp")):
+    counted(module, name)
+seed, solved = 0, 0
+while solved < 40:
+    inst = random_instance(12, seed=seed, max_classes=3)
+    comp = compress_radii(inst).instance
+    if comp.num_classes == 1 or comp.classes[0].multiplicity == 1:
+        enum_solve(inst)
+        solved += 1
+    seed += 1
+print(json.dumps(calls))
+"""
+
+# Ceilings on those counts: what the floor-first guess search and rounding
+# on the embedding's own values do.  A change that does more of this work
+# fails here; one that does less should lower its ceiling.
+ENUM_WORK_CEILING = {"nukc.lp.solve": 40, "nukc.model._certify": 507,
+                     "nukc.solvers._window_lp": 200}
+
+
+def test_enum_work_stays_under_its_ceiling():
+    """Exact, noise-free work counts over a fixed corpus, in a fresh
+    interpreter with one BLAS thread as the benchmark runs."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", ENUM_WORK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    calls = json.loads(done.stdout.splitlines()[-1])
+    over = {name: calls.get(name, 0) for name, most in ENUM_WORK_CEILING.items()
+            if calls.get(name, 0) > most}
+    assert not over, f"work counts over their ceilings {ENUM_WORK_CEILING}: {over}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import exact_rmfct
 from nukc.gadgets import (
     gadget_radii,
     hardness_gadget,
@@ -11,7 +12,7 @@ from nukc.gadgets import (
 )
 from nukc.metric import validate_metric
 from nukc.oracle import exact_nukc
-from nukc.rmfct import LayeredTree, exact_rmfct
+from nukc.rmfct import LayeredTree
 
 
 def complete_binary(depth):

@@ -381,7 +381,7 @@ PUBLIC = [
     "Ball", "LayeredTree", "MetricSpace", "NukcInstance", "NukcSolution", "RadiusClass",
     "SizeBudgetError", "achieved_dilation", "bicriteria", "build_nukc_lp", "build_rmfct_lp",
     "charikar_kcwo", "charikar_kcwo_search", "compress_radii", "coverage", "embed",
-    "enum_solve", "exact_kcwo", "exact_nukc", "exact_rmfct", "gadgets", "gonzalez_kcenter",
+    "enum_solve", "exact_nukc", "gadgets", "gonzalez_kcenter",
     "hardness_gadget", "lift_compressed_solution", "lift_tree_solution", "lp", "metric",
     "min_feasible_dilation", "model", "oracle", "random_euclidean", "random_layered_tree",
     "random_metric", "rmfct", "round_bottom_heavy", "round_depth2", "round_loose",

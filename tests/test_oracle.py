@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import exact_kcwo
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
 from nukc.model import NukcInstance, validate_solution
-from nukc.oracle import SizeBudgetError, exact_kcwo, exact_nukc
+from nukc.oracle import SizeBudgetError, exact_nukc
 
 
 def brute_force_nukc(instance):

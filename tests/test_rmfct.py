@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import exact_rmfct
 from nukc.embed import embed
 from nukc.gadgets import random_euclidean, random_layered_tree
 from nukc.model import NukcInstance, min_feasible_dilation
@@ -11,7 +12,6 @@ from nukc.rmfct import (
     FirefighterInfeasibleError,
     LayeredTree,
     build_rmfct_lp,
-    exact_rmfct,
     round_depth2,
     round_loose,
     solve_rmfct_lp,

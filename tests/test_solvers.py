@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
+from helpers import exact_kcwo
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
 from nukc import lp, solvers
@@ -16,10 +17,11 @@ from nukc.model import (
     feasible,
     fractional_cover,
     min_feasible_dilation,
+    relaxation_search,
     smallest_feasible,
     validate_solution,
 )
-from nukc.oracle import SizeBudgetError, exact_kcwo, exact_nukc
+from nukc.oracle import SizeBudgetError, exact_nukc
 from nukc.solvers import (
     TWO_RADII_FACTOR,
     _window_lp,
@@ -231,8 +233,29 @@ class TestBottomHeavy:
         pair = self.make(seed)
         if pair is None:
             return
-        inst, x = pair
-        L = inst.num_classes - 1
+        self.check_bounds(*pair)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_on_resolved_tree(self, seed, monkeypatch):
+        """When the embedding's own values leave more loose vertices than
+        the tree height, the tree LP is re-solved and its basic point
+        rounded instead, within the same bounds."""
+        real_round, real_solve = solvers.round_loose, solvers.solve_rmfct_lp
+        rejected, resolved = [], []
+
+        def round_once(tree, y):
+            if not rejected:
+                rejected.append(y)
+                raise RuntimeError("more loose vertices than the tree height")
+            return real_round(tree, y)
+
+        monkeypatch.setattr(solvers, "round_loose", round_once)
+        monkeypatch.setattr(solvers, "solve_rmfct_lp",
+                            lambda tree: resolved.append(tree) or real_solve(tree))
+        self.check_bounds(*self.make(seed))
+        assert len(rejected) == len(resolved) == 1
+
+    def check_bounds(self, inst, x):
         tau = 0  # every point draws all coverage from classes >= 0
         sol = round_bottom_heavy(inst, x, tau, points=list(range(inst.n)))
         dist = inst.space.dist
@@ -355,9 +378,46 @@ def guess_corpus():
 GUESS_CASES = guess_corpus()
 
 
+def floor_corpus():
+    """Seeds of benchmark-shaped instances (n = 12, up to three classes)
+    whose compressed instance has two or three classes, the top one a
+    single ball: guess-q at q = 1 guesses class 0 over n placements."""
+    cases = []
+    for seed in range(60):
+        comp = compress_radii(random_instance(12, seed=seed, max_classes=3)).instance
+        if comp.num_classes >= 2 and comp.classes[0].multiplicity == 1:
+            cases.append(seed)
+    return cases
+
+
+FLOOR_CASES = floor_corpus()
+
+
 class TestGuessSearch:
     def test_corpus_size(self):
         assert len(GUESS_CASES) >= 60
+        assert len(FLOOR_CASES) >= 15
+
+    @pytest.mark.parametrize("seed", FLOOR_CASES)
+    def test_floor_first_pass(self, seed, monkeypatch):
+        """Given the relaxation optimum as its floor, the search builds the
+        window LPs of the placements up to the first that fits at the floor,
+        one each, and the winner's once more: it never bisects."""
+        inst = compress_radii(random_instance(12, seed=seed, max_classes=3)).instance
+        floor = relaxation_search(inst)
+
+        def fits(picks):
+            problem, _ = _window_lp(inst, floor, 1, [(c, 0) for c in picks])
+            return problem is None or feasible(problem)
+
+        placements = combinations_with_replacement(range(inst.n), inst.classes[0].multiplicity)
+        first = next(i for i, picks in enumerate(placements, 1) if fits(picks))
+        built = []
+        monkeypatch.setattr(solvers, "_window_lp",
+                            lambda *args: built.append(args) or _window_lp(*args))
+        res = solve_guess_q(inst, 1, floor=floor)
+        assert (res.tau, res.dilation) == (1, floor)
+        assert len(built) <= first + 1
 
     @pytest.mark.parametrize("seed", GUESS_CASES)
     def test_one_pass_matches_per_candidate_scan(self, seed, monkeypatch):
