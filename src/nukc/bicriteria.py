@@ -28,9 +28,9 @@ from .model import (
     build_nukc_lp,
     compress_radii,
     coverage,
-    feasible,
     fractional_cover,
     lift_compressed_solution,
+    proving_point,
     relaxation_search,
 )
 from .embed import embed
@@ -101,7 +101,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     cinst = compressed.instance
     n, h = cinst.n, cinst.num_classes
     tau, gamma0 = enum_parameters(h - 1, instance.total_k)
-    alpha = relaxation_search(cinst)
+    alpha, _ = relaxation_search(cinst)
 
     def finish(csol: NukcSolution, short_circuit, used_fallback, nodes):
         lifted = lift_compressed_solution(csol, compressed, instance)
@@ -150,7 +150,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
                                [b.radius_used for b in balls_a])
         rest = np.flatnonzero(~covered_by_A).tolist()
         problem = build_guess_lp(rest, aff, neg, scaled)
-        if not feasible(problem):
+        if proving_point(problem) is None:
             return None
         x_star = fractional_cover(problem)
         cov = coverage(scaled, x_star)
@@ -163,7 +163,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
         # Can the remainder be covered by levels above tau alone?
         forced = neg | (np.arange(h) <= tau)
         problem_t = build_guess_lp(x_t, aff, forced, scaled)
-        if feasible(problem_t):
+        if proving_point(problem_t) is not None:
             x_small = fractional_cover(problem_t)
             bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).balls
             return NukcSolution(balls_a + bh_b + bh_t)

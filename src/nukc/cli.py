@@ -124,7 +124,7 @@ def _two_radii(instance, q):
 
 def _guess_q(instance, q):
     compressed = compress_radii(instance)
-    floor = relaxation_search(compressed.instance)
+    floor, _ = relaxation_search(compressed.instance)
     gq = solve_guess_q(compressed.instance, q, floor=floor)
     sol = lift_compressed_solution(gq.solution, compressed, instance)
     return sol, [], {"tau": gq.tau, "compressed_dilation": gq.dilation}
@@ -200,7 +200,7 @@ def _compare_rows(path: str, algos) -> list:
     count_t / k_t: a ratio below 1 can come from opening more balls."""
     instance = fileio.instance_from_obj(fileio.load(path))
     try:
-        lower = relaxation_search(instance)
+        lower, _ = relaxation_search(instance)
     except InfeasibleInstanceError:
         lower = None
     rows = []

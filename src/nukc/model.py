@@ -255,14 +255,9 @@ def proving_point(cover: lp.CoveringLp, proofs=None):
     return x if answer else None
 
 
-def feasible(cover: lp.CoveringLp, proofs=None) -> bool:
-    """Whether the covering LP `cover` is feasible (see `proving_point`)."""
-    return proving_point(cover, proofs) is not None
-
-
 def fractional_cover(cover: lp.CoveringLp) -> np.ndarray:
     """The simplex's basic feasible x, shape (n, h), of a covering LP from
-    build_nukc_lp that `feasible` confirmed."""
+    build_nukc_lp that `proving_point` confirmed."""
     x = lp.solve(cover)
     if x is None:
         raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
@@ -282,41 +277,44 @@ def candidate_dilations(instance: NukcInstance) -> list:
     return candidate_values(instance.space.dist, instance.radii)
 
 
-def smallest_feasible(cands, holds):
-    """Smallest of the sorted `cands` at which `holds` is true, for a
-    predicate monotone along them; None when it fails at the largest.
-    Probes the largest candidate, then the smallest, then bisects."""
+def smallest_feasible(cands, probe):
+    """(candidate, witness) for the smallest of the sorted `cands` at which
+    `probe` returns a witness, anything but None, for a probe monotone
+    along them; None when it returns None at the largest.  Probes the
+    largest candidate, then the smallest, then bisects."""
     hi = len(cands) - 1
-    if not holds(cands[hi]):
+    witness = probe(cands[hi])
+    if witness is None:
         return None
-    if hi > 0 and holds(cands[0]):
-        return cands[0]
+    found = cands[hi], witness
+    if hi > 0 and (witness := probe(cands[0])) is not None:
+        return cands[0], witness
     lo = 0  # cands[lo] fails, cands[hi] holds
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(cands[mid]):
-            hi = mid
+        if (witness := probe(cands[mid])) is not None:
+            hi, found = mid, (cands[mid], witness)
         else:
             lo = mid
-    return cands[hi]
+    return found
 
 
-def relaxation_search(instance: NukcInstance, proofs=None) -> float:
-    """The smallest dilation (over the candidate set) whose relaxation is
-    feasible.  Feasibility is monotone in the dilation, so binary search
-    applies; only a probe the checks leave open runs the simplex.  The
-    probes share rows, columns and bounds, so each verdict's proof is
-    checked on the later ones before they pivot (see `lp.verdict`); they
-    go into `proofs` when the caller passes a list."""
+def relaxation_search(instance: NukcInstance) -> tuple[float, np.ndarray]:
+    """(alpha, x): the smallest dilation (over the candidate set) whose
+    relaxation is feasible, and the point that proved it (see
+    `proving_point`).  Feasibility is monotone in the dilation, so binary
+    search applies; only a probe the checks leave open runs the simplex.
+    The probes share rows, columns and bounds, so each verdict's proof is
+    checked on the later ones before they pivot (see `lp.verdict`)."""
     cands = candidate_dilations(instance)
-    proofs = [] if proofs is None else proofs
-    alpha = smallest_feasible(cands, lambda d: feasible(build_nukc_lp(instance, d), proofs))
-    if alpha is None:
+    proofs = []
+    found = smallest_feasible(cands, lambda d: proving_point(build_nukc_lp(instance, d), proofs))
+    if found is None:
         raise InfeasibleInstanceError(
             "relaxation infeasible at the largest candidate dilation "
             f"({cands[-1]:g}); not enough balls to cover the points"
         )
-    return alpha
+    return found
 
 
 def min_feasible_dilation(instance: NukcInstance):
@@ -324,7 +322,7 @@ def min_feasible_dilation(instance: NukcInstance):
     feasible, together with a basic feasible x there (see
     `relaxation_search` and `fractional_cover`); only tests and examples
     read it."""
-    alpha = relaxation_search(instance)
+    alpha, _ = relaxation_search(instance)
     return alpha, fractional_cover(build_nukc_lp(instance, alpha))
 
 

@@ -19,6 +19,10 @@ from .model import (
 )
 
 
+MAX_N = 12  # most points exact_nukc searches
+MAX_K = 4  # most balls exact_nukc places
+
+
 class SizeBudgetError(ValueError):
     """Instance exceeds the oracle's search budget."""
 
@@ -60,29 +64,24 @@ def _coverable(instance: NukcInstance, alpha: float) -> list | None:
     return search(frozenset(range(n)), tuple(budgets), [])
 
 
-def exact_nukc(
-    instance: NukcInstance, max_n: int = 12, max_k: int = 4
-) -> tuple[float, NukcSolution]:
+def exact_nukc(instance: NukcInstance) -> tuple[float, NukcSolution]:
     """Exact optimal dilation via binary search over the candidate set
     {d(p, q) / r_t} plus 0, with a feasibility DFS per candidate.
 
     Returns (dilation, solution); the solution's balls use radius
     dilation * r_t.  Raises SizeBudgetError above the stated limits and
     InfeasibleInstanceError when no candidate dilation admits a cover."""
-    if instance.n > max_n or instance.total_k > max_k:
+    if instance.n > MAX_N or instance.total_k > MAX_K:
         raise SizeBudgetError(
-            f"exact_nukc budget is n <= {max_n}, total k <= {max_k}; "
+            f"exact_nukc budget is n <= {MAX_N}, total k <= {MAX_K}; "
             f"got n = {instance.n}, k = {instance.total_k}"
         )
     cands = candidate_dilations(instance)
-    alpha = smallest_feasible(cands, lambda a: _coverable(instance, a) is not None)
-    if alpha is None:
+    found = smallest_feasible(cands, lambda a: _coverable(instance, a))
+    if found is None:
         raise InfeasibleInstanceError(
             "instance is uncoverable at every candidate dilation "
             f"(largest tried: {cands[-1]:g})"
         )
-    balls = [
-        Ball(center, t, alpha * instance.radii[t])
-        for center, t in _coverable(instance, alpha)
-    ]
-    return alpha, NukcSolution(balls)
+    alpha, placement = found
+    return alpha, NukcSolution([Ball(c, t, alpha * instance.radii[t]) for c, t in placement])

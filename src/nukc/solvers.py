@@ -30,7 +30,6 @@ from .model import (
     candidate_dilations,
     candidate_values,
     coverage,
-    feasible,
     fractional_cover,
     proving_point,
     relaxation_search,
@@ -42,6 +41,7 @@ from .rmfct import ROUND_TOL, round_depth2, round_loose, solve_rmfct_lp
 THETA = (math.sqrt(5.0) + 1.0) / 2.0
 TWO_RADII_FACTOR = 1.0 + math.sqrt(5.0)
 LOG_SLACK = 1e-12  # log2 of a power of two may land a hair above the integer
+GUESS_BUDGET = 200_000  # most center placements solve_guess_q enumerates
 
 
 def ilog(value: float) -> int:
@@ -170,11 +170,9 @@ def _relax_embed_round_lift(instance: NukcInstance):
     exact height-two rounding (which fits, as the tree LP is feasible),
     lifted with radii 2*alpha*(r_t + ... + r_{h-1}).  The rounding reads
     only the tree, so x is the point that proved alpha feasible."""
-    proofs = []
-    alpha = relaxation_search(instance, proofs)
+    alpha, x = relaxation_search(instance)
     if alpha == 0.0:
         return alpha, zero_dilation_solution(instance)
-    x = proving_point(build_nukc_lp(instance, alpha), proofs)
     scaled = instance.scaled(alpha)
     # The relaxation rows at (instance, alpha) and (scaled, 1) coincide, so
     # x stays feasible for the scaled instance at dilation 1.
@@ -281,12 +279,7 @@ def _window_lp(instance, alpha, tau, fixed_balls):
                          pinned=below_tau), uncovered
 
 
-def solve_guess_q(
-    instance: NukcInstance,
-    q: int,
-    guess_budget: int = 200_000,
-    floor: float = 0.0,
-) -> GuessQResult:
+def solve_guess_q(instance: NukcInstance, q: int, floor: float = 0.0) -> GuessQResult:
     """Enumerate center placements for classes below tau_q (the q-times
     iterated log of L, clamped to [0, L]), LP-cover the remaining points
     with classes >= tau_q, and round bottom-heavy.  The dilation is the
@@ -313,9 +306,9 @@ def solve_guess_q(
     for t in guess_classes:
         combos *= math.comb(n + instance.classes[t].multiplicity - 1,
                             instance.classes[t].multiplicity)
-    if combos > guess_budget:
+    if combos > GUESS_BUDGET:
         raise SizeBudgetError(
-            f"guess enumeration needs {combos} placements (> budget {guess_budget})"
+            f"guess enumeration needs {combos} placements (> budget {GUESS_BUDGET})"
         )
 
     def guesses():
@@ -330,12 +323,16 @@ def solve_guess_q(
 
     cands = candidate_dilations(instance)
 
-    def fits(guess, i):
-        problem, _ = _window_lp(instance, cands[i], tau, guess)
-        return problem is None or feasible(problem)
+    def fit(guess, i):
+        """(guess, problem, uncovered) when `guess` admits a cover at
+        cands[i], its window LP and the points that LP covers; else None."""
+        problem, uncovered = _window_lp(instance, cands[i], tau, guess)
+        if problem is None or proving_point(problem) is not None:
+            return guess, problem, uncovered
+        return None
 
     lo, hi = bisect_left(cands, floor), len(cands)
-    best = next((g for g in guesses() if fits(g, lo)), None) if lo < hi else None
+    best = next(filter(None, (fit(g, lo) for g in guesses())), None) if lo < hi else None
     if best is not None:
         hi = lo
     else:
@@ -343,15 +340,15 @@ def solve_guess_q(
         for guess in guesses():
             if hi == lo:
                 break
-            found = smallest_feasible(range(lo, hi), lambda i: fits(guess, i))
+            found = smallest_feasible(range(lo, hi), lambda i: fit(guess, i))
             if found is not None:
-                hi, best = found, guess  # best fits at cands[hi]
+                hi, best = found  # best fits at cands[hi]
     if best is None:
         raise ValueError("no guess admits a cover at the largest candidate dilation")
     alpha = cands[hi]
-    problem, uncovered = _window_lp(instance, alpha, tau, best)
+    guess, problem, uncovered = best
 
-    balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in best]
+    balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in guess]
     if uncovered:
         scaled = instance if alpha == 0 else instance.scaled(alpha)
         x = fractional_cover(problem)

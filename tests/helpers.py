@@ -1,6 +1,7 @@
 """Per-ball and per-point views that only tests read (the package works
 from masks, `metric.within` and `metric.covered`, and from the classes'
-(radius, count) runs), and the exhaustive tree and kCwO searches that the
+(radius, count) runs), a relaxation search replayed with its proof store
+in the test's hands, and the exhaustive tree and kCwO searches that the
 tests hold the solvers against."""
 
 import math
@@ -9,6 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from nukc.metric import within
+from nukc.model import build_nukc_lp, candidate_dilations, proving_point
 from nukc.oracle import SizeBudgetError
 from nukc.rmfct import FirefighterInfeasibleError, LayeredTree
 
@@ -28,6 +30,30 @@ def expand_radii(instance) -> list:
     for t, c in enumerate(instance.classes):
         out.extend([(c.radius, t)] * c.multiplicity)
     return out
+
+
+def replayed_search(instance):
+    """(alpha, proofs): a relaxation search on `instance` as a plain
+    bisection of its candidate dilations, probing the largest, then the
+    smallest, then halving, each probe `proving_point` with the one store
+    `proofs` that they share.  alpha is None when the largest fails."""
+    cands, proofs = candidate_dilations(instance), []
+
+    def holds(i):
+        return proving_point(build_nukc_lp(instance, cands[i]), proofs) is not None
+
+    lo, hi = 0, len(cands) - 1
+    if not holds(hi):
+        return None, proofs
+    if hi > 0 and holds(0):
+        return cands[0], proofs
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return cands[hi], proofs
 
 
 def exact_rmfct(tree: LayeredTree, max_nodes: int = 24):

@@ -248,9 +248,9 @@ def zero_argument_lambdas(tree):
 
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_no_thunks(module):
-    """A search probe answers yes or no, and the caller that needs a
-    winner's x solves it where it is used, so no deferred call is handed
-    around."""
+    """A search probe returns its witness or None and the search returns
+    its winner's, so no deferred call is handed around to probe or solve
+    the winner later."""
     tree = ast.parse((SRC / module).read_text(), filename=module)
     lines = zero_argument_lambdas(tree)
     assert not lines, f"{module} has zero-argument lambdas on lines {lines}"

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from helpers import replayed_search
 from nukc import lp, model
 from nukc.bicriteria import build_guess_lp
 from nukc.gadgets import random_instance, random_layered_tree
@@ -103,7 +104,7 @@ def open_covering_lps(draw):
     n = draw(st.integers(12, 16), label="n")
     inst = random_instance(n, seed=draw(st.integers(0, 10_000), label="seed"), max_classes=3)
     cands = candidate_dilations(inst)
-    at = cands.index(relaxation_search(inst))
+    at = cands.index(relaxation_search(inst)[0])
     for i in sorted(range(len(cands)), key=lambda i: abs(i - at))[:12]:
         cover = build_nukc_lp(inst, cands[i])
         answer, vertex = model._certify(cover)
@@ -398,7 +399,7 @@ def path_covering_lps():
     for seed in range(200):
         inst = random_instance(8 + seed % 9, seed=seed, max_classes=3)
         cands = candidate_dilations(inst)
-        at = cands.index(relaxation_search(inst))
+        at = cands.index(relaxation_search(inst)[0])
         yield build_nukc_lp(inst, cands[min(max(at + seed % 5 - 2, 0), len(cands) - 1)])
 
 
@@ -455,7 +456,7 @@ def _certify_cases():
         inst = random_instance(8 + seed % 7, seed=1000 + seed, max_classes=3)
         n, h = inst.n, inst.num_classes
         cands = candidate_dilations(inst)
-        alpha = relaxation_search(inst)
+        alpha, _ = relaxation_search(inst)
         scaled = inst.scaled(alpha) if alpha > 0 else inst
         aff = rng.rand(n, h) < 0.08
         neg = rng.rand(n, h) < 0.25
@@ -497,18 +498,18 @@ class TestCertifyPath:
 
 
 class TestProvingPoint:
-    """model.proving_point: None exactly when model.feasible says False,
-    else a point of the box that lp.confirms accepts, with the same bytes
-    on a repeat call."""
+    """model.proving_point: None, or a point of the box that lp.confirms
+    accepts, with the same answer and bytes on a repeat call."""
 
     @staticmethod
     def check(cover, proofs=None):
         x = model.proving_point(cover, proofs)
-        assert (x is None) == (not model.feasible(cover, proofs))
+        again = model.proving_point(cover, proofs)
+        assert (x is None) == (again is None)
         if x is not None:
             lo, hi = cover.bounds.T
             assert lp.confirms(cover, x) and np.all((lo <= x) & (x <= hi))
-            assert model.proving_point(cover, proofs).tobytes() == x.tobytes()
+            assert again.tobytes() == x.tobytes()
         return x
 
     def test_certify_cases(self):
@@ -517,12 +518,12 @@ class TestProvingPoint:
 
     def test_after_relaxation_searches(self):
         # The winner and the candidates above it have a point, those below
-        # none, with the proofs each search left in the caller's store.
+        # none, with a store that the search's probes, replayed, filled.
         stored = 0
         for seed in range(8):
             inst = random_instance(10 + seed, seed=seed, max_classes=3)
-            proofs = []
-            alpha = relaxation_search(inst, proofs)
+            alpha, proofs = replayed_search(inst)
+            assert alpha == relaxation_search(inst)[0]
             stored += len(proofs)
             cands = candidate_dilations(inst)
             at = cands.index(alpha)

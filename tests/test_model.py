@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ball, expand_radii
+from helpers import ball, expand_radii, replayed_search
 from nukc import model
 from nukc.bicriteria import build_guess_lp
 from nukc.metric import COVER_TOL, MetricSpace
@@ -22,9 +22,9 @@ from nukc.model import (
     candidate_dilations,
     compress_radii,
     coverage,
-    feasible,
     lift_compressed_solution,
     min_feasible_dilation,
+    proving_point,
     relaxation_search,
     smallest_feasible,
     validate_solution,
@@ -323,8 +323,8 @@ class TestFractional:
         # One unit ball cannot cover two far clusters at any dilation
         # below 9; the LP notices through the budget row.
         inst = NukcInstance(line_space, [(1, 1.0)])
-        assert feasible(build_nukc_lp(inst, 1.0)) is False
-        assert feasible(build_nukc_lp(inst, 11.0)) is True
+        assert proving_point(build_nukc_lp(inst, 1.0)) is None
+        assert proving_point(build_nukc_lp(inst, 11.0)) is not None
 
     def test_infeasible_zero_radii(self, line_space):
         inst = NukcInstance(line_space, [(2, 0.0)])
@@ -390,7 +390,7 @@ class TestFractional:
             inst = random_instance(8, seed=seed, max_classes=4)
             for calls in (verdicts, solves, certified, laid, pivoted):
                 calls.clear()
-            alpha = relaxation_search(inst)
+            alpha, _ = relaxation_search(inst)
             assert len(solves) == verdicts.count(None)
             opened = sum(answer is None for answer, _ in certified)
             assert len(verdicts) == opened
@@ -484,22 +484,44 @@ class TestBuilder:
 
 
 class TestSmallestFeasible:
+    """model.smallest_feasible: (candidate, witness) at the smallest
+    candidate whose probe returns a witness, or None."""
+
     @pytest.mark.parametrize("length", [1, 2, 3, 7, 16])
     def test_matches_linear_scan(self, length):
         cands = [0.5 * i for i in range(length)]
         for threshold in range(length + 1):  # threshold == length: none holds
             probed = []
 
-            def holds(c):
+            def probe(c):
                 probed.append(c)
-                return c >= 0.5 * threshold
+                return f"witness at {c}" if c >= 0.5 * threshold else None
 
             scan = next((c for c in cands if c >= 0.5 * threshold), None)
-            assert smallest_feasible(cands, holds) == scan
+            want = None if scan is None else (scan, f"witness at {scan}")
+            assert smallest_feasible(cands, probe) == want
             assert probed[0] == cands[-1]
             assert len(probed) == len(set(probed))
             if scan is not None and length > 1:
                 assert probed[1] == cands[0]
+
+    @pytest.mark.parametrize("length", [1, 2, 7])
+    def test_falsy_witness_holds(self, length):
+        # An empty placement is a witness: only None fails.
+        cands = list(range(length))
+        for threshold in range(length):
+            got = smallest_feasible(cands, lambda c: [] if c >= threshold else None)
+            assert got == (threshold, [])
+
+    def test_search_returns_the_replayed_proving_point(self):
+        # The x relaxation_search returns is what the winner, probed once
+        # more with the store its probes filled, gives, byte for byte.
+        for seed in range(60):
+            inst = random_instance(8 + seed % 9, seed=seed, max_classes=3)
+            alpha, x = relaxation_search(inst)
+            want_alpha, proofs = replayed_search(inst)
+            again = proving_point(build_nukc_lp(inst, alpha), proofs)
+            assert alpha == want_alpha and x.tobytes() == again.tobytes()
 
 
 class TestCertificate:
@@ -552,14 +574,14 @@ class TestCertificate:
                                budgets=np.array([1.0]), bounds=np.array([[0.0, 0.5]]))
         answer, vertex = model._certify(narrow)
         assert answer is None and vertex.tolist() == [0.5]
-        assert feasible(narrow) is False and lp.solve(narrow) is None
+        assert proving_point(narrow) is None and lp.solve(narrow) is None
         # x0 + x1 >= 1 on [0, 0.5]^2 within a budget of 1: only (0.5, 0.5).
         pair = lp.CoveringLp(supp=np.array([[True, True]]), cls=np.array([0, 0]),
                              budgets=np.array([1.0]), bounds=np.array([[0.0, 0.5]] * 2))
         assert lp.confirms(pair, np.array([0.5, 0.5]))
         answer, vertex = model._certify(pair)
         assert answer is None and vertex.tolist() == [0.5, 0.0]
-        assert feasible(pair) is True and lp.solve(pair).tolist() == [0.5, 0.5]
+        assert proving_point(pair) is not None and lp.solve(pair).tolist() == [0.5, 0.5]
 
     def test_open_lp_starts_the_verdict_at_the_greedy_vertex(self, monkeypatch):
         # _certify hands an open LP's greedy vertex to lp.verdict as its start.
@@ -647,11 +669,12 @@ class TestProofStore:
         open probe (cover, start, answer, answer without a store, whether
         a stored proof gave it))."""
         hits, opens, store = [], [], []
-        real_feasible, real_verdict = model.feasible, lp.verdict
+        real_probe, real_verdict = model.proving_point, lp.verdict
 
-        def recording_feasible(cover, proofs=None):
-            hits.append(real_feasible(cover, proofs if keep else None))
-            return hits[-1]
+        def recording_probe(cover, proofs=None):
+            x = real_probe(cover, proofs if keep else None)
+            hits.append(x is not None)
+            return x
 
         def verdict(cover, start=None, proofs=None):
             before = len(proofs or ())
@@ -662,9 +685,9 @@ class TestProofStore:
             return got
 
         with monkeypatch.context() as patch:
-            patch.setattr(model, "feasible", recording_feasible)
+            patch.setattr(model, "proving_point", recording_probe)
             patch.setattr(lp, "verdict", verdict)
-            alpha = relaxation_search(inst)
+            alpha, _ = relaxation_search(inst)
         x = model.fractional_cover(build_nukc_lp(inst, alpha))
         return alpha, x.tobytes(), hits, store, opens
 

@@ -6,7 +6,8 @@ import pytest
 from helpers import exact_kcwo
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
-from nukc.model import NukcInstance, validate_solution
+from nukc import oracle
+from nukc.model import Ball, NukcInstance, validate_solution
 from nukc.oracle import SizeBudgetError, exact_nukc
 
 
@@ -69,10 +70,24 @@ class TestExactNukc:
         with pytest.raises(SizeBudgetError):
             exact_nukc(inst)
 
-    def test_zero_dilation_when_centers_suffice(self, line_space):
+    def test_zero_dilation_when_centers_suffice(self, line_space, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_K", 5)
         inst = NukcInstance(line_space, [(4, 1.0), (1, 0.5)])
-        opt, _ = exact_nukc(inst, max_k=5)
+        opt, _ = exact_nukc(inst)
         assert opt == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_search_per_candidate(self, seed, monkeypatch):
+        # The placement comes from the search: no dilation is searched twice.
+        probed, real = [], oracle._coverable
+        monkeypatch.setattr(oracle, "_coverable",
+                            lambda instance, alpha: probed.append(alpha) or real(instance, alpha))
+        inst = random_instance(7, seed=seed, max_k=2)
+        if inst.total_k > oracle.MAX_K:
+            return
+        opt, sol = exact_nukc(inst)
+        assert len(probed) == len(set(probed)) and opt in probed
+        assert sol.balls == [Ball(c, t, opt * inst.radii[t]) for c, t in real(inst, opt)]
 
 
 class TestExactKcwo:

@@ -14,9 +14,9 @@ from nukc.model import (
     achieved_dilation,
     candidate_dilations,
     compress_radii,
-    feasible,
     fractional_cover,
     min_feasible_dilation,
+    proving_point,
     relaxation_search,
     smallest_feasible,
     validate_solution,
@@ -331,7 +331,7 @@ class TestGuessQ:
         inst = NukcInstance(space, [(30, 1.0), (1, 0.9), (2, 0.5), (4, 0.2)])
         comp = compress_radii(inst)
         with pytest.raises(SizeBudgetError):
-            solve_guess_q(comp.instance, 1, guess_budget=10)
+            solve_guess_q(comp.instance, 1)
 
 
 def reference_guess_search(instance, tau):
@@ -352,13 +352,11 @@ def reference_guess_search(instance, tau):
         """(guess, its window LP) for the first guess that fits at alpha."""
         for guess in guesses:
             problem, _ = _window_lp(instance, alpha, tau, guess)
-            if problem is None or feasible(problem):
+            if problem is None or proving_point(problem) is not None:
                 return guess, problem
         return None
 
-    alpha = smallest_feasible(candidate_dilations(instance),
-                              lambda a: first_fit(a) is not None)
-    guess, problem = first_fit(alpha)
+    alpha, (guess, problem) = smallest_feasible(candidate_dilations(instance), first_fit)
     x = None if problem is None else fractional_cover(problem)
     return alpha, guess, x
 
@@ -402,13 +400,13 @@ class TestGuessSearch:
     def test_floor_first_pass(self, seed, monkeypatch):
         """Given the relaxation optimum as its floor, the search builds the
         window LPs of the placements up to the first that fits at the floor,
-        one each, and the winner's once more: it never bisects."""
+        one each, and keeps the winner's: it never bisects."""
         inst = compress_radii(random_instance(12, seed=seed, max_classes=3)).instance
-        floor = relaxation_search(inst)
+        floor, _ = relaxation_search(inst)
 
         def fits(picks):
             problem, _ = _window_lp(inst, floor, 1, [(c, 0) for c in picks])
-            return problem is None or feasible(problem)
+            return problem is None or proving_point(problem) is not None
 
         placements = combinations_with_replacement(range(inst.n), inst.classes[0].multiplicity)
         first = next(i for i, picks in enumerate(placements, 1) if fits(picks))
@@ -417,7 +415,7 @@ class TestGuessSearch:
                             lambda *args: built.append(args) or _window_lp(*args))
         res = solve_guess_q(inst, 1, floor=floor)
         assert (res.tau, res.dilation) == (1, floor)
-        assert len(built) <= first + 1
+        assert len(built) <= first
 
     @pytest.mark.parametrize("seed", GUESS_CASES)
     def test_one_pass_matches_per_candidate_scan(self, seed, monkeypatch):
