@@ -14,9 +14,12 @@ most one variable per row strictly inside its bounds), which the
 loose-vertex rounding relies on.  `verdict` is for callers that need no
 basic point: it may start from any vertex of the box, prices by Dantzig's
 rule, and proves its answer by `confirms` (a point, which it returns) or
-`refutes` (multipliers), the checks the certificates use too; its proofs
-also serve later probes of the same search.  Only the two-class path
-outputs a point that does not come from `solve`.
+`refutes` (multipliers), the checks the certificates use too.  Inside a
+search its proofs serve later probes, and its final basis is where the
+next verdict starts (a warm start: the same loop, pricing the basic
+values that start out of their bounds, the composite phase one).  The
+two-class path outputs a verdict's point, warm or cold; every other
+output point comes from `solve`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-10
+# A row enters the ratio test only when its pivot also exceeds this share
+# of the entering column's largest |w_i|, since a relatively tiny pivot
+# leaves a nearly singular basis (Harris, "Pivot selection methods of the
+# Devex LP code", 1973).  A stored basis column whose |R_jj| in a QR is
+# below this share of the largest depends on the columns before it.
+PIVOT_REL_TOL = 1e-9
 FEAS_TOL = 1e-7
 
 
@@ -168,9 +177,14 @@ def _phase_one(s: _System, run: int):
     """Pivot s.x and s.basis in place, on a basis inverse with rank-one
     updates, until x meets every row.  Pricing is Dantzig's rule, switching
     to Bland's after `run` degenerate pivots in a row; run=0 is Bland's rule
-    throughout.  Returns (outcome, lam): outcome is "feasible", "optimal"
-    (no column prices in), "budget" or "singular"; lam holds
-    the last simplex multipliers (None if x met every row at the start).
+    throughout.  A basic value out of its bounds (a warm start's) is priced
+    -1 below and +1 above them, on top of s.cost, and in the ratio test it
+    stops at its nearest bound: the composite phase one, which a start with
+    every basic value in bounds never enters.  Returns (outcome, lam,
+    iterations): outcome is "feasible", "optimal" (no column prices in),
+    "budget", "singular" or "unbounded" (nothing blocks the entering
+    column); lam holds the last simplex multipliers (None if none were
+    priced: x met every row at the start, or its basis was singular).
     """
     A, lo, hi, x, basis, cost = s.A, s.lo, s.hi, s.x, s.basis, s.cost
     m, ncols = A.shape
@@ -182,17 +196,28 @@ def _phase_one(s: _System, run: int):
     # Nonbasic x sits exactly at a bound, so a column's cost drop per unit
     # of move is reduced * sense: -1 at lower, +1 at upper, 0 basic or fixed.
     sense = np.where(x <= near_lo, -1.0, 1.0) * (movable & ~in_basis)
-    lob, hib, costb = lo[basis], hi[basis], cost[basis]
-    degenerate, lam, outcome = 0, None, "budget"
-    for it in range(200 * (m + ncols)):
-        if cost @ x <= s.art_tol and confirms(s.cover, x[:n]):
-            return "feasible", lam
+    # `outside` counts the basic values priced out of their bounds; x is
+    # checked only when there are none and the artificials are spent.
+    degenerate, lam, outside, limit = 0, None, 0, 200 * (m + ncols)
+    unblocked = np.full(m, np.inf)  # the ratio test's start, copied each step
+    for it in range(limit):
+        if not outside and cost @ x <= s.art_tol and confirms(s.cover, x[:n]):
+            return "feasible", lam, it
         if it % REFACTOR_EVERY == 0:
             try:
                 B_inv = np.linalg.inv(A[:, basis])
             except np.linalg.LinAlgError:  # pragma: no cover - degenerate basis
-                return "singular", lam
+                return "singular", lam, it
             x[basis] = B_inv @ (s.rhs - A[:, ~in_basis] @ x[~in_basis])
+            # A basic value below its box may fall freely and stops at its
+            # lower bound; one above it, the other way round.
+            xb, lob, hib, costb = x[basis], lo[basis], hi[basis], cost[basis]
+            below, above = xb < lob - FEAS_TOL, xb > hib + FEAS_TOL
+            outside = int(np.count_nonzero(below | above))
+            if outside:
+                costb = costb + above - below
+                lob, hib = (np.where(below, -np.inf, np.where(above, hib, lob)),
+                            np.where(above, np.inf, np.where(below, lob, hib)))
         lam = costb @ B_inv
         gain = (cost - lam @ A) * sense
         bland = degenerate >= run
@@ -204,20 +229,21 @@ def _phase_one(s: _System, run: int):
             if gain[entering] <= PIVOT_TOL:
                 entering = -1
         if entering < 0:
-            outcome = "optimal"
-            break
+            return ("feasible" if confirms(s.cover, x[:n]) else "optimal"), lam, it + 1
         up = sense[entering] < 0
         w = B_inv @ A[:, entering]
         delta = w if up else -w  # basic variables fall by delta * t
         xb = x[basis]
         size = np.abs(delta)
-        step = np.divide(xb - np.where(delta > 0, lob, hib), delta,
-                         out=np.full(m, np.inf), where=size > PIVOT_TOL)
+        step = np.divide(xb - np.where(delta > 0, lob, hib), delta, out=unblocked.copy(),
+                         where=size > max(PIVOT_TOL, PIVOT_REL_TOL * size.max()))
         flip = hi[entering] - lo[entering]
         t = min(max(float(step.min()), 0.0), flip)
+        if t == np.inf:
+            return "unbounded", lam, it + 1
         degenerate = degenerate + 1 if t <= PIVOT_TOL else 0
         x[entering] += t if up else -t
-        x[basis] -= delta * t
+        x[basis] = xb - delta * t
         if t == flip:  # the entering variable crossed its box: no basis change
             x[entering] = hi[entering] if up else lo[entering]
             sense[entering] = -1.0 if x[entering] <= near_lo[entering] else 1.0
@@ -228,7 +254,8 @@ def _phase_one(s: _System, run: int):
         else:  # the largest pivot among the ties, for stability
             r = int(ties[size[ties].argmax()])
         leave = basis[r]
-        x[leave] = lo[leave] if delta[r] > 0 else hi[leave]
+        x[leave] = lob[r] if delta[r] > 0 else hib[r]  # the bound it stopped at
+        outside -= bool(costb[r] != cost[leave])
         in_basis[leave] = False
         sense[leave] = (-1.0 if x[leave] <= near_lo[leave] else 1.0) * movable[leave]
         basis[r] = entering
@@ -237,7 +264,7 @@ def _phase_one(s: _System, run: int):
         row = B_inv[r] / w[r]
         B_inv -= w[:, None] * row
         B_inv[r] = row
-    return ("feasible" if confirms(s.cover, x[:n]) else outcome), lam
+    return ("feasible" if confirms(s.cover, x[:n]) else "budget"), lam, limit
 
 
 def solve(cover: CoveringLp):
@@ -247,7 +274,7 @@ def solve(cover: CoveringLp):
     sequences and output.
     """
     s = _phase_one_setup(cover, _vertex(cover))
-    outcome, _ = _phase_one(s, run=0)
+    outcome, _, _ = _phase_one(s, run=0)
     if outcome == "optimal" and s.cost @ s.x > s.art_tol:
         return None
     if outcome != "feasible":
@@ -273,34 +300,97 @@ def _lagrangian_bound(s: _System, lam):
     return refutes(s.cover, lam[:m], -lam[m:])
 
 
+def _nonsingular(A, cols):
+    """`cols` with each column of A[:, cols] that depends on the ones
+    before it (a QR's |R_jj| below PIVOT_REL_TOL of the largest) swapped
+    for a slack column (A's last len(A) columns, one per row): the slacks
+    of the rows that partial pivoting picks on an orthonormal basis of what
+    the kept columns leave unspanned."""
+    m = len(A)
+    r = np.abs(np.linalg.qr(A[:, cols], mode="r").diagonal())
+    dep = r <= PIVOT_REL_TOL * r.max()
+    cols = cols.copy()
+    if dep.any():
+        kept = A[:, cols[~dep]]
+        gap = np.linalg.qr(kept, mode="complete")[0][:, kept.shape[1]:]
+        for c, j in enumerate(np.flatnonzero(dep)):
+            i = int(np.abs(gap[:, c]).argmax())
+            cols[j] = A.shape[1] - m + i
+            gap[:, c + 1:] -= np.outer(gap[:, c] / gap[i, c], gap[i, c + 1:])
+    return cols
+
+
+def _warm_setup(cover: CoveringLp, stored):
+    """`cover`'s phase-one system started from `stored`, the (columns,
+    at_upper) basis an earlier verdict ended at (`_final_basis`), or None
+    when there is none or it has another shape: no artificial columns, the
+    basis made nonsingular (`_nonsingular`), every structural column at its
+    stored bound and every slack at 0.  The pivot loop's first refactor
+    solves for the basic values, in their bounds or not, and prices them."""
+    m, n = len(cover.supp) + len(cover.budgets), cover.supp.shape[1]
+    if stored is None or stored[0].shape != (m,) or stored[1].shape != (n,):
+        return None
+    C, ge, rhs = _rows(cover)
+    A = np.hstack([C, np.diag(np.where(ge, -1.0, 1.0))])
+    lo, hi = cover.bounds.T
+    return _System(cover, rhs, A, np.concatenate([lo, np.zeros(m)]),
+                   np.concatenate([hi, np.full(m, np.inf)]),
+                   np.concatenate([np.where(stored[1], hi, lo), np.zeros(m)]),
+                   _nonsingular(A, stored[0]), np.zeros(n + m), 0.0)
+
+
+def _final_basis(s: _System):
+    """(columns, at_upper) where the pivot loop left s, for a later warm
+    start: the basic columns, each artificial standing for its row's
+    slack, and whether each structural column sits at its upper bound."""
+    m, n = len(s.rhs), len(s.cover.bounds)
+    rows = np.nonzero(s.A[:, n + m:].T)[1]  # each artificial column's row
+    return np.concatenate([np.arange(n + m), n + rows])[s.basis], s.x[:n] >= s.hi[:n]
+
+
+def _settle(s: _System):
+    """verdict's (answer, proof) from the pivot loop on s: (True, the
+    clipped x) when it stops feasible, (False, lam) when `refutes` proves
+    its last multipliers lam, else (None, None)."""
+    outcome, lam, _ = _phase_one(s, DEGENERATE_RUN)
+    n = len(s.cover.bounds)
+    if outcome == "feasible":
+        return True, np.clip(s.x[:n], s.lo[:n], s.hi[:n])
+    if lam is not None and operator.gt(*_lagrangian_bound(s, lam)):
+        return False, lam
+    return None, None
+
+
 def verdict(cover: CoveringLp, start=None, proofs=None):
     """(answer, x) for whether `cover` is feasible: (True, x) when
     `confirms` accepts x, a point of the box; (False, None) when `refutes`
     proves multipliers; (None, None) when neither holds.
 
-    After the bounds and `start` are checked (`_vertex`) and before the
-    dense rows are laid out, each of `proofs`, a list of (answer, array)
-    pairs from earlier verdicts on LPs of the same shape, is checked on
-    this LP; the first that holds answers.  Otherwise `solve`'s pivot loop
-    runs, priced by Dantzig's rule (Bland's after DEGENERATE_RUN
-    degenerate pivots in a row) from `start`, a vertex of the box
-    (default: the lower bounds), and its pivots are trusted for nothing:
-    its clipped x, or its last multipliers (`_lagrangian_bound`), answer
-    and are appended to `proofs`.  False means `solve` cannot return x.
+    `proofs` is a search's store, a list of (answer, proof, basis) entries
+    from earlier verdicts on LPs of the same shape.  After the bounds and
+    `start` are checked (`_vertex`) and before the dense rows are laid
+    out, each proof is checked on this LP; the first that holds answers.
+    Otherwise `solve`'s pivot loop runs, priced by Dantzig's rule (Bland's
+    after DEGENERATE_RUN degenerate pivots in a row): warm from the basis
+    of the store's latest entry (`_warm_setup`), and cold from `start`, a
+    vertex of the box (default: the lower bounds), when there is none, it
+    is singular or its pivots prove nothing.  The pivots are trusted for
+    nothing: the clipped x, or the last multipliers (`_lagrangian_bound`),
+    answer and are appended to `proofs` with the final basis.  False means
+    `solve` cannot return x.
     """
     x0 = _vertex(cover, start)
     m, n = cover.supp.shape
-    for answer, v in proofs or ():
+    for answer, v, _ in proofs or ():
         if v.shape == (n if answer else m + len(cover.budgets),) and (
                 confirms(cover, v) if answer else operator.gt(*refutes(cover, v[:m], -v[m:]))):
             return answer, (np.clip(v, *cover.bounds.T) if answer else None)
-    s = _phase_one_setup(cover, x0)
-    outcome, lam = _phase_one(s, DEGENERATE_RUN)
-    if outcome == "feasible":
-        answer, proof = True, np.clip(s.x[:n], s.lo[:n], s.hi[:n])
-    else:
-        bound, tol = _lagrangian_bound(s, lam)
-        answer, proof = (False, lam) if bound > tol else (None, None)
+    answer, s = None, (_warm_setup(cover, proofs[-1][2]) if proofs else None)
+    if s is not None:
+        answer, proof = _settle(s)
+    if answer is None:
+        s = _phase_one_setup(cover, x0)
+        answer, proof = _settle(s)
     if proofs is not None and answer is not None:
-        proofs.append((answer, proof))
+        proofs.append((answer, proof, _final_basis(s)))
     return answer, (proof if answer else None)

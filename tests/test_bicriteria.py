@@ -149,17 +149,60 @@ print(json.dumps(calls))
 ENUM_WORK_CEILING = {"nukc.lp.solve": 40, "nukc.model._certify": 507,
                      "nukc.solvers._window_lp": 160}
 
+# Runs relaxation_search on the first 30 instances shaped like the
+# benchmark's dense-mid corpus (n = 40 in the plane, seeds 0-9, each with
+# the class specs of its two-radii, kcwo and bicriteria cases) and prints
+# the pivot loop's iterations.
+RELAX_WORK_SCRIPT = """
+import json
+from nukc import lp
+from nukc.gadgets import random_euclidean
+from nukc.model import NukcInstance, relaxation_search
 
-def test_enum_work_stays_under_its_ceiling():
-    """Exact, noise-free work counts over a fixed corpus, in a fresh
-    interpreter with one BLAS thread as the benchmark runs."""
+inner, iterations = lp._phase_one, []
+
+
+def counted(s, run):
+    got = inner(s, run)
+    iterations.append(got[2])
+    return got
+
+
+lp._phase_one = counted
+for seed in range(10):
+    space, _ = random_euclidean(40, 2, seed)
+    for classes in ([(2, 0.4), (4, 0.1)], [(3, 0.1), (2, 0.0)], [(2, 0.3), (6, 0.1), (10, 0.03)]):
+        relaxation_search(NukcInstance(space, classes))
+print(json.dumps({"nukc.lp._phase_one iterations": sum(iterations)}))
+"""
+
+# The count with verdicts started from the previous verdict's basis (5,343
+# when every verdict started from the greedy's vertex).  A change that
+# stops the warm starts fails here; one that does less should lower it.
+RELAX_WORK_CEILING = {"nukc.lp._phase_one iterations": 3378}
+
+
+def work_counts(script):
+    """The JSON counts `script` prints last, run in a fresh interpreter with
+    one BLAS thread as the benchmark runs: exact, noise-free work."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", ENUM_WORK_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    calls = json.loads(done.stdout.splitlines()[-1])
-    over = {name: calls.get(name, 0) for name, most in ENUM_WORK_CEILING.items()
-            if calls.get(name, 0) > most}
-    assert not over, f"work counts over their ceilings {ENUM_WORK_CEILING}: {over}"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def assert_under(counts, ceiling):
+    over = {name: counts.get(name, 0) for name, most in ceiling.items()
+            if counts.get(name, 0) > most}
+    assert not over, f"work counts over their ceilings {ceiling}: {over}"
+
+
+def test_enum_work_stays_under_its_ceiling():
+    assert_under(work_counts(ENUM_WORK_SCRIPT), ENUM_WORK_CEILING)
+
+
+def test_relaxation_work_stays_under_its_ceiling():
+    assert_under(work_counts(RELAX_WORK_SCRIPT), RELAX_WORK_CEILING)

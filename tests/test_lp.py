@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.optimize import linprog
 from helpers import replayed_search
 from nukc import lp, model
 from nukc.bicriteria import build_guess_lp
-from nukc.gadgets import random_instance, random_layered_tree
+from nukc.gadgets import random_euclidean, random_instance, random_layered_tree
 from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations, relaxation_search
 from nukc.rmfct import LayeredTree, build_rmfct_lp
 from nukc.solvers import _window_lp
@@ -285,8 +286,10 @@ class TestVerdict:
         # stored budget-row multiplier lam is z = -lam.
         cover = make_cover([], [0], [2.0], [(0.0, 1.0)])
         assert lp.refutes(cover, np.zeros(0), np.array([-1.0]))[0] == -np.inf
-        # The other two proofs have the wrong shape and are skipped.
-        proofs = [(False, np.array([1.0])), (True, np.zeros(2)), (False, np.ones(2))]
+        # The other two proofs have the wrong shape and are skipped; no
+        # entry carries a basis, so the verdict starts cold.
+        proofs = [(False, np.array([1.0]), None), (True, np.zeros(2), None),
+                  (False, np.ones(2), None)]
         assert lp.verdict(cover, None, proofs)[0] is True
         assert len(proofs) == 4 and proofs[-1][0] is True
 
@@ -294,7 +297,7 @@ class TestVerdict:
         # x0 >= 1 on [0, 1]: the stored point 3 holds once clipped, and it
         # is handed back clipped.
         cover = make_cover([[1]], [0], [2.0], [(0.0, 1.0)])
-        answer, x = lp.verdict(cover, None, [(True, np.array([3.0]))])
+        answer, x = lp.verdict(cover, None, [(True, np.array([3.0]), None)])
         assert answer is True and x.tolist() == [1.0]
 
     def test_malformed_problem_rejected(self):
@@ -312,7 +315,7 @@ class TestVerdict:
         bounds = [(0.0, 1.0), (0.0, 1.0)] if answer else [(0.0, 0.5), (0.0, 1.0)]
         cover = make_cover(supp, [0, 0], [2.0], bounds)
         monkeypatch.setattr(lp, "_rows", None)  # laying out the dense rows fails
-        got, x = lp.verdict(cover, None, [(answer, proof)])
+        got, x = lp.verdict(cover, None, [(answer, proof, None)])
         assert got is answer
         assert x.tolist() == [1.0, 1.0] if answer else x is None
         # Bad bounds or a bad start are rejected even though the proof would
@@ -320,9 +323,9 @@ class TestVerdict:
         for bad_bound in [(0.0, np.inf), (-np.inf, 1.0), (2.0, 1.0)]:
             broken = make_cover(supp, [0, 0], [2.0], [bounds[0], bad_bound])
             with pytest.raises(ValueError, match="not a finite nonempty interval"):
-                lp.verdict(broken, None, [(answer, proof)])
+                lp.verdict(broken, None, [(answer, proof, None)])
         with pytest.raises(ValueError, match="start of variable 1 is 0.5, not a bound"):
-            lp.verdict(cover, [0.0, 0.5], [(answer, proof)])
+            lp.verdict(cover, [0.0, 0.5], [(answer, proof, None)])
 
 
 class TestVerdictStart:
@@ -434,6 +437,141 @@ class TestPivotPath:
             if start is not None:
                 digest.update(repr(lp.verdict(cover, start)[0]).encode())
         assert digest.hexdigest() == PIVOT_PATH_DIGEST
+
+
+def warm_path_instances():
+    """The 60 seeded instances the proof-store tests search (n = 8-16),
+    then six shaped like the benchmark's dense-mid corpus (n = 40 in the
+    plane, one per class spec of its two-radii, kcwo and bicriteria cases,
+    seeds 0 and 1)."""
+    for seed in range(60):
+        yield random_instance(8 + seed % 9, seed=seed, max_classes=3)
+    for seed in range(2):
+        space, _ = random_euclidean(40, 2, seed)
+        for classes in ([(2, 0.4), (4, 0.1)], [(3, 0.1), (2, 0.0)],
+                        [(2, 0.3), (6, 0.1), (10, 0.03)]):
+            yield NukcInstance(space, classes)
+
+
+def open_probes(inst, monkeypatch):
+    """replayed_search on inst with each lp.verdict call recorded: (cover,
+    start, the store's latest basis before the call or None, answer, x)."""
+    probes, real = [], lp.verdict
+
+    def verdict(cover, start=None, proofs=None):
+        basis = proofs[-1][2] if proofs else None
+        got = real(cover, start, proofs)
+        probes.append((cover, start, basis, *got))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "verdict", verdict)
+        replayed_search(inst)
+    return probes
+
+
+# SHA-256 over each open probe's answer (each lp.verdict call of a
+# relaxation search) and the bytes of each point it confirms, over
+# replayed_search on warm_path_instances.  Verdicts after a search's first
+# pivoting one start from the store's latest basis.  A change to the warm
+# start or the pivot loop that is meant to keep every pivot must keep
+# this digest.
+WARM_PATH_DIGEST = "49f7f23b12f3aa73d291a619b716335f58d440113bd4a5b3fc120993375dbaa9"
+WARM_PROBES = 90  # open probes with a stored basis; 50 in the first 60 searches
+
+
+class TestWarmStart:
+    """A relaxation search's verdicts start from the previous verdict's
+    basis: a composite phase one in the same pivot loop, answering only
+    through `confirms` and `refutes`."""
+
+    def test_searches_take_the_pinned_warm_path(self, monkeypatch):
+        digest, warm = hashlib.sha256(), 0
+        for inst in warm_path_instances():
+            for _, _, basis, answer, x in open_probes(inst, monkeypatch):
+                digest.update(repr(answer).encode() + (b"" if x is None else x.tobytes()))
+                warm += basis is not None
+        assert warm == WARM_PROBES
+        assert digest.hexdigest() == WARM_PATH_DIGEST
+
+    def test_warm_and_cold_verdicts_agree(self, monkeypatch):
+        # Over every open probe of 60 seeded searches: where the warm start
+        # from the stored basis and a cold verdict both decide, they agree.
+        warm = decided = 0
+        for inst in itertools.islice(warm_path_instances(), 60):
+            for cover, start, basis, _, _ in open_probes(inst, monkeypatch):
+                if basis is None:
+                    continue
+                warm += 1
+                answer, _ = lp._settle(lp._warm_setup(cover, basis))
+                cold = lp.verdict(cover, start)[0]
+                if answer is not None and cold is not None:
+                    decided += 1
+                    assert answer == cold
+        assert warm == decided == 50  # each warm start decides
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_any_stored_basis_agrees_with_reference(self, seed, data):
+        # A basis of random columns, dependent ones swapped for slacks, and
+        # the structural columns at random bounds: the warm start's basis
+        # is nonsingular, and its answer, where it decides, is HiGHS's.
+        cover = random_cover(seed)
+        m, n = len(cover.supp) + len(cover.budgets), len(cover.bounds)
+        cols = np.array(data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m),
+                                  label="columns"))
+        at_upper = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                      label="at upper"))
+        s = lp._warm_setup(cover, (cols, at_upper))
+        assert abs(np.linalg.det(s.A[:, s.basis])) >= 0.5  # an integer matrix: 0 or >= 1
+        answer, _ = lp._settle(s)
+        if answer is not None:
+            assert answer == (scipy_reference(cover).status == 0)
+
+    def test_stored_basis_of_another_shape_starts_cold(self):
+        cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 1.0)] * 2)
+        assert lp._warm_setup(cover, None) is None
+        assert lp._warm_setup(cover, (np.arange(3), np.zeros(2, bool))) is None
+        assert lp._warm_setup(cover, (np.arange(2), np.zeros(3, bool))) is None
+        assert lp._warm_setup(cover, (np.arange(2), np.zeros(2, bool))) is not None
+
+    def test_final_basis_maps_artificials_to_their_slacks(self):
+        # The start (0, 1) misses row 1 only, so its artificial (column 5)
+        # is basic there; it is stored as row 1's slack, column 2 + 1.
+        cover = make_cover([[1, 1], [1, 0]], [0, 0], [10.0], [(0.0, 1.0)] * 2)
+        s = lp._phase_one_setup(cover, lp._vertex(cover, [0.0, 1.0]))
+        cols, at_upper = lp._final_basis(s)
+        assert cols.tolist() == [2, 3, 4] and at_upper.tolist() == [False, True]
+
+    def test_dependent_columns_are_swapped_for_slacks(self):
+        # Columns 0 and 1 are both (1, 0, 1, 0): the second depends on the
+        # first and is swapped for a slack.  The other three span all but
+        # (1, -1, -1, 1), which weighs every row alike, so partial pivoting
+        # takes row 0's slack, column 4.
+        C = np.array([[1, 1, 1, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
+        A = np.hstack([C, -np.eye(4)])
+        cols = lp._nonsingular(A, np.array([0, 1, 2, 3]))
+        assert cols.tolist() == [0, 4, 2, 3]
+        assert abs(np.linalg.det(A[:, cols])) >= 0.5
+        nonsingular = np.array([0, 2, 3, 4])
+        assert lp._nonsingular(A, nonsingular).tolist() == nonsingular.tolist()
+
+    def test_relatively_tiny_pivots_are_skipped(self, monkeypatch):
+        # Row 0 reads x0 >= 1 and row 1 x1 + x2 >= 1, which the start (0, 1,
+        # 0) meets exactly, so row 1's slack is basic at 0.  Rounding left
+        # -5e-10 where row 1 has no x0: with the rule, that pivot is below
+        # PIVOT_REL_TOL of the column's largest, and x0 moves to its upper
+        # bound in one step; with only the absolute PIVOT_TOL, x0 first
+        # enters on it, a degenerate pivot on a 5e-10 element.
+        cover = make_cover([[1, 0, 0], [0, 1, 1]], [0, 0, 0], [3.0], [(0.0, 1.0)] * 3)
+        runs = []
+        for rel in (lp.PIVOT_REL_TOL, 0.0):
+            monkeypatch.setattr(lp, "PIVOT_REL_TOL", rel)
+            s = lp._phase_one_setup(cover, lp._vertex(cover, [0.0, 1.0, 0.0]))
+            s.A[1, 0] = -5e-10
+            outcome, _, iterations = lp._phase_one(s, 0)
+            runs.append((outcome, iterations, s.basis.tolist()))
+        assert runs == [("feasible", 1, [6, 4, 5]), ("feasible", 2, [6, 2, 5])]
 
 
 @functools.cache
@@ -574,7 +712,7 @@ class TestCheckPair:
             if answer is not None:
                 continue
             s = lp._phase_one_setup(cover, lp._vertex(cover, vertex))
-            _, lam = lp._phase_one(s, lp.DEGENERATE_RUN)
+            _, lam, _ = lp._phase_one(s, lp.DEGENERATE_RUN)
             if lam is None:
                 continue
             got, want = lp._lagrangian_bound(s, lam.copy()), reference_lagrangian_bound(cover, s, lam)

@@ -658,27 +658,37 @@ class TestCertificate:
 
 
 class TestProofStore:
-    """A relaxation search keeps each verdict's proof for its later probes.
-    A stored proof is checked again on every LP it answers, so the store
-    saves pivots and changes no answer."""
+    """A relaxation search keeps each verdict's proof and final basis for
+    its later probes.  A stored proof is checked again on every LP it
+    answers, and a verdict started from a stored basis answers only
+    through the same checks, so the store saves pivots and changes no
+    answer."""
 
     @staticmethod
     def search(inst, monkeypatch, keep=True):
         """relaxation_search on inst, with or without its proof store:
-        (alpha, the winner's x bytes, each probe's hit, the store, and per
+        (alpha, the winner's x bytes, each probe's hit, the store, per
         open probe (cover, start, answer, answer without a store, whether
-        a stored proof gave it))."""
-        hits, opens, store = [], [], []
-        real_probe, real_verdict = model.proving_point, lp.verdict
+        a stored proof gave it), and the phase-one iterations of the
+        search's own verdicts)."""
+        hits, opens, store, its = [], [], [], []
+        real_probe, real_verdict, real_phase_one = model.proving_point, lp.verdict, lp._phase_one
 
         def recording_probe(cover, proofs=None):
             x = real_probe(cover, proofs if keep else None)
             hits.append(x is not None)
             return x
 
+        def phase_one(s, run):
+            got = real_phase_one(s, run)
+            its.append(got[2])
+            return got
+
         def verdict(cover, start=None, proofs=None):
             before = len(proofs or ())
-            got = real_verdict(cover, start, proofs)
+            with monkeypatch.context() as counting:
+                counting.setattr(lp, "_phase_one", phase_one)
+                got = real_verdict(cover, start, proofs)
             store[:] = proofs or ()
             opens.append((cover, start, got[0], real_verdict(cover, start)[0],
                           proofs is not None and len(proofs) == before))
@@ -689,25 +699,33 @@ class TestProofStore:
             patch.setattr(lp, "verdict", verdict)
             alpha, _ = relaxation_search(inst)
         x = model.fractional_cover(build_nukc_lp(inst, alpha))
-        return alpha, x.tobytes(), hits, store, opens
+        return alpha, x.tobytes(), hits, store, opens, sum(its)
 
     @staticmethod
     def instances():
         return [random_instance(8 + seed % 9, seed=seed, max_classes=3) for seed in range(60)]
 
     def test_store_changes_no_answer(self, monkeypatch):
-        reused = 0
+        reused = iterations = plain_iterations = 0
         for inst in self.instances():
-            alpha, x, hits, _, opens = self.search(inst, monkeypatch)
-            assert (alpha, x, hits) == self.search(inst, monkeypatch, keep=False)[:3]
+            alpha, x, hits, _, opens, its = self.search(inst, monkeypatch)
+            storeless = self.search(inst, monkeypatch, keep=False)
+            assert (alpha, x, hits) == storeless[:3]
             assert [got for *_, got, _, _ in opens] == [plain for *_, plain, _ in opens]
             reused += sum(settled for *_, settled in opens)
-        assert reused >= 27  # 27 of the 88 open probes on these seeds
+            iterations, plain_iterations = iterations + its, plain_iterations + storeless[5]
+        # Of the 88 open probes on these seeds, 26 are settled by a stored
+        # proof (27 before verdicts started warm: a warm verdict's point is
+        # another point of the box, and it settles one later probe fewer),
+        # and the warm starts cut the verdicts' pivot-loop iterations from
+        # 831 without the store to 473.
+        assert reused >= 26
+        assert iterations <= 473 and plain_iterations >= 831
 
     def test_foreign_proofs_change_no_verdict(self, monkeypatch):
         # Every other search's proofs: those of instances with the same n
         # and h fit the LP's shape, the rest do not.
-        runs = [(inst, *self.search(inst, monkeypatch)[3:]) for inst in self.instances()]
+        runs = [(inst, *self.search(inst, monkeypatch)[3:5]) for inst in self.instances()]
         same_shape = 0
         for i, (inst, _, opens) in enumerate(runs):
             foreign = [proof for j, (_, store, _) in enumerate(runs) if j != i for proof in store]
