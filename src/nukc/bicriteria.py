@@ -90,7 +90,7 @@ def enum_parameters(L: int, total_k: int) -> tuple[int, int]:
     return tau, gamma0
 
 
-def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
+def enum_solve(instance: NukcInstance) -> EnumResult:
     """Full pipeline: compress, search, lift back, measure.
 
     Instances with at most SHORT_CIRCUIT_K total balls short-circuit to the
@@ -131,7 +131,7 @@ def enum_solve(instance: NukcInstance, force_full: bool = False) -> EnumResult:
     if alpha == 0.0:
         return finish(zero_dilation_solution(cinst), True, False, 0)
 
-    if instance.total_k <= SHORT_CIRCUIT_K and not force_full:
+    if instance.total_k <= SHORT_CIRCUIT_K:
         return finish(_guess_q_auto(cinst, alpha).solution, True, False, 0)
 
     scaled = cinst.scaled(alpha)

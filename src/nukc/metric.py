@@ -41,18 +41,18 @@ class MetricError(ValueError):
         super().__init__(f"not a metric: {preview}{more}")
 
 
-def validate_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> list:
+def validate_metric(dist: np.ndarray) -> list:
     """Check finiteness, symmetry, zero diagonal, non-negativity and the
-    triangle inequality.  Returns a list of violation tuples, empty when
-    the matrix is a metric.  A matrix with NaN or inf entries gets only its
-    ("nonfinite", i, j) violations.
+    triangle inequality, each within METRIC_TOL.  Returns a list of
+    violation tuples, empty when the matrix is a metric.  A matrix with NaN
+    or inf entries gets only its ("nonfinite", i, j) violations.
 
     When the other checks pass and every entry is >= 0, one compiled
     Floyd-Warshall closure certifies the triangle inequality:
     closure[i,j] <= fl(d[i,k] + d[k,j]) holds for every k, so
-    d - closure <= tol implies every one-step slack is <= tol.  Only when
-    the certificate fails, or does not apply, does the O(n^3) per-k scan
-    run; it alone lists triangle violations, in (k, i, j) order.
+    d - closure <= METRIC_TOL implies every one-step slack is too.  Only
+    when the certificate fails, or does not apply, does the O(n^3) per-k
+    scan run; it alone lists triangle violations, in (k, i, j) order.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -65,30 +65,30 @@ def validate_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> list:
         # NaN and inf make the other axioms meaningless (inf - inf is NaN).
         return violations
     for i in range(n):
-        if abs(dist[i, i]) > tol:
+        if abs(dist[i, i]) > METRIC_TOL:
             violations.append(("diagonal", i, float(dist[i, i])))
-    asym = np.argwhere(np.abs(dist - dist.T) > tol)
+    asym = np.argwhere(np.abs(dist - dist.T) > METRIC_TOL)
     for i, j in asym:
         if i < j:
             violations.append(("asymmetry", int(i), int(j)))
-    neg = np.argwhere(dist < -tol)
+    neg = np.argwhere(dist < -METRIC_TOL)
     for i, j in neg:
         violations.append(("negative", int(i), int(j)))
     # Zero entries are edges (duplicate points), so csgraph must not read
-    # them as missing; entries in (-tol, 0) would make it raise on a
+    # them as missing; entries in (-METRIC_TOL, 0) would make it raise on a
     # negative cycle, so the certificate needs every entry >= 0.
     if not violations and n and (dist >= 0).all():
         from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
         closure = floyd_warshall(csgraph_from_dense(dist, null_value=np.inf))
-        if not ((dist - closure) > tol).any():
+        if not ((dist - closure) > METRIC_TOL).any():
             return []
     # d[i, j] <= d[i, k] + d[k, j] for all i, j, k.  Near-max entries can
     # sum to inf, and an infinite right-hand side satisfies the inequality.
     for k in range(n):
         with np.errstate(over="ignore"):
             slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
-        bad = np.argwhere(slack > tol)
+        bad = np.argwhere(slack > METRIC_TOL)
         for i, j in bad:
             violations.append(("triangle", int(i), int(j), int(k)))
     return violations

@@ -280,17 +280,18 @@ def candidate_dilations(instance: NukcInstance) -> list:
 def smallest_feasible(cands, probe):
     """(candidate, witness) for the smallest of the sorted `cands` at which
     `probe` returns a witness, anything but None, for a probe monotone
-    along them; None when it returns None at the largest.  Probes the
-    largest candidate, then the smallest, then bisects."""
-    hi = len(cands) - 1
-    witness = probe(cands[hi])
-    if witness is None:
+    along them; None when it returns None at the largest, or `cands` is
+    empty.  Probes the smallest candidate, and stops there when it holds;
+    then the largest, then bisects."""
+    if not cands:
+        return None
+    if (witness := probe(cands[0])) is not None:
+        return cands[0], witness
+    lo, hi = 0, len(cands) - 1
+    if hi == 0 or (witness := probe(cands[hi])) is None:
         return None
     found = cands[hi], witness
-    if hi > 0 and (witness := probe(cands[0])) is not None:
-        return cands[0], witness
-    lo = 0  # cands[lo] fails, cands[hi] holds
-    while hi - lo > 1:
+    while hi - lo > 1:  # cands[lo] fails, cands[hi] holds
         mid = (lo + hi) // 2
         if (witness := probe(cands[mid])) is not None:
             hi, found = mid, (cands[mid], witness)

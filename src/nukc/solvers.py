@@ -288,13 +288,12 @@ def solve_guess_q(instance: NukcInstance, q: int, floor: float = 0.0) -> GuessQR
 
     No guess fits below the relaxation's optimum (a guess plus its window
     cover is a point of the full relaxation), so a caller that knows it
-    passes it as `floor` and candidates below it are skipped.  A first pass
-    probes each guess at the lowest remaining candidate only and stops at
-    the first that fits: as fitting is monotone in the dilation, that is
-    the answer.  When none fits there, a second pass searches the higher
-    candidates: each guess is probed just below the best dilation found so
-    far and bisected downward only when that probe hits.  The first pass
-    costs one probe per guess, so it never more than doubles the probes."""
+    passes it as `floor` and candidates below it are skipped.  The answer
+    is one `smallest_feasible` search over the rest, whose probe walks the
+    guesses in enumeration order up to the first that fits.  The search
+    probes the floor first and stops there when a guess fits, so a caller
+    that passes the relaxation's optimum builds only the window LPs of the
+    guesses up to the first that fits at it."""
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     n, h = instance.n, instance.num_classes
@@ -311,42 +310,26 @@ def solve_guess_q(instance: NukcInstance, q: int, floor: float = 0.0) -> GuessQR
             f"guess enumeration needs {combos} placements (> budget {GUESS_BUDGET})"
         )
 
-    def guesses():
+    def fit(alpha):
+        """(guess, problem, uncovered) for the first guess in enumeration
+        order that admits a cover at `alpha`, its window LP and the points
+        that LP covers; None when no guess does."""
         per_class = [
             combinations_with_replacement(range(n), instance.classes[t].multiplicity)
             for t in guess_classes
         ]
-        return (
-            [(c, t) for t, picks in zip(guess_classes, combo) for c in picks]
-            for combo in product(*per_class)
-        )
-
-    cands = candidate_dilations(instance)
-
-    def fit(guess, i):
-        """(guess, problem, uncovered) when `guess` admits a cover at
-        cands[i], its window LP and the points that LP covers; else None."""
-        problem, uncovered = _window_lp(instance, cands[i], tau, guess)
-        if problem is None or proving_point(problem) is not None:
-            return guess, problem, uncovered
+        for combo in product(*per_class):
+            guess = [(c, t) for t, picks in zip(guess_classes, combo) for c in picks]
+            problem, uncovered = _window_lp(instance, alpha, tau, guess)
+            if problem is None or proving_point(problem) is not None:
+                return guess, problem, uncovered
         return None
 
-    lo, hi = bisect_left(cands, floor), len(cands)
-    best = next(filter(None, (fit(g, lo) for g in guesses())), None) if lo < hi else None
-    if best is not None:
-        hi = lo
-    else:
-        lo = min(lo + 1, hi)
-        for guess in guesses():
-            if hi == lo:
-                break
-            found = smallest_feasible(range(lo, hi), lambda i: fit(guess, i))
-            if found is not None:
-                hi, best = found  # best fits at cands[hi]
-    if best is None:
+    cands = candidate_dilations(instance)
+    found = smallest_feasible(cands[bisect_left(cands, floor):], fit)
+    if found is None:
         raise ValueError("no guess admits a cover at the largest candidate dilation")
-    alpha = cands[hi]
-    guess, problem, uncovered = best
+    alpha, (guess, problem, uncovered) = found
 
     balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in guess]
     if uncovered:

@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from nukc.metric import within
-from nukc.model import build_nukc_lp, candidate_dilations, proving_point
+from nukc.model import build_nukc_lp, candidate_dilations, proving_point, smallest_feasible
 from nukc.oracle import SizeBudgetError
 from nukc.rmfct import FirefighterInfeasibleError, LayeredTree
 
@@ -33,27 +33,14 @@ def expand_radii(instance) -> list:
 
 
 def replayed_search(instance):
-    """(alpha, proofs): a relaxation search on `instance` as a plain
-    bisection of its candidate dilations, probing the largest, then the
-    smallest, then halving, each probe `proving_point` with the one store
-    `proofs` that they share.  alpha is None when the largest fails."""
-    cands, proofs = candidate_dilations(instance), []
-
-    def holds(i):
-        return proving_point(build_nukc_lp(instance, cands[i]), proofs) is not None
-
-    lo, hi = 0, len(cands) - 1
-    if not holds(hi):
-        return None, proofs
-    if hi > 0 and holds(0):
-        return cands[0], proofs
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return cands[hi], proofs
+    """(alpha, proofs): a relaxation search on `instance` as
+    `smallest_feasible` over its candidate dilations, each probe
+    `proving_point` with the one store `proofs` that they share.  alpha is
+    None when no candidate holds."""
+    proofs = []
+    found = smallest_feasible(candidate_dilations(instance),
+                              lambda d: proving_point(build_nukc_lp(instance, d), proofs))
+    return (None if found is None else found[0]), proofs
 
 
 def exact_rmfct(tree: LayeredTree, max_nodes: int = 24):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_kcwo, exact_rmfct, expand_radii
+from nukc import bicriteria
 from nukc.bicriteria import enum_solve
 from nukc.embed import embed
 from nukc.gadgets import (
@@ -328,14 +329,14 @@ def _bicriteria_corpus():
     return corpus(100, make)
 
 
-def _bicriteria_run(ratio_bound, force_full=False):
+def _bicriteria_run(ratio_bound):
     """enum_solve over criterion 9's corpus: (failures, worst ratio,
     solutions as [center, class, radius] lists)."""
     failures = []
     worst_ratio = 0.0
     solutions = []
     for inst in _bicriteria_corpus():
-        res = enum_solve(inst, force_full=force_full)
+        res = enum_solve(inst)
         sol = res.solution
         solutions.append([[b.center, b.class_index, b.radius_used] for b in sol.balls])
         dist = inst.space.dist
@@ -401,10 +402,11 @@ def test_criterion_10_oracle_sanity():
     )
 
 
-def test_criterion_11_forced_recursion():
-    """Criterion 9's corpus under force_full: the guess recursion runs in
-    place of the guess-q short circuit (total k <= 16 on this corpus)."""
-    failures, worst_ratio, solutions = _bicriteria_run(FORCED_RATIO_BOUND, force_full=True)
+def test_criterion_11_forced_recursion(monkeypatch):
+    """Criterion 9's corpus with no short circuit: the guess recursion runs
+    in place of guess-q (total k <= 16 on this corpus)."""
+    monkeypatch.setattr(bicriteria, "SHORT_CIRCUIT_K", -1)
+    failures, worst_ratio, solutions = _bicriteria_run(FORCED_RATIO_BOUND)
     digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
     if digest != FORCED_DIGEST:
         failures.append(("digest", digest))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nukc import lp
+from nukc import bicriteria, lp
 from nukc.bicriteria import (
     build_guess_lp,
     enum_parameters,
@@ -75,9 +75,10 @@ class TestEnumSolve:
         assert res.short_circuit  # total k <= 16 at this scale
 
     @pytest.mark.parametrize("seed", range(15))
-    def test_full_recursion(self, seed):
+    def test_full_recursion(self, seed, monkeypatch):
+        monkeypatch.setattr(bicriteria, "SHORT_CIRCUIT_K", -1)  # none short-circuits
         inst = random_instance(10, seed=seed, max_classes=3)
-        res = enum_solve(inst, force_full=True)
+        res = enum_solve(inst)
         self.check(inst, res)
         assert not res.short_circuit
         assert res.nodes_explored >= 1
@@ -143,8 +144,9 @@ while solved < 40:
 print(json.dumps(calls))
 """
 
-# Ceilings on those counts: what the floor-first guess search and rounding
-# on the embedding's own values do.  A change that does more of this work
+# Ceilings on those counts: what the guess search, one smallest_feasible
+# call whose first probe is the relaxation's optimum, and rounding on the
+# embedding's own values do.  A change that does more of this work
 # fails here; one that does less should lower its ceiling.
 ENUM_WORK_CEILING = {"nukc.lp.solve": 40, "nukc.model._certify": 507,
                      "nukc.solvers._window_lp": 160}

@@ -115,7 +115,7 @@ class TestRandomGenerators:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_metric_is_metric(self, seed):
         space = random_metric(7, seed=seed)
-        assert validate_metric(space.dist, tol=1e-7) == []
+        assert validate_metric(space.dist) == []
 
     def test_random_layered_tree_leaves_at_depth(self):
         for seed in range(5):

@@ -528,6 +528,14 @@ class TestWarmStart:
         if answer is not None:
             assert answer == (scipy_reference(cover).status == 0)
 
+    def test_certificates_settle_both_end_probes(self):
+        # Neither end probe of a relaxation search reaches lp.verdict, so
+        # the order in which the search takes them leaves its store as it is.
+        for inst in warm_path_instances():
+            cands = candidate_dilations(inst)
+            for dilation in (cands[0], cands[-1]):
+                assert model._certify(build_nukc_lp(inst, dilation))[0] is not None
+
     def test_stored_basis_of_another_shape_starts_cold(self):
         cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 1.0)] * 2)
         assert lp._warm_setup(cover, None) is None

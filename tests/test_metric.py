@@ -183,7 +183,7 @@ class TestMetricSpace:
     @settings(max_examples=50, deadline=None)
     def test_euclidean_coords_always_give_a_metric(self, pts):
         space = MetricSpace.from_coords(np.array(pts))
-        assert validate_metric(space.dist, tol=1e-6) == []
+        assert validate_metric(space.dist) == []
 
 
 class TestGonzalez:

@@ -500,10 +500,12 @@ class TestSmallestFeasible:
             scan = next((c for c in cands if c >= 0.5 * threshold), None)
             want = None if scan is None else (scan, f"witness at {scan}")
             assert smallest_feasible(cands, probe) == want
-            assert probed[0] == cands[-1]
+            assert probed[0] == cands[0]
             assert len(probed) == len(set(probed))
-            if scan is not None and length > 1:
-                assert probed[1] == cands[0]
+            if threshold == 0:
+                assert probed == [cands[0]]
+            elif length > 1:
+                assert probed[1] == cands[-1]
 
     @pytest.mark.parametrize("length", [1, 2, 7])
     def test_falsy_witness_holds(self, length):

@@ -18,7 +18,6 @@ from nukc.model import (
     min_feasible_dilation,
     proving_point,
     relaxation_search,
-    smallest_feasible,
     validate_solution,
 )
 from nukc.oracle import SizeBudgetError, exact_nukc
@@ -335,30 +334,23 @@ class TestGuessQ:
 
 
 def reference_guess_search(instance, tau):
-    """The guess-q search as a per-candidate scan, kept to pin the one-pass
-    search: bisect the candidate dilations, and at each probe take the
-    first guess in enumeration order whose window LP fits.  Returns
-    (dilation, guess, x), x None when the guess covers every point."""
+    """The guess-q answer by a linear scan up the candidate dilations: the
+    first at which some guess's window LP fits, with the first such guess
+    in enumeration order and its window LP's basic x.  Returns (dilation,
+    guess, x), x None when the guess covers every point."""
     per_class = [
         list(combinations_with_replacement(range(instance.n), instance.classes[t].multiplicity))
         for t in range(tau)
     ]
-    guesses = [
-        [(c, t) for t, picks in enumerate(combo) for c in picks]
-        for combo in product(*per_class)
-    ]
-
-    def first_fit(alpha):
-        """(guess, its window LP) for the first guess that fits at alpha."""
-        for guess in guesses:
+    for alpha in candidate_dilations(instance):
+        for combo in product(*per_class):
+            guess = [(c, t) for t, picks in enumerate(combo) for c in picks]
             problem, _ = _window_lp(instance, alpha, tau, guess)
-            if problem is None or proving_point(problem) is not None:
-                return guess, problem
-        return None
-
-    alpha, (guess, problem) = smallest_feasible(candidate_dilations(instance), first_fit)
-    x = None if problem is None else fractional_cover(problem)
-    return alpha, guess, x
+            if problem is None:
+                return alpha, guess, None
+            if proving_point(problem) is not None:
+                return alpha, guess, fractional_cover(problem)
+    raise AssertionError("no guess fits at any candidate dilation")
 
 
 def guess_corpus():
@@ -416,6 +408,13 @@ class TestGuessSearch:
         res = solve_guess_q(inst, 1, floor=floor)
         assert (res.tau, res.dilation) == (1, floor)
         assert len(built) <= first
+
+    def test_floor_above_every_candidate(self):
+        # No candidate is left to search: the guess search finds nothing.
+        inst = compress_radii(random_instance(12, seed=FLOOR_CASES[0], max_classes=3)).instance
+        floor = 2 * candidate_dilations(inst)[-1]
+        with pytest.raises(ValueError, match="no guess admits a cover at the largest"):
+            solve_guess_q(inst, 1, floor=floor)
 
     @pytest.mark.parametrize("seed", GUESS_CASES)
     def test_one_pass_matches_per_candidate_scan(self, seed, monkeypatch):
