@@ -47,9 +47,9 @@ def _point_array(points: dict, key: str) -> np.ndarray:
 
 def instance_to_obj(instance: NukcInstance, coords=None) -> dict:
     points = (
-        {"coords": [list(map(float, row)) for row in coords]}
+        {"coords": np.asarray(coords, dtype=float).tolist()}
         if coords is not None
-        else {"matrix": [list(map(float, row)) for row in instance.space.dist]}
+        else {"matrix": instance.space.dist.tolist()}
     )
     obj = {
         "points": points,
@@ -175,8 +175,11 @@ def tree_from_obj(obj: dict) -> LayeredTree:
 
 
 def dump(obj, path) -> None:
+    """Write obj as one line of JSON with sorted keys (the C encoder: an
+    indent would force the pure-Python one); `python -m json.tool` reads
+    it back indented."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load(path):

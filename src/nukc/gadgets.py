@@ -86,22 +86,49 @@ def random_euclidean(n: int, dim: int, seed: int):
     return MetricSpace.from_coords(coords), coords
 
 
+DRAW_CHUNK = 1 << 16  # most uniform draws random_metric holds at once
+
+
 def random_metric(n: int, seed: int) -> MetricSpace:
-    """Shortest-path metric of a connected random weighted graph."""
+    """Shortest-path metric of a connected random weighted graph.
+
+    The graph is the one a scalar loop draws: for each pair i < j in row
+    order, an edge when rand() < 0.4, weighted uniform(0.5, 2.0) by the
+    next draw; then each missing edge (i, i + 1), in order of i, weighted
+    by the next draws.  The same stream is read in chunks of at most
+    DRAW_CHUNK doubles (random_sample(k) gives the k doubles of k rand()
+    calls, and uniform(0.5, 2.0) is 0.5 + 1.5 * rand()).  A shortest-path
+    closure is a metric by construction, so it is not certified again
+    here; every load of its file certifies it."""
     from scipy.sparse.csgraph import floyd_warshall
 
     rng = np.random.RandomState(seed)
     weights = np.full((n, n), np.inf)
     np.fill_diagonal(weights, 0.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.rand() < 0.4:
-                weights[i, j] = weights[j, i] = rng.uniform(0.5, 2.0)
-    for i in range(n - 1):  # guarantee connectivity
-        if not np.isfinite(weights[i, i + 1]):
-            weights[i, i + 1] = weights[i + 1, i] = rng.uniform(0.5, 2.0)
-    dist = floyd_warshall(weights)
-    return MetricSpace(dist, check=True)
+    rows = np.arange(n)
+    first = rows * (2 * n - rows - 1) // 2  # ordinal of pair (i, i + 1)
+    pairs, done, rest = n * (n - 1) // 2, 0, np.empty(0)
+    while done < pairs:  # a pair takes at most two draws
+        u = np.concatenate([rest, rng.random_sample(min(DRAW_CHUNK, 2 * (pairs - done)))])
+        edge, idx = u < 0.4, np.arange(len(u))
+        # u[0] decides a pair.  A draw after one that is not an edge
+        # decision decides too; within a run of edge draws, deciding and
+        # weighting alternate.
+        head = np.maximum.accumulate(np.where(np.concatenate([[True], ~edge[:-1]]), idx, 0))
+        decide = np.flatnonzero((idx - head) % 2 == 0)[: pairs - done]
+        if edge[decide[-1]] and decide[-1] + 1 == len(u):  # its weight is in the next chunk
+            decide = decide[:-1]
+        hit = decide[edge[decide]]
+        ordinal = done + np.flatnonzero(edge[decide])
+        i = np.searchsorted(first, ordinal, side="right") - 1
+        j = ordinal - first[i] + i + 1
+        weights[i, j] = weights[j, i] = 0.5 + 1.5 * u[hit + 1]
+        done += len(decide)
+        rest = u[decide[-1] + 1 + edge[decide[-1]]:]
+    gaps = np.flatnonzero(~np.isfinite(np.diagonal(weights, 1)))  # guarantee connectivity
+    draws = np.concatenate([rest[: len(gaps)], rng.random_sample(max(0, len(gaps) - len(rest)))])
+    weights[gaps, gaps + 1] = weights[gaps + 1, gaps] = 0.5 + 1.5 * draws
+    return MetricSpace(floyd_warshall(weights), check=False)
 
 
 def random_layered_tree(depth: int, max_branching: int, seed: int) -> LayeredTree:

@@ -14,7 +14,8 @@ most one variable per row strictly inside its bounds), which the
 loose-vertex rounding relies on.  `verdict` is for callers that need no
 basic point: it may start from any vertex of the box, prices by Dantzig's
 rule, and proves its answer by `confirms` (a point, which it returns) or
-`refutes` (multipliers), the checks the certificates use too.  Inside a
+`refutes` (multipliers), the checks the certificates use too; `solve`
+proves its None by `refutes`.  Inside a
 search its proofs serve later probes, and its final basis is where the
 next verdict starts (a warm start: the same loop, pricing the basic
 values that start out of their bounds, the composite phase one).  The
@@ -269,13 +270,14 @@ def _phase_one(s: _System, run: int):
 
 def solve(cover: CoveringLp):
     """A basic feasible point of `cover`, or None when the phase-one
-    optimum exceeds the artificial rows' thresholds.  Deterministic at a
-    fixed BLAS thread count: identical input gives identical pivot
-    sequences and output.
+    optimum's multipliers prove that none exists (`refutes`, through
+    `_lagrangian_bound`); LpSolverError when the pivot loop ends with
+    neither.  Deterministic at a fixed BLAS thread count: identical input
+    gives identical pivot sequences and output.
     """
     s = _phase_one_setup(cover, _vertex(cover))
-    outcome, _, _ = _phase_one(s, run=0)
-    if outcome == "optimal" and s.cost @ s.x > s.art_tol:
+    outcome, lam, _ = _phase_one(s, run=0)
+    if outcome == "optimal" and operator.gt(*_lagrangian_bound(s, lam)):
         return None
     if outcome != "feasible":
         raise LpSolverError(f"phase one stopped ({outcome}) at a point that misses a row")

@@ -245,13 +245,14 @@ def proving_point(cover: lp.CoveringLp, proofs=None):
     """The point of the box that proved the covering LP `cover` feasible,
     or None when it is not.  The certificates answer first (the greedy's
     vertex); only a probe they leave open pivots: `lp.verdict` from that
-    vertex with the search's `proofs`, then the simplex if neither can
-    tell.  A caller that needs a basic x uses `fractional_cover`."""
+    vertex with the search's `proofs`.  Every answer is proved, so a
+    verdict that proves neither raises `lp.LpSolverError`.  A caller that
+    needs a basic x uses `fractional_cover`."""
     answer, x = _certify(cover)
     if answer is None:
         answer, x = lp.verdict(cover, x, proofs)
     if answer is None:
-        return lp.solve(cover)
+        raise lp.LpSolverError("verdict proved neither feasibility nor infeasibility")
     return x if answer else None
 
 

@@ -263,23 +263,15 @@ class GuessQResult:
     tau: int
 
 
-def _window_lp(instance, alpha, tau, fixed_balls):
-    """(problem, uncovered): the LP covering the points missed by
-    `fixed_balls` using classes >= tau only, at dilation alpha, and those
-    points; problem is None when `fixed_balls` miss none."""
+def _window_lp(instance, alpha, tau, uncovered):
+    """The LP covering the points `uncovered` (ascending) using classes >=
+    tau only, at dilation alpha."""
     n, h = instance.n, instance.num_classes
-    radii = instance.radii
-    hit = covered(instance.space.dist, [c for c, _ in fixed_balls],
-                  [alpha * radii[t] for _, t in fixed_balls])
-    uncovered = np.flatnonzero(~hit).tolist()
-    if not uncovered:
-        return None, uncovered
     below_tau = np.where(np.arange(h) < tau, np.zeros((n, h)), np.nan)
-    return build_nukc_lp(instance, alpha, points=uncovered, start=tau,
-                         pinned=below_tau), uncovered
+    return build_nukc_lp(instance, alpha, points=uncovered, start=tau, pinned=below_tau)
 
 
-def solve_guess_q(instance: NukcInstance, q: int, floor: float = 0.0) -> GuessQResult:
+def solve_guess_q(instance: NukcInstance, q: int, floor: float) -> GuessQResult:
     """Enumerate center placements for classes below tau_q (the q-times
     iterated log of L, clamped to [0, L]), LP-cover the remaining points
     with classes >= tau_q, and round bottom-heavy.  The dilation is the
@@ -287,13 +279,16 @@ def solve_guess_q(instance: NukcInstance, q: int, floor: float = 0.0) -> GuessQR
     the guess is the first in enumeration order to admit one there.
 
     No guess fits below the relaxation's optimum (a guess plus its window
-    cover is a point of the full relaxation), so a caller that knows it
-    passes it as `floor` and candidates below it are skipped.  The answer
-    is one `smallest_feasible` search over the rest, whose probe walks the
-    guesses in enumeration order up to the first that fits.  The search
-    probes the floor first and stops there when a guess fits, so a caller
-    that passes the relaxation's optimum builds only the window LPs of the
-    guesses up to the first that fits at it."""
+    cover is a point of the full relaxation), so the caller passes it (or
+    any lower bound) as `floor` and candidates below it are skipped.  The
+    answer is one `smallest_feasible` search over the rest, whose probe
+    walks the guesses in enumeration order up to the first that fits.  The
+    search probes the floor first and stops there when a guess fits.
+
+    At one dilation every window LP has the same columns, budgets and
+    pins, and one row per point its guess misses, so a guess that misses
+    every point some refuted guess misses cannot fit: the probe skips it
+    before building its LP."""
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     n, h = instance.n, instance.num_classes
@@ -312,17 +307,28 @@ def solve_guess_q(instance: NukcInstance, q: int, floor: float = 0.0) -> GuessQR
 
     def fit(alpha):
         """(guess, problem, uncovered) for the first guess in enumeration
-        order that admits a cover at `alpha`, its window LP and the points
-        that LP covers; None when no guess does."""
+        order that admits a cover at `alpha`, its window LP (None when the
+        guess misses no point) and the points it misses; None when no
+        guess does."""
         per_class = [
             combinations_with_replacement(range(n), instance.classes[t].multiplicity)
             for t in guess_classes
         ]
+        refuted = []  # the minimal missed sets of refuted guesses, as int bitsets
         for combo in product(*per_class):
             guess = [(c, t) for t, picks in zip(guess_classes, combo) for c in picks]
-            problem, uncovered = _window_lp(instance, alpha, tau, guess)
-            if problem is None or proving_point(problem) is not None:
+            missed = ~covered(instance.space.dist, [c for c, _ in guess],
+                              [alpha * instance.radii[t] for _, t in guess])
+            uncovered = np.flatnonzero(missed).tolist()
+            if not uncovered:
+                return guess, None, uncovered
+            bits = int.from_bytes(np.packbits(missed, bitorder="little").tobytes(), "little")
+            if any(r & bits == r for r in refuted):
+                continue
+            problem = _window_lp(instance, alpha, tau, uncovered)
+            if proving_point(problem) is not None:
                 return guess, problem, uncovered
+            refuted = [r for r in refuted if r & bits != bits] + [bits]
         return None
 
     cands = candidate_dilations(instance)

@@ -1,18 +1,19 @@
 """Per-ball and per-point views that only tests read (the package works
 from masks, `metric.within` and `metric.covered`, and from the classes'
-(radius, count) runs), a relaxation search replayed with its proof store
-in the test's hands, and the exhaustive tree and kCwO searches that the
-tests hold the solvers against."""
+(radius, count) runs), a guess's window LP, a relaxation search replayed
+with its proof store in the test's hands, and the exhaustive tree and
+kCwO searches that the tests hold the solvers against."""
 
 import math
 from itertools import combinations
 
 import numpy as np
 
-from nukc.metric import within
+from nukc.metric import covered, within
 from nukc.model import build_nukc_lp, candidate_dilations, proving_point, smallest_feasible
 from nukc.oracle import SizeBudgetError
 from nukc.rmfct import FirefighterInfeasibleError, LayeredTree
+from nukc.solvers import _window_lp
 
 TIE_TOL = 1e-15  # distances this close are a tie in exact_kcwo
 
@@ -30,6 +31,16 @@ def expand_radii(instance) -> list:
     for t, c in enumerate(instance.classes):
         out.extend([(c.radius, t)] * c.multiplicity)
     return out
+
+
+def guess_window(instance, alpha, tau, fixed_balls):
+    """(problem, uncovered): the points the (center, class) `fixed_balls`
+    miss at dilation alpha, and `solvers._window_lp` over them (None when
+    they miss none), as guess-q's probe builds it."""
+    hit = covered(instance.space.dist, [c for c, _ in fixed_balls],
+                  [alpha * instance.radii[t] for _, t in fixed_balls])
+    uncovered = np.flatnonzero(~hit).tolist()
+    return (_window_lp(instance, alpha, tau, uncovered) if uncovered else None), uncovered
 
 
 def replayed_search(instance):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nukc import fileio
-from nukc.gadgets import random_euclidean, random_layered_tree
+from nukc.gadgets import random_euclidean, random_layered_tree, random_metric
 from nukc.model import Ball, NukcInstance, NukcSolution
 
 
@@ -114,6 +114,16 @@ class TestFiles:
         fileio.dump(fileio.instance_to_obj(line_instance), path)
         obj = fileio.load(path)
         assert fileio.instance_from_obj(obj).n == 5
+
+    def test_matrix_instance_survives_dump_and_load(self, tmp_path):
+        # One line of JSON, and the 400 x 400 matrix comes back bit for bit.
+        inst = NukcInstance(random_metric(400, seed=11), [(4, 1.0), (2, 0.0)])
+        path = tmp_path / "matrix.json"
+        fileio.dump(fileio.instance_to_obj(inst), path)
+        assert path.read_text().count("\n") == 1
+        back = fileio.instance_from_obj(fileio.load(path))
+        assert back.space.dist.tobytes() == inst.space.dist.tobytes()
+        assert back.classes == inst.classes
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import exact_rmfct
+from nukc import gadgets
 from nukc.gadgets import (
     gadget_radii,
     hardness_gadget,
@@ -101,6 +104,33 @@ class TestGadgetArithmetic:
         assert opt >= 4.0
 
 
+# SHA-256 of random_metric(400, seed).dist.tobytes() as the scalar loop
+# (reference_random_metric) gives it: the benchmark's matrix-io instances
+# must not move.
+RANDOM_METRIC_DIGESTS = {
+    0: "e25ff0cb0801633b8f1361c4c0645aaa419f21a01ead4005d536aa3eb48e5f1a",
+    11: "8723b6b21c956df58270a3a50d3528e00445957a3a55b18677b297753ac02b1a",
+    12: "85c993728014f12a6082d9f1850e23a20ed14880b7fac9a47cfa802b00e69c06",
+}
+
+
+def reference_random_metric(n, seed):
+    """random_metric's distance matrix from one scalar draw at a time."""
+    from scipy.sparse.csgraph import floyd_warshall
+
+    rng = np.random.RandomState(seed)
+    weights = np.full((n, n), np.inf)
+    np.fill_diagonal(weights, 0.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.rand() < 0.4:
+                weights[i, j] = weights[j, i] = rng.uniform(0.5, 2.0)
+    for i in range(n - 1):
+        if not np.isfinite(weights[i, i + 1]):
+            weights[i, i + 1] = weights[i + 1, i] = rng.uniform(0.5, 2.0)
+    return floyd_warshall(weights)
+
+
 class TestRandomGenerators:
     def test_determinism(self):
         a, ca = random_euclidean(8, 2, seed=5)
@@ -112,10 +142,29 @@ class TestRandomGenerators:
         space, _ = random_euclidean(1, 2, seed=0)
         assert space.n == 1
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_metric_is_metric(self, seed):
-        space = random_metric(7, seed=seed)
+    # n = 400 with seeds 0, 11 and 12 are the first matrices of the
+    # benchmark's matrix-io corpus: random_metric does not certify its own
+    # closure, so the certificate is checked here.
+    @pytest.mark.parametrize("n,seed", [pytest.param(7, s, id=str(s)) for s in range(10)]
+                             + [pytest.param(400, s, id=f"n400-{s}") for s in (0, 11, 12)])
+    def test_random_metric_is_metric(self, n, seed):
+        space = random_metric(n, seed=seed)
+        assert space.n == n
         assert validate_metric(space.dist) == []
+
+    @pytest.mark.parametrize("chunk", [2, 3, 7, gadgets.DRAW_CHUNK])
+    def test_random_metric_matches_the_scalar_loop(self, chunk, monkeypatch):
+        # Chunks of 2 and 3 draws split many edges from their weights.
+        monkeypatch.setattr(gadgets, "DRAW_CHUNK", chunk)
+        for n in range(1, 31):
+            for seed in range(3):
+                got = random_metric(n, seed).dist
+                assert got.tobytes() == reference_random_metric(n, seed).tobytes(), (n, seed)
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_METRIC_DIGESTS))
+    def test_random_metric_is_pinned(self, seed):
+        digest = hashlib.sha256(random_metric(400, seed).dist.tobytes()).hexdigest()
+        assert digest == RANDOM_METRIC_DIGESTS[seed]
 
     def test_random_layered_tree_leaves_at_depth(self):
         for seed in range(5):

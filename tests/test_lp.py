@@ -8,13 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from helpers import replayed_search
+from helpers import guess_window, replayed_search
 from nukc import lp, model
 from nukc.bicriteria import build_guess_lp
 from nukc.gadgets import random_euclidean, random_instance, random_layered_tree
 from nukc.model import NukcInstance, build_nukc_lp, candidate_dilations, relaxation_search
 from nukc.rmfct import LayeredTree, build_rmfct_lp
-from nukc.solvers import _window_lp
 
 
 def onehot(cover):
@@ -132,6 +131,16 @@ class TestSolveKnown:
 
     def test_infeasible(self):
         assert lp.solve(make_cover([[1]], [0], [1.0], [(0.0, 0.5)])) is None
+
+    def test_unproven_optimum_raises(self, monkeypatch):
+        # A pivot loop that ends at its start, an optimum by its account,
+        # with multipliers that prove nothing: the start misses the row of
+        # this feasible LP, yet None would claim that no point exists.
+        cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 1.0)] * 2)
+        monkeypatch.setattr(lp, "_phase_one",
+                            lambda s, run: ("optimal", np.zeros(len(s.rhs)), 0))
+        with pytest.raises(lp.LpSolverError, match="optimal"):
+            lp.solve(cover)
 
     def test_binding_upper_bounds(self):
         # x0 + x1 >= 1 with x <= (0.25, 0.75): only the corner is feasible.
@@ -593,7 +602,7 @@ def _certify_cases():
     bicriteria.build_guess_lp (seeded affirmative and negative masks over
     a random subset of the points, so pins and per-point start levels) on
     the instance scaled to its relaxation optimum, and a guess-q window LP
-    from solvers._window_lp (seeded fixed balls, a seeded tau, within two
+    from helpers.guess_window (seeded fixed balls, a seeded tau, within two
     candidates of the optimum).  Of the 300 guess and window LPs, 17 are
     left open."""
     yield from path_covering_lps()
@@ -613,7 +622,7 @@ def _certify_cases():
         tau = int(rng.randint(h))
         fixed = [(int(rng.randint(n)), int(rng.randint(tau))) for _ in range(rng.randint(3))] \
             if tau else []
-        problem, _ = _window_lp(inst, dilation, tau, fixed)
+        problem, _ = guess_window(inst, dilation, tau, fixed)
         if problem is not None:
             yield problem
 
@@ -661,6 +670,16 @@ class TestProvingPoint:
     def test_certify_cases(self):
         found = [self.check(cover) is not None for cover in certify_cases()]
         assert sum(found) == FEASIBLE_CERTIFY_CASES
+
+    def test_undecided_verdict_raises(self, monkeypatch):
+        # x0 + x1 >= 1 on [0, 0.5]^2 within a budget of 1: the certificates
+        # leave it open, and a verdict that proves neither answer is an
+        # error, not a second, unproven run.
+        pair = make_cover([[1, 1]], [0, 0], [1.0], [(0.0, 0.5)] * 2)
+        assert model._certify(pair)[0] is None
+        monkeypatch.setattr(lp, "verdict", lambda cover, start=None, proofs=None: (None, None))
+        with pytest.raises(lp.LpSolverError, match="proved neither"):
+            model.proving_point(pair)
 
     def test_after_relaxation_searches(self):
         # The winner and the candidates above it have a point, those below

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ball, expand_radii, replayed_search
+from helpers import ball, expand_radii, guess_window, replayed_search
 from nukc import model
 from nukc.bicriteria import build_guess_lp
 from nukc.metric import COVER_TOL, MetricSpace
@@ -32,7 +32,6 @@ from nukc.model import (
 from nukc import lp
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.oracle import exact_nukc
-from nukc.solvers import _window_lp
 
 
 # Reference implementations: the per-entry loop builders, the per-point
@@ -436,7 +435,7 @@ class TestBuilder:
         h = inst.num_classes
         tau = int(rng.randint(h))
         fixed = [(int(rng.randint(inst.n)), int(rng.randint(h)))]
-        problem, uncovered = _window_lp(inst, dilation, tau, fixed)
+        problem, uncovered = guess_window(inst, dilation, tau, fixed)
         if not uncovered:
             assert problem is None
             return

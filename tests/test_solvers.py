@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from helpers import exact_kcwo
+from helpers import exact_kcwo, guess_window
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
 from nukc import lp, solvers
@@ -299,7 +299,7 @@ class TestGuessQ:
         comp = compress_radii(inst)
         cinst = comp.instance
         try:
-            res = solve_guess_q(comp.instance, 1)
+            res = solve_guess_q(comp.instance, 1, relaxation_search(comp.instance)[0])
         except SizeBudgetError:
             return
         sol = res.solution
@@ -320,7 +320,7 @@ class TestGuessQ:
                 continue
             opt, _ = exact_nukc(comp.instance)
             try:
-                res = solve_guess_q(comp.instance, 1)
+                res = solve_guess_q(comp.instance, 1, relaxation_search(comp.instance)[0])
             except SizeBudgetError:
                 continue
             assert res.dilation <= opt + 1e-9
@@ -330,7 +330,7 @@ class TestGuessQ:
         inst = NukcInstance(space, [(30, 1.0), (1, 0.9), (2, 0.5), (4, 0.2)])
         comp = compress_radii(inst)
         with pytest.raises(SizeBudgetError):
-            solve_guess_q(comp.instance, 1)
+            solve_guess_q(comp.instance, 1, relaxation_search(comp.instance)[0])
 
 
 def reference_guess_search(instance, tau):
@@ -345,7 +345,7 @@ def reference_guess_search(instance, tau):
     for alpha in candidate_dilations(instance):
         for combo in product(*per_class):
             guess = [(c, t) for t, picks in enumerate(combo) for c in picks]
-            problem, _ = _window_lp(instance, alpha, tau, guess)
+            problem, _ = guess_window(instance, alpha, tau, guess)
             if problem is None:
                 return alpha, guess, None
             if proving_point(problem) is not None:
@@ -397,7 +397,7 @@ class TestGuessSearch:
         floor, _ = relaxation_search(inst)
 
         def fits(picks):
-            problem, _ = _window_lp(inst, floor, 1, [(c, 0) for c in picks])
+            problem, _ = guess_window(inst, floor, 1, [(c, 0) for c in picks])
             return problem is None or proving_point(problem) is not None
 
         placements = combinations_with_replacement(range(inst.n), inst.classes[0].multiplicity)
@@ -415,6 +415,41 @@ class TestGuessSearch:
         floor = 2 * candidate_dilations(inst)[-1]
         with pytest.raises(ValueError, match="no guess admits a cover at the largest"):
             solve_guess_q(inst, 1, floor=floor)
+
+    def test_skipped_guesses_are_refuted(self, monkeypatch):
+        """At each dilation it probes, the search builds the window LPs of
+        the guesses it walks in enumeration order, except those whose
+        missed points contain a refuted guess's: each of those is refuted
+        too."""
+        built, skipped = [], 0
+        monkeypatch.setattr(solvers, "_window_lp",
+                            lambda *args: built.append(args) or _window_lp(*args))
+        for seed in GUESS_CASES:
+            inst = compress_radii(random_instance(6 + seed % 5, seed=seed, max_classes=4)).instance
+            L = inst.num_classes - 1
+            tau = min(L, iterated_log(L, 1))
+            per_class = [list(combinations_with_replacement(range(inst.n), inst.classes[t].multiplicity))
+                         for t in range(tau)]
+            built.clear()
+            solve_guess_q(inst, 1, relaxation_search(inst)[0])
+            walked = {}
+            for _, alpha, _, uncovered in built:
+                walked.setdefault(alpha, []).append(uncovered)
+            for alpha, builds in walked.items():
+                for combo in product(*per_class):
+                    guess = [(c, t) for t, picks in enumerate(combo) for c in picks]
+                    problem, uncovered = guess_window(inst, alpha, tau, guess)
+                    if problem is None:
+                        break
+                    if builds and builds[0] == uncovered:
+                        builds.pop(0)
+                        if proving_point(problem) is not None:
+                            break
+                    else:
+                        assert proving_point(problem) is None
+                        skipped += 1
+                assert builds == []
+        assert skipped > 0
 
     @pytest.mark.parametrize("seed", GUESS_CASES)
     def test_one_pass_matches_per_candidate_scan(self, seed, monkeypatch):
