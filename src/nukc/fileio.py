@@ -2,15 +2,23 @@
 
 Round trip is exact: parse(emit(x)) == x for both formats.  Timing and
 other run metadata live only under the solution's "meta" key so that
-everything outside it is deterministic.
+everything outside it is deterministic.  This is the one module that reads
+or writes JSON: orjson does both, and the stdlib `json` reads every
+document orjson refuses, so each accepted value and each error message is
+the stdlib's.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import re
+from contextlib import nullcontext
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .metric import MetricSpace
 from .model import Ball, NukcInstance, NukcSolution
@@ -33,6 +41,8 @@ def _point_array(points: dict, key: str) -> np.ndarray:
     """points[key] as a float array: a list of equal-length lists of JSON
     numbers (not strings or booleans), or a FormatError naming the key."""
     rows = points[key]
+    if isinstance(rows, np.ndarray):  # instance_to_obj's own array, not a document's
+        return np.array(rows, dtype=float)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError(f'points "{key}" must be a list of lists of numbers')
     if len({len(row) for row in rows}) > 1:
@@ -46,10 +56,12 @@ def _point_array(points: dict, key: str) -> np.ndarray:
 
 
 def instance_to_obj(instance: NukcInstance, coords=None) -> dict:
+    """The instance document, its coords or matrix as a C-contiguous float
+    array that `dump` writes without boxing a float per entry."""
     points = (
-        {"coords": np.asarray(coords, dtype=float).tolist()}
+        {"coords": np.ascontiguousarray(coords, dtype=float)}
         if coords is not None
-        else {"matrix": instance.space.dist.tolist()}
+        else {"matrix": np.ascontiguousarray(instance.space.dist, dtype=float)}
     )
     obj = {
         "points": points,
@@ -174,15 +186,65 @@ def tree_from_obj(obj: dict) -> LayeredTree:
         raise FormatError(f"tree document: {exc}") from exc
 
 
+DUMP_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+
+# orjson recurses once per nesting level with no limit of its own and
+# crashes the process past about 4,000 levels on a 256 KiB thread stack
+# (130,000 on the 8 MB main stack); the stdlib refuses at about 1,000
+# levels with a RecursionError.  A deeper document goes to the stdlib.
+MAX_DEPTH = 512
+# Files above this size are parsed from a read-only mmap: a read() of a
+# 3 MB matrix leaves its buffer to the malloc heap, and on the benchmark's
+# matrix-io workload that raised peak RSS by 2.5 MB.  A small file costs
+# less as one read().
+MMAP_BYTES = 1 << 20
+# What `_nesting` keeps of a document besides brackets: quotes, and a
+# backslash with every byte that may follow it in a JSON string escape.
+_STRING_MARKS = b'"\\/bfnrtu'
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b"[]{}" + _STRING_MARKS)))
+_CHUNK = 1 << 18
+
+
+def _nesting(data) -> int:
+    """An upper bound on how deeply a parser of JSON text `data` (bytes or an
+    mmap) recurses: the count of opening brackets when that is at most
+    MAX_DEPTH, else the deepest nesting of the brackets outside strings,
+    which is exact on the longest valid prefix, the only part a parser
+    reads before it stops."""
+    marks = b"".join(data[i:i + _CHUNK].translate(None, _NOT_MARKS)
+                     for i in range(0, len(data), _CHUNK))
+    opens = marks.count(b"[") + marks.count(b"{")
+    if opens <= MAX_DEPTH:
+        return opens
+    if b"\\" in marks:
+        marks = re.sub(rb"\\.", b"", marks, flags=re.S)
+    marks = re.sub(rb'"[^"]*"', b"", marks).translate(None, _STRING_MARKS)
+    brackets = np.frombuffer(marks, dtype=np.uint8)
+    steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
+
+
 def dump(obj, path) -> None:
-    """Write obj as one line of JSON with sorted keys (the C encoder: an
-    indent would force the pure-Python one); `python -m json.tool` reads
-    it back indented."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Write obj as one line of compact JSON with sorted keys, numpy arrays
+    and scalars included; `python -m json.tool` reads it back indented."""
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(obj, option=DUMP_OPTIONS))
 
 
 def load(path):
+    """The JSON document at `path`, parsed by orjson, or by the stdlib when
+    orjson refuses the text or it nests deeper than MAX_DEPTH; a FormatError
+    when the stdlib refuses it too."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        with (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size > MMAP_BYTES
+              else nullcontext(fh.read())) as data:
+            if _nesting(data) <= MAX_DEPTH:
+                try:
+                    with memoryview(data) as view:
+                        return orjson.loads(view)
+                except orjson.JSONDecodeError:
+                    pass
     with open(path) as fh:
         try:
             return json.load(fh)

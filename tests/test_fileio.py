@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nukc import fileio
 from nukc.gadgets import random_euclidean, random_layered_tree, random_metric
@@ -13,8 +17,8 @@ class TestInstanceRoundTrip:
         assert np.allclose(back.space.dist, line_instance.space.dist)
         assert back.radii == line_instance.radii
         assert back.budgets == line_instance.budgets
-        # Emit again: identical object.
-        assert fileio.instance_to_obj(back) == obj
+        # Emit again: identical object (its matrix is an array).
+        np.testing.assert_equal(fileio.instance_to_obj(back), obj)
 
     def test_coords_expand_to_matrix(self):
         space, coords = random_euclidean(6, 2, seed=0)
@@ -130,3 +134,80 @@ class TestFiles:
         path.write_text("{not json")
         with pytest.raises(fileio.FormatError):
             fileio.load(path)
+
+    def test_dump_is_compact_with_sorted_keys(self, tmp_path):
+        # orjson spells floats its own way: 1e-05 as 0.00001, 1e+16 as 1e16.
+        path = tmp_path / "doc.json"
+        fileio.dump({"b": [1e-05, 1e16, np.arange(2.0)], "a": {"d": None, "c": True}}, path)
+        assert path.read_text() == '{"a":{"c":true,"d":null},"b":[0.00001,1e16,[0.0,1.0]]}\n'
+
+
+def assert_reads_like_stdlib(path, text):
+    """fileio.load(path) of `text` gives what json.loads gives, NaN, -0.0,
+    key order and int/float types included, or its error message."""
+    path.write_text(text)
+    try:
+        expected = repr(json.loads(text))
+    except json.JSONDecodeError as exc:
+        with pytest.raises(fileio.FormatError) as raised:
+            fileio.load(path)
+        assert str(raised.value) == f"{path}: not valid JSON ({exc})"
+    else:
+        assert repr(fileio.load(path)) == expected
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**63, 2**63) | st.floats()
+    | st.text(st.characters(blacklist_categories=())),
+    lambda values: st.lists(values, max_size=4) | st.dictionaries(st.text(), values, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestLoadAgreesWithStdlib:
+    """orjson parses what it can; the stdlib reads the rest (NaN and
+    Infinity tokens, 1e400, lone surrogates, deep nesting, invalid text)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values, st.booleans(), st.sampled_from([None, 0, 2]), st.booleans(), st.data())
+    def test_documents_written_by_json_dumps(self, tmp_path_factory, value, ascii_only,
+                                             indent, huge, data):
+        text = json.dumps(value, ensure_ascii=ascii_only, indent=indent)
+        if huge:  # an out-of-range literal: inf to json.loads, refused by orjson
+            text = text.replace("Infinity", "1e400")
+        if data.draw(st.booleans(), label="truncate"):
+            text = text[:data.draw(st.integers(0, max(len(text) - 1, 0)), label="cut")]
+        if not ascii_only and any("\ud800" <= ch <= "\udfff" for ch in text):
+            return  # a lone surrogate has no UTF-8 encoding, so no file holds it raw
+        assert_reads_like_stdlib(tmp_path_factory.mktemp("doc") / "doc.json", text)
+
+    @pytest.mark.parametrize("text", [
+        "[1.5, NaN]", '{"a": [1, 2], "b": -0.0}', "[1, 2", "[1] x",
+    ], ids=["nan", "valid", "unterminated", "extra-data"])
+    def test_large_files_read_like_small_ones(self, tmp_path, text):
+        # Past MMAP_BYTES the file is parsed from an mmap.
+        assert_reads_like_stdlib(tmp_path / "big.json", text + " " * (fileio.MMAP_BYTES + 1))
+
+    def test_integers_beyond_64_bits_read_as_the_nearest_double(self, tmp_path):
+        # The one value orjson reads differently: json.loads keeps the int.
+        path = tmp_path / "ints.json"
+        path.write_text(f"[{2**64}, {2**70 + 1}, {-2**63 - 1}, {2**64 - 1}, {-2**63}]")
+        assert fileio.load(path) == [2.0**64, 2.0**70, -2.0**63, 2**64 - 1, -2**63]
+        assert [type(v) for v in fileio.load(path)] == [float, float, float, int, int]
+
+    @pytest.mark.parametrize("depth", [fileio.MAX_DEPTH, fileio.MAX_DEPTH + 1, 700])
+    def test_nesting_past_the_limit_reads_like_stdlib(self, tmp_path, depth):
+        assert_reads_like_stdlib(tmp_path / "deep.json", "[" * depth + "1" + "]" * depth)
+
+    @pytest.mark.parametrize("text,depth", [
+        ('["' + "]" * 600 + '", ' + "[" * 600 + "]" * 601, 601),
+        ('["' + "[" * 600 + '"]', 1),
+        (r'["\"", ' + "[" * 600 + "]" * 601, 601),
+        (r'["\"]\\", "[\n' + "[" * 600 + '"]', 1),
+        ('{"a": {"b": ' + "[" * 600, 602),
+        ('["' + "[" * 600, 601),
+    ], ids=["closers-in-string", "openers-in-string", "escaped-quote", "escaped-backslash",
+            "unclosed", "unterminated-string"])
+    def test_nesting_skips_strings(self, text, depth):
+        # A bound on the valid prefix is what keeps orjson's recursion safe.
+        assert fileio._nesting(text.encode()) == depth

@@ -1,9 +1,10 @@
 """Source hygiene checks: unused imports, dead locals, unread parameters,
 one coverage rule, LP row thresholds only in `lp`, no private names read
 across modules, named float guards, no zero-argument lambdas, no
-`scipy.optimize`, no `scipy` at import time, one algorithm list shared by
-the CLI table, its argparse choices and the README, package attributes
-that name a module are that module, and a pinned list of public names."""
+`scipy.optimize`, no `scipy` at import time, `json` and `orjson` only in
+`fileio`, one algorithm list shared by the CLI table, its argparse choices
+and the README, package attributes that name a module are that module, and
+a pinned list of public names."""
 
 import argparse
 import ast
@@ -318,6 +319,27 @@ def test_scipy_at_import_time_is_caught():
               "def f():\n    import scipy\n"
               "g = lambda: __import__('scipy')\nimport numpy\n")
     assert eager_scipy(ast.parse(source)) == [1, 2, 4, 6]
+
+
+def json_imports(tree):
+    return sorted({name for name in imported_modules(tree)
+                   if name.split(".")[0] in ("json", "orjson")})
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_fileio_imports_json(module):
+    """The file format stays behind `nukc.fileio`: it writes through orjson
+    and reads through orjson or, for the documents orjson refuses, the
+    stdlib, so no other module can parse or spell JSON its own way."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    loaded = json_imports(tree)
+    assert module == "fileio.py" or not loaded, f"{module} imports {', '.join(loaded)}"
+
+
+def test_json_import_is_caught():
+    source = ("import json\nfrom orjson import loads\ndef f():\n    import json.decoder\n"
+              "import jsonschema\nfrom . import fileio\n")
+    assert json_imports(ast.parse(source)) == ["json", "json.decoder", "orjson", "orjson.loads"]
 
 
 # Solves and validates a coordinates instance through the CLI, then loads a
