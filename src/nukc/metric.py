@@ -4,13 +4,14 @@ The package has one coverage rule, and it lives here: a point q belongs to
 the ball of radius r around c when d(c, q) <= r + COVER_TOL (`within`).
 Every ball-membership test elsewhere goes through `within` or `covered`.
 
-scipy is imported only where a distance matrix is certified, on the first
-call that reaches `validate_metric`'s Floyd-Warshall closure: importing the
-package, and every coordinates instance, leave it unloaded, which saves each
-command about 0.3 s and 25 MB of peak RSS at start-up.
+A distance matrix is certified by numpy alone, on at most two threads, so
+loading an instance never imports scipy.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -41,50 +42,72 @@ class MetricError(ValueError):
         super().__init__(f"not a metric: {preview}{more}")
 
 
+def _worst_slack(dist: np.ndarray, dist_t: np.ndarray, half: bool) -> float:
+    """The worst one-step triangle slack, the max over i, j, k of
+    fl(d[i,j] - fl(d[i,k] + d[k,j])), for finite d with n >= 1.  Row i
+    takes one sum against the rows of `dist_t`, the contiguous transpose,
+    and one min over k.  With `half` (d == d.T exactly) the slack is
+    symmetric in i and j, so only j <= i is scanned.  Rows are interleaved
+    over min(2, cpu count) threads, the caller's and plain threads, which
+    call only numpy (it releases the GIL) and write into buffers allocated
+    here.  A row no worker reaches keeps NaN, which fails the certificate."""
+    n = dist.shape[0]
+    workers = min(2, os.cpu_count() or 1)
+    sums = np.empty((workers, n, n))
+    peaks = np.full(n, np.nan)
+
+    def scan(w):
+        # errstate is per thread.  Near-max entries can sum to inf, and an
+        # infinite right-hand side satisfies the inequality.
+        with np.errstate(over="ignore"):
+            for i in range(w, n, workers):
+                m = i + 1 if half else n
+                row = np.add(dist[i], dist_t[:m], out=sums[w, :m])
+                peaks[i] = (dist[i, :m] - row.min(axis=1)).max()
+
+    helpers = [threading.Thread(target=scan, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    scan(0)
+    for helper in helpers:
+        helper.join()
+    return float(peaks.max())
+
+
 def validate_metric(dist: np.ndarray) -> list:
     """Check finiteness, symmetry, zero diagonal, non-negativity and the
     triangle inequality, each within METRIC_TOL.  Returns a list of
     violation tuples, empty when the matrix is a metric.  A matrix with NaN
     or inf entries gets only its ("nonfinite", i, j) violations.
 
-    When the other checks pass and every entry is >= 0, one compiled
-    Floyd-Warshall closure certifies the triangle inequality:
-    closure[i,j] <= fl(d[i,k] + d[k,j]) holds for every k, so
-    d - closure <= METRIC_TOL implies every one-step slack is too.  Only
-    when the certificate fails, or does not apply, does the O(n^3) per-k
-    scan run; it alone lists triangle violations, in (k, i, j) order.
+    The triangle inequality is certified by the worst one-step slack
+    (`_worst_slack`).  Rounding is monotone, so fl(d[i,j] - min_k s_k) is
+    max_k fl(d[i,j] - s_k): the slack exceeds METRIC_TOL exactly when the
+    O(n^3) per-k scan finds a violation, and only then does that scan run,
+    to list triangle violations in (k, i, j) order.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {dist.shape}")
     n = dist.shape[0]
-    violations = [
-        ("nonfinite", int(i), int(j)) for i, j in np.argwhere(~np.isfinite(dist))
-    ]
-    if violations:
+    finite = np.isfinite(dist)
+    if not finite.all():
         # NaN and inf make the other axioms meaningless (inf - inf is NaN).
+        return [("nonfinite", int(i), int(j)) for i, j in np.argwhere(~finite)]
+    diag = np.diagonal(dist)
+    violations = [
+        ("diagonal", int(i), float(diag[i])) for i in np.flatnonzero(np.abs(diag) > METRIC_TOL)
+    ]
+    dist_t = np.ascontiguousarray(dist.T)
+    asym = np.abs(dist - dist_t) > METRIC_TOL
+    if asym.any():
+        violations += [("asymmetry", int(i), int(j)) for i, j in np.argwhere(asym) if i < j]
+    neg = dist < -METRIC_TOL
+    if neg.any():
+        violations += [("negative", int(i), int(j)) for i, j in np.argwhere(neg)]
+    if not n or _worst_slack(dist, dist_t, bool((dist == dist_t).all())) <= METRIC_TOL:
         return violations
-    for i in range(n):
-        if abs(dist[i, i]) > METRIC_TOL:
-            violations.append(("diagonal", i, float(dist[i, i])))
-    asym = np.argwhere(np.abs(dist - dist.T) > METRIC_TOL)
-    for i, j in asym:
-        if i < j:
-            violations.append(("asymmetry", int(i), int(j)))
-    neg = np.argwhere(dist < -METRIC_TOL)
-    for i, j in neg:
-        violations.append(("negative", int(i), int(j)))
-    # Zero entries are edges (duplicate points), so csgraph must not read
-    # them as missing; entries in (-METRIC_TOL, 0) would make it raise on a
-    # negative cycle, so the certificate needs every entry >= 0.
-    if not violations and n and (dist >= 0).all():
-        from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
-
-        closure = floyd_warshall(csgraph_from_dense(dist, null_value=np.inf))
-        if not ((dist - closure) > METRIC_TOL).any():
-            return []
-    # d[i, j] <= d[i, k] + d[k, j] for all i, j, k.  Near-max entries can
-    # sum to inf, and an infinite right-hand side satisfies the inequality.
+    # d[i, j] <= d[i, k] + d[k, j] for all i, j, k.
     for k in range(n):
         with np.errstate(over="ignore"):
             slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])

@@ -305,8 +305,8 @@ def eager_scipy(tree):
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_no_scipy_at_import_time(module):
     """scipy.sparse.csgraph costs every `nukc` command about 0.3 s and 25 MB
-    of peak RSS at start-up, and only the certificate of a distance matrix
-    and `random_metric` use it, so they import it where they run."""
+    of peak RSS at start-up, and only `random_metric` uses it, so it imports
+    it where it runs."""
     tree = ast.parse((SRC / module).read_text(), filename=module)
     lines = eager_scipy(tree)
     assert not lines, f"{module} imports scipy at module level on lines {lines}"
@@ -342,11 +342,12 @@ def test_json_import_is_caught():
     assert json_imports(ast.parse(source)) == ["json", "json.decoder", "orjson", "orjson.loads"]
 
 
-# Solves and validates a coordinates instance through the CLI, then loads a
-# matrix instance; prints whether scipy was loaded after each step.
+# Solves and validates a coordinates instance through the CLI, loads a matrix
+# instance, then draws a random metric; prints whether scipy was loaded after
+# each step.
 SCIPY_SCRIPT = """
 import json, sys
-from nukc import cli, fileio
+from nukc import cli, fileio, gadgets
 out, loaded = sys.argv[1], []
 coords = {"points": {"coords": [[0.0], [1.0], [5.0], [6.5]]},
           "classes": [{"k": 1, "r": 1.0}, {"k": 1, "r": 0.5}]}
@@ -363,19 +364,21 @@ checked = cli.main(["validate", "--instance", f"{out}/coords.json",
 loaded.append("scipy" in sys.modules)
 fileio.instance_from_obj(fileio.load(f"{out}/matrix.json"))
 loaded.append("scipy" in sys.modules)
+gadgets.random_metric(4, 0)
+loaded.append("scipy" in sys.modules)
 print(json.dumps([solved, checked, loaded]))
 """
 
 
 def test_coordinates_instances_never_load_scipy(tmp_path):
-    """Importing nukc.cli, then solving and validating a coordinates
-    instance, leaves scipy unloaded; the first matrix instance loads it,
-    so the check can fail."""
+    """Importing nukc.cli, solving and validating a coordinates instance,
+    and loading a matrix instance (its metric certificate is numpy alone)
+    leave scipy unloaded; `random_metric` loads it, so the check can fail."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", SCIPY_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.splitlines()[-1] == "[0, 0, [false, false, true]]"
+    assert done.stdout.splitlines()[-1] == "[0, 0, [false, false, false, true]]"
 
 
 def test_algorithm_lists_agree():

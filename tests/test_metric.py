@@ -1,4 +1,6 @@
 import itertools
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ball
+from nukc import metric
+from nukc.gadgets import random_metric
 from nukc.metric import (
     COVER_TOL,
     MetricError,
@@ -86,14 +90,16 @@ class TestValidateMetric:
         assert "np.float64" not in str(MetricError(violations))
 
     def test_zero_distance_edges_are_kept(self):
-        # Points 0 and 1 coincide, so d(1,2) = 5 > d(1,0) + d(0,2) = 1.  A
-        # closure that read the zero entries as missing edges would miss it.
+        # Points 0 and 1 coincide, so d(1,2) = 5 > d(1,0) + d(0,2) = 1: a
+        # zero entry is a distance like any other, and the triangles through
+        # it are checked.
         d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
         assert validate_metric(d) == [("triangle", 1, 2, 0), ("triangle", 2, 1, 0)]
 
     def test_tiny_negative_entries_do_not_raise(self):
-        # Entries in (-tol, 0) pass the negativity check; a shortest-path
-        # closure over them would report a negative cycle.
+        # Entries in (-tol, 0) pass the negativity check, and the triangle
+        # check takes them as they are: no error, and a violation elsewhere
+        # is still listed.
         d = np.array([[0.0, -5e-10, 1.0], [-5e-10, 0.0, 1.0], [1.0, 1.0, 0.0]])
         assert validate_metric(d) == []
         d[0, 2] = d[2, 0] = 3.0
@@ -125,6 +131,90 @@ class TestValidateMetric:
             if symmetric or eps == -5e-10:
                 d[j, i] = d[i, j]
         assert validate_metric(d) == per_k_scan(d)
+
+
+def reference(dist):
+    """per_k_scan with overflow to inf allowed, as validate_metric allows it."""
+    with np.errstate(over="ignore"):
+        return per_k_scan(dist)
+
+
+def line_with_planted_slack(below: bool):
+    """|i - j| on 30 points, off by 1.5e-9 at (20, 5) and 0.6e-9 at (5, 20):
+    symmetric within tolerance, and the triangles at (20, 5) fail.  With
+    `below` False the matrix is transposed, so they fail at (5, 20)."""
+    pos = np.arange(30.0)
+    d = np.abs(pos[:, None] - pos[None, :])
+    d[20, 5] += 1.5e-9
+    d[5, 20] += 0.6e-9
+    return d if below else d.T.copy()
+
+
+class TestTriangleCertificate:
+    """validate_metric certifies the triangle inequality by the worst
+    one-step slack, scanned on worker threads; its answer is per_k_scan's."""
+
+    def test_near_max_entries_reach_the_scan_without_warning(self):
+        # Points 3 and 4 are 1e308 from everyone: every other axiom holds,
+        # sums through them overflow to inf, and the planted d(0, 2) = 10 >
+        # d(0, 1) + d(1, 2) is still found.
+        d = np.full((5, 5), 1e308)
+        d[:3, :3] = [[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]]
+        np.fill_diagonal(d, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = validate_metric(d)
+            d[0, 2] = d[2, 0] = 2.0
+            assert validate_metric(d) == reference(d) == []
+        d[0, 2] = d[2, 0] = 10.0
+        assert got == reference(d) == [("triangle", 0, 2, 1), ("triangle", 2, 0, 1)]
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below", "above"])
+    def test_asymmetry_within_tolerance_scans_every_pair(self, below):
+        d = line_with_planted_slack(below)
+        got = validate_metric(d)
+        assert got == reference(d)
+        assert got and {v[0] for v in got} == {"triangle"}
+        assert all((v[1] > v[2]) == below for v in got)
+
+    @pytest.mark.parametrize("d", [
+        np.zeros((0, 0)), np.zeros((1, 1)), np.array([[5.0]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[-0.5, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, 1.0], [1.0 + 5e-10, 0.0]]),
+    ], ids=["n0", "n1", "n1-diagonal", "n2", "n2-negative-diagonal", "n2-asymmetric"])
+    def test_tiny_matrices(self, d):
+        assert validate_metric(d) == reference(d)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_random_metrics(self, seed):
+        d = random_metric(400, seed).dist
+        assert validate_metric(d) == reference(d) == []
+        d[17, 301] = d[301, 17] = 2 * d.max()
+        got = validate_metric(d)
+        assert got == reference(d)
+        assert {v[:3] for v in got} == {("triangle", 17, 301), ("triangle", 301, 17)}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worst_slack_is_the_per_k_maximum(self, cpus, monkeypatch):
+        # Every row is scanned: a row no worker reaches would send a metric
+        # to the listing scan, which gives the same list, only slower.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for d in (random_metric(60, 3).dist, line_with_planted_slack(True),
+                  line_with_planted_slack(False)):
+            want = max((d - (d[:, k : k + 1] + d[k : k + 1, :])).max() for k in range(len(d)))
+            half = bool((d == d.T).all())
+            assert metric._worst_slack(d, np.ascontiguousarray(d.T), half) == want
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_worker_gives_the_same_answer(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        d = random_metric(60, 3).dist
+        assert validate_metric(d) == []
+        d[7, 40] = d[40, 7] = 2 * d.max()
+        assert validate_metric(d) == reference(d)
+        for below in (True, False):
+            d = line_with_planted_slack(below)
+            assert validate_metric(d) == reference(d)
 
 
 class TestMetricSpace:
