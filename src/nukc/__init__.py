@@ -11,7 +11,6 @@ from .model import (
     compress_radii,
     coverage,
     lift_compressed_solution,
-    min_feasible_dilation,
     validate_solution,
 )
 from .embed import lift_tree_solution

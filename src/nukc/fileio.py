@@ -5,7 +5,8 @@ other run metadata live only under the solution's "meta" key so that
 everything outside it is deterministic.  This is the one module that reads
 or writes JSON: orjson does both, and the stdlib `json` reads every
 document orjson refuses, so each accepted value and each error message is
-the stdlib's.
+the stdlib's, but one: an integer beyond 64 bits reads as the nearest
+double, where the stdlib keeps the exact int.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ def dump(obj, path) -> None:
 def load(path):
     """The JSON document at `path`, parsed by orjson, or by the stdlib when
     orjson refuses the text or it nests deeper than MAX_DEPTH; a FormatError
-    when the stdlib refuses it too."""
+    when the stdlib refuses it too.  Both read the bytes as UTF-8, whatever
+    the locale."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         with (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size > MMAP_BYTES
@@ -245,7 +247,7 @@ def load(path):
                         return orjson.loads(view)
                 except orjson.JSONDecodeError:
                     pass
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -15,12 +15,14 @@ loose-vertex rounding relies on.  `verdict` is for callers that need no
 basic point: it may start from any vertex of the box, prices by Dantzig's
 rule, and proves its answer by `confirms` (a point, which it returns) or
 `refutes` (multipliers), the checks the certificates use too; `solve`
-proves its None by `refutes`.  Inside a
-search its proofs serve later probes, and its final basis is where the
-next verdict starts (a warm start: the same loop, pricing the basic
-values that start out of their bounds, the composite phase one).  The
-two-class path outputs a verdict's point, warm or cold; every other
-output point comes from `solve`.
+proves its None by `refutes`.  Inside a search its proofs serve later
+probes, and its final basis is where the next verdict starts (a warm
+start: the same loop, pricing the basic values that start out of their
+bounds, the composite phase one).  One builder lays out every system the
+loop runs on, cold from a vertex or warm from a stored basis (`_system`),
+and one reader turns the loop's stop into an answer for both `solve` and
+`verdict` (`_settle`).  The two-class path outputs a verdict's point,
+warm or cold; every other output point comes from `solve`.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def format_lp(cover: CoveringLp) -> str:
     return "\n".join(lines)
 
 
-_System = namedtuple("_System", "cover rhs A lo hi x basis cost art_tol")
+_System = namedtuple("_System", "cover rhs A lo hi x basis cost art_tol art")
 
 
 def _vertex(cover: CoveringLp, start=None) -> np.ndarray:
@@ -103,37 +105,42 @@ def _vertex(cover: CoveringLp, start=None) -> np.ndarray:
     return x0
 
 
-def _phase_one_setup(cover: CoveringLp, x0) -> _System:
+def _system(cover: CoveringLp, x0, stored=None) -> _System:
     """Write `cover` as the phase-one system A x = rhs over structural,
     slack and artificial columns: the `_System` holds the LP, the dense
-    rhs (see `_rows`), A with its column bounds (lo, hi), a basic point
-    and its basis (x, basis; the pivot loop updates them in place), the
-    phase-one cost (1 on each artificial column) and the summed thresholds
-    of the rows with artificials.  The structural columns start nonbasic at
-    x0, a vertex from `_vertex`; only rows it leaves unmet get artificials.
-    """
+    rhs (see `_rows`), A with its column bounds (lo, hi), a point and its
+    basis (x, basis; the pivot loop updates them in place), the phase-one
+    cost (1 on each artificial column), the summed thresholds of the rows
+    with artificials and those rows (art, in column order).  Cold (no
+    `stored`), the structural columns start nonbasic at x0, a vertex from
+    `_vertex`, and only rows it leaves unmet get artificials.  Warm, from
+    `stored`, the (columns, at_upper) basis an earlier verdict ended at
+    (`_final_basis`), there are none: the basis is made nonsingular
+    (`_nonsingular`) and each structural column sits at its stored bound.
+    Every slack starts at 0: the pivot loop's first refactor solves for
+    the basic values, in their bounds or not, and prices them."""
     C, ge, rhs = _rows(cover)
     m, n = C.shape
-
+    lo, hi = cover.bounds.T
     # One slack per row makes it an equation (+1 on <= rows, -1 on >= rows);
-    # a row whose slack would start negative also gets an artificial column.
+    # a row whose slack would start negative also gets an artificial column,
+    # which enters with the sign that keeps it >= 0.
     sign = np.where(ge, -1.0, 1.0)
+    if stored is not None:
+        x0 = np.where(stored[1], hi, lo)
     resid = rhs - C @ x0
-    slack = sign * resid
-    fits = slack >= 0.0
-    art = np.flatnonzero(~fits)
+    art = np.flatnonzero(sign * resid < 0.0) if stored is None else np.zeros(0, dtype=int)
     ncols = n + m  # structural and slack columns; artificials follow
-    extra = np.zeros((m, art.size))
-    extra[art, np.arange(art.size)] = np.where(resid[art] >= 0, 1.0, -1.0)
-    A = np.hstack([C, np.diag(sign), extra])
-    lo = np.concatenate([cover.bounds[:, 0], np.zeros(m + art.size)])
-    hi = np.concatenate([cover.bounds[:, 1], np.full(m + art.size, np.inf)])
-    x = np.concatenate([x0, np.where(fits, slack, 0.0), np.abs(resid[art])])
-    basis = np.arange(n, ncols)
-    basis[art] = ncols + np.arange(art.size)
-    cost = (np.arange(A.shape[1]) >= ncols).astype(float)
-    art_tol = FEAS_TOL * np.maximum(1.0, np.abs(rhs[art]))
-    return _System(cover, rhs, A, lo, hi, x, basis, cost, float(art_tol.sum()))
+    A = np.hstack([C, np.diag(sign), np.zeros((m, art.size))])
+    A[art, ncols + np.arange(art.size)] = -sign[art]
+    slots = np.arange(n, ncols)
+    slots[art] = ncols + np.arange(art.size)
+    basis = slots if stored is None else _nonsingular(A, stored[0])
+    return _System(cover, rhs, A, np.concatenate([lo, np.zeros(m + art.size)]),
+                   np.concatenate([hi, np.full(m + art.size, np.inf)]),
+                   np.concatenate([x0, np.zeros(m), np.abs(resid[art])]), basis,
+                   (np.arange(A.shape[1]) >= ncols).astype(float),
+                   float((FEAS_TOL * np.maximum(1.0, np.abs(rhs[art]))).sum()), art)
 
 
 def _budget_tol(cover: CoveringLp) -> np.ndarray:
@@ -270,35 +277,30 @@ def _phase_one(s: _System, run: int):
 
 def solve(cover: CoveringLp):
     """A basic feasible point of `cover`, or None when the phase-one
-    optimum's multipliers prove that none exists (`refutes`, through
-    `_lagrangian_bound`); LpSolverError when the pivot loop ends with
-    neither.  Deterministic at a fixed BLAS thread count: identical input
-    gives identical pivot sequences and output.
+    multipliers prove that none exists (`refutes`, through
+    `_lagrangian_bound`); LpSolverError, naming how the pivot loop stopped,
+    when it ends with neither.  Deterministic at a fixed BLAS thread count:
+    identical input gives identical pivot sequences and output.
     """
-    s = _phase_one_setup(cover, _vertex(cover))
-    outcome, lam, _ = _phase_one(s, run=0)
-    if outcome == "optimal" and operator.gt(*_lagrangian_bound(s, lam)):
-        return None
-    if outcome != "feasible":
-        raise LpSolverError(f"phase one stopped ({outcome}) at a point that misses a row")
-    return np.clip(s.x[:len(cover.cls)], *cover.bounds.T)
+    answer, proof = _settle(_system(cover, _vertex(cover)), run=0)
+    if answer is None:
+        raise LpSolverError(f"phase one stopped ({proof}) at a point that misses a row")
+    return proof if answer else None
 
 
 def _lagrangian_bound(s: _System, lam):
     """`refutes`'s (L, tol) for the simplex multipliers lam, first clipped
     in place just enough to keep the slack and artificial reduced costs
-    >= 0 (unit columns without an upper bound; each clip admits 0).  So
-    lam >= 0 on covering rows, y = lam there, and z = -lam >= 0 on budget
-    rows, whatever the start."""
-    m, n = len(s.cover.supp), s.cover.supp.shape[1]
-    unit = s.A[:, n:]
-    rows = np.argmax(unit != 0, axis=0)
-    coef = unit[rows, np.arange(unit.shape[1])]
-    limit = s.cost[n:] / coef  # c_j - lam_i a_ij >= 0 bounds lam_i by c_j / a_ij
-    upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
-    np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
-    np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
-    np.clip(lam, lower, upper, out=lam)
+    >= 0 (c_j - lam_i a_ij >= 0 bounds lam_i by c_j / a_ij, and each clip
+    admits 0): a slack bounds lam by -0.0 from below on a covering row and
+    by 0 from above on a budget row, and an artificial (s.art) by 1 and -1
+    on the other side.  So lam >= 0 on covering rows, y = lam there, and
+    z = -lam >= 0 on budget rows, whatever the start."""
+    m = len(s.cover.supp)
+    reach = np.full(len(lam), np.inf)
+    reach[s.art] = 1.0
+    ge = np.arange(len(lam)) < m
+    np.clip(lam, np.where(ge, -0.0, -reach), np.where(ge, reach, 0.0), out=lam)
     return refutes(s.cover, lam[:m], -lam[m:])
 
 
@@ -322,45 +324,26 @@ def _nonsingular(A, cols):
     return cols
 
 
-def _warm_setup(cover: CoveringLp, stored):
-    """`cover`'s phase-one system started from `stored`, the (columns,
-    at_upper) basis an earlier verdict ended at (`_final_basis`), or None
-    when there is none or it has another shape: no artificial columns, the
-    basis made nonsingular (`_nonsingular`), every structural column at its
-    stored bound and every slack at 0.  The pivot loop's first refactor
-    solves for the basic values, in their bounds or not, and prices them."""
-    m, n = len(cover.supp) + len(cover.budgets), cover.supp.shape[1]
-    if stored is None or stored[0].shape != (m,) or stored[1].shape != (n,):
-        return None
-    C, ge, rhs = _rows(cover)
-    A = np.hstack([C, np.diag(np.where(ge, -1.0, 1.0))])
-    lo, hi = cover.bounds.T
-    return _System(cover, rhs, A, np.concatenate([lo, np.zeros(m)]),
-                   np.concatenate([hi, np.full(m, np.inf)]),
-                   np.concatenate([np.where(stored[1], hi, lo), np.zeros(m)]),
-                   _nonsingular(A, stored[0]), np.zeros(n + m), 0.0)
-
-
 def _final_basis(s: _System):
     """(columns, at_upper) where the pivot loop left s, for a later warm
     start: the basic columns, each artificial standing for its row's
     slack, and whether each structural column sits at its upper bound."""
     m, n = len(s.rhs), len(s.cover.bounds)
-    rows = np.nonzero(s.A[:, n + m:].T)[1]  # each artificial column's row
-    return np.concatenate([np.arange(n + m), n + rows])[s.basis], s.x[:n] >= s.hi[:n]
+    return np.concatenate([np.arange(n + m), n + s.art])[s.basis], s.x[:n] >= s.hi[:n]
 
 
-def _settle(s: _System):
-    """verdict's (answer, proof) from the pivot loop on s: (True, the
-    clipped x) when it stops feasible, (False, lam) when `refutes` proves
-    its last multipliers lam, else (None, None)."""
-    outcome, lam, _ = _phase_one(s, DEGENERATE_RUN)
+def _settle(s: _System, run: int):
+    """(answer, proof) from the pivot loop on s, priced with `run` (see
+    `_phase_one`): (True, the clipped x) when it stops feasible, (False,
+    lam) when `refutes` proves its last multipliers lam, else (None, the
+    loop's outcome)."""
+    outcome, lam, _ = _phase_one(s, run)
     n = len(s.cover.bounds)
     if outcome == "feasible":
         return True, np.clip(s.x[:n], s.lo[:n], s.hi[:n])
     if lam is not None and operator.gt(*_lagrangian_bound(s, lam)):
         return False, lam
-    return None, None
+    return None, outcome
 
 
 def verdict(cover: CoveringLp, start=None, proofs=None):
@@ -374,25 +357,25 @@ def verdict(cover: CoveringLp, start=None, proofs=None):
     out, each proof is checked on this LP; the first that holds answers.
     Otherwise `solve`'s pivot loop runs, priced by Dantzig's rule (Bland's
     after DEGENERATE_RUN degenerate pivots in a row): warm from the basis
-    of the store's latest entry (`_warm_setup`), and cold from `start`, a
+    of the store's latest entry (`_system`), and cold from `start`, a
     vertex of the box (default: the lower bounds), when there is none, it
-    is singular or its pivots prove nothing.  The pivots are trusted for
-    nothing: the clipped x, or the last multipliers (`_lagrangian_bound`),
-    answer and are appended to `proofs` with the final basis.  False means
-    `solve` cannot return x.
+    has another shape or its pivots prove nothing.  The pivots are trusted
+    for nothing: the clipped x, or the last multipliers
+    (`_lagrangian_bound`), answer and are appended to `proofs` with the
+    final basis.  False means `solve` cannot return x.
     """
     x0 = _vertex(cover, start)
     m, n = cover.supp.shape
+    rows = m + len(cover.budgets)
     for answer, v, _ in proofs or ():
-        if v.shape == (n if answer else m + len(cover.budgets),) and (
+        if v.shape == (n if answer else rows,) and (
                 confirms(cover, v) if answer else operator.gt(*refutes(cover, v[:m], -v[m:]))):
             return answer, (np.clip(v, *cover.bounds.T) if answer else None)
-    answer, s = None, (_warm_setup(cover, proofs[-1][2]) if proofs else None)
-    if s is not None:
-        answer, proof = _settle(s)
+    answer, stored = None, (proofs[-1][2] if proofs else None)
+    if stored is not None and stored[0].shape == (rows,) and stored[1].shape == (n,):
+        answer, proof = _settle(s := _system(cover, x0, stored), DEGENERATE_RUN)
     if answer is None:
-        s = _phase_one_setup(cover, x0)
-        answer, proof = _settle(s)
+        answer, proof = _settle(s := _system(cover, x0), DEGENERATE_RUN)
     if proofs is not None and answer is not None:
         proofs.append((answer, proof, _final_basis(s)))
     return answer, (proof if answer else None)

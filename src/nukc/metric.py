@@ -42,12 +42,13 @@ class MetricError(ValueError):
         super().__init__(f"not a metric: {preview}{more}")
 
 
-def _worst_slack(dist: np.ndarray, dist_t: np.ndarray, half: bool) -> float:
-    """The worst one-step triangle slack, the max over i, j, k of
-    fl(d[i,j] - fl(d[i,k] + d[k,j])), for finite d with n >= 1.  Row i
+def _worst_slack(dist: np.ndarray, dist_t: np.ndarray, half: bool) -> np.ndarray:
+    """Each row's worst one-step triangle slack, peaks[i] the max over j, k
+    of fl(d[i,j] - fl(d[i,k] + d[k,j])), for finite d with n >= 1.  Row i
     takes one sum against the rows of `dist_t`, the contiguous transpose,
     and one min over k.  With `half` (d == d.T exactly) the slack is
-    symmetric in i and j, so only j <= i is scanned.  Rows are interleaved
+    symmetric in i and j, so only j <= i is scanned, and row i's peak
+    covers the pairs (i, j) and (j, i) for j <= i.  Rows are interleaved
     over min(2, cpu count) threads, the caller's and plain threads, which
     call only numpy (it releases the GIL) and write into buffers allocated
     here.  A row no worker reaches keeps NaN, which fails the certificate."""
@@ -71,7 +72,7 @@ def _worst_slack(dist: np.ndarray, dist_t: np.ndarray, half: bool) -> float:
     scan(0)
     for helper in helpers:
         helper.join()
-    return float(peaks.max())
+    return peaks
 
 
 def validate_metric(dist: np.ndarray) -> list:
@@ -80,11 +81,13 @@ def validate_metric(dist: np.ndarray) -> list:
     violation tuples, empty when the matrix is a metric.  A matrix with NaN
     or inf entries gets only its ("nonfinite", i, j) violations.
 
-    The triangle inequality is certified by the worst one-step slack
-    (`_worst_slack`).  Rounding is monotone, so fl(d[i,j] - min_k s_k) is
-    max_k fl(d[i,j] - s_k): the slack exceeds METRIC_TOL exactly when the
-    O(n^3) per-k scan finds a violation, and only then does that scan run,
-    to list triangle violations in (k, i, j) order.
+    The triangle inequality is certified by the worst one-step slack, the
+    max of `_worst_slack`'s row peaks.  Rounding is monotone, so
+    fl(d[i,j] - min_k s_k) is max_k fl(d[i,j] - s_k): a row's peak exceeds
+    METRIC_TOL exactly when a per-k scan finds a violation in that row.
+    Only when the certificate fails does one full scan (every j) flag the
+    rows whose peak is not within METRIC_TOL, and each flagged row lists
+    its triangle violations; the list is in (k, i, j) order.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -105,16 +108,18 @@ def validate_metric(dist: np.ndarray) -> list:
     neg = dist < -METRIC_TOL
     if neg.any():
         violations += [("negative", int(i), int(j)) for i, j in np.argwhere(neg)]
-    if not n or _worst_slack(dist, dist_t, bool((dist == dist_t).all())) <= METRIC_TOL:
+    half = bool((dist == dist_t).all())
+    if not n or (peaks := _worst_slack(dist, dist_t, half)).max() <= METRIC_TOL:
         return violations
-    # d[i, j] <= d[i, k] + d[k, j] for all i, j, k.
-    for k in range(n):
+    if half:  # a half scan's row i holds only j <= i
+        peaks = _worst_slack(dist, dist_t, False)
+    # d[i, j] <= d[i, k] + d[k, j] for all i, j, k; row i's slack is (k, j).
+    triples = []
+    for i in np.flatnonzero(~(peaks <= METRIC_TOL)):
         with np.errstate(over="ignore"):
-            slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
-        bad = np.argwhere(slack > METRIC_TOL)
-        for i, j in bad:
-            violations.append(("triangle", int(i), int(j), int(k)))
-    return violations
+            slack = dist[i] - (dist[i][:, None] + dist)
+        triples += [(int(k), int(i), int(j)) for k, j in np.argwhere(slack > METRIC_TOL)]
+    return violations + [("triangle", i, j, k) for k, i, j in sorted(triples)]
 
 
 class MetricSpace:

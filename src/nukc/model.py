@@ -319,15 +319,6 @@ def relaxation_search(instance: NukcInstance) -> tuple[float, np.ndarray]:
     return found
 
 
-def min_feasible_dilation(instance: NukcInstance):
-    """Smallest dilation (over the candidate set) whose relaxation is
-    feasible, together with a basic feasible x there (see
-    `relaxation_search` and `fractional_cover`); only tests and examples
-    read it."""
-    alpha, _ = relaxation_search(instance)
-    return alpha, fractional_cover(build_nukc_lp(instance, alpha))
-
-
 def coverage(instance: NukcInstance, x: np.ndarray) -> np.ndarray:
     """cov[p, t]: the x-mass of class t within r_t of point p, shape (n, h)."""
     n, h = instance.n, instance.num_classes

@@ -1,14 +1,16 @@
 """Per-ball and per-point views that only tests read (the package works
 from masks, `metric.within` and `metric.covered`, and from the classes'
 (radius, count) runs), a guess's window LP, a relaxation search replayed
-with its proof store in the test's hands, and the exhaustive tree and
-kCwO searches that the tests hold the solvers against."""
+with its proof store in the test's hands, the fractional lower bound with
+the simplex's point at it, and the exhaustive tree and kCwO searches that
+the tests hold the solvers against."""
 
 import math
 from itertools import combinations
 
 import numpy as np
 
+from nukc import model
 from nukc.metric import covered, within
 from nukc.model import build_nukc_lp, candidate_dilations, proving_point, smallest_feasible
 from nukc.oracle import SizeBudgetError
@@ -52,6 +54,15 @@ def replayed_search(instance):
     found = smallest_feasible(candidate_dilations(instance),
                               lambda d: proving_point(build_nukc_lp(instance, d), proofs))
     return (None if found is None else found[0]), proofs
+
+
+def min_feasible_dilation(instance):
+    """(alpha, x): the relaxation's smallest feasible candidate dilation
+    (`relaxation_search`) and the simplex's basic feasible x, shape (n, h),
+    of its LP rebuilt there (`fractional_cover`).  Reads `model`'s
+    functions at call time, so a test's monkeypatch of them applies."""
+    alpha, _ = model.relaxation_search(instance)
+    return alpha, model.fractional_cover(model.build_nukc_lp(instance, alpha))
 
 
 def exact_rmfct(tree: LayeredTree, max_nodes: int = 24):

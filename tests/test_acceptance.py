@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import exact_kcwo, exact_rmfct, expand_radii
+from helpers import exact_kcwo, exact_rmfct, expand_radii, min_feasible_dilation
 from nukc import bicriteria
 from nukc.bicriteria import enum_solve
 from nukc.embed import embed
@@ -28,7 +28,6 @@ from nukc.model import (
     achieved_dilation,
     compress_radii,
     lift_compressed_solution,
-    min_feasible_dilation,
     validate_solution,
 )
 from nukc.oracle import exact_nukc

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import min_feasible_dilation
 from nukc import bicriteria, lp
 from nukc.bicriteria import (
     build_guess_lp,
@@ -16,7 +17,7 @@ from nukc.bicriteria import (
 )
 from nukc.gadgets import random_instance
 from nukc.metric import MetricSpace
-from nukc.model import NukcInstance, min_feasible_dilation
+from nukc.model import NukcInstance
 
 
 class TestParameters:

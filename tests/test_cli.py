@@ -407,6 +407,22 @@ class TestSolveValidate:
         assert (done.returncode, done.stderr) == (
             2, f"error: {deep}: JSON nested too deeply to parse\n")
 
+    def test_stdlib_fallback_reads_utf8_in_any_locale(self, tmp_path):
+        # The NaN label sends the document to the stdlib reader, and the "é"
+        # label is two UTF-8 bytes that an ASCII locale cannot decode.
+        inst = tmp_path / "inst.json"
+        inst.write_bytes('{"points": {"coords": [[0.0], [1.0]]}, "labels": [NaN, "é"], '
+                         '"classes": [{"k": 1, "r": 1.0}]}'.encode())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "s.json"
+        done = subprocess.run([sys.executable, "-m", "nukc.cli", "solve", "--algo", "kcenter",
+                               "--input", str(inst), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert fileio.load(out)["balls"] == [{"center": 0, "class": 0, "radius": 1.0}]
+
     @pytest.mark.parametrize("algo", ["exact", "guess-q", "bicriteria"])
     def test_uncoverable_instance_is_usage_error(self, tmp_path, capsys, algo):
         inst = tmp_path / "inst.json"

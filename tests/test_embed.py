@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import min_feasible_dilation
 from nukc import fileio
 from nukc.cli import main
 from nukc.embed import embed, lift_tree_solution
 from nukc.gadgets import random_instance
 from nukc.metric import MetricSpace
-from nukc.model import NukcInstance, min_feasible_dilation, validate_solution
+from nukc.model import NukcInstance, validate_solution
 from nukc.rmfct import FirefighterInfeasibleError
 
 

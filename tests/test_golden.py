@@ -5,10 +5,10 @@ For every instance below and every algorithm in `ALGOS`, the test runs
 data) and hashes the rest.  An algorithm the instance does not admit is
 pinned by its exit code instead (2: wrong class shape, 3: over the exact
 solver's size budget).  The `--dump-lp` text of every instance is pinned
-the same way, and so is its fractional lower bound (`min_feasible_dilation`:
-the dilation and the bytes of the basic solution x), which moves with any
-change to the simplex's pivot choices and with any change to its
-arithmetic, down to the last ulp of an entry.  A change that claims to
+the same way, and so is its fractional lower bound (`relaxation_search`'s
+dilation, and the bytes of the basic solution x that `fractional_cover`
+finds there), which moves with any change to the simplex's pivot choices
+and with any change to its arithmetic, down to the last ulp of an entry.  A change that claims to
 keep behaviour keeps these values; one that changes output on purpose
 updates them and says why.
 """
@@ -18,9 +18,9 @@ import json
 
 import pytest
 
+from helpers import min_feasible_dilation
 from nukc import fileio
 from nukc.cli import ALGOS, main
-from nukc.model import min_feasible_dilation
 
 INSTANCES = {
     "euclid-2class": ["--kind", "euclidean", "--n", "8", "--seed", "2",

@@ -408,7 +408,7 @@ PUBLIC = [
     "charikar_kcwo", "charikar_kcwo_search", "compress_radii", "coverage", "embed",
     "enum_solve", "exact_nukc", "gadgets", "gonzalez_kcenter",
     "hardness_gadget", "lift_compressed_solution", "lift_tree_solution", "lp", "metric",
-    "min_feasible_dilation", "model", "oracle", "random_euclidean", "random_layered_tree",
+    "model", "oracle", "random_euclidean", "random_layered_tree",
     "random_metric", "rmfct", "round_bottom_heavy", "round_depth2", "round_loose",
     "solve_guess_q", "solve_kcwo", "solve_two_radii", "solvers", "validate_metric",
     "validate_solution",

@@ -142,6 +142,14 @@ class TestSolveKnown:
         with pytest.raises(lp.LpSolverError, match="optimal"):
             lp.solve(cover)
 
+    @pytest.mark.parametrize("outcome", ["optimal", "budget", "singular", "unbounded"])
+    def test_proved_none_from_any_stop(self, monkeypatch, outcome):
+        # x0 >= 1 on the box [0, 0.5]: y = 1 on the covering row proves it
+        # infeasible, whichever way the loop stopped.
+        cover = make_cover([[1]], [0], [1.0], [(0.0, 0.5)])
+        monkeypatch.setattr(lp, "_phase_one", lambda s, run: (outcome, np.array([1.0, 0.0]), 0))
+        assert lp.solve(cover) is None
+
     def test_binding_upper_bounds(self):
         # x0 + x1 >= 1 with x <= (0.25, 0.75): only the corner is feasible.
         cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 0.25), (0.0, 0.75)])
@@ -279,7 +287,7 @@ class TestVerdict:
         cover = make_cover(
             [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
             [0] * 5, [1.0], [(0.0, 1.0)] * 5)
-        s = lp._phase_one_setup(cover, lp._vertex(cover))
+        s = lp._system(cover, lp._vertex(cover))
         # The threshold is sum |lam_i| * 1e-7 over the clipped multipliers.
         assert lp._lagrangian_bound(s, np.array([1, 1, 1, 1, -3.0])) == (1.0, pytest.approx(7e-7))
         bound, tol = lp._lagrangian_bound(s, np.array([1, 1, 1, 1, 0.0]))
@@ -379,9 +387,13 @@ class TestVerdictStart:
         # x0 + x1 >= 1, x0 >= 1 and x0 + x1 <= 10: the start (0, 1) meets
         # rows 0 and 2 and misses row 1.
         cover = make_cover([[1, 1], [1, 0]], [0, 0], [10.0], [(0.0, 1.0)] * 2)
-        s = lp._phase_one_setup(cover, lp._vertex(cover, [0.0, 1.0]))
+        s = lp._system(cover, lp._vertex(cover, [0.0, 1.0]))
         assert s.A.shape == (3, 2 + 3 + 1)  # structural, slack, one artificial
-        assert s.x.tolist() == [0.0, 1.0, 0.0, 0.0, 9.0, 1.0]
+        assert s.art.tolist() == [1]
+        # Every slack starts at 0, the basic ones of rows 0 and 2 too: the
+        # pivot loop's first refactor solves for each basic value before
+        # anything reads it, and a basic column's price ignores its value.
+        assert s.x.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
         assert s.basis.tolist() == [2, 5, 4]
         assert lp.verdict(cover, [0.0, 1.0])[0] is True
 
@@ -512,7 +524,8 @@ class TestWarmStart:
                 if basis is None:
                     continue
                 warm += 1
-                answer, _ = lp._settle(lp._warm_setup(cover, basis))
+                answer, _ = lp._settle(lp._system(cover, lp._vertex(cover, start), basis),
+                                       lp.DEGENERATE_RUN)
                 cold = lp.verdict(cover, start)[0]
                 if answer is not None and cold is not None:
                     decided += 1
@@ -531,9 +544,9 @@ class TestWarmStart:
                                   label="columns"))
         at_upper = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
                                       label="at upper"))
-        s = lp._warm_setup(cover, (cols, at_upper))
+        s = lp._system(cover, lp._vertex(cover), (cols, at_upper))
         assert abs(np.linalg.det(s.A[:, s.basis])) >= 0.5  # an integer matrix: 0 or >= 1
-        answer, _ = lp._settle(s)
+        answer, _ = lp._settle(s, lp.DEGENERATE_RUN)
         if answer is not None:
             assert answer == (scipy_reference(cover).status == 0)
 
@@ -545,18 +558,51 @@ class TestWarmStart:
             for dilation in (cands[0], cands[-1]):
                 assert model._certify(build_nukc_lp(inst, dilation))[0] is not None
 
-    def test_stored_basis_of_another_shape_starts_cold(self):
+    def test_stored_basis_of_another_shape_starts_cold(self, monkeypatch):
+        # Each stored proof has the wrong shape and is skipped, and so is its
+        # basis: the verdict builds only a cold system and answers as a
+        # verdict without a store, storing the same point and final basis.
         cover = make_cover([[1, 1]], [0, 0], [2.0], [(0.0, 1.0)] * 2)
-        assert lp._warm_setup(cover, None) is None
-        assert lp._warm_setup(cover, (np.arange(3), np.zeros(2, bool))) is None
-        assert lp._warm_setup(cover, (np.arange(2), np.zeros(3, bool))) is None
-        assert lp._warm_setup(cover, (np.arange(2), np.zeros(2, bool))) is not None
+        cold = []
+        assert lp.verdict(cover, proofs=cold)[0] is True
+        built, real = [], lp._system
+        monkeypatch.setattr(lp, "_system", lambda cover, x0, stored=None:
+                            built.append(stored) or real(cover, x0, stored))
+        for stored in (None, (np.arange(3), np.zeros(2, bool)),
+                       (np.arange(2), np.zeros(3, bool))):
+            built.clear()
+            proofs = [(True, np.zeros(3), stored)]
+            answer, x = lp.verdict(cover, proofs=proofs)
+            assert built == [None]
+            assert answer is True and x.tobytes() == cold[0][1].tobytes()
+            assert [a.tolist() for a in proofs[1][2]] == [a.tolist() for a in cold[0][2]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_cold_and_warm_systems_share_the_rows(self, seed, data):
+        # One builder: a warm system is the cold one without its artificial
+        # columns, over the same rhs, structural and slack columns and bounds.
+        cover = random_cover(seed)
+        m, n = len(cover.supp) + len(cover.budgets), len(cover.bounds)
+        cols = np.array(data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m),
+                                  label="columns"))
+        at_upper = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                      label="at upper"))
+        cold = lp._system(cover, box_vertex(data, cover))
+        warm = lp._system(cover, lp._vertex(cover), (cols, at_upper))
+        assert warm.A.shape == (m, n + m) and warm.art.size == 0 and warm.art_tol == 0.0
+        assert np.array_equal(cold.rhs, warm.rhs)
+        assert np.array_equal(cold.A[:, :n + m], warm.A)
+        assert np.array_equal(cold.lo[:n + m], warm.lo) and np.array_equal(cold.hi[:n + m], warm.hi)
+        assert not warm.cost.any() and cold.cost.sum() == cold.art.size
+        assert np.array_equal(warm.x[:n], np.where(at_upper, *cover.bounds.T[::-1]))
+        assert not cold.x[n:n + m].any() and not warm.x[n:].any()
 
     def test_final_basis_maps_artificials_to_their_slacks(self):
         # The start (0, 1) misses row 1 only, so its artificial (column 5)
         # is basic there; it is stored as row 1's slack, column 2 + 1.
         cover = make_cover([[1, 1], [1, 0]], [0, 0], [10.0], [(0.0, 1.0)] * 2)
-        s = lp._phase_one_setup(cover, lp._vertex(cover, [0.0, 1.0]))
+        s = lp._system(cover, lp._vertex(cover, [0.0, 1.0]))
         cols, at_upper = lp._final_basis(s)
         assert cols.tolist() == [2, 3, 4] and at_upper.tolist() == [False, True]
 
@@ -584,7 +630,7 @@ class TestWarmStart:
         runs = []
         for rel in (lp.PIVOT_REL_TOL, 0.0):
             monkeypatch.setattr(lp, "PIVOT_REL_TOL", rel)
-            s = lp._phase_one_setup(cover, lp._vertex(cover, [0.0, 1.0, 0.0]))
+            s = lp._system(cover, lp._vertex(cover, [0.0, 1.0, 0.0]))
             s.A[1, 0] = -5e-10
             outcome, _, iterations = lp._phase_one(s, 0)
             runs.append((outcome, iterations, s.basis.tolist()))
@@ -698,6 +744,21 @@ class TestProvingPoint:
         assert stored > 0
 
 
+def scanned_clip(s, lam):
+    """A copy of lam clipped just enough to keep the reduced cost of each
+    slack and artificial column of s >= 0, its limits found by scanning
+    the unit columns of s.A for their rows and coefficients."""
+    n = len(s.cover.bounds)
+    unit = s.A[:, n:]
+    rows = np.argmax(unit != 0, axis=0)
+    coef = unit[rows, np.arange(unit.shape[1])]
+    limit = s.cost[n:] / coef
+    upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
+    np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
+    np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
+    return np.clip(lam, lower, upper)
+
+
 def reference_lagrangian_bound(cover, s, lam):
     """The dense Lagrangian bound that lp.refutes replaced, as it was but
     clipping a copy of lam, on the phase-one system s of `cover`: clip lam
@@ -707,14 +768,7 @@ def reference_lagrangian_bound(cover, s, lam):
     C, ge, rhs = lp._rows(cover)
     n = C.shape[1]
     row_tol = lp.FEAS_TOL * np.maximum(1.0, np.abs(rhs))
-    unit = s.A[:, n:]
-    rows = np.argmax(unit != 0, axis=0)
-    coef = unit[rows, np.arange(unit.shape[1])]
-    limit = s.cost[n:] / coef
-    upper, lower = np.full(len(lam), np.inf), np.full(len(lam), -np.inf)
-    np.minimum.at(upper, rows[coef > 0], limit[coef > 0])
-    np.maximum.at(lower, rows[coef < 0], limit[coef < 0])
-    w = np.clip(lam, lower, upper)
+    w = scanned_clip(s, lam)
     tol = float(np.abs(w) @ row_tol)
     reduced = (s.cost - w @ s.A)[:n]
     lo, hi = s.lo[:n], s.hi[:n]
@@ -738,11 +792,15 @@ class TestCheckPair:
             answer, vertex = model._certify(cover)
             if answer is not None:
                 continue
-            s = lp._phase_one_setup(cover, lp._vertex(cover, vertex))
+            s = lp._system(cover, lp._vertex(cover, vertex))
             _, lam, _ = lp._phase_one(s, lp.DEGENERATE_RUN)
             if lam is None:
                 continue
-            got, want = lp._lagrangian_bound(s, lam.copy()), reference_lagrangian_bound(cover, s, lam)
+            clipped = lam.copy()
+            got, want = lp._lagrangian_bound(s, clipped), reference_lagrangian_bound(cover, s, lam)
+            # The clip limits read from s.art are the ones the scan of A
+            # finds, down to the sign of each zero.
+            assert clipped.tobytes() == scanned_clip(s, lam).tobytes()
             assert got == pytest.approx(want, rel=0, abs=1e-12)
             assert (got[0] > got[1]) == (want[0] > want[1])
             compared += 1

@@ -197,13 +197,32 @@ class TestTriangleCertificate:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_worst_slack_is_the_per_k_maximum(self, cpus, monkeypatch):
         # Every row is scanned: a row no worker reaches would send a metric
-        # to the listing scan, which gives the same list, only slower.
+        # to the listing, which gives the same list, only slower.  A full
+        # scan's row peak is that row's per-k maximum.
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         for d in (random_metric(60, 3).dist, line_with_planted_slack(True),
                   line_with_planted_slack(False)):
-            want = max((d - (d[:, k : k + 1] + d[k : k + 1, :])).max() for k in range(len(d)))
-            half = bool((d == d.T).all())
-            assert metric._worst_slack(d, np.ascontiguousarray(d.T), half) == want
+            rows = np.max([d - (d[:, k : k + 1] + d[k : k + 1, :]) for k in range(len(d))],
+                          axis=(0, 2))
+            d_t = np.ascontiguousarray(d.T)
+            assert metric._worst_slack(d, d_t, bool((d == d.T).all())).max() == rows.max()
+            assert metric._worst_slack(d, d_t, False).tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_listing_matches_per_k_scan_on_planted_violations(self, seed, symmetric):
+        # A few long entries, each pair planted on both sides or on one:
+        # only their rows are listed, in per_k_scan's (k, i, j) order.
+        d = random_metric(40, seed).dist
+        rng = np.random.RandomState(seed)
+        for i, j in rng.randint(40, size=(3, 2)):
+            if i != j:
+                d[i, j] = 2 * d.max()
+                if symmetric:
+                    d[j, i] = d[i, j]
+        got = validate_metric(d)
+        assert got == reference(d)
+        assert any(v[0] == "triangle" for v in got)
 
     @pytest.mark.parametrize("cpus", [1, None])
     def test_one_worker_gives_the_same_answer(self, cpus, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ball, expand_radii, guess_window, replayed_search
+from helpers import ball, expand_radii, guess_window, min_feasible_dilation, replayed_search
 from nukc import model
 from nukc.bicriteria import build_guess_lp
 from nukc.metric import COVER_TOL, MetricSpace
@@ -23,7 +23,6 @@ from nukc.model import (
     compress_radii,
     coverage,
     lift_compressed_solution,
-    min_feasible_dilation,
     proving_point,
     relaxation_search,
     smallest_feasible,

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import exact_rmfct
+from helpers import exact_rmfct, min_feasible_dilation
 from nukc.embed import embed
 from nukc.gadgets import random_euclidean, random_layered_tree
-from nukc.model import NukcInstance, min_feasible_dilation
+from nukc.model import NukcInstance
 from nukc.rmfct import (
     ROUND_TOL,
     FirefighterInfeasibleError,

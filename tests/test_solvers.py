@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from helpers import exact_kcwo, guess_window
+from helpers import exact_kcwo, guess_window, min_feasible_dilation
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
 from nukc import lp, solvers
@@ -15,7 +15,6 @@ from nukc.model import (
     candidate_dilations,
     compress_radii,
     fractional_cover,
-    min_feasible_dilation,
     proving_point,
     relaxation_search,
     validate_solution,
