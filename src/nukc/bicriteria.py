@@ -28,9 +28,7 @@ from .model import (
     build_nukc_lp,
     compress_radii,
     coverage,
-    fractional_cover,
     lift_compressed_solution,
-    proving_point,
     relaxation_search,
 )
 from .embed import embed
@@ -74,7 +72,7 @@ class EnumResult:
     short_circuit: bool = False
     used_fallback: bool = False
     nodes_explored: int = 0
-    count_bound: list = field(default_factory=list)  # per compressed class
+    count_bound: list = field(default_factory=list)  # per original class
     dilation_ratio: float = 0.0  # achieved dilation / alpha
 
 
@@ -149,10 +147,9 @@ def enum_solve(instance: NukcInstance) -> EnumResult:
         covered_by_A = covered(dist, [b.center for b in balls_a],
                                [b.radius_used for b in balls_a])
         rest = np.flatnonzero(~covered_by_A).tolist()
-        problem = build_guess_lp(rest, aff, neg, scaled)
-        if proving_point(problem) is None:
+        x_star = lp.solve(build_guess_lp(rest, aff, neg, scaled))
+        if x_star is None:
             return None
-        x_star = fractional_cover(problem)
         cov = coverage(scaled, x_star)
         x_b = [p for p in rest if cov[p, tau:].sum() >= 0.5 - ROUND_TOL]
         in_b = set(x_b)
@@ -162,9 +159,8 @@ def enum_solve(instance: NukcInstance) -> EnumResult:
             return NukcSolution(balls_a + bh_b)
         # Can the remainder be covered by levels above tau alone?
         forced = neg | (np.arange(h) <= tau)
-        problem_t = build_guess_lp(x_t, aff, forced, scaled)
-        if proving_point(problem_t) is not None:
-            x_small = fractional_cover(problem_t)
+        x_small = lp.solve(build_guess_lp(x_t, aff, forced, scaled))
+        if x_small is not None:
             bh_t = round_bottom_heavy(scaled, x_small, tau, points=x_t).balls
             return NukcSolution(balls_a + bh_b + bh_t)
         if gamma <= 0:

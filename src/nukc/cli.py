@@ -237,7 +237,8 @@ def cmd_compare(args) -> int:
             raise UsageError(f"unknown algorithm {a}")
     fields = ["instance", "algo", "dilation", "lower_bound", "ratio", "count_factor",
               "seconds", "note"]
-    with open(args.out, "w", newline="") as fh:
+    # A path the locale decoded with surrogate escapes goes back out as its bytes.
+    with open(args.out, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for path in paths:

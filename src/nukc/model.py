@@ -246,23 +246,15 @@ def proving_point(cover: lp.CoveringLp, proofs=None):
     or None when it is not.  The certificates answer first (the greedy's
     vertex); only a probe they leave open pivots: `lp.verdict` from that
     vertex with the search's `proofs`.  Every answer is proved, so a
-    verdict that proves neither raises `lp.LpSolverError`.  A caller that
-    needs a basic x uses `fractional_cover`."""
+    verdict that proves neither raises `lp.LpSolverError`.  This is the
+    probe of a search, which needs only a yes or no; a caller that needs a
+    basic x calls `lp.solve` once instead."""
     answer, x = _certify(cover)
     if answer is None:
         answer, x = lp.verdict(cover, x, proofs)
     if answer is None:
         raise lp.LpSolverError("verdict proved neither feasibility nor infeasibility")
     return x if answer else None
-
-
-def fractional_cover(cover: lp.CoveringLp) -> np.ndarray:
-    """The simplex's basic feasible x, shape (n, h), of a covering LP from
-    build_nukc_lp that `proving_point` confirmed."""
-    x = lp.solve(cover)
-    if x is None:
-        raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
-    return x.reshape(-1, len(cover.budgets))
 
 
 def candidate_values(dist: np.ndarray, radii) -> list:

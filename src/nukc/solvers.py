@@ -19,6 +19,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
+from . import lp
 from .embed import embed, lift_tree_solution
 from .metric import MetricSpace, covered, gonzalez_kcenter, within
 from .model import (
@@ -30,7 +31,6 @@ from .model import (
     candidate_dilations,
     candidate_values,
     coverage,
-    fractional_cover,
     proving_point,
     relaxation_search,
     smallest_feasible,
@@ -340,6 +340,8 @@ def solve_guess_q(instance: NukcInstance, q: int, floor: float) -> GuessQResult:
     balls = [Ball(c, t, alpha * instance.radii[t]) for c, t in guess]
     if uncovered:
         scaled = instance if alpha == 0 else instance.scaled(alpha)
-        x = fractional_cover(problem)
+        x = lp.solve(problem)
+        if x is None:
+            raise lp.LpSolverError("simplex refuted an LP a feasibility check confirmed")
         balls.extend(round_bottom_heavy(scaled, x, tau, points=uncovered).balls)
     return GuessQResult(NukcSolution(balls), dilation=alpha, tau=tau)

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from nukc import model
+from nukc import lp, model
 from nukc.metric import covered, within
 from nukc.model import build_nukc_lp, candidate_dilations, proving_point, smallest_feasible
 from nukc.oracle import SizeBudgetError
@@ -58,11 +58,11 @@ def replayed_search(instance):
 
 def min_feasible_dilation(instance):
     """(alpha, x): the relaxation's smallest feasible candidate dilation
-    (`relaxation_search`) and the simplex's basic feasible x, shape (n, h),
-    of its LP rebuilt there (`fractional_cover`).  Reads `model`'s
+    (`relaxation_search`) and the simplex's basic feasible x (`lp.solve`),
+    shaped (n, h), of its LP rebuilt there.  Reads `model`'s and `lp`'s
     functions at call time, so a test's monkeypatch of them applies."""
     alpha, _ = model.relaxation_search(instance)
-    return alpha, model.fractional_cover(model.build_nukc_lp(instance, alpha))
+    return alpha, lp.solve(model.build_nukc_lp(instance, alpha)).reshape(instance.n, -1)
 
 
 def exact_rmfct(tree: LayeredTree, max_nodes: int = 24):

@@ -186,6 +186,45 @@ print(json.dumps({"nukc.lp._phase_one iterations": sum(iterations)}))
 RELAX_WORK_CEILING = {"nukc.lp._phase_one iterations": 3378}
 
 
+# Runs enum_solve on 10 instances shaped like the benchmark's dense-mid
+# bicriteria case (n = 40 in the plane, seeds 0-9; total k = 18, so the
+# recursion runs) and prints the pivot loop's iterations and the verdicts.
+RECURSION_WORK_SCRIPT = """
+import json
+from nukc import lp
+from nukc.bicriteria import enum_solve
+from nukc.gadgets import random_euclidean
+from nukc.model import NukcInstance
+
+inner_phase_one, inner_verdict, iterations, verdicts = lp._phase_one, lp.verdict, [], [0]
+
+
+def counted_phase_one(s, run):
+    got = inner_phase_one(s, run)
+    iterations.append(got[2])
+    return got
+
+
+def counted_verdict(*args, **kwargs):
+    verdicts[0] += 1
+    return inner_verdict(*args, **kwargs)
+
+
+lp._phase_one, lp.verdict = counted_phase_one, counted_verdict
+for seed in range(10):
+    space, _ = random_euclidean(40, 2, seed)
+    enum_solve(NukcInstance(space, [(2, 0.3), (6, 0.1), (10, 0.03)]))
+print(json.dumps({"nukc.lp._phase_one iterations": sum(iterations),
+                  "nukc.lp.verdict": verdicts[0]}))
+"""
+
+# The counts with each recursion node's two LPs settled by one lp.solve call
+# each (2,713 iterations and 61 verdicts when every node LP went through the
+# certificates and lp.verdict before lp.solve).  A change that does more of
+# this work fails here; one that does less should lower its ceiling.
+RECURSION_WORK_CEILING = {"nukc.lp._phase_one iterations": 2305, "nukc.lp.verdict": 52}
+
+
 def work_counts(script):
     """The JSON counts `script` prints last, run in a fresh interpreter with
     one BLAS thread as the benchmark runs: exact, noise-free work."""
@@ -210,3 +249,7 @@ def test_enum_work_stays_under_its_ceiling():
 
 def test_relaxation_work_stays_under_its_ceiling():
     assert_under(work_counts(RELAX_WORK_SCRIPT), RELAX_WORK_CEILING)
+
+
+def test_recursion_work_stays_under_its_ceiling():
+    assert_under(work_counts(RECURSION_WORK_SCRIPT), RECURSION_WORK_CEILING)

@@ -323,8 +323,8 @@ class TestSolveValidate:
 
     def test_simplex_refuting_a_confirmed_lp_exit_code(self, tmp_path, capsys, monkeypatch):
         # The certificates and lp.verdict confirm guess-q's best guess, whose
-        # window LP fractional_cover then solves; a simplex that refutes it
-        # is a solver breakdown, not a miss.
+        # window LP lp.solve then solves; a simplex that refutes it is a
+        # solver breakdown, not a miss.
         inst = self.make_instance(tmp_path)
         monkeypatch.setattr(lp, "solve", lambda cover: None)
         code = run(["solve", "--algo", "guess-q", "--input", str(inst),
@@ -632,6 +632,23 @@ class TestCompare:
             ("i1.json", "kcenter"), ("i1.json", "two-radii"),
         ]
         assert all(r["lower_bound"] and r["ratio"] for r in rows)
+
+    def test_csv_in_the_c_locale(self, tmp_path):
+        # Under the C locale, without UTF-8 mode or locale coercion, argv and
+        # paths decode to surrogate escapes; the CSV holds their bytes.
+        (tmp_path / "d\u00e9").mkdir()
+        run(["generate", "--kind", "euclidean", "--n", "6", "--seed", "0",
+             "--out", str(tmp_path / "d\u00e9" / "i.json")])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from nukc.cli import main; sys.exit(main())",
+             "compare", "--instances", "d\u00e9", "--algos", "kcenter", "--out", "out.csv"],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        header, row = (tmp_path / "out.csv").read_bytes().splitlines()
+        assert header.startswith(b"instance,algo,") and row.startswith(b"d\xc3\xa9/i.json,kcenter,")
 
     def test_empty_dir_is_usage_error(self, tmp_path):
         empty = tmp_path / "none"

@@ -6,9 +6,11 @@ data) and hashes the rest.  An algorithm the instance does not admit is
 pinned by its exit code instead (2: wrong class shape, 3: over the exact
 solver's size budget).  The `--dump-lp` text of every instance is pinned
 the same way, and so is its fractional lower bound (`relaxation_search`'s
-dilation, and the bytes of the basic solution x that `fractional_cover`
-finds there), which moves with any change to the simplex's pivot choices
-and with any change to its arithmetic, down to the last ulp of an entry.  A change that claims to
+dilation, and the bytes of the basic solution x that `lp.solve` finds
+there).  That x moves with any change to the simplex's pivot choices and
+with any change to its arithmetic, down to the last ulp of an entry; so
+do the solutions of guess-q and bicriteria, which round the `lp.solve`
+points of their window and recursion-node LPs.  A change that claims to
 keep behaviour keeps these values; one that changes output on purpose
 updates them and says why.
 """

@@ -3,8 +3,8 @@ one coverage rule, LP row thresholds only in `lp`, no private names read
 across modules, named float guards, no zero-argument lambdas, no
 `scipy.optimize`, no `scipy` at import time, `json` and `orjson` only in
 `fileio`, one algorithm list shared by the CLI table, its argparse choices
-and the README, package attributes that name a module are that module, and
-a pinned list of public names."""
+and the README, README's Python example runs, package attributes that name
+a module are that module, and a pinned list of public names."""
 
 import argparse
 import ast
@@ -391,6 +391,15 @@ def test_algorithm_lists_agree():
     listed = re.search(r"Algorithms: (.*?)\.\n", readme, re.S).group(1)
     names = [name.strip(" #\n") for name in listed.split(",")]
     assert list(algo.choices) == list(cli.ALGOS) == names
+
+
+def test_readme_example_runs(capsys):
+    """README's Python example under "Example:" runs as written."""
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"\nExample:\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    alpha, ratio, counts = capsys.readouterr().out.split(" ", 2)
+    assert float(alpha) > 0 and float(ratio) >= 0 and counts.startswith("[")
 
 
 def test_module_names_are_the_modules():

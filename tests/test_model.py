@@ -698,7 +698,7 @@ class TestProofStore:
             patch.setattr(model, "proving_point", recording_probe)
             patch.setattr(lp, "verdict", verdict)
             alpha, _ = relaxation_search(inst)
-        x = model.fractional_cover(build_nukc_lp(inst, alpha))
+        x = lp.solve(build_nukc_lp(inst, alpha))
         return alpha, x.tobytes(), hits, store, opens, sum(its)
 
     @staticmethod

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_kcwo, guess_window, min_feasible_dilation
+from nukc.embed import embed
 from nukc.gadgets import random_euclidean, random_instance
 from nukc.metric import MetricSpace
 from nukc import lp, solvers
@@ -12,14 +13,15 @@ from nukc.model import (
     Ball,
     NukcInstance,
     achieved_dilation,
+    build_nukc_lp,
     candidate_dilations,
     compress_radii,
-    fractional_cover,
     proving_point,
     relaxation_search,
     validate_solution,
 )
 from nukc.oracle import SizeBudgetError, exact_nukc
+from nukc.rmfct import round_loose
 from nukc.solvers import (
     TWO_RADII_FACTOR,
     _window_lp,
@@ -253,6 +255,27 @@ class TestBottomHeavy:
         self.check_bounds(*self.make(seed))
         assert len(rejected) == len(resolved) == 1
 
+    def test_window_values_can_leave_loose_vertices(self):
+        """Counterexample to "the embedded window values leave no loose
+        vertex": six points pairwise 100 apart, classes (1, 1) and
+        (6, 1/4), and x[p] = (1/8, 7/8) feasible at dilation 1.  Each top
+        node of the barrier embedding of min(4x, 1) holds 1/2, so six
+        vertices are loose against a tree height of 3, and the rounding
+        reaches the tree LP unpatched."""
+        dist = np.full((6, 6), 100.0)
+        np.fill_diagonal(dist, 0.0)
+        inst = NukcInstance(MetricSpace(dist), [(1, 1.0), (6, 0.25)])
+        x = np.tile([1 / 8, 7 / 8], (6, 1))
+        assert lp.confirms(build_nukc_lp(inst, 1.0), x.ravel())
+        emb = embed(inst, np.minimum(4.0 * x, 1.0), points=range(6), barrier=True)
+        assert emb.tree.num_levels == 3
+        assert [emb.y[v] for v in emb.tree.levels[0]] == [0.5] * 6
+        with pytest.raises(RuntimeError, match="6 loose vertices exceed the tree height 3"):
+            round_loose(emb.tree, emb.y)
+        sol = round_bottom_heavy(inst, x, 0, range(6))
+        assert sol.balls == [Ball(p, 1, 2.0) for p in range(6)]
+        self.check_bounds(inst, x)
+
     def check_bounds(self, inst, x):
         tau = 0  # every point draws all coverage from classes >= 0
         sol = round_bottom_heavy(inst, x, tau, points=list(range(inst.n)))
@@ -348,7 +371,7 @@ def reference_guess_search(instance, tau):
             if problem is None:
                 return alpha, guess, None
             if proving_point(problem) is not None:
-                return alpha, guess, fractional_cover(problem)
+                return alpha, guess, lp.solve(problem)
     raise AssertionError("no guess fits at any candidate dilation")
 
 
